@@ -111,8 +111,9 @@ def power_mean(xs: Sequence[float] | SampleVector, alpha: float) -> float:
     """Mean of order alpha; alpha = 0 means the geometric-mean limit.
 
     For alpha < 0 a zero coordinate gives 0, the limit value of the mean.
-    Evaluation is normalized by the largest coordinate so that the result
-    is scale exact and safe for large |alpha|.
+    Evaluation is normalized by the largest coordinate for alpha > 0 and
+    by the smallest for alpha < 0, so that every normalized power is at
+    most 1: the result is scale exact and safe for large |alpha|.
     """
     xs = _coords(xs)
     if not xs:
@@ -130,7 +131,7 @@ def power_mean(xs: Sequence[float] | SampleVector, alpha: float) -> float:
         m = max(pos)
         acc = math.fsum((x / m) ** alpha for x in pos)
         return m * (acc / n) ** (1.0 / alpha)
-    m = max(xs)
+    m = max(xs) if alpha > 0.0 else min(xs)
     acc = math.fsum((x / m) ** alpha for x in xs)
     return m * (acc / n) ** (1.0 / alpha)
 

@@ -25,7 +25,13 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from .constants import EPS_HAT, ExtremumCertificate, best_constants, format_float
+from .constants import (
+    EPS_HAT,
+    ExtremumCertificate,
+    _endpoint_values,
+    best_constants,
+    format_float,
+)
 from .means import ExponentPair, SampleVector, ratio_gap
 from .profile import ProfileParams, f_profile
 from .reduction import two_value_config
@@ -148,9 +154,10 @@ def grid_scan_two_value(
 
     For r > 0 the exact endpoints are part of the grid (the ratio
     extends continuously there and the closed-form endpoint values are
-    attained exactly).  For r < 0 the ratio diverges to -inf at the
-    ends; the endpoints are excluded and offset points at 1e-9/n from
-    each end take their place.
+    attained exactly); they take those closed forms, n^(r-1) and
+    (n/(n-1))^(r-1), since f/(f - 1) cancels once n^(r-1) is large.
+    For r < 0 the ratio diverges to -inf at the ends; the endpoints are
+    excluded and offset points at 1e-9/n from each end take their place.
     """
     if grid < 1000:
         raise ValueError("grid must be >= 1000 points")
@@ -168,6 +175,8 @@ def grid_scan_two_value(
     xs = np.unique(np.concatenate([base, [eps, hi - eps]]))
     f = f_profile(xs, params)
     vals = f / (f - 1.0)
+    if include:
+        vals[0], vals[-1] = _endpoint_values(n, e.r)
     imin = int(np.argmin(vals))
     imax = int(np.argmax(vals))
 
@@ -389,9 +398,11 @@ def check_bounds(
 
     Fails when any sample or probe violated the bounds (the first
     offending tuples are named), when a grid value escapes the bounds,
-    or when the grid extreme on a certified-extremum side misses the
-    constant by more than tol (default: max(1e-5, 10 * grid step *
-    local curvature at the extreme)).
+    when a grid extreme is infinite or NaN while its side's bound is
+    finite, or when the grid extreme on a certified-extremum side misses
+    the constant by more than tol (default: max(1e-5, 10 * grid step *
+    local curvature at the extreme)).  The grid slack is scaled by the
+    finite grid extremes only.
     """
     if report.n != cert.n or report.e != cert.e:
         raise InstanceMismatchError(
@@ -402,7 +413,8 @@ def check_bounds(
     failures: List[str] = []
     tol_min = _grid_tolerance(grid.step, grid.min_curvature, tol)
     tol_max = _grid_tolerance(grid.step, grid.max_curvature, tol)
-    scale = max(1.0, abs(grid.min_value), abs(grid.max_value))
+    finite = [abs(v) for v in (grid.min_value, grid.max_value) if math.isfinite(v)]
+    scale = max([1.0] + finite)
 
     if report.violations > 0:
         named = "; ".join(
@@ -413,6 +425,15 @@ def check_bounds(
             f"{report.violations} sampled value(s) violated "
             f"[{cert.lower_bound}, {cert.upper_bound}]: {named}"
         )
+    for name, value, arg, side, bound in (
+        ("min", grid.min_value, grid.arg_x_min, "lower", cert.lower_bound),
+        ("max", grid.max_value, grid.arg_x_max, "upper", cert.upper_bound),
+    ):
+        if math.isfinite(bound) and not math.isfinite(value):
+            failures.append(
+                f"grid {name} {value} at x={arg} is not finite, "
+                f"against the finite {side} bound {bound}"
+            )
     if math.isfinite(cert.lower_bound):
         if grid.min_value < cert.lower_bound - VIOLATION_SLACK * scale:
             failures.append(

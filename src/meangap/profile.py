@@ -18,7 +18,10 @@ classification keys on.
 Everything is evaluated through log1p/expm1 in the shifted variable
 a = n*x - 1, which keeps the removable 0/0 at x = 1/n (where both g and
 p touch the arithmetic mean 1/n to second order) numerically quiet.
-All functions accept a scalar or a 1-d numpy array.
+All functions accept a scalar or a numpy array.  A scalar x returns a
+float, bit-identical to the array path's value at that x: it runs the
+same interior formula through the same numpy ufuncs, on float64 scalars,
+without the array path's masks.
 """
 
 from __future__ import annotations
@@ -81,51 +84,104 @@ class ProfileParams:
         return cls(n=n, e=ExponentPair.from_alpha(alpha))
 
 
-def _prep(x, params: ProfileParams):
-    """Validate domain, return (values, at_lo, at_hi, center, interior, scalar)."""
+def _evaluate(x, params: ProfileParams, interior, lo, hi, center=None):
+    """Evaluate one profile function at a scalar or an array x.
+
+    lo and hi are the values at x = 0 and x = 1/(n-1); center, unless
+    None, is the value inside the band |a| <= CENTER_BAND, which the
+    interior formula covers otherwise.  A str in place of a value is the
+    message of the ValueError raised there.
+
+    interior(a, l1, l2) takes a = n*x - 1 and the logarithms l1 = log(n x)
+    and l2 = log(n y) of the two scaled coordinates x = (1 + a)/n and
+    y = (1 - (n-1)a)/n, computed here once per call, as float64 scalars or
+    1-d arrays.  A scalar x picks its case with plain comparisons and
+    returns the float that the array path stores for it.
+    """
+    x_hi = params.x_hi
+    if isinstance(x, (float, int)) or np.ndim(x) == 0:
+        x = float(x)
+        if not 0.0 <= x <= x_hi:
+            raise ValueError(f"x must lie in [0, {x_hi}]")
+        a = params.n * x - 1.0
+        if x == 0.0:
+            value = lo
+        elif x == x_hi:
+            value = hi
+        elif center is not None and abs(a) <= CENTER_BAND:
+            value = center
+        else:
+            a = np.float64(a)
+            with np.errstate(over="ignore"):
+                return float(interior(a, np.log1p(a), np.log1p(-(params.n - 1) * a)))
+        if isinstance(value, str):
+            raise ValueError(value)
+        return float(value)
     arr = np.asarray(x, dtype=float)
-    scalar = arr.ndim == 0
-    arr = np.atleast_1d(arr).copy()
-    hi = params.x_hi
-    if np.any(arr < 0.0) or np.any(arr > hi) or not np.all(np.isfinite(arr)):
-        raise ValueError(f"x must lie in [0, {hi}]")
+    if np.any(arr < 0.0) or np.any(arr > x_hi) or not np.all(np.isfinite(arr)):
+        raise ValueError(f"x must lie in [0, {x_hi}]")
     at_lo = arr == 0.0
-    at_hi = arr == hi
+    at_hi = arr == x_hi
+    inner = ~(at_lo | at_hi)
     a = params.n * arr - 1.0
-    center = (np.abs(a) <= CENTER_BAND) & ~at_lo & ~at_hi
-    interior = ~(at_lo | at_hi)
-    return arr, a, at_lo, at_hi, center, interior, scalar
+    cases = [(at_lo, lo), (at_hi, hi)]
+    if center is not None:
+        band = inner & (np.abs(a) <= CENTER_BAND)
+        inner &= ~band
+        cases.append((band, center))
+    out = np.empty_like(arr)
+    for mask, value in cases:
+        if not isinstance(value, str):
+            out[mask] = value
+        elif np.any(mask):
+            raise ValueError(value)
+    a = a[inner]
+    with np.errstate(over="ignore"):
+        out[inner] = interior(a, np.log1p(a), np.log1p(-(params.n - 1) * a))
+    return out
 
 
-def _ret(out: np.ndarray, scalar: bool):
-    return float(out[0]) if scalar else out
+def _log_ng(l1, l2, n: int):
+    # log(n * g), exact 0 at a = 0
+    return ((n - 1) * l1 + l2) / n
 
 
-def _log_ng(a: np.ndarray, n: int) -> np.ndarray:
-    # log(n * g) on the open interval, exact 0 at a = 0
-    return ((n - 1) * np.log1p(a) + np.log1p(-(n - 1) * a)) / n
-
-
-def _e_sum(a: np.ndarray, n: int, alpha: float) -> np.ndarray:
+def _e_sum(l1, l2, n: int, alpha: float):
     # (n-1)*(1+a)^alpha + (1-(n-1)a)^alpha - n, the shifted power sum
-    return (n - 1) * np.expm1(alpha * np.log1p(a)) + np.expm1(
-        alpha * np.log1p(-(n - 1) * a)
-    )
+    return (n - 1) * np.expm1(alpha * l1) + np.expm1(alpha * l2)
 
 
-def _log_np(a: np.ndarray, n: int, alpha: float) -> np.ndarray:
-    # log(n * p) on the open interval, exact 0 at a = 0
-    return np.log1p(_e_sum(a, n, alpha) / n) / alpha
+def _log_np(esum, n: int, alpha: float):
+    # log(n * p), exact 0 at a = 0
+    return np.log1p(esum / n) / alpha
+
+
+def _g_slope(a, g, n: int):
+    return -n * (n - 1) * a * g / ((1.0 + a) * (1.0 - (n - 1) * a))
+
+
+def _p_slope(l1, l2, esum, p, n: int, alpha: float):
+    diff = np.expm1((alpha - 1.0) * l1) - np.expm1((alpha - 1.0) * l2)
+    return n * (n - 1) * diff * p / (n + esum)
+
+
+def _u(a, lns, n: int, alpha: float):
+    sm1 = n * a / (1.0 - (n - 1) * a)  # s - 1
+    return np.expm1((1.0 - alpha) * lns) / ((1.0 - alpha) * sm1)
+
+
+def _v(lns, n: int, alpha: float):
+    return ((n - 1) * np.exp(alpha * lns) + 1.0) / n
 
 
 def g_profile(x, params: ProfileParams):
     """Geometric mean of the two-value tuple; 0 at both endpoints."""
-    arr, a, at_lo, at_hi, _, interior, scalar = _prep(x, params)
     n = params.n
-    out = np.zeros_like(arr)
-    ai = a[interior]
-    out[interior] = np.exp(_log_ng(ai, n)) / n
-    return _ret(out, scalar)
+
+    def interior(a, l1, l2):
+        return np.exp(_log_ng(l1, l2, n)) / n
+
+    return _evaluate(x, params, interior, 0.0, 0.0)
 
 
 def p_profile(x, params: ProfileParams):
@@ -135,20 +191,16 @@ def p_profile(x, params: ProfileParams):
     r > 0, and 0 at both ends for r < 0 (a zero coordinate collapses a
     negative-order mean).
     """
-    arr, a, at_lo, at_hi, _, interior, scalar = _prep(x, params)
     n = params.n
     r = params.e.r
     alpha = params.e.alpha
-    out = np.empty_like(arr)
+
+    def interior(a, l1, l2):
+        return np.exp(_log_np(_e_sum(l1, l2, n, alpha), n, alpha)) / n
+
     if r > 0:
-        out[at_lo] = n ** (-r)
-        out[at_hi] = (n - 1) ** (r - 1) / n**r
-    else:
-        out[at_lo | at_hi] = 0.0
-    ai = a[interior]
-    with np.errstate(over="ignore"):
-        out[interior] = np.exp(_log_np(ai, n, alpha)) / n
-    return _ret(out, scalar)
+        return _evaluate(x, params, interior, n ** (-r), (n - 1) ** (r - 1) / n**r)
+    return _evaluate(x, params, interior, 0.0, 0.0)
 
 
 def f_profile(x, params: ProfileParams):
@@ -159,36 +211,30 @@ def f_profile(x, params: ProfileParams):
     forms: 1 at both ends for r < 0, and n^(r-1)/(n^(r-1)-1),
     n^(r-1)/(n^(r-1)-(n-1)^(r-1)) for r > 0.
     """
-    arr, a, at_lo, at_hi, center, interior, scalar = _prep(x, params)
     n = params.n
     r = params.e.r
     alpha = params.e.alpha
-    out = np.empty_like(arr)
+
+    def interior(a, l1, l2):
+        lp = _log_np(_e_sum(l1, l2, n, alpha), n, alpha)
+        return np.expm1(_log_ng(l1, l2, n)) / np.expm1(lp)
+
     if r > 0:
         c = n ** (r - 1.0)
-        out[at_lo] = c / (c - 1.0)
-        out[at_hi] = c / (c - (n - 1) ** (r - 1.0))
+        lo, hi = c / (c - 1.0), c / (c - (n - 1) ** (r - 1.0))
     else:
-        out[at_lo | at_hi] = 1.0
-    out[center] = r / (r - 1.0)
-    inner = interior & ~center
-    ai = a[inner]
-    with np.errstate(over="ignore"):
-        out[inner] = np.expm1(_log_ng(ai, n)) / np.expm1(_log_np(ai, n, alpha))
-    return _ret(out, scalar)
+        lo = hi = 1.0
+    return _evaluate(x, params, interior, lo, hi, r / (r - 1.0))
 
 
 def g_prime(x, params: ProfileParams):
     """d/dx of g; +inf at x = 0 and -inf at x = 1/(n-1)."""
-    arr, a, at_lo, at_hi, _, interior, scalar = _prep(x, params)
     n = params.n
-    out = np.empty_like(arr)
-    out[at_lo] = math.inf
-    out[at_hi] = -math.inf
-    ai = a[interior]
-    g = np.exp(_log_ng(ai, n)) / n
-    out[interior] = -n * (n - 1) * ai * g / ((1.0 + ai) * (1.0 - (n - 1) * ai))
-    return _ret(out, scalar)
+
+    def interior(a, l1, l2):
+        return _g_slope(a, np.exp(_log_ng(l1, l2, n)) / n, n)
+
+    return _evaluate(x, params, interior, math.inf, -math.inf)
 
 
 def p_prime(x, params: ProfileParams):
@@ -199,42 +245,34 @@ def p_prime(x, params: ProfileParams):
         0 < r < 1:  -(n-1)/n^r at 0,         ((n-1)/n)^r at 1/(n-1)
         r > 1:      +inf at 0,               -inf at 1/(n-1)
     """
-    arr, a, at_lo, at_hi, _, interior, scalar = _prep(x, params)
     n = params.n
     r = params.e.r
     alpha = params.e.alpha
-    out = np.empty_like(arr)
+
+    def interior(a, l1, l2):
+        esum = _e_sum(l1, l2, n, alpha)
+        p = np.exp(_log_np(esum, n, alpha)) / n
+        return _p_slope(l1, l2, esum, p, n, alpha)
+
     if r > 1:
-        out[at_lo] = math.inf
-        out[at_hi] = -math.inf
+        lo, hi = math.inf, -math.inf
     elif r > 0:
-        out[at_lo] = -(n - 1) / n**r
-        out[at_hi] = ((n - 1) / n) ** r
+        lo, hi = -(n - 1) / n**r, ((n - 1) / n) ** r
     else:
-        out[at_lo] = ((n - 1) / n) ** r
-        out[at_hi] = -(n - 1) / n**r
-    ai = a[interior]
-    with np.errstate(over="ignore"):
-        esum = _e_sum(ai, n, alpha)
-        diff = np.expm1((alpha - 1.0) * np.log1p(ai)) - np.expm1(
-            (alpha - 1.0) * np.log1p(-(n - 1) * ai)
-        )
-        p = np.exp(_log_np(ai, n, alpha)) / n
-        out[interior] = n * (n - 1) * diff * p / (n + esum)
-    return _ret(out, scalar)
+        lo, hi = ((n - 1) / n) ** r, -(n - 1) / n**r
+    return _evaluate(x, params, interior, lo, hi)
 
 
 def g_second(x, params: ProfileParams):
     """d2/dx2 of g; strictly negative, -inf at both endpoints."""
-    arr, a, at_lo, at_hi, _, interior, scalar = _prep(x, params)
     n = params.n
-    out = np.empty_like(arr)
-    out[at_lo | at_hi] = -math.inf
-    ai = a[interior]
-    g = np.exp(_log_ng(ai, n)) / n
-    denom = ((1.0 + ai) * (1.0 - (n - 1) * ai)) ** 2
-    out[interior] = -(n**2) * (n - 1) * g / denom
-    return _ret(out, scalar)
+
+    def interior(a, l1, l2):
+        g = np.exp(_log_ng(l1, l2, n)) / n
+        d = (1.0 + a) * (1.0 - (n - 1) * a)
+        return -(n**2) * (n - 1) * g / (d * d)
+
+    return _evaluate(x, params, interior, -math.inf, -math.inf)
 
 
 def _p_second_endpoint(n: int, r: float, alpha: float, at_lo: bool) -> float:
@@ -259,22 +297,19 @@ def p_second(x, params: ProfileParams):
     the profile curls up, signed zeros where it flattens, and finite
     values exactly at alpha = 2 and alpha = -1.
     """
-    arr, a, at_lo, at_hi, _, interior, scalar = _prep(x, params)
     n = params.n
     r = params.e.r
     alpha = params.e.alpha
-    out = np.empty_like(arr)
-    out[at_lo] = _p_second_endpoint(n, r, alpha, True)
-    out[at_hi] = _p_second_endpoint(n, r, alpha, False)
-    ai = a[interior]
-    with np.errstate(over="ignore"):
-        esum = _e_sum(ai, n, alpha)
-        p = np.exp(_log_np(ai, n, alpha)) / n
-        pw = np.exp((alpha - 2.0) * (np.log1p(ai) + np.log1p(-(n - 1) * ai)))
-        out[interior] = (
-            -(n**4) * (n - 1) * (r - 1.0) * pw * p / (r * (n + esum) ** 2)
-        )
-    return _ret(out, scalar)
+
+    def interior(a, l1, l2):
+        esum = _e_sum(l1, l2, n, alpha)
+        p = np.exp(_log_np(esum, n, alpha)) / n
+        pw = np.exp((alpha - 2.0) * (l1 + l2))
+        t = n + esum
+        return -(n**4) * (n - 1) * (r - 1.0) * pw * p / (r * (t * t))
+
+    lo, hi = (_p_second_endpoint(n, r, alpha, at_lo) for at_lo in (True, False))
+    return _evaluate(x, params, interior, lo, hi)
 
 
 def _fprime_endpoint(n: int, r: float, at_lo: bool) -> float:
@@ -297,81 +332,57 @@ def f_prime(x, params: ProfileParams):
     degenerates to 0/0 there); endpoint calls return the signed infinite
     limits.
     """
-    arr, a, at_lo, at_hi, center, interior, scalar = _prep(x, params)
-    if np.any(center):
-        raise ValueError("f_prime is not defined within 1e-9/n of x = 1/n")
     n = params.n
     r = params.e.r
     alpha = params.e.alpha
-    out = np.empty_like(arr)
-    out[at_lo] = _fprime_endpoint(n, r, True)
-    out[at_hi] = _fprime_endpoint(n, r, False)
-    ai = a[interior]
-    with np.errstate(over="ignore"):
-        lg = _log_ng(ai, n)
-        esum = _e_sum(ai, n, alpha)
-        lp = np.log1p(esum / n) / alpha
-        g = np.exp(lg) / n
-        p = np.exp(lp) / n
-        gp = -n * (n - 1) * ai * g / ((1.0 + ai) * (1.0 - (n - 1) * ai))
-        diff = np.expm1((alpha - 1.0) * np.log1p(ai)) - np.expm1(
-            (alpha - 1.0) * np.log1p(-(n - 1) * ai)
-        )
-        pp = n * (n - 1) * diff * p / (n + esum)
-        f = np.expm1(lg) / np.expm1(lp)
-        pm = np.expm1(lp) / n  # p - 1/n without cancellation
-        out[interior] = (gp / pp - f) * pp / pm
-    return _ret(out, scalar)
+
+    def interior(a, l1, l2):
+        lg = _log_ng(l1, l2, n)
+        esum = _e_sum(l1, l2, n, alpha)
+        lp = _log_np(esum, n, alpha)
+        gp = _g_slope(a, np.exp(lg) / n, n)
+        pp = _p_slope(l1, l2, esum, np.exp(lp) / n, n, alpha)
+        pm = np.expm1(lp)  # n * (p - 1/n) without cancellation
+        return (gp / pp - np.expm1(lg) / pm) * pp / (pm / n)
+
+    lo, hi = (_fprime_endpoint(n, r, at_lo) for at_lo in (True, False))
+    band = "f_prime is not defined within 1e-9/n of x = 1/n"
+    return _evaluate(x, params, interior, lo, hi, band)
 
 
 def s_map(x, params: ProfileParams):
     """Coordinate ratio s = x / (1 - (n-1)x); 0 at x=0, 1 at x=1/n, +inf at the top."""
-    arr, a, at_lo, at_hi, _, interior, scalar = _prep(x, params)
     n = params.n
-    out = np.empty_like(arr)
-    out[at_lo] = 0.0
-    out[at_hi] = math.inf
-    ai = a[interior]
-    out[interior] = (1.0 + ai) / (1.0 - (n - 1) * ai)
-    return _ret(out, scalar)
 
+    def interior(a, l1, l2):
+        return (1.0 + a) / (1.0 - (n - 1) * a)
 
-def _log_s(a: np.ndarray, n: int) -> np.ndarray:
-    return np.log1p(a) - np.log1p(-(n - 1) * a)
+    return _evaluate(x, params, interior, 0.0, math.inf)
 
 
 def U_func(x, params: ProfileParams):
     """Chord slope of t -> t^(1-1/r) between s(x) and 1, normalized to U(1/n) = 1."""
-    arr, a, at_lo, at_hi, center, interior, scalar = _prep(x, params)
     n = params.n
     alpha = params.e.alpha
-    c1 = 1.0 - alpha
-    out = np.empty_like(arr)
-    out[at_lo] = 1.0 / c1 if alpha < 1 else math.inf
-    out[at_hi] = math.inf if alpha < 0 else 0.0
-    out[center] = 1.0
-    inner = interior & ~center
-    ai = a[inner]
-    with np.errstate(over="ignore"):
-        sm1 = n * ai / (1.0 - (n - 1) * ai)
-        out[inner] = np.expm1(c1 * _log_s(ai, n)) / (c1 * sm1)
-    return _ret(out, scalar)
+
+    def interior(a, l1, l2):
+        return _u(a, l1 - l2, n, alpha)
+
+    lo = 1.0 / (1.0 - alpha) if alpha < 1 else math.inf
+    hi = math.inf if alpha < 0 else 0.0
+    return _evaluate(x, params, interior, lo, hi, 1.0)
 
 
 def V_func(x, params: ProfileParams):
     """Shifted power sum V = ((n-1) s^(1/r) + 1)/n; strictly increasing for r > 0."""
-    arr, a, at_lo, at_hi, center, interior, scalar = _prep(x, params)
     n = params.n
     alpha = params.e.alpha
-    out = np.empty_like(arr)
-    out[at_lo] = 1.0 / n if alpha > 0 else math.inf
-    out[at_hi] = math.inf if alpha > 0 else 1.0 / n
-    out[center] = 1.0
-    inner = interior & ~center
-    ai = a[inner]
-    with np.errstate(over="ignore"):
-        out[inner] = ((n - 1) * np.exp(alpha * _log_s(ai, n)) + 1.0) / n
-    return _ret(out, scalar)
+
+    def interior(a, l1, l2):
+        return _v(l1 - l2, n, alpha)
+
+    lo, hi = (1.0 / n, math.inf) if alpha > 0 else (math.inf, 1.0 / n)
+    return _evaluate(x, params, interior, lo, hi, 1.0)
 
 
 def W_func(x, params: ProfileParams):
@@ -380,26 +391,19 @@ def W_func(x, params: ProfileParams):
     Endpoint limits: r/(n(r-1)) and r(n-1)/(n(r-1)) for r > 1, +inf for
     r < 1.  W(1/n) = 1 always.
     """
-    arr, a, at_lo, at_hi, center, interior, scalar = _prep(x, params)
     n = params.n
     r = params.e.r
     alpha = params.e.alpha
-    out = np.empty_like(arr)
+
+    def interior(a, l1, l2):
+        lns = l1 - l2
+        return _u(a, lns, n, alpha) * _v(lns, n, alpha)
+
     if r > 1:
-        out[at_lo] = r / (n * (r - 1.0))
-        out[at_hi] = r * (n - 1) / (n * (r - 1.0))
+        lo, hi = r / (n * (r - 1.0)), r * (n - 1) / (n * (r - 1.0))
     else:
-        out[at_lo | at_hi] = math.inf
-    out[center] = 1.0
-    inner = interior & ~center
-    ai = a[inner]
-    with np.errstate(over="ignore"):
-        lns = _log_s(ai, n)
-        sm1 = n * ai / (1.0 - (n - 1) * ai)
-        u = np.expm1((1.0 - alpha) * lns) / ((1.0 - alpha) * sm1)
-        v = ((n - 1) * np.exp(alpha * lns) + 1.0) / n
-        out[inner] = u * v
-    return _ret(out, scalar)
+        lo = hi = math.inf
+    return _evaluate(x, params, interior, lo, hi, 1.0)
 
 
 def W_prime(x, params: ProfileParams):
@@ -410,26 +414,22 @@ def W_prime(x, params: ProfileParams):
     Written as a combination of expm1 terms whose linear parts cancel
     analytically, so the evaluation stays accurate near the center.
     """
-    arr, a, at_lo, at_hi, center, interior, scalar = _prep(x, params)
-    if np.any(at_lo | at_hi):
-        raise ValueError("W_prime is defined on the open interval only")
     n = params.n
     r = params.e.r
     alpha = params.e.alpha
-    out = np.empty_like(arr)
-    out[center] = n * (n - 2) / (2.0 * r)
-    inner = interior & ~center
-    ai = a[inner]
-    with np.errstate(over="ignore"):
-        lns = _log_s(ai, n)
+
+    def interior(a, l1, l2):
+        lns = l1 - l2
         num = (
             (n - 1) * np.expm1((alpha - 1.0) * lns)
             - np.expm1((1.0 - alpha) * lns)
             + (1.0 - r) * np.expm1(-alpha * lns)
             + (n - 1) * (r - 1.0) * np.expm1(alpha * lns)
         )
-        out[inner] = num / ((r - 1.0) * n * ai**2)
-    return _ret(out, scalar)
+        return num / ((r - 1.0) * n * (a * a))
+
+    undefined = "W_prime is defined on the open interval only"
+    return _evaluate(x, params, interior, undefined, undefined, n * (n - 2) / (2.0 * r))
 
 
 @dataclass(frozen=True)

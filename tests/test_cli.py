@@ -132,6 +132,16 @@ class TestVerifyCommand:
         env = json.loads(result.output)
         assert env["payload"]["ok"] is False
 
+    @pytest.mark.parametrize("n,alpha", [
+        ("5", "1/13"),  # grid end value n^(r-1) = 5^12 exceeds 1e7
+        ("3", "-60"),  # (x/max)^alpha overflowed in the boundary probes
+    ])
+    def test_extreme_orders_pass(self, runner, n, alpha):
+        env = run_json(runner, ["verify", "--n", n, "--alpha", alpha,
+                                "--samples", "10000", "--grid", "10000"])
+        assert set(env) == {"format", "payload", "metadata"}
+        assert env["payload"]["ok"] is True
+
     def test_small_sample_count_is_usage_error(self, runner):
         result = runner.invoke(
             main, ["verify", "--n", "4", "--alpha", "2", "--samples", "10"])

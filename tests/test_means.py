@@ -1,5 +1,6 @@
 """Mean primitives: known values, degeneracies, and order invariants."""
 
+import decimal
 import math
 
 import pytest
@@ -83,6 +84,16 @@ class TestKnownValues:
         assert power_mean(self.XS, -1.0) == pytest.approx(
             harmonic_mean(self.XS), rel=1e-15
         )
+
+    def test_power_large_negative_order(self):
+        # (1e-6)^-60 overflows a double; normalizing by the smallest
+        # coordinate keeps every term at most 1
+        xs = (1e-6, 0.5, 1.0)
+        with decimal.localcontext() as ctx:
+            ctx.prec = 50
+            acc = sum(decimal.Decimal(x) ** -60 for x in xs) / 3
+            want = float(acc ** (decimal.Decimal(-1) / 60))
+        assert power_mean(xs, -60.0) == pytest.approx(want, rel=1e-14)
 
     def test_accepts_sample_vector(self):
         v = SampleVector(self.XS)

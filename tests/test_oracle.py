@@ -232,6 +232,19 @@ class TestCheckBounds:
         assert not chk.ok
         assert any("certified lower bound" in f for f in chk.failures)
 
+    @pytest.mark.parametrize("bad", [math.inf, math.nan])
+    def test_non_finite_grid_extreme_fails(self, bad):
+        # the upper bound is closed-form here, so only the finiteness check
+        # and a finite slack scale can reject an infinite grid max
+        n, e = 4, ExponentPair.from_alpha(2.0)
+        cert = best_constants(n, e)
+        rep = monte_carlo_extremes(n, e, samples=10_000, seed=0, cert=cert,
+                                   grid=10_000)
+        ge = dataclasses.replace(rep.grid_extreme, max_value=bad)
+        chk = check_bounds(dataclasses.replace(rep, grid_extreme=ge), cert)
+        assert not chk.ok
+        assert any("not finite" in f for f in chk.failures)
+
     def test_report_certificate_mismatch(self):
         e = ExponentPair.from_alpha(2.0)
         cert3 = best_constants(3, e)

@@ -8,6 +8,7 @@ import pytest
 
 from meangap.means import ExponentPair
 from meangap.profile import (
+    CENTER_BAND,
     ProfileParams,
     ProfilePoint,
     U_func,
@@ -83,14 +84,27 @@ def test_frozen_values(key):
         assert got == pytest.approx(want, rel=tol, abs=tol), name
 
 
-@pytest.mark.parametrize("n,alpha", INSTANCES)
+# |alpha| >= 40 sends exp and expm1 of alpha * log s past the double
+# range near the ends, so interiors reach inf and nan there
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("n,alpha", INSTANCES + [(3, 45.0), (5, -60.0)])
 def test_array_matches_scalar(n, alpha):
     params = params_for(n, alpha)
-    xs = np.linspace(0.05, params.x_hi - 0.05, 7)
-    for name in ("g", "p", "f", "U", "V", "W"):
-        arr = FNS[name](xs, params)
-        scal = [FNS[name](float(x), params) for x in xs]
-        np.testing.assert_allclose(arr, scal, rtol=0.0, atol=0.0)
+    hi = params.x_hi
+    xs = np.concatenate([
+        [0.0, 1e-300, 1e-12, 1.0 / n, (1.0 + 1e-10) / n, hi * (1.0 - 1e-12), hi],
+        np.linspace(0.05 * hi, 0.95 * hi, 7),
+    ])
+    ends = (xs == 0.0) | (xs == hi)
+    band = np.abs(n * xs - 1.0) <= CENTER_BAND
+    for name, fn in FNS.items():
+        # W' is undefined at the ends and f' inside the center band
+        ok = ~ends if name == "Wp" else ~band if name == "fp" else np.ones_like(ends)
+        arr = fn(xs[ok], params)
+        for cast in (float, np.float64, np.array):
+            scal = [fn(cast(x), params) for x in xs[ok]]
+            assert all(type(v) is float for v in scal), name
+            np.testing.assert_array_equal(arr, scal, err_msg=name)
 
 
 class TestCenterBand:
@@ -114,8 +128,9 @@ class TestCenterBand:
 
     def test_f_prime_rejected_in_band(self):
         params = params_for(3, -1.0)
-        with pytest.raises(ValueError):
-            f_prime(1.0 / 3.0, params)
+        for arg in (1.0 / 3.0, np.array([0.1, 1.0 / 3.0])):
+            with pytest.raises(ValueError, match="f_prime is not defined"):
+                f_prime(arg, params)
 
     def test_f_prime_near_center(self):
         # 50-digit reference just outside the band; the slope identity is
@@ -286,18 +301,19 @@ class TestEndpointTags:
 
     def test_w_prime_rejected_at_endpoints(self):
         params = params_for(3, -1.0)
-        with pytest.raises(ValueError):
-            W_prime(0.0, params)
-        with pytest.raises(ValueError):
-            W_prime(params.x_hi, params)
+        for arg in (0.0, params.x_hi, np.array([0.1, params.x_hi])):
+            with pytest.raises(ValueError, match="open interval only"):
+                W_prime(arg, params)
 
 
 class TestDomain:
     def test_outside_domain_rejected(self):
         params = params_for(3, 2.0)
-        for bad in (-0.01, params.x_hi + 0.01, math.nan):
-            with pytest.raises(ValueError):
-                g_profile(bad, params)
+        for bad in (-0.01, params.x_hi + 0.01, math.nan, math.inf, -math.inf):
+            for arg in (bad, np.float64(bad), np.array(bad), np.array([0.1, bad])):
+                for fn in FNS.values():
+                    with pytest.raises(ValueError, match=r"x must lie in \[0, 0\.5\]"):
+                        fn(arg, params)
 
     def test_params_validate_n(self):
         with pytest.raises(ValueError):
