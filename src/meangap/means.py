@@ -21,7 +21,6 @@ __all__ = [
     "SampleVector",
     "arithmetic_mean",
     "geometric_mean",
-    "harmonic_mean",
     "power_mean",
     "ratio_gap",
 ]
@@ -134,10 +133,6 @@ def power_mean(xs: Sequence[float] | SampleVector, alpha: float) -> float:
     m = max(xs) if alpha > 0.0 else min(xs)
     acc = math.fsum((x / m) ** alpha for x in xs)
     return m * (acc / n) ** (1.0 / alpha)
-
-
-def harmonic_mean(xs: Sequence[float] | SampleVector) -> float:
-    return power_mean(xs, -1.0)
 
 
 def _is_constant(xs: Sequence[float]) -> bool:

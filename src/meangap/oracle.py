@@ -9,7 +9,8 @@ Two complementary oracles:
 
 * ``monte_carlo_extremes`` throws uniformly distributed simplex tuples,
   plus deliberate boundary probes, at the raw n-variable ratio and
-  counts bound violations.
+  counts bound violations.  Samples and probes alike go through one
+  normalized row kernel, ``_ratio_rows``.
 
 Randomness is counter based: sample i is a pure function of (seed, i)
 through a splitmix64 mix, so runs are bit reproducible and can be split
@@ -32,9 +33,8 @@ from .constants import (
     best_constants,
     format_float,
 )
-from .means import ExponentPair, SampleVector, ratio_gap
+from .means import ExponentPair, SampleVector
 from .profile import ProfileParams, f_profile
-from .reduction import two_value_config
 
 __all__ = [
     "BoundsCheck",
@@ -106,11 +106,30 @@ def simplex_sample(n: int, seed: int, index: int = 0) -> SampleVector:
 
 
 def _ratio_rows(rows: np.ndarray, e: ExponentPair) -> np.ndarray:
-    # vectorized (A - G)/(P - G) for strictly positive rows
+    """(A - G)/(P_alpha - G) for every row of a nonnegative 2-d array.
+
+    One logarithm per coordinate serves G and the power term.  The power
+    term of each row is scaled by the row's largest coordinate m for
+    alpha > 0 and by its smallest for alpha < 0, as in means.power_mean:
+    P_alpha = m * mean(t)^(1/alpha) with t = (x/m)^alpha, taken as
+    exp(alpha * (ln x - ln m)) <= 1, which cannot overflow.  A zero
+    coordinate (alpha > 0 only) gives t = 0 and G = 0, so the ratio is
+    A/P_alpha, the value ratio_gap takes there.  Constant rows have no
+    rule here (their 0/0 gives NaN or rounding noise); neither samples
+    nor probes are constant.
+    """
     alpha = e.alpha
     a = rows.mean(axis=1)
-    g = np.exp(np.mean(np.log(rows), axis=1))
-    p = np.mean(rows**alpha, axis=1) ** (1.0 / alpha)
+    with np.errstate(divide="ignore"):
+        lx = np.log(rows)
+    g = np.exp(np.mean(lx, axis=1))
+    if alpha > 0:
+        lm = lx.max(axis=1, keepdims=True)
+    else:
+        lm = lx.min(axis=1, keepdims=True)
+    p = np.exp(lm[:, 0]) * (
+        np.mean(np.exp(alpha * (lx - lm)), axis=1) ** (1.0 / alpha)
+    )
     return (a - g) / (p - g)
 
 
@@ -159,22 +178,26 @@ def grid_scan_two_value(
     For r < 0 the ratio diverges to -inf at the ends; the endpoints are
     excluded and offset points at 1e-9/n from each end take their place.
     """
-    if grid < 1000:
-        raise ValueError("grid must be >= 1000 points")
+    if not 1000 <= grid <= 10**8:
+        raise ValueError("grid must have between 1000 and 1e8 points")
     n = params.n
     e = params.e
     hi = params.x_hi
+    # eps < step for every grid <= 1e8, so the offsets sit inside the
+    # first and last grid cells and the points below are in order
     eps = EPS_HAT / n
     base = np.linspace(0.0, hi, grid)
     step = hi / (grid - 1)
-    if e.r < 0:
-        base = base[1:-1]
-        include = False
+    include = e.r > 0
+    if include:
+        xs = np.concatenate([[0.0, eps], base[1:-1], [hi - eps, hi]])
     else:
-        include = True
-    xs = np.unique(np.concatenate([base, [eps, hi - eps]]))
+        xs = np.concatenate([[eps], base[1:-1], [hi - eps]])
     f = f_profile(xs, params)
-    vals = f / (f - 1.0)
+    # f rounds to 1 at the ends once n^(r-1) passes 2^53; those two values
+    # are replaced below, and check_bounds rejects any other infinity
+    with np.errstate(divide="ignore"):
+        vals = f / (f - 1.0)
     if include:
         vals[0], vals[-1] = _endpoint_values(n, e.r)
     imin = int(np.argmin(vals))
@@ -251,28 +274,26 @@ class OracleReport:
         }
 
 
-def _boundary_probes(n: int, e: ExponentPair) -> List[Tuple[float, ...]]:
-    probes: List[Tuple[float, ...]] = []
+def _boundary_probes(n: int, e: ExponentPair) -> np.ndarray:
+    # two-value rows (x, ..., x, 1 - (n-1)x) at both ends of [0, 1/(n-1)]
     hi = 1.0 / (n - 1)
     eps = EPS_HAT / n
     if e.alpha > 0:
-        # k coordinates pinned at zero, the rest equal
-        for k in range(1, n):
-            probes.append((0.0,) * k + (1.0 / (n - k),) * (n - k))
-        for x in (0.0, eps, hi - eps, hi):
-            probes.append(two_value_config(x, n).xs)
+        xs = [0.0, eps, hi - eps, hi]
     else:
         # a zero coordinate degenerates the mean; probe just inside
-        for x in (1e-8, eps, hi - eps, hi - 1e-8):
-            probes.append(two_value_config(x, n).xs)
-    return probes
-
-
-def _bound_violation(
-    value: float, lower: float, upper: float, slack: float
-) -> bool:
-    scale = max(1.0, abs(lower) if math.isfinite(lower) else 1.0, abs(upper))
-    return value < lower - slack * scale or value > upper + slack * scale
+        xs = [1e-8, eps, hi - eps, hi - 1e-8]
+    rows = np.repeat(np.array(xs)[:, None], n, axis=1)
+    rows[:, -1] = [1.0 - (n - 1) * x for x in xs]
+    if e.alpha > 0:
+        # k coordinates pinned at zero, the rest equal: the ratio there is
+        # ((n-k)/n)^(1-r), strictly monotone in k, so no member between
+        # k = 1 and k = n-1 can leave the bounds first
+        ends = np.zeros((2, n))
+        ends[0, 1:] = 1.0 / (n - 1)
+        ends[1, -1] = 1.0
+        rows = np.vstack([ends, rows])
+    return rows
 
 
 def monte_carlo_extremes(
@@ -291,10 +312,11 @@ def monte_carlo_extremes(
     Draws `samples` uniform simplex tuples (counter-based, so the result
     is identical for any `workers` value), adds deterministic boundary
     probes and a dense two-value grid scan, and counts values outside
-    [lower, upper] beyond `slack`.  Draws are strictly positive by
-    construction, so no sample can degenerate a negative-order mean.
-    For alpha < 0 the probe extremes record boundary behavior but are
-    not counted against the (one-sided) bounds.
+    [lower, upper] beyond `slack`; a NaN or infinite value counts as a
+    violation too.  Draws are strictly positive by construction, so no
+    sample can degenerate a negative-order mean.  For alpha < 0 the finite
+    probe values record boundary behavior but are not counted against the
+    (one-sided) bounds.
     """
     if cert is None:
         cert = best_constants(n, e)
@@ -309,38 +331,47 @@ def monte_carlo_extremes(
 
     starts = list(range(0, samples, chunk))
 
-    def run_chunk(start: int) -> np.ndarray:
-        cnt = min(chunk, samples - start)
-        rows = simplex_sample_block(n, seed, count=cnt, start=start)
-        return _ratio_rows(rows, e)
+    values = np.empty(samples)
+
+    def run_chunk(start: int) -> None:
+        stop = min(start + chunk, samples)
+        rows = simplex_sample_block(n, seed, count=stop - start, start=start)
+        values[start:stop] = _ratio_rows(rows, e)
 
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(run_chunk, starts))
+            list(pool.map(run_chunk, starts))
     else:
-        parts = [run_chunk(s) for s in starts]
-    values = np.concatenate(parts)
+        for start in starts:
+            run_chunk(start)
 
     scale = max(1.0, abs(lower) if math.isfinite(lower) else 1.0, abs(upper))
-    bad_idx = np.nonzero(
-        (values < lower - slack * scale) | (values > upper + slack * scale)
-    )[0]
+
+    def outside(vals: np.ndarray) -> np.ndarray:
+        return (
+            ~np.isfinite(vals)
+            | (vals < lower - slack * scale)
+            | (vals > upper + slack * scale)
+        )
+
+    bad_idx = np.nonzero(outside(values))[0]
     examples: List[Tuple[float, Tuple[float, ...]]] = []
     for idx in bad_idx[:5]:
         row = simplex_sample_block(n, seed, count=1, start=int(idx))[0]
         examples.append((float(values[idx]), tuple(float(t) for t in row)))
     violations = int(bad_idx.size)
 
-    probe_vals: List[float] = []
-    for cfg in _boundary_probes(n, e):
-        val = ratio_gap(cfg, e)
-        probe_vals.append(val)
-        # bounds for alpha < 0 are one sided; the probes only record
-        # how the ratio behaves near the boundary there
-        if e.alpha > 0 and _bound_violation(val, lower, upper, slack):
-            violations += 1
-            if len(examples) < 5:
-                examples.append((val, cfg))
+    probes = _boundary_probes(n, e)
+    probe_vals = _ratio_rows(probes, e)
+    # bounds for alpha < 0 are one sided; finite probes only record how
+    # the ratio behaves near the boundary there
+    bad = outside(probe_vals) if e.alpha > 0 else ~np.isfinite(probe_vals)
+    bad_idx = np.nonzero(bad)[0]
+    violations += int(bad_idx.size)
+    for idx in bad_idx[: 5 - len(examples)]:
+        examples.append(
+            (float(probe_vals[idx]), tuple(float(c) for c in probes[idx]))
+        )
 
     imin = int(np.argmin(values))
     imax = int(np.argmax(values))
@@ -355,8 +386,8 @@ def monte_carlo_extremes(
         observed_max=float(values[imax]),
         arg_min=simplex_sample(n, seed, index=imin),
         arg_max=simplex_sample(n, seed, index=imax),
-        probe_min=float(min(probe_vals)),
-        probe_max=float(max(probe_vals)),
+        probe_min=float(np.min(probe_vals)),
+        probe_max=float(np.max(probe_vals)),
         violations=violations,
         violation_examples=tuple(examples),
         grid_extreme=grid_scan_two_value(ProfileParams(n=n, e=e), grid=grid),

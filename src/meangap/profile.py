@@ -27,6 +27,7 @@ without the array path's masks.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,7 +37,6 @@ from .means import ExponentPair
 __all__ = [
     "CENTER_BAND",
     "ProfileParams",
-    "ProfilePoint",
     "U_func",
     "V_func",
     "W_func",
@@ -49,7 +49,6 @@ __all__ = [
     "p_profile",
     "p_prime",
     "p_second",
-    "profile_point",
     "s_map",
 ]
 
@@ -57,15 +56,25 @@ __all__ = [
 # corresponds to |x - 1/n| <= 1e-9/n
 CENTER_BAND = 1e-9
 
+_LOG_DBL_MAX = math.log(sys.float_info.max)
+
 
 @dataclass(frozen=True)
 class ProfileParams:
+    """One instance (n, alpha); n^(r-1) must be a finite double for r > 0."""
+
     n: int
     e: ExponentPair
 
     def __post_init__(self) -> None:
         if not isinstance(self.n, int) or self.n < 3:
             raise ValueError(f"n must be an integer >= 3, got {self.n!r}")
+        r = self.e.r
+        if r > 0 and (r - 1.0) * math.log(self.n) > _LOG_DBL_MAX:
+            raise ValueError(
+                f"n^(r-1) overflows a double for n={self.n}, r={r}: "
+                f"need (r-1) ln n <= ln(DBL_MAX) = {_LOG_DBL_MAX:.6f}"
+            )
 
     @property
     def x_hi(self) -> float:
@@ -74,14 +83,6 @@ class ProfileParams:
     @property
     def x_center(self) -> float:
         return 1.0 / self.n
-
-    @classmethod
-    def from_r(cls, n: int, r: float) -> "ProfileParams":
-        return cls(n=n, e=ExponentPair.from_r(r))
-
-    @classmethod
-    def from_alpha(cls, n: int, alpha: float) -> "ProfileParams":
-        return cls(n=n, e=ExponentPair.from_alpha(alpha))
 
 
 def _evaluate(x, params: ProfileParams, interior, lo, hi, center=None):
@@ -187,7 +188,7 @@ def g_profile(x, params: ProfileParams):
 def p_profile(x, params: ProfileParams):
     """Power mean of the two-value tuple.
 
-    Endpoint values are taken in closed form: n^-r and (n-1)^(r-1)/n^r for
+    Endpoint values are taken in closed form: n^-r and ((n-1)/n)^(r-1)/n for
     r > 0, and 0 at both ends for r < 0 (a zero coordinate collapses a
     negative-order mean).
     """
@@ -199,7 +200,7 @@ def p_profile(x, params: ProfileParams):
         return np.exp(_log_np(_e_sum(l1, l2, n, alpha), n, alpha)) / n
 
     if r > 0:
-        return _evaluate(x, params, interior, n ** (-r), (n - 1) ** (r - 1) / n**r)
+        return _evaluate(x, params, interior, n ** (-r), ((n - 1) / n) ** (r - 1) / n)
     return _evaluate(x, params, interior, 0.0, 0.0)
 
 
@@ -430,49 +431,3 @@ def W_prime(x, params: ProfileParams):
 
     undefined = "W_prime is defined on the open interval only"
     return _evaluate(x, params, interior, undefined, undefined, n * (n - 2) / (2.0 * r))
-
-
-@dataclass(frozen=True)
-class ProfilePoint:
-    """Snapshot of every profile quantity at one x.
-
-    Derivative fields carry signed infinities at the domain endpoints.
-    Wp is nan at the exact endpoints (the limit diverges with a
-    regime-dependent sign that is not pinned down here) and f itself,
-    not recorded per-field, stays available through f_profile.
-    """
-
-    x: float
-    g: float
-    p: float
-    f: float
-    gp: float
-    pp: float
-    gpp: float
-    ppp: float
-    s: float
-    U: float
-    V: float
-    W: float
-    Wp: float
-
-
-def profile_point(x: float, params: ProfileParams) -> ProfilePoint:
-    """Evaluate all profile quantities at a single x in [0, 1/(n-1)]."""
-    xf = float(x)
-    boundary = xf == 0.0 or xf == params.x_hi
-    return ProfilePoint(
-        x=xf,
-        g=g_profile(xf, params),
-        p=p_profile(xf, params),
-        f=f_profile(xf, params),
-        gp=g_prime(xf, params),
-        pp=p_prime(xf, params),
-        gpp=g_second(xf, params),
-        ppp=p_second(xf, params),
-        s=s_map(xf, params),
-        U=U_func(xf, params),
-        V=V_func(xf, params),
-        W=W_func(xf, params),
-        Wp=math.nan if boundary else W_prime(xf, params),
-    )

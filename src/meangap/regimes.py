@@ -28,7 +28,6 @@ __all__ = [
     "Regime",
     "RegimeTag",
     "classify",
-    "f_shape",
     "locate_mu",
 ]
 
@@ -144,14 +143,6 @@ _SHAPES = {
     ),
 }
 
-# which side of x = 1/n carries the W = 1 crossing, per regime
-_MU_SIDES = {
-    RegimeTag.NEG_R: "right",
-    RegimeTag.FRAC_R: "left",
-    RegimeTag.LOW_R_SMALL_N: "left",
-    RegimeTag.HIGH_R_SMALL_N: "right",
-}
-
 
 def classify(n: int, e: ExponentPair) -> Regime:
     """Assign an (n, exponent) instance to its monotonicity regime.
@@ -178,7 +169,8 @@ def classify(n: int, e: ExponentPair) -> Regime:
             if n < r / (r - 1.0)
             else RegimeTag.LOW_R_LARGE_N
         )
-    side = _MU_SIDES.get(tag)
+    # the W = 1 crossing sits on the same side of x = 1/n as the extremum
+    side = _SHAPES[tag].nu_side
     if side is None:
         bracket = None
     elif side == "right":
@@ -194,11 +186,6 @@ def classify(n: int, e: ExponentPair) -> Regime:
         mu_bracket=bracket,
         f_shape=_SHAPES[tag],
     )
-
-
-def f_shape(regime: Regime) -> FShape:
-    """Qualitative profile shape for an already classified instance."""
-    return regime.f_shape
 
 
 def _scan_crossings(params: ProfileParams, lo: float, hi: float) -> int:

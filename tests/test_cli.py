@@ -95,6 +95,29 @@ class TestConstantsCommand:
         assert result.exit_code == 2
         assert "n >= 3" in result.output
 
+    @pytest.mark.parametrize("args", [
+        ["constants", "--n", "3", "--alpha", "1/1000000"],
+        ["constants", "--n", "2000", "--alpha", "0.01"],
+        ["sweep", "--n-min", "1990", "--n-max", "2000", "--alpha", "0.01"],
+        ["profile", "--n", "3", "--alpha", "1/1000000"],
+        ["verify", "--n", "3", "--alpha", "1/1000000"],
+    ])
+    def test_overflowing_endpoint_is_usage_error(self, runner, args):
+        # n^(r-1) past the double range is refused, not a traceback
+        result = runner.invoke(main, args)
+        assert result.exit_code == 2
+        assert isinstance(result.exception, SystemExit)
+        assert "ln(DBL_MAX)" in result.output
+
+    def test_endpoint_near_the_limit_still_certifies(self, runner):
+        env = run_json(runner, ["constants", "--n", "3", "--alpha", "1/640"])
+        assert env["payload"]["regime"] == "HIGH_R_SMALL_N"
+        assert float(env["payload"]["upper_bound"]) == pytest.approx(
+            3.0**639, rel=1e-13)
+        rows = run_json(runner, ["profile", "--n", "3", "--alpha", "1/647",
+                                 "--points", "5"])["payload"]["rows"]
+        assert len(rows) == 5
+
 
 class TestVerifyCommand:
     ARGS = ["verify", "--n", "4", "--alpha", "2", "--samples", "10000",

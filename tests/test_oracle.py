@@ -7,8 +7,9 @@ import math
 import numpy as np
 import pytest
 
+from meangap import oracle
 from meangap.constants import best_constants
-from meangap.means import ExponentPair, SampleVector
+from meangap.means import ExponentPair, SampleVector, ratio_gap
 from meangap.oracle import (
     BoundsCheck,
     GridExtreme,
@@ -96,6 +97,38 @@ class TestSimplexSample:
             simplex_sample_block(3, seed=0, count=0)
 
 
+class TestRatioRows:
+    @pytest.mark.parametrize("n", [3, 25, 100])
+    @pytest.mark.parametrize("alpha", [-60.0, -1.3, 0.25, 2.5, 200.0])
+    def test_matches_ratio_gap(self, n, alpha):
+        # sampled rows, and the probe rows, which hold zero coordinates
+        # for alpha > 0
+        e = ExponentPair.from_alpha(alpha)
+        probes = oracle._boundary_probes(n, e)
+        rows = np.vstack([simplex_sample_block(n, seed=4, count=300), probes])
+        got = oracle._ratio_rows(rows, e)
+        want = [ratio_gap(tuple(row), e) for row in rows]
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
+        assert (np.min(probes) == 0.0) == (alpha > 0)
+
+    def test_large_negative_order_regression(self):
+        # unnormalized powers of the smallest coordinate overflow here
+        e = ExponentPair.from_alpha(-60.0)
+        rep = monte_carlo_extremes(3, e, samples=100_000, seed=0, grid=10_000)
+        assert rep.observed_min == pytest.approx(
+            ratio_gap(rep.arg_min, e), rel=1e-12, abs=0.0
+        )
+
+    def test_k_zero_probes_are_the_family_ends(self):
+        # k coordinates at zero give ((n-k)/n)^(1-r); k = 1 and k = n-1 only
+        n, e = 5, ExponentPair.from_alpha(2.0)
+        probes = oracle._boundary_probes(n, e)
+        assert probes.shape == (6, n)
+        got = oracle._ratio_rows(probes[:2], e)
+        want = [((n - k) / n) ** (1.0 - e.r) for k in (1, n - 1)]
+        np.testing.assert_allclose(got, want, rtol=1e-14, atol=0.0)
+
+
 class TestGridScan:
     def test_closed_form_ends_attained(self):
         # r = 2 endpoints are exact grid values
@@ -118,6 +151,7 @@ class TestGridScan:
         params = ProfileParams(n=3, e=ExponentPair.from_alpha(-1.0))
         ge = grid_scan_two_value(params, grid=10_000)
         assert not ge.includes_endpoints
+        assert ge.points == 10_000  # the ends replaced by their offsets
         assert ge.min_value < -100.0  # divergence recorded at the offsets
         assert 0.0 < ge.arg_x_min < params.x_hi
 
@@ -126,11 +160,17 @@ class TestGridScan:
         with pytest.raises(ValueError):
             grid_scan_two_value(params, grid=999)
 
+    def test_huge_grid_rejected(self):
+        # from about 1e9 points the grid step drops below the 1e-9/n offsets
+        params = ProfileParams(n=3, e=ExponentPair.from_alpha(2.0))
+        with pytest.raises(ValueError, match="1e8"):
+            grid_scan_two_value(params, grid=10**8 + 1)
+
     def test_fields(self):
         params = ProfileParams(n=3, e=ExponentPair.from_alpha(2.0))
         ge = grid_scan_two_value(params, grid=2000)
         assert isinstance(ge, GridExtreme)
-        assert ge.points >= 2000
+        assert ge.points == 2002  # both ends and their 1e-9/n offsets
         assert ge.step == pytest.approx(params.x_hi / 1999.0)
         assert ge.min_curvature >= 0.0
 
@@ -176,6 +216,22 @@ class TestMonteCarlo:
         with pytest.raises(InstanceMismatchError):
             monte_carlo_extremes(4, ExponentPair.from_alpha(2.0), samples=10_000,
                                  cert=cert, grid=10_000)
+
+    def test_nan_value_is_a_violation(self, monkeypatch):
+        # NaN fails every comparison, so it must be flagged explicitly
+        def with_nan(rows, e):
+            vals = kernel(rows, e)
+            vals[0] = math.nan
+            return vals
+
+        kernel = oracle._ratio_rows
+        monkeypatch.setattr(oracle, "_ratio_rows", with_nan)
+        n, e = 4, ExponentPair.from_alpha(2.0)
+        cert = best_constants(n, e)
+        rep = monte_carlo_extremes(n, e, samples=10_000, seed=0, cert=cert,
+                                   grid=10_000)
+        assert rep.violations >= 1
+        assert check_bounds(rep, cert).ok is False
 
     def test_negative_alpha_probes_are_observations(self):
         # boundary probes dive toward -inf for alpha < 0 but are recorded,

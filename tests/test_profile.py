@@ -10,7 +10,6 @@ from meangap.means import ExponentPair
 from meangap.profile import (
     CENTER_BAND,
     ProfileParams,
-    ProfilePoint,
     U_func,
     V_func,
     W_func,
@@ -23,7 +22,6 @@ from meangap.profile import (
     p_prime,
     p_profile,
     p_second,
-    profile_point,
     s_map,
 )
 
@@ -184,7 +182,7 @@ def test_w_prime_matches_finite_differences(n, alpha):
 @pytest.mark.parametrize("n,alpha", INSTANCES)
 def test_w_equals_u_times_v(n, alpha):
     params = params_for(n, alpha)
-    xs = np.linspace(1e-6, params.x_hi - 1e-6, 101)
+    xs = np.append(np.linspace(1e-6, params.x_hi - 1e-6, 101), 0.2)
     w = W_func(xs, params)
     uv = U_func(xs, params) * V_func(xs, params)
     np.testing.assert_allclose(w, uv, rtol=1e-12, atol=0.0)
@@ -319,18 +317,14 @@ class TestDomain:
         with pytest.raises(ValueError):
             ProfileParams(n=2, e=ExponentPair.from_alpha(2.0))
 
+    @pytest.mark.parametrize("n,r", [(3, 1e6), (2000, 100.0), (3, 647.1)])
+    def test_params_reject_overflowing_endpoint(self, n, r):
+        with pytest.raises(ValueError, match=r"ln\(DBL_MAX\)"):
+            ProfileParams(n=n, e=ExponentPair.from_r(r))
 
-class TestProfilePoint:
-    def test_interior_snapshot(self):
-        params = params_for(3, -1.0)
-        pt = profile_point(0.2, params)
-        assert isinstance(pt, ProfilePoint)
-        assert pt.g == g_profile(0.2, params)
-        assert pt.W == pytest.approx(pt.U * pt.V, rel=1e-12)
-        assert pt.Wp == W_prime(0.2, params)
-
-    def test_endpoint_snapshot_has_nan_wp(self):
-        params = params_for(3, -1.0)
-        pt = profile_point(0.0, params)
-        assert math.isnan(pt.Wp)
-        assert pt.gp == math.inf
+    def test_p_top_endpoint_near_the_limit(self):
+        # n^r overflows here although n^(r-1) does not
+        params = ProfileParams(n=3, e=ExponentPair.from_r(647.0))
+        assert p_profile(params.x_hi, params) == pytest.approx(
+            (2.0 / 3.0) ** 646 / 3.0, rel=1e-13
+        )

@@ -9,7 +9,6 @@ from meangap.regimes import (
     CriticalPoint,
     RegimeTag,
     classify,
-    f_shape,
     locate_mu,
 )
 from meangap.solver import BracketError
@@ -93,7 +92,7 @@ class TestRegimeStructure:
         }
         for (n, r) in [(3, -1.0), (4, 0.5), (3, 1.4), (3, 5.0)]:
             reg = classify(n, ExponentPair.from_r(r))
-            shape = f_shape(reg)
+            shape = reg.f_shape
             kind, side, idx = kinds[reg.tag]
             assert shape.nu_kind == kind
             assert shape.nu_side == side
