@@ -179,7 +179,7 @@ def main() -> None:
 @n_option
 @alpha_option
 @click.option("--tol", type=float, default=1e-10, show_default=True,
-              help="bracket width for the interior extremum search")
+              help="bracket width of the interior extremum search, in log t")
 @format_option
 def constants_cmd(n: int, e: ExponentPair, tol: float, fmt: str) -> None:
     """Certificate of the extremal constants for one instance."""

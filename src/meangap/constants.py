@@ -5,8 +5,9 @@ For fixed n >= 3 and mean order alpha = 1/r, the ratio
 and an upper constant.  Depending on the regime each constant is either
 a closed-form endpoint value of the two-value profile or a certified
 interior extremum: the profile minimum or maximum nu at x_star, located
-beyond the W = 1 crossing mu and mapped to the ratio scale by the
-involution omega = nu / (nu - 1).
+beyond the W = 1 crossing mu as the sign change of f' in the small
+coordinate, and mapped to the ratio scale by the involution
+omega = nu / (nu - 1).
 
 `best_constants` produces an `ExtremumCertificate` holding the bounds,
 the located critical data, a-priori sanity brackets, and the tolerances
@@ -27,9 +28,9 @@ from .means import (
     power_mean,
     ratio_gap,
 )
-from .profile import ProfileParams, f_profile
+from .profile import ProfileParams, Side
 from .regimes import RegimeTag, classify, locate_mu
-from .solver import DEFAULT_EXTREMUM_TOL, Bracket, find_extremum
+from .solver import Bracket, find_root
 
 __all__ = [
     "BRACKET_SLACK",
@@ -38,7 +39,6 @@ __all__ = [
     "InterpolationConstants",
     "augment_with_gm",
     "best_constants",
-    "endpoint_constants",
     "format_float",
     "interpolation_constants",
     "power_form_check",
@@ -47,8 +47,12 @@ __all__ = [
     "wen_reference",
 ]
 
-# endpoint margin numerator: nu brackets stay 1e-9/n away from the domain ends
+# endpoint margin numerator: the oracle's offset points and the profile
+# table stay 1e-9/n away from the domain ends
 EPS_HAT = 1e-9
+
+# width of the final bracket of the extremum search, in log t
+DEFAULT_EXTREMUM_TOL = 1e-10
 
 # slack for the a-priori bracket cross-checks on certified constants
 BRACKET_SLACK = 1e-9
@@ -86,23 +90,6 @@ def _validate_n(n: int) -> None:
 def _endpoint_values(n: int, r: float) -> Tuple[float, float]:
     # ratio limits at x = 0 and x = 1/(n-1), valid for r > 0
     return (n ** (r - 1.0), (n / (n - 1.0)) ** (r - 1.0))
-
-
-def endpoint_constants(n: int, e: ExponentPair) -> Tuple[float, float]:
-    """Ordered pair of the two-value ratio limits at x = 0 and x = 1/(n-1).
-
-    The limits are n^(r-1) and (n/(n-1))^(r-1); which one is the smaller
-    flips with the sign of r - 1, and the pair is returned sorted.  Only
-    alpha > 0 has two finite limits; alpha < 0 is rejected.
-    """
-    _validate_n(n)
-    if e.alpha <= 0:
-        raise ValueError(
-            "endpoint constants need alpha > 0; for alpha < 0 the ratio is "
-            "unbounded below near the domain ends"
-        )
-    at_zero, at_top = _endpoint_values(n, e.r)
-    return (at_top, at_zero) if at_zero >= at_top else (at_zero, at_top)
 
 
 def wen_reference(n: int, r: float) -> Optional[float]:
@@ -180,7 +167,9 @@ def best_constants(
     Dispatches on the regime of (n, r): monotone regimes get closed-form
     endpoint bounds; the four turning regimes additionally locate mu, the
     interior extremum nu of the profile on the regime's side, and the
-    certified constant omega = nu/(nu-1).
+    certified constant omega = nu/(nu-1).  The extremum is the sign change
+    of f' between mu and the side's far edge, bisected in log t (t the
+    small coordinate, `profile.Side`) to a bracket of width tol.
     """
     _validate_n(n)
     regime = classify(n, e)
@@ -212,17 +201,14 @@ def best_constants(
     cp = locate_mu(params, regime)
     tolerances["mu_residual"] = cp.residual
     shape = regime.f_shape
-    eps = EPS_HAT / n
-    if shape.nu_side == "right":
-        lo, hi = cp.mu, params.x_hi - eps
-    else:
-        lo, hi = eps, cp.mu
-    res = find_extremum(
-        lambda x: f_profile(x, params),
-        Bracket(lo, hi, kind=shape.nu_kind),
+    side = Side(params, shape.nu_side)
+    res = find_root(
+        lambda s: side.f_prime(math.exp(s)),
+        Bracket(math.log(side.t_min), math.log(cp.t)),
         tol=tol,
     )
-    nu = res.value
+    t_star = math.exp(res.x_star)
+    nu = side.f(t_star)
     omega = ratio_from_f(nu)
 
     tag = regime.tag
@@ -263,7 +249,7 @@ def best_constants(
         mu_residual=cp.residual,
         nu=nu,
         nu_kind=shape.nu_kind,
-        x_star=res.x_star,
+        x_star=side.x(t_star),
         omega=omega,
         omega_bracket=bracket,
         wen_observed=wen,

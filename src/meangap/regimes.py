@@ -12,13 +12,14 @@ from __future__ import annotations
 
 import enum
 import logging
+import math
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Optional
 
 import numpy as np
 
 from .means import ExponentPair
-from .profile import ProfileParams, W_func
+from .profile import ProfileParams, Side, W_func
 from .solver import Bracket, BracketError, find_root
 
 __all__ = [
@@ -33,12 +34,9 @@ __all__ = [
 
 logger = logging.getLogger(__name__)
 
-# search for the W = 1 crossing starts this far from x = 1/n, in units of
-# a = n*x - 1; i.e. |x - 1/n| = 1e-6/n
+# search for the W = 1 crossing starts this far from the center, relative
+# to it in the small coordinate: at t = (1 - 1e-6)/n
 MU_OFFSET = 1e-6
-
-# inset from the domain endpoints for the outer bracket edge, in a units
-_EDGE = 1e-9
 
 
 class RegimeTag(enum.Enum):
@@ -77,9 +75,6 @@ class Regime:
     # side of x = 1/n on which W - 1 crosses zero ("left" | "right"),
     # None when the regime has no interior crossing
     mu_side: Optional[str]
-    # coarse search interval for the crossing; keeps a guard band of
-    # half-width 1e-6/n around the trivial root at x = 1/n
-    mu_bracket: Optional[Tuple[float, float]]
     f_shape: FShape
 
 
@@ -90,6 +85,9 @@ class CriticalPoint:
     mu: float
     residual: float
     iterations: int
+    # mu in the small coordinate of its side, which keeps the digits that
+    # mu itself loses next to x = 1/(n-1)
+    t: float
 
 
 _SHAPES = {
@@ -171,19 +169,12 @@ def classify(n: int, e: ExponentPair) -> Regime:
         )
     # the W = 1 crossing sits on the same side of x = 1/n as the extremum
     side = _SHAPES[tag].nu_side
-    if side is None:
-        bracket = None
-    elif side == "right":
-        bracket = ((1.0 + MU_OFFSET) / n, (1.0 / (n - 1)) * (1.0 - _EDGE / n))
-    else:
-        bracket = (_EDGE / n, (1.0 - MU_OFFSET) / n)
     return Regime(
         tag=tag,
         n=n,
         e=e,
         has_mu=side is not None,
         mu_side=side,
-        mu_bracket=bracket,
         f_shape=_SHAPES[tag],
     )
 
@@ -206,11 +197,12 @@ def locate_mu(
 ) -> Optional[CriticalPoint]:
     """Locate the interior W = 1 crossing, or None if the regime has none.
 
-    Starts 1e-6/n away from x = 1/n on the regime's side, doubles the
-    distance until W - 1 changes sign (the bracket edge near the domain
-    endpoint, where W has a known limit, serves as the final stop), then
-    bisects.  A coarse scan afterwards logs a warning if more than one
-    crossing is visible.
+    Searches in the small coordinate t of the regime's side
+    (`profile.Side`): starts at t = (1 - 1e-6)/n, doubles the distance
+    from the center 1/n until W - 1 changes sign (the side's far edge
+    t_min, where W has a known limit, serves as the final stop), then
+    bisects in log t to a width of tol.  A coarse scan of the same range
+    afterwards logs a warning if more than one crossing is visible.
     """
     if params.n != regime.n or params.e != regime.e:
         raise ValueError(
@@ -220,37 +212,36 @@ def locate_mu(
     if not regime.has_mu:
         return None
     n = regime.n
-    center = params.x_center
-    sgn = 1.0 if regime.mu_side == "right" else -1.0
-    end = regime.mu_bracket[1] if regime.mu_side == "right" else regime.mu_bracket[0]
+    side = Side(params, regime.mu_side)
+    center = 1.0 / n
+    t_end = side.t_min
 
-    def objective(x: float) -> float:
-        return W_func(x, params) - 1.0
+    def objective(s: float) -> float:
+        return side.W(math.exp(s)) - 1.0
 
     d = MU_OFFSET / n
-    x_prev = center + sgn * d
-    f_prev = objective(x_prev)
+    t_prev = center - d
+    f_prev = side.W(t_prev) - 1.0
     bracket = None
     for _ in range(max_expand):
         d *= 2.0
-        x_new = center + sgn * d
-        clamped = (x_new >= end) if sgn > 0 else (x_new <= end)
-        if clamped:
-            x_new = end
-        f_new = objective(x_new)
+        t_new = max(center - d, t_end)
+        f_new = side.W(t_new) - 1.0
         if f_new == 0.0 or (f_new > 0) != (f_prev > 0):
-            bracket = (x_prev, x_new) if x_prev < x_new else (x_new, x_prev)
+            bracket = (t_new, t_prev)
             break
-        if clamped:
+        if t_new == t_end:
             break
-        x_prev, f_prev = x_new, f_new
+        t_prev, f_prev = t_new, f_new
     if bracket is None:
         raise BracketError(
             f"no W = 1 crossing found on the {regime.mu_side} side for "
             f"n={n}, r={regime.e.r}"
         )
-    result = find_root(objective, Bracket(bracket[0], bracket[1]), tol=tol)
-    lo, hi = (center, end) if sgn > 0 else (end, center)
+    result = find_root(
+        objective, Bracket(math.log(bracket[0]), math.log(bracket[1])), tol=tol
+    )
+    lo, hi = sorted((center, side.x(t_end)))
     crossings = _scan_crossings(params, lo + 1e-12, hi - 1e-12)
     if crossings > 1:
         logger.warning(
@@ -261,6 +252,10 @@ def locate_mu(
             n,
             regime.e.r,
         )
+    t_mu = math.exp(result.x_star)
     return CriticalPoint(
-        mu=result.x_star, residual=abs(result.value), iterations=result.iterations
+        mu=side.x(t_mu),
+        residual=abs(result.value),
+        iterations=result.iterations,
+        t=t_mu,
     )

@@ -1,34 +1,28 @@
-"""Deterministic scalar solvers: bisection roots and golden-section extrema.
+"""Deterministic scalar solver: bisection on a sign change.
 
-Both routines are derivative free and use only fixed arithmetic on the
-bracket, so repeated runs are bit identical.  They are deliberately plain;
-callers are expected to supply brackets that already isolate what they are
-looking for.
+The routine is derivative free and uses only fixed arithmetic on the
+bracket, so repeated runs are bit identical.  It is deliberately plain;
+callers are expected to supply brackets that already isolate the sign
+change they are looking for.  Every 1-d search of the package runs
+through it: the W = 1 crossing mu, the extremum x* as the sign change of
+f', and the ends of the fixed sum-and-product curve.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 __all__ = [
     "Bracket",
     "BracketError",
     "MaxIterationsError",
     "SolveResult",
-    "find_extremum",
     "find_root",
 ]
 
-INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
-
 DEFAULT_ROOT_TOL = 1e-11
-DEFAULT_EXTREMUM_TOL = 1e-10
 MAX_ITERATIONS = 200
-
-_KINDS = {"root", "minimum", "maximum"}
-_KIND_ALIASES = {"min": "minimum", "max": "maximum"}
 
 
 class BracketError(ValueError):
@@ -39,26 +33,16 @@ class MaxIterationsError(RuntimeError):
     pass
 
 
-def _canonical_kind(kind: str) -> str:
-    kind = _KIND_ALIASES.get(kind, kind)
-    if kind not in _KINDS:
-        raise ValueError(f"kind must be one of {sorted(_KINDS)}, got {kind!r}")
-    return kind
-
-
 @dataclass(frozen=True)
 class Bracket:
-    """Interval known to contain the target: a sign change for kind='root',
-    a unimodal extremum for kind='minimum'/'maximum' (caller-guaranteed)."""
+    """Interval known to contain a sign change of the objective."""
 
     lo: float
     hi: float
-    kind: str = "root"
 
     def __post_init__(self) -> None:
         if not self.lo < self.hi:
             raise ValueError(f"empty bracket [{self.lo}, {self.hi}]")
-        object.__setattr__(self, "kind", _canonical_kind(self.kind))
 
     @property
     def width(self) -> float:
@@ -69,7 +53,7 @@ class Bracket:
 class SolveResult:
     x_star: float
     value: float
-    residual_or_width: float   # |f(x*)| proxy for roots, bracket width here
+    residual_or_width: float   # width of the final bracket
     iterations: int
     converged: bool
 
@@ -84,7 +68,8 @@ def find_root(
 
     Requires a sign change across the bracket; endpoint function values may
     be +-inf, only their sign is used.  Bisects until the bracket width
-    drops below tol (or an exact zero is hit).
+    drops below tol, an exact zero is hit, or no double is left between
+    the bracket's ends.
     """
     if tol <= 0.0:
         raise ValueError("tol must be positive")
@@ -103,7 +88,7 @@ def find_root(
     for it in range(1, max_iter + 1):
         mid = 0.5 * (lo + hi)
         fm = objective(mid)
-        if fm == 0.0 or hi - lo <= tol:
+        if fm == 0.0 or hi - lo <= tol or mid in (lo, hi):
             return SolveResult(mid, fm, hi - lo, it, True)
         if (fm < 0.0) == neg_lo:
             lo = mid
@@ -114,46 +99,4 @@ def find_root(
         return SolveResult(mid, objective(mid), hi - lo, max_iter, True)
     raise MaxIterationsError(
         f"bisection did not reach width {tol} in {max_iter} iterations"
-    )
-
-
-def find_extremum(
-    objective: Callable[[float], float],
-    bracket: Bracket,
-    tol: float = DEFAULT_EXTREMUM_TOL,
-    kind: Optional[str] = None,
-    max_iter: int = MAX_ITERATIONS,
-) -> SolveResult:
-    """Golden-section search for a unimodal extremum on the bracket.
-
-    kind defaults to the bracket's own kind and must resolve to
-    'minimum' or 'maximum'.  Only interior probe points are evaluated, so
-    the objective may be singular at the bracket endpoints.  The returned
-    value carries an absolute error of order curvature * tol^2.
-    """
-    if tol <= 0.0:
-        raise ValueError("tol must be positive")
-    kind = _canonical_kind(bracket.kind if kind is None else kind)
-    if kind == "root":
-        raise ValueError("find_extremum needs kind 'minimum' or 'maximum'")
-    lo, hi = bracket.lo, bracket.hi
-    sign = 1.0 if kind == "minimum" else -1.0
-    c = hi - INVPHI * (hi - lo)
-    d = lo + INVPHI * (hi - lo)
-    fc = sign * objective(c)
-    fd = sign * objective(d)
-    for it in range(1, max_iter + 1):
-        if hi - lo <= tol:
-            x = 0.5 * (lo + hi)
-            return SolveResult(x, objective(x), hi - lo, it, True)
-        if fc < fd:
-            hi, d, fd = d, c, fc
-            c = hi - INVPHI * (hi - lo)
-            fc = sign * objective(c)
-        else:
-            lo, c, fc = c, d, fd
-            d = lo + INVPHI * (hi - lo)
-            fd = sign * objective(d)
-    raise MaxIterationsError(
-        f"golden section did not reach width {tol} in {max_iter} iterations"
     )

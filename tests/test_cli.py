@@ -190,6 +190,12 @@ class TestSweepCommand:
         omegas = [float(r["omega"]) for r in env["payload"]["rows"]]
         assert omegas == sorted(omegas, reverse=True)
 
+    def test_increasing_omega_for_alpha_minus_half_to_400(self, runner):
+        # omega_1 increases with n; certificates that lose digits at large
+        # n show false down steps
+        env = run_json(runner, ["sweep", "--n-max", "400", "--alpha", "-1/2"])
+        assert env["payload"]["verdict"]["omega"] == "increasing"
+
     def test_monotone_regime_rows_have_empty_omega(self, runner):
         env = run_json(runner, ["sweep", "--n-min", "3", "--n-max", "5",
                                 "--alpha", "1/2"])

@@ -12,7 +12,6 @@ from meangap.constants import (
     InterpolationConstants,
     augment_with_gm,
     best_constants,
-    endpoint_constants,
     format_float,
     interpolation_constants,
     power_form_check,
@@ -40,26 +39,6 @@ class TestRatioFromF:
     def test_pole_rejected(self):
         with pytest.raises(ValueError):
             ratio_from_f(1.0)
-
-
-class TestEndpointConstants:
-    def test_known_pair(self):
-        # n=3, alpha=2: r-1 = -1/2 gives (3^-0.5, 1.5^-0.5) sorted
-        lo, hi = endpoint_constants(3, ExponentPair.from_alpha(2.0))
-        assert lo == pytest.approx(3.0**-0.5, rel=1e-15)
-        assert hi == pytest.approx(1.5**-0.5, rel=1e-15)
-
-    def test_order_flips_with_r(self):
-        lo, hi = endpoint_constants(5, ExponentPair.from_r(2.0))
-        assert (lo, hi) == (1.25, 5.0)
-
-    def test_negative_alpha_rejected(self):
-        with pytest.raises(ValueError):
-            endpoint_constants(3, ExponentPair.from_alpha(-1.0))
-
-    def test_n_two_message(self):
-        with pytest.raises(ValueError, match="n = 2"):
-            endpoint_constants(2, ExponentPair.from_alpha(2.0))
 
 
 class TestWenReference:
@@ -110,8 +89,7 @@ def test_frozen_certificates(n, alpha):
     assert cert.mu == pytest.approx(want["mu"], abs=1e-12)
     assert cert.nu == pytest.approx(want["nu"], rel=1e-12)
     assert cert.omega == pytest.approx(want["omega"], rel=1e-12)
-    # golden section localizes the argument to about sqrt(eps)
-    assert cert.x_star == pytest.approx(want["x_star"], abs=1e-7)
+    assert cert.x_star == pytest.approx(want["x_star"], rel=1e-10)
     assert cert.lower_bound == pytest.approx(want["lower"], rel=1e-12)
     assert cert.upper_bound == pytest.approx(want["upper"], rel=1e-12)
     assert (cert.lower_kind, cert.upper_kind) == want["kinds"]

@@ -105,6 +105,38 @@ def test_array_matches_scalar(n, alpha):
             np.testing.assert_array_equal(arr, scal, err_msg=name)
 
 
+def test_first_table_row_keeps_its_digits():
+    # x = 1e-9/n is the first row of `meangap profile`; there n x = 1e-9
+    # must not pass through a = n x - 1.  50-digit values from
+    # `reference.profile_row` in `bench/reference.py`.
+    params = params_for(12, 2.0)
+    x = 1e-9 / 12
+    want = dict(
+        g=5.7643524153172096834e-10, p=0.28867513433019400889,
+        f=-0.40582741727375867193, U=11999999988.999998632,
+        V=0.08333333333333333334, W=999999999.08333321943,
+        fp=24.603429523654150541,
+    )
+    for name, value in want.items():
+        assert FNS[name](x, params) == pytest.approx(value, rel=1e-12), name
+
+
+# 50-digit slopes (`reference.profile_row`) where the power terms of
+# order |alpha| >= 45 pass the double range; the last x is
+# ill-conditioned in y = 1 - 4x
+@pytest.mark.parametrize("n,alpha,x,want", [
+    (5, -60.0, 1e-300, -4e60),
+    (5, -60.0, 1e-12, -999.7359426959664),
+    (5, -60.0, 1e-6, -58.37764915883957),
+    (5, -60.0, (1.0 - 1e-6) / 4, 83236.94274611528),
+    (3, 45.0, 1e-300, 1.0375349077971867e100),
+])
+def test_f_prime_finite_at_extreme_orders(n, alpha, x, want):
+    got = f_prime(x, params_for(n, alpha))
+    assert math.isfinite(got)
+    assert got == pytest.approx(want, rel=1e-9)
+
+
 class TestCenterBand:
     def test_f_branch_value(self):
         params = params_for(4, 2.0)  # r = 1/2

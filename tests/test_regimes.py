@@ -3,7 +3,7 @@
 import pytest
 
 from meangap.means import ExponentPair
-from meangap.profile import ProfileParams, W_func
+from meangap.profile import ProfileParams, Side, W_func
 from meangap.regimes import (
     MU_OFFSET,
     CriticalPoint,
@@ -66,22 +66,24 @@ class TestRegimeStructure:
             reg = classify(n, ExponentPair.from_r(r))
             assert reg.has_mu
             assert reg.mu_side == sides[reg.tag]
-            lo, hi = reg.mu_bracket
-            assert 0.0 < lo < hi < 1.0 / (n - 1)
+            # the search runs from the center out to a far edge inside the domain
+            t_min = Side(ProfileParams(n=n, e=reg.e), reg.mu_side).t_min
+            assert 0.0 < t_min < 1.0 / n
 
     def test_monotone_regimes_have_no_mu(self):
         for (n, r) in [(5, 2.0), (5, 5.0)]:
             reg = classify(n, ExponentPair.from_r(r))
             assert not reg.has_mu
             assert reg.mu_side is None
-            assert reg.mu_bracket is None
             assert reg.f_shape.nu_kind == "none"
 
     def test_bracket_excludes_center_guard(self):
         # the trivial W = 1 root at x = 1/n stays outside the search band
-        reg = classify(3, ExponentPair.from_r(-1.0))
-        lo, _ = reg.mu_bracket
-        assert lo >= (1.0 + MU_OFFSET) / 3.0
+        e = ExponentPair.from_r(-1.0)
+        params = ProfileParams(n=3, e=e)
+        reg = classify(3, e)
+        cp = locate_mu(params, reg)
+        assert cp.t <= (1.0 - MU_OFFSET) / 3.0
 
     def test_shape_table(self):
         kinds = {
@@ -165,7 +167,7 @@ class TestLocateMu:
         donor = classify(5, ExponentPair.from_r(5.5))
         forged = type(donor)(
             tag=donor.tag, n=5, e=e, has_mu=True, mu_side=donor.mu_side,
-            mu_bracket=donor.mu_bracket, f_shape=donor.f_shape,
+            f_shape=donor.f_shape,
         )
         with pytest.raises(BracketError):
             locate_mu(params, forged)

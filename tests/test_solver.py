@@ -1,4 +1,4 @@
-"""Bisection and golden-section solvers against scipy and closed forms."""
+"""The bisection solver against scipy and closed forms."""
 
 import math
 
@@ -12,7 +12,6 @@ from meangap.solver import (
     BracketError,
     MaxIterationsError,
     SolveResult,
-    find_extremum,
     find_root,
 )
 
@@ -26,14 +25,6 @@ class TestBracket:
             Bracket(2.0, 2.0)
         with pytest.raises(ValueError):
             Bracket(3.0, 1.0)
-
-    def test_kind_aliases(self):
-        assert Bracket(0.0, 1.0, kind="min").kind == "minimum"
-        assert Bracket(0.0, 1.0, kind="max").kind == "maximum"
-
-    def test_rejects_unknown_kind(self):
-        with pytest.raises(ValueError):
-            Bracket(0.0, 1.0, kind="saddle")
 
 
 class TestFindRoot:
@@ -82,58 +73,9 @@ class TestFindRoot:
         res = find_root(lambda x: (x - root), Bracket(0.0, 1.0), tol=1e-13)
         assert res.x_star == pytest.approx(root, abs=1e-12)
 
-
-class TestFindExtremum:
-    def test_parabola_minimum(self):
-        res = find_extremum(lambda x: (x - 0.3) ** 2, Bracket(0.0, 1.0, kind="min"))
-        assert res.converged
-        assert res.x_star == pytest.approx(0.3, abs=1e-7)
-        assert res.value == pytest.approx(0.0, abs=1e-13)
-
-    def test_maximum_kind(self):
-        res = find_extremum(
-            lambda x: -((x - 0.7) ** 2) + 2.0, Bracket(0.0, 1.0, kind="max")
-        )
-        assert res.x_star == pytest.approx(0.7, abs=1e-7)
-        assert res.value == pytest.approx(2.0, abs=1e-13)
-
-    def test_explicit_kind_overrides_bracket(self):
-        res = find_extremum(
-            lambda x: (x - 0.4) ** 2, Bracket(0.0, 1.0), kind="minimum"
-        )
-        assert res.x_star == pytest.approx(0.4, abs=1e-7)
-
-    def test_root_kind_rejected(self):
-        with pytest.raises(ValueError):
-            find_extremum(lambda x: x, Bracket(0.0, 1.0))
-
-    def test_matches_scipy_bounded(self):
-        fn = lambda x: x * math.log(x) + (1.0 - x) ** 2
-        res = find_extremum(fn, Bracket(0.05, 0.95, kind="min"), tol=1e-12)
-        ref = optimize.minimize_scalar(
-            fn, bounds=(0.05, 0.95), method="bounded",
-            options={"xatol": 1e-12},
-        )
-        assert res.x_star == pytest.approx(ref.x, abs=1e-7)
-        assert res.value == pytest.approx(ref.fun, abs=1e-13)
-
-    def test_interior_probes_only(self):
-        # endpoint values may be infinite; golden section must not touch them
-        def fn(x):
-            if x in (0.0, 1.0):
-                raise AssertionError("endpoint evaluated")
-            return (x - 0.5) ** 2
-
-        res = find_extremum(fn, Bracket(0.0, 1.0, kind="min"))
-        assert res.x_star == pytest.approx(0.5, abs=1e-7)
-
-    def test_iteration_cap(self):
-        with pytest.raises(MaxIterationsError):
-            find_extremum(lambda x: (x - 0.3) ** 2, Bracket(0.0, 1.0, kind="min"),
-                          tol=1e-30, max_iter=8)
-
     def test_result_fields(self):
-        res = find_extremum(lambda x: (x - 0.3) ** 2, Bracket(0.0, 1.0, kind="min"))
+        res = find_root(math.cos, Bracket(1.0, 2.0), tol=1e-10)
         assert isinstance(res, SolveResult)
+        assert res.converged
         assert res.residual_or_width <= 1e-10
         assert res.iterations > 0
