@@ -11,7 +11,8 @@ Subcommands:
 Output is a JSON envelope (or CSV rows with --format csv); every float
 is serialized as a 17-significant-digit decimal string, so payloads are
 byte identical across runs, platforms, and worker counts.  Exit code 0
-means success, 1 means a verification failed, 2 means invalid input.
+means success, 1 means a verification failed, 2 means invalid input,
+and 3 means a valid instance that the solvers cannot certify.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from __future__ import annotations
 import json
 import math
 import time
+from contextlib import contextmanager
 from fractions import Fraction
 from io import StringIO
 from typing import List, Optional, Sequence
@@ -59,6 +61,7 @@ from .reduction import (
     h_power_sum,
     h_prime,
 )
+from .solver import UncertifiedInstance
 
 _PROFILE_COLUMNS = {
     "g": g_profile,
@@ -111,6 +114,21 @@ alpha_option = click.option(
     required=True,
     help="mean order, decimal or p/q fraction",
 )
+
+
+class _Uncertified(click.ClickException):
+    exit_code = 3
+
+
+@contextmanager
+def _refusals():
+    # bad input is a usage error (exit 2); an uncertifiable instance exits 3
+    try:
+        yield
+    except UncertifiedInstance as exc:
+        raise _Uncertified(f"cannot certify this instance: {exc}")
+    except ValueError as exc:
+        raise click.UsageError(str(exc))
 
 
 def _emit(fmt: str, payload, instance: dict, tolerances: dict, started: float) -> None:
@@ -184,10 +202,8 @@ def main() -> None:
 def constants_cmd(n: int, e: ExponentPair, tol: float, fmt: str) -> None:
     """Certificate of the extremal constants for one instance."""
     started = time.perf_counter()
-    try:
+    with _refusals():
         cert = best_constants(n, e, tol=tol)
-    except ValueError as exc:
-        raise click.UsageError(str(exc))
     payload = cert.to_payload()
     _emit(fmt, payload, instance=_instance(n, e),
           tolerances=payload["tol"], started=started)
@@ -210,15 +226,13 @@ def verify_cmd(
 ) -> None:
     """Run the independent oracles against the certificate; exit 1 on failure."""
     started = time.perf_counter()
-    try:
+    with _refusals():
         cert = best_constants(n, e)
         report = monte_carlo_extremes(
             n, e, samples=samples, seed=seed, cert=cert, workers=workers,
             grid=grid,
         )
         chk = check_bounds(report, cert)
-    except ValueError as exc:
-        raise click.UsageError(str(exc))
     payload = {
         "ok": chk.ok,
         "certificate": cert.to_payload(),
@@ -265,10 +279,8 @@ def _overall(trends: Sequence[str]) -> str:
 def sweep_cmd(n_min: int, n_max: int, e: ExponentPair, tol: float, fmt: str) -> None:
     """Certificates for n in [n-min, n-max] with an omega trend verdict."""
     started = time.perf_counter()
-    try:
+    with _refusals():
         certs = sweep_constants(e, n_min, n_max, tol=tol)
-    except ValueError as exc:
-        raise click.UsageError(str(exc))
     rows = []
     prev_omega: Optional[float] = None
     trends: List[str] = []
@@ -324,10 +336,8 @@ def profile_cmd(n: int, e: ExponentPair, points: int, which: str, fmt: str) -> N
             f"--which must be a comma separated subset of "
             f"{','.join(_PROFILE_COLUMNS)}; got {which!r}"
         )
-    try:
+    with _refusals():
         params = ProfileParams(n=n, e=e)
-    except ValueError as exc:
-        raise click.UsageError(str(exc))
     eps = EPS_HAT / n
     xs = np.linspace(eps, params.x_hi - eps, points)
     center = np.abs(n * xs - 1.0) <= CENTER_BAND

@@ -30,7 +30,7 @@ from .means import (
 )
 from .profile import ProfileParams, Side
 from .regimes import RegimeTag, classify, locate_mu
-from .solver import Bracket, find_root
+from .solver import Bracket, UncertifiedInstance, find_root
 
 __all__ = [
     "BRACKET_SLACK",
@@ -153,7 +153,7 @@ class ExtremumCertificate:
 def _check_bracket(omega: float, bracket: Tuple[float, float], label: str) -> None:
     lo, hi = bracket
     if omega < lo - BRACKET_SLACK or omega > hi + BRACKET_SLACK:
-        raise RuntimeError(
+        raise UncertifiedInstance(
             f"certified constant {label} = {omega} violates its a-priori "
             f"bracket [{lo}, {hi}]"
         )

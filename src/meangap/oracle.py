@@ -51,6 +51,10 @@ __all__ = [
 
 VIOLATION_SLACK = 1e-9
 
+# samples and grid points stream through blocks of about this many
+# coordinates, whose buffers stay in cache, as profile._BLOCK's do
+_STREAM = 1 << 16
+
 DEFAULT_SAMPLES = 100_000
 DEFAULT_GRID = 1_000_000
 
@@ -63,17 +67,33 @@ class InstanceMismatchError(ValueError):
     """Certificate and scan were produced for different (n, alpha)."""
 
 
+def _splitmix(seed: int, z: np.ndarray, tmp: np.ndarray) -> None:
+    # splitmix64 in place: the counters in z become their output words
+    z += np.uint64(1)
+    z *= _GAMMA
+    z += np.uint64(seed & 0xFFFFFFFFFFFFFFFF)
+    for shift, mix in ((30, _MIX1), (27, _MIX2), (31, None)):
+        z ^= np.right_shift(z, np.uint64(shift), out=tmp)
+        if mix is not None:
+            z *= mix
+
+
 def splitmix64(seed: int, counters: np.ndarray) -> np.ndarray:
     """splitmix64 output words for the given counters under one seed."""
-    z = np.uint64(seed & 0xFFFFFFFFFFFFFFFF) + (
-        counters.astype(np.uint64) + np.uint64(1)
-    ) * _GAMMA
-    z ^= z >> np.uint64(30)
-    z *= _MIX1
-    z ^= z >> np.uint64(27)
-    z *= _MIX2
-    z ^= z >> np.uint64(31)
+    z = counters.astype(np.uint64)
+    _splitmix(seed, z, np.empty_like(z))
     return z
+
+
+def _sample_rows(seed: int, z: np.ndarray, rows: np.ndarray) -> None:
+    # the samples whose counters z holds, into the C-contiguous (count, n)
+    # array rows, which is the mix's scratch first; z is used up
+    flat = rows.reshape(-1)
+    _splitmix(seed, z, flat.view(np.uint64))
+    np.multiply(np.right_shift(z, np.uint64(11), out=z), 2.0**-53, out=flat)
+    np.negative(np.log1p(np.negative(flat, out=flat), out=flat), out=flat)
+    np.maximum(flat, 1e-300, out=flat)
+    np.divide(rows, rows.sum(axis=1, keepdims=True), out=rows)
 
 
 def simplex_sample_block(
@@ -86,13 +106,9 @@ def simplex_sample_block(
     """
     if n < 2 or count < 1 or start < 0:
         raise ValueError("need n >= 2, count >= 1, start >= 0")
-    counters = np.arange(start * n, (start + count) * n, dtype=np.uint64)
-    z = splitmix64(seed, counters)
-    u = (z >> np.uint64(11)).astype(np.float64) * 2.0**-53
-    draws = -np.log1p(-u)
-    draws = np.maximum(draws, 1e-300)
-    rows = draws.reshape(count, n)
-    return rows / rows.sum(axis=1, keepdims=True)
+    rows = np.empty((count, n))
+    _sample_rows(seed, np.arange(start * n, (start + count) * n, dtype=np.uint64), rows)
+    return rows
 
 
 def simplex_sample(n: int, seed: int, index: int = 0) -> SampleVector:
@@ -105,7 +121,7 @@ def simplex_sample(n: int, seed: int, index: int = 0) -> SampleVector:
     return SampleVector(tuple(float(t) for t in row))
 
 
-def _ratio_rows(rows: np.ndarray, e: ExponentPair) -> np.ndarray:
+def _ratio_rows(rows: np.ndarray, e: ExponentPair, scratch=None) -> np.ndarray:
     """(A - G)/(P_alpha - G) for every row of a nonnegative 2-d array.
 
     One logarithm per coordinate serves G and the power term.  The power
@@ -116,20 +132,19 @@ def _ratio_rows(rows: np.ndarray, e: ExponentPair) -> np.ndarray:
     coordinate (alpha > 0 only) gives t = 0 and G = 0, so the ratio is
     A/P_alpha, the value ratio_gap takes there.  Constant rows have no
     rule here (their 0/0 gives NaN or rounding noise); neither samples
-    nor probes are constant.
+    nor probes are constant.  scratch (rows' shape, may be rows itself)
+    takes the logarithms and powers in place of a fresh temporary.
     """
     alpha = e.alpha
     a = rows.mean(axis=1)
     with np.errstate(divide="ignore"):
-        lx = np.log(rows)
+        lx = np.log(rows, out=scratch)
     g = np.exp(np.mean(lx, axis=1))
-    if alpha > 0:
-        lm = lx.max(axis=1, keepdims=True)
-    else:
-        lm = lx.min(axis=1, keepdims=True)
-    p = np.exp(lm[:, 0]) * (
-        np.mean(np.exp(alpha * (lx - lm)), axis=1) ** (1.0 / alpha)
-    )
+    lm = (lx.max if alpha > 0 else lx.min)(axis=1, keepdims=True)
+    lx -= lm
+    lx *= alpha
+    np.exp(lx, out=lx)
+    p = np.exp(lm[:, 0]) * (np.mean(lx, axis=1) ** (1.0 / alpha))
     return (a - g) / (p - g)
 
 
@@ -177,6 +192,7 @@ def grid_scan_two_value(
     (n/(n-1))^(r-1), since f/(f - 1) cancels once n^(r-1) is large.
     For r < 0 the ratio diverges to -inf at the ends; the endpoints are
     excluded and offset points at 1e-9/n from each end take their place.
+    The points stream through blocks; no grid-sized array is kept.
     """
     if not 1000 <= grid <= 10**8:
         raise ValueError("grid must have between 1000 and 1e8 points")
@@ -186,44 +202,59 @@ def grid_scan_two_value(
     # eps < step for every grid <= 1e8, so the offsets sit inside the
     # first and last grid cells and the points below are in order
     eps = EPS_HAT / n
-    base = np.linspace(0.0, hi, grid)
     step = hi / (grid - 1)
     include = e.r > 0
-    if include:
-        xs = np.concatenate([[0.0, eps], base[1:-1], [hi - eps, hi]])
-    else:
-        xs = np.concatenate([[eps], base[1:-1], [hi - eps]])
-    f = f_profile(xs, params)
-    # f rounds to 1 at the ends once n^(r-1) passes 2^53; those two values
-    # are replaced below, and check_bounds rejects any other infinity
-    with np.errstate(divide="ignore"):
-        vals = f / (f - 1.0)
-    if include:
-        vals[0], vals[-1] = _endpoint_values(n, e.r)
-    imin = int(np.argmin(vals))
-    imax = int(np.argmax(vals))
+    points = grid + 2 * include
+    ends = list(zip((0, points - 1), (0.0, hi), _endpoint_values(n, e.r)))
 
-    def curvature(i: int) -> float:
-        if i == 0 or i == len(vals) - 1:
-            return 0.0
-        hl = float(xs[i] - xs[i - 1])
-        hr = float(xs[i + 1] - xs[i])
-        sl = (float(vals[i]) - float(vals[i - 1])) / hl
-        sr = (float(vals[i + 1]) - float(vals[i])) / hr
-        return abs(2.0 * (sr - sl) / (hl + hr))
+    def scan(lo: int, stop: int):
+        # points lo .. stop - 1 and their ratio values: np.linspace(0, hi,
+        # grid)'s j * step with its ends moved eps inward, and for r > 0 the
+        # ends at their closed-form values; check_bounds rejects infinities
+        k = np.arange(lo, stop)
+        xs = np.clip((k - include) * step, eps, hi - eps)
+        f = f_profile(xs, params)
+        with np.errstate(divide="ignore"):
+            vals = f / (f - 1.0)
+        for i, x, v in ends if include else ():
+            xs[k == i], vals[k == i] = x, v
+        return xs, vals
 
+    # each block's first minimum and maximum; the first of those that is
+    # extreme (or NaN) is np.argmin's and np.argmax's pick over the grid
+    found = []
+    for lo in range(0, points, _STREAM):
+        vals = scan(lo, min(lo + _STREAM, points))[1]
+        i, j = int(np.argmin(vals)), int(np.argmax(vals))
+        found.append((lo + i, vals[i], lo + j, vals[j]))
+    imin = found[int(np.argmin([b[1] for b in found]))][0]
+    imax = found[int(np.argmax([b[3] for b in found]))][2]
+
+    def extreme(i: int) -> Tuple[float, float, float]:
+        # the point, its value, and |d2 ratio/dx2| from its neighbours (0
+        # at the grid's ends)
+        lo = max(i - 1, 0)
+        xs, v = (arr.tolist() for arr in scan(lo, min(i + 2, points)))
+        if len(xs) < 3:
+            return xs[i - lo], v[i - lo], 0.0
+        hl, hr = xs[1] - xs[0], xs[2] - xs[1]
+        sl, sr = (v[1] - v[0]) / hl, (v[2] - v[1]) / hr
+        return xs[1], v[1], abs(2.0 * (sr - sl) / (hl + hr))
+
+    arg_x_min, min_value, min_curvature = extreme(imin)
+    arg_x_max, max_value, max_curvature = extreme(imax)
     return GridExtreme(
         n=n,
         e=e,
-        points=len(xs),
+        points=points,
         includes_endpoints=include,
         step=step,
-        min_value=float(vals[imin]),
-        arg_x_min=float(xs[imin]),
-        max_value=float(vals[imax]),
-        arg_x_max=float(xs[imax]),
-        min_curvature=curvature(imin),
-        max_curvature=curvature(imax),
+        min_value=min_value,
+        arg_x_min=arg_x_min,
+        max_value=max_value,
+        arg_x_max=arg_x_max,
+        min_curvature=min_curvature,
+        max_curvature=max_curvature,
     )
 
 
@@ -334,9 +365,18 @@ def monte_carlo_extremes(
     values = np.empty(samples)
 
     def run_chunk(start: int) -> None:
+        # blocks of at most _STREAM coordinates (one row at least) reuse a
+        # counter ramp and two buffers, allocated once per chunk
         stop = min(start + chunk, samples)
-        rows = simplex_sample_block(n, seed, count=stop - start, start=start)
-        values[start:stop] = _ratio_rows(rows, e)
+        per = max(1, min(_STREAM // n, stop - start))
+        ramp = np.arange(per * n, dtype=np.uint64)
+        z, buf = np.empty_like(ramp), np.empty(per * n)
+        for lo in range(start, stop, per):
+            m = min(per, stop - lo) * n
+            np.add(ramp[:m], np.uint64(lo * n), out=z[:m])
+            rows = buf[:m].reshape(-1, n)
+            _sample_rows(seed, z[:m], rows)
+            values[lo:lo + len(rows)] = _ratio_rows(rows, e, rows)
 
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
@@ -357,8 +397,7 @@ def monte_carlo_extremes(
     bad_idx = np.nonzero(outside(values))[0]
     examples: List[Tuple[float, Tuple[float, ...]]] = []
     for idx in bad_idx[:5]:
-        row = simplex_sample_block(n, seed, count=1, start=int(idx))[0]
-        examples.append((float(values[idx]), tuple(float(t) for t in row)))
+        examples.append((float(values[idx]), simplex_sample(n, seed, int(idx)).xs))
     violations = int(bad_idx.size)
 
     probes = _boundary_probes(n, e)

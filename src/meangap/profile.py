@@ -276,12 +276,16 @@ def _W(n, alpha, a, X, Y, l1, l2):
 
 
 def _W_prime(n, alpha, a, X, Y, l1, l2):
-    # the expm1 terms' linear parts cancel: n alpha log s each way
+    # the expm1 terms' linear parts cancel: n alpha log s each way.  Each
+    # e^u - 1 is scaled by e^-c, c the excess of the largest |u| over
+    # _LOG_EDGE, so no term overflows into inf - inf; c = 0 leaves expm1(u)
     lns = l1 - l2
+    c = np.maximum(max(abs(alpha), abs(1.0 - alpha)) * np.abs(lns) - _LOG_EDGE, 0.0)
+    em1 = lambda u: np.expm1(u - c) - np.expm1(-c)
     num = alpha / (1.0 - alpha) * (
-        (n - 1) * np.expm1((alpha - 1.0) * lns) - np.expm1((1.0 - alpha) * lns)
-    ) - np.expm1(-alpha * lns) + (n - 1) * np.expm1(alpha * lns)
-    return num / (n * (a * a))
+        (n - 1) * em1((alpha - 1.0) * lns) - em1((1.0 - alpha) * lns)
+    ) - em1(-alpha * lns) + (n - 1) * em1(alpha * lns)
+    return num / (n * (a * a)) * np.exp(c)
 
 
 def g_profile(x, params: ProfileParams):

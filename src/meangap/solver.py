@@ -18,6 +18,7 @@ __all__ = [
     "BracketError",
     "MaxIterationsError",
     "SolveResult",
+    "UncertifiedInstance",
     "find_root",
 ]
 
@@ -25,11 +26,15 @@ DEFAULT_ROOT_TOL = 1e-11
 MAX_ITERATIONS = 200
 
 
-class BracketError(ValueError):
-    """The supplied bracket does not isolate a root (no sign change)."""
+class UncertifiedInstance(Exception):
+    """A valid instance whose constants the solvers cannot certify."""
 
 
-class MaxIterationsError(RuntimeError):
+class BracketError(UncertifiedInstance, ValueError):
+    """The supplied bracket is empty or does not isolate a root."""
+
+
+class MaxIterationsError(UncertifiedInstance, RuntimeError):
     pass
 
 
@@ -42,7 +47,7 @@ class Bracket:
 
     def __post_init__(self) -> None:
         if not self.lo < self.hi:
-            raise ValueError(f"empty bracket [{self.lo}, {self.hi}]")
+            raise BracketError(f"empty bracket [{self.lo}, {self.hi}]")
 
     @property
     def width(self) -> float:

@@ -61,13 +61,14 @@ class TestAlphaParsing:
         # 1/float(1/49) rounds to 49.00000000000001, crossing the n >= r
         # boundary at n = 49; the fraction path keeps r = 49 exactly.  The
         # rounded instance is 7e-15 into the small-n regime, where the
-        # interior crossing sits too close to the bracket edge to certify.
+        # interior crossing sits too close to the bracket edge to certify:
+        # it is refused as uncertifiable (exit 3), not as bad input.
         exact = run_json(runner, ["constants", "--n", "49", "--alpha", "1/49"])
         assert exact["metadata"]["instance"]["r"] == "49"
         assert exact["payload"]["regime"] == "HIGH_R_LARGE_N"
         rounded = runner.invoke(main, ["constants", "--n", "49", "--alpha",
                                        "0.02040816326530612"])
-        assert rounded.exit_code == 2
+        assert rounded.exit_code == 3
         assert "r=49.00000000000001" in rounded.output
 
     @pytest.mark.parametrize("bad", ["0", "1", "0/3", "2/2", "inf", "nan", "x"])
@@ -108,6 +109,21 @@ class TestConstantsCommand:
         assert result.exit_code == 2
         assert isinstance(result.exception, SystemExit)
         assert "ln(DBL_MAX)" in result.output
+
+    @pytest.mark.parametrize("args", [
+        ["constants", "--n", "4", "--alpha", "3/4"],  # empty extremum bracket
+        ["constants", "--n", "3", "--alpha", "-1000000"],  # no W = 1 crossing
+        ["constants", "--n", "300", "--alpha", "1.01"],  # no f' sign change
+        ["sweep", "--n-min", "3", "--n-max", "4", "--alpha", "-1000000"],
+        ["verify", "--n", "300", "--alpha", "1.01"],
+    ])
+    def test_uncertifiable_instance_exits_three(self, runner, args):
+        # a valid instance the solvers cannot certify is not a usage error
+        result = runner.invoke(main, args)
+        assert result.exit_code == 3
+        lines = result.output.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("Error: cannot certify this instance: ")
 
     def test_endpoint_near_the_limit_still_certifies(self, runner):
         env = run_json(runner, ["constants", "--n", "3", "--alpha", "1/640"])

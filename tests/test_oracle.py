@@ -3,12 +3,13 @@
 import dataclasses
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from meangap import oracle
-from meangap.constants import best_constants
+from meangap.constants import EPS_HAT, _endpoint_values, best_constants
 from meangap.means import ExponentPair, SampleVector, ratio_gap
 from meangap.oracle import (
     BoundsCheck,
@@ -22,7 +23,7 @@ from meangap.oracle import (
     simplex_sample_block,
     splitmix64,
 )
-from meangap.profile import ProfileParams
+from meangap.profile import ProfileParams, f_profile
 
 
 def ref_splitmix(seed: int, counter: int) -> int:
@@ -219,8 +220,8 @@ class TestMonteCarlo:
 
     def test_nan_value_is_a_violation(self, monkeypatch):
         # NaN fails every comparison, so it must be flagged explicitly
-        def with_nan(rows, e):
-            vals = kernel(rows, e)
+        def with_nan(rows, e, scratch=None):
+            vals = kernel(rows, e, scratch)
             vals[0] = math.nan
             return vals
 
@@ -321,3 +322,135 @@ class TestCheckBounds:
         assert "workers" not in payload  # must not leak into the artifact
         assert payload["grid_extreme"]["n"] == 3
         assert len(payload["arg_min"]) == 3
+
+
+def materialised_scan(params: ProfileParams, grid: int) -> GridExtreme:
+    # the grid scan as one whole-grid array, np.linspace plus the ends
+    n, e, hi = params.n, params.e, params.x_hi
+    eps = EPS_HAT / n
+    base = np.linspace(0.0, hi, grid)
+    include = e.r > 0
+    if include:
+        xs = np.concatenate([[0.0, eps], base[1:-1], [hi - eps, hi]])
+    else:
+        xs = np.concatenate([[eps], base[1:-1], [hi - eps]])
+    f = f_profile(xs, params)
+    with np.errstate(divide="ignore"):
+        vals = f / (f - 1.0)
+    if include:
+        vals[0], vals[-1] = _endpoint_values(n, e.r)
+    imin, imax = int(np.argmin(vals)), int(np.argmax(vals))
+
+    def curvature(i):
+        if i == 0 or i == len(vals) - 1:
+            return 0.0
+        hl = float(xs[i] - xs[i - 1])
+        hr = float(xs[i + 1] - xs[i])
+        sl = (float(vals[i]) - float(vals[i - 1])) / hl
+        sr = (float(vals[i + 1]) - float(vals[i])) / hr
+        return abs(2.0 * (sr - sl) / (hl + hr))
+
+    return GridExtreme(
+        n=n, e=e, points=len(xs), includes_endpoints=include,
+        step=hi / (grid - 1),
+        min_value=float(vals[imin]), arg_x_min=float(xs[imin]),
+        max_value=float(vals[imax]), arg_x_max=float(xs[imax]),
+        min_curvature=curvature(imin), max_curvature=curvature(imax),
+    )
+
+
+class TestStreaming:
+    """The oracle's blocks give what whole-array evaluation gives, bit for bit."""
+
+    @pytest.mark.parametrize("n", [3, 7, 100])
+    def test_block_samples_match_the_wrapper(self, monkeypatch, n):
+        # 40 coordinates per block: 13 rows at n = 3 and 5 at n = 7, so the
+        # last block of each 8192-row chunk is ragged; at n = 100 the block
+        # is smaller than one row, and holds one row
+        monkeypatch.setattr(oracle, "_STREAM", 40)
+        kernel = oracle._ratio_rows
+        blocks, block_vals = [], []
+
+        def spy(rows, e, scratch=None):
+            if scratch is not None:
+                blocks.append(rows.copy())
+            vals = kernel(rows, e, scratch)
+            if scratch is not None:
+                block_vals.append(vals)
+            return vals
+
+        monkeypatch.setattr(oracle, "_ratio_rows", spy)
+        e = ExponentPair.from_alpha(-1.3 if n == 7 else 2.5)
+        samples = 10_000
+        rep = monte_carlo_extremes(n, e, samples=samples, seed=4, grid=1000)
+        rows = simplex_sample_block(n, seed=4, count=samples)
+        want = kernel(rows, e)
+        assert max(len(b) for b in blocks) == max(1, 40 // n)
+        np.testing.assert_array_equal(np.vstack(blocks), rows)
+        np.testing.assert_array_equal(np.concatenate(block_vals), want)
+        assert rep.observed_min == want.min()
+        assert rep.observed_max == want.max()
+
+    def test_scratch_is_the_fresh_temporary(self):
+        e = ExponentPair.from_alpha(-60.0)
+        rows = simplex_sample_block(25, seed=2, count=300)
+        want = oracle._ratio_rows(rows, e)
+        got = oracle._ratio_rows(rows.copy(), e, np.empty_like(rows))
+        np.testing.assert_array_equal(got, want)
+        np.testing.assert_array_equal(oracle._ratio_rows(rows, e, rows), want)
+
+    @pytest.mark.parametrize("grid", [1000, 1001, 123_457])
+    @pytest.mark.parametrize("n,alpha", [(4, 2.0), (5, -1.0)])
+    @pytest.mark.parametrize("block", [None, 333])
+    def test_grid_matches_the_materialised_scan(self, monkeypatch, grid, n, alpha,
+                                                block):
+        # r > 0 and r < 0; a 333-point block puts block edges next to the
+        # extremes' neighbours and leaves a ragged last block
+        if block is not None:
+            monkeypatch.setattr(oracle, "_STREAM", block)
+        params = ProfileParams(n=n, e=ExponentPair.from_alpha(alpha))
+        got = grid_scan_two_value(params, grid=grid)
+        want = materialised_scan(params, grid)
+        for field in dataclasses.fields(GridExtreme):
+            assert getattr(got, field.name) == getattr(want, field.name), field.name
+
+    def test_first_nan_of_the_grid_wins(self, monkeypatch):
+        # NaNs in the middle of two later blocks: as with np.argmin and
+        # np.argmax over the whole grid, both extremes are the first one
+        monkeypatch.setattr(oracle, "_STREAM", 1000)
+        n, e = 4, ExponentPair.from_alpha(2.0)
+        params = ProfileParams(n=n, e=e)
+        grid = 10_000
+        targets = np.linspace(0.0, params.x_hi, grid)[[5499, 7499]]
+
+        def with_nan(xs, p):
+            f = f_profile(xs, p)
+            f[np.isin(xs, targets)] = math.nan
+            return f
+
+        monkeypatch.setattr(oracle, "f_profile", with_nan)
+        cert = best_constants(n, e)
+        rep = monte_carlo_extremes(n, e, samples=10_000, seed=0, cert=cert,
+                                   grid=grid)
+        ge = rep.grid_extreme
+        assert math.isnan(ge.min_value) and math.isnan(ge.max_value)
+        assert ge.arg_x_min == ge.arg_x_max == targets[0]
+        chk = check_bounds(rep, cert)
+        assert not chk.ok
+        for name in ("min", "max"):
+            named = f"grid {name} nan at x={targets[0]} is not finite"
+            assert any(f.startswith(named) for f in chk.failures)
+
+    def test_memory_does_not_grow_with_n(self):
+        # traced allocations are deterministic: whole-chunk temporaries
+        # (8192 rows of 1000 coordinates, 65 MB each) and whole-grid arrays
+        # (8 MB each) peaked at about 310 MB here
+        e = ExponentPair.from_alpha(-1.0)
+        cert = best_constants(1000, e)
+        tracemalloc.start()
+        try:
+            monte_carlo_extremes(1000, e, samples=10_000, cert=cert, grid=10**6)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20

@@ -137,6 +137,39 @@ def test_f_prime_finite_at_extreme_orders(n, alpha, x, want):
     assert got == pytest.approx(want, rel=1e-9)
 
 
+# W' frozen from mpmath at 50 digits (mp.dps = 50): mpmath.diff of
+# W = U V with s = x/(1 - (n-1)x), U = (s^(1-alpha) - 1)/((1-alpha)(s-1))
+# and V = ((n-1)s^alpha + 1)/n, which agrees with the closed form in
+# profile._W_prime to 1e-25.  Here the single power terms pass the double
+# range while W' does not: the unscaled terms gave -inf.
+@pytest.mark.parametrize("n,alpha,x,want", [
+    (10**6, 45.0, 1e-7, -1.0775316316288095181e307),
+    (10**6, 45.0, 1.1061354312917844e-07, -6.9106790337410385426e304),
+    (10**6, -60.0, 9.121449890838095e-07, -1.2924705470183999006e306),
+    (10**6, -60.0, 9.081230977974101e-07, -2.3736938656352171002e307),
+    (10**4, 45.0, 1.208410884142576e-07, -1.8956743137876912057e307),
+])
+def test_w_prime_finite_at_extreme_orders(n, alpha, x, want):
+    params = params_for(n, alpha)
+    for got in (W_prime(x, params), W_prime(np.array([x]), params)[0]):
+        assert math.isfinite(got)
+        assert got == pytest.approx(want, rel=1e-10)
+
+
+# the same 50-digit W' is beyond the double range here, so the slope is
+# the infinity of its sign; the unscaled terms gave inf - inf = NaN
+@pytest.mark.parametrize("n,alpha,x,want", [
+    (5, -60.0, 1e-300, -math.inf),  # -7.8688524590163814143e18299
+    (5, -60.0, 1e-12, -math.inf),  # -7.8688524571670916218e731
+    (5, -60.0, 1e-6, -math.inf),  # -7.867003361155001333e365
+    (5, -60.0, (1.0 - 1e-6) / 4, math.inf),  # 5.9195406435015865438e329
+    (3, 45.0, 1e-300, -math.inf),  # -3.3333333333333295745e13499
+    (3, 45.0, 1e-12, -math.inf),  # -3.3333333330499272594e539
+])
+def test_w_prime_overflows_with_its_sign(n, alpha, x, want):
+    assert W_prime(x, params_for(n, alpha)) == want
+
+
 class TestCenterBand:
     def test_f_branch_value(self):
         params = params_for(4, 2.0)  # r = 1/2
