@@ -202,11 +202,13 @@ def best_constants(
     tolerances["mu_residual"] = cp.residual
     shape = regime.f_shape
     side = Side(params, shape.nu_side)
-    res = find_root(
-        lambda s: side.f_prime(math.exp(s)),
-        Bracket(math.log(side.t_min), math.log(cp.t)),
-        tol=tol,
-    )
+    lo, hi = math.log(side.t_min), math.log(cp.t)
+    if not lo < hi:
+        raise UncertifiedInstance(
+            f"the W = 1 crossing lies at the far edge t_min = {side.t_min!r} "
+            f"of the {shape.nu_side} side, leaving no room for the extremum search"
+        )
+    res = find_root(lambda s: side.f_prime(math.exp(s)), Bracket(lo, hi), tol=tol)
     t_star = math.exp(res.x_star)
     nu = side.f(t_star)
     omega = ratio_from_f(nu)
@@ -266,11 +268,18 @@ def sweep_constants(
     """best_constants for every n in [n_min, n_max] at a fixed exponent.
 
     The returned series exposes the omega sequence for monotonicity and
-    convergence checks; a single-n sweep (n_min == n_max) is allowed.
+    convergence checks; a single-n sweep (n_min == n_max) is allowed.  A
+    refusal names the n it stopped at.
     """
     if not 3 <= n_min <= n_max:
         raise ValueError(f"need 3 <= n_min <= n_max, got [{n_min}, {n_max}]")
-    return [best_constants(n, e, tol=tol) for n in range(n_min, n_max + 1)]
+    certs = []
+    for n in range(n_min, n_max + 1):
+        try:
+            certs.append(best_constants(n, e, tol=tol))
+        except UncertifiedInstance as exc:
+            raise UncertifiedInstance(f"at n = {n}: {exc}") from exc
+    return certs
 
 
 @dataclass(frozen=True)

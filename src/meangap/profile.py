@@ -24,15 +24,17 @@ order) numerically quiet.  A vanishing coordinate enters only through
 its own logarithm, so it keeps its digits, and power sums are scaled by
 their larger term, so no power of a coordinate overflows.
 
-All functions accept a scalar or a numpy array.  A scalar x returns a
-float, bit-identical to the array path's value at that x: it runs the
-same interior formula through the same numpy ufuncs, on float64 scalars,
-without the array path's masks and blocks.
+All functions accept a scalar or a numpy array; a scalar x runs through
+the array path as one element and returns a float.
 
 `Side` evaluates f, f' and W in the small coordinate t of one side of
 x = 1/n (t = x on the left, t = y on the right), where the solvers
 search; on the right it forms n y from t itself, so a point next to
-x = 1/(n-1) keeps every digit of its vanishing coordinate.
+x = 1/(n-1) keeps every digit of its vanishing coordinate.  It runs the
+same interior formulas on plain floats through `math`, which skips
+numpy's per-call dispatch, so it matches the array path to rounding
+(libm and numpy's exp and log can differ in the last bit), not bit for
+bit.
 """
 
 from __future__ import annotations
@@ -108,12 +110,12 @@ class ProfileParams:
         return 1.0 / (self.n - 1)
 
 
-def _coords(X, n: int):
+def _coords(X, n: int, xp):
     # a = X - 1 (exact near the center), X = n x and Y = n y = 1 - (n-1)a,
     # with the logarithms of X and Y
     a = X - 1.0
     c = -(n - 1) * a
-    return a, X, 1.0 + c, np.log(X), np.log1p(c)
+    return a, X, 1.0 + c, xp.log(X), xp.log1p(c)
 
 
 def _evaluate(x, params: ProfileParams, interior, lo, hi, center=None):
@@ -124,30 +126,12 @@ def _evaluate(x, params: ProfileParams, interior, lo, hi, center=None):
     interior formula covers otherwise.  A str in place of a value is the
     message of the ValueError raised there.
 
-    interior(n, alpha, a, X, Y, l1, l2) takes the scaled coordinates, as
-    float64 scalars or arrays, from `_coords`, computed here once per call
-    (per block of an array).  A scalar x picks its case with plain comparisons and returns
-    the float that the array path stores for it.
+    interior(xp, n, alpha, a, X, Y, l1, l2) takes numpy as xp and the
+    scaled coordinates from `_coords`, computed here once per block.  A
+    scalar x goes through the same blocks as a one-element array and
+    returns a float.
     """
-    n = params.n
     x_hi = params.x_hi
-    if isinstance(x, (float, int)) or np.ndim(x) == 0:
-        x = float(x)
-        if not 0.0 <= x <= x_hi:
-            raise ValueError(f"x must lie in [0, {x_hi}]")
-        X = n * x
-        if x == 0.0:
-            value = lo
-        elif x == x_hi:
-            value = hi
-        elif center is not None and abs(X - 1.0) <= CENTER_BAND:
-            value = center
-        else:
-            with np.errstate(over="ignore"):
-                return float(interior(n, params.e.alpha, *_coords(np.float64(X), n)))
-        if isinstance(value, str):
-            raise ValueError(value)
-        return float(value)
     arr = np.asarray(x, dtype=float)
     # min and max are nan when any entry is, which fails both tests
     if arr.size and not (0.0 <= arr.min() and arr.max() <= x_hi):
@@ -159,7 +143,7 @@ def _evaluate(x, params: ProfileParams, interior, lo, hi, center=None):
             flat_out[i:i + _BLOCK] = _evaluate_block(
                 flat[i:i + _BLOCK], params, interior, lo, hi, center
             )
-    return out
+    return out if out.ndim else float(out)
 
 
 def _evaluate_block(x, params: ProfileParams, interior, lo, hi, center):
@@ -174,7 +158,7 @@ def _evaluate_block(x, params: ProfileParams, interior, lo, hi, center):
         if isinstance(value, str) and np.any(mask):
             raise ValueError(value)
         X[mask] = _STAND_IN
-    out = interior(n, params.e.alpha, *_coords(X, n))
+    out = interior(np, n, params.e.alpha, *_coords(X, n, np))
     for mask, value in cases:
         if not isinstance(value, str):
             out[mask] = value
@@ -186,7 +170,7 @@ def _log_ng(l1, l2, n: int):
     return ((n - 1) * l1 + l2) / n
 
 
-def _power_sum(l1, l2, n: int, alpha: float):
+def _power_sum(xp, l1, l2, n: int, alpha: float):
     """(m, esum, log(n p)) of the power sum (n-1) X^alpha + Y^alpha.
 
     m is the log of its larger term and the sum is e^m (n + esum), so no
@@ -196,13 +180,13 @@ def _power_sum(l1, l2, n: int, alpha: float):
     al1 = alpha * l1
     al2 = alpha * l2
     m = np.maximum(al1, al2) if isinstance(al1, np.ndarray) else max(al1, al2)
-    esum = (n - 1) * np.expm1(al1 - m) + np.expm1(al2 - m)
-    return m, esum, (m + np.log1p(esum / n)) / alpha
+    esum = (n - 1) * xp.expm1(al1 - m) + xp.expm1(al2 - m)
+    return m, esum, (m + xp.log1p(esum / n)) / alpha
 
 
-def _p_log_slope(l1, l2, m, esum, n: int, alpha: float):
+def _p_log_slope(xp, l1, l2, m, esum, n: int, alpha: float):
     # p'/p = n(n-1)(X^(alpha-1) - Y^(alpha-1)) / ((n-1)X^alpha + Y^alpha)
-    diff = np.expm1((alpha - 1.0) * l1 - m) - np.expm1((alpha - 1.0) * l2 - m)
+    diff = xp.expm1((alpha - 1.0) * l1 - m) - xp.expm1((alpha - 1.0) * l2 - m)
     return n * (n - 1) / (n + esum) * diff
 
 
@@ -211,81 +195,83 @@ def _g_log_slope(a, X, Y, n: int):
     return -n * (n - 1) * a / (X * Y)
 
 
-# interiors: (n, alpha, a, X, Y, l1, l2) -> value, scalar or array
+# interiors: (xp, n, alpha, a, X, Y, l1, l2) -> value, with xp the
+# namespace of exp, expm1, log and log1p: numpy over the blocks of
+# `_evaluate`, math on the floats of `Side`
 
 
-def _g(n, alpha, a, X, Y, l1, l2):
-    return np.exp(_log_ng(l1, l2, n)) / n
+def _g(xp, n, alpha, a, X, Y, l1, l2):
+    return xp.exp(_log_ng(l1, l2, n)) / n
 
 
-def _p(n, alpha, a, X, Y, l1, l2):
-    return np.exp(_power_sum(l1, l2, n, alpha)[2]) / n
+def _p(xp, n, alpha, a, X, Y, l1, l2):
+    return xp.exp(_power_sum(xp, l1, l2, n, alpha)[2]) / n
 
 
-def _f(n, alpha, a, X, Y, l1, l2):
-    return np.expm1(_log_ng(l1, l2, n)) / np.expm1(_power_sum(l1, l2, n, alpha)[2])
+def _f(xp, n, alpha, a, X, Y, l1, l2):
+    return xp.expm1(_log_ng(l1, l2, n)) / xp.expm1(_power_sum(xp, l1, l2, n, alpha)[2])
 
 
-def _g_prime(n, alpha, a, X, Y, l1, l2):
-    return _g_log_slope(a, X, Y, n) * (np.exp(_log_ng(l1, l2, n)) / n)
+def _g_prime(xp, n, alpha, a, X, Y, l1, l2):
+    return _g_log_slope(a, X, Y, n) * (xp.exp(_log_ng(l1, l2, n)) / n)
 
 
-def _p_prime(n, alpha, a, X, Y, l1, l2):
-    m, esum, lp = _power_sum(l1, l2, n, alpha)
-    return _p_log_slope(l1, l2, m, esum, n, alpha) * (np.exp(lp) / n)
+def _p_prime(xp, n, alpha, a, X, Y, l1, l2):
+    m, esum, lp = _power_sum(xp, l1, l2, n, alpha)
+    return _p_log_slope(xp, l1, l2, m, esum, n, alpha) * (xp.exp(lp) / n)
 
 
-def _g_second(n, alpha, a, X, Y, l1, l2):
+def _g_second(xp, n, alpha, a, X, Y, l1, l2):
     d = X * Y
-    return -(n**2) * (n - 1) * (np.exp(_log_ng(l1, l2, n)) / n) / d / d
+    return -(n**2) * (n - 1) * (xp.exp(_log_ng(l1, l2, n)) / n) / d / d
 
 
-def _p_second(n, alpha, a, X, Y, l1, l2):
+def _p_second(xp, n, alpha, a, X, Y, l1, l2):
     # -(n^4)(n-1)(1 - alpha) (XY)^(alpha-2) p / ((n-1)X^alpha + Y^alpha)^2
-    m, esum, lp = _power_sum(l1, l2, n, alpha)
-    pw = np.exp((alpha * l1 - m) + (alpha * l2 - m) - 2.0 * (l1 + l2))
+    m, esum, lp = _power_sum(xp, l1, l2, n, alpha)
+    pw = xp.exp((alpha * l1 - m) + (alpha * l2 - m) - 2.0 * (l1 + l2))
     den = n + esum
-    return -(n**4) * (n - 1) * (1.0 - alpha) * pw * (np.exp(lp) / n) / (den * den)
+    return -(n**4) * (n - 1) * (1.0 - alpha) * pw * (xp.exp(lp) / n) / (den * den)
 
 
-def _f_prime(n, alpha, a, X, Y, l1, l2):
+def _f_prime(xp, n, alpha, a, X, Y, l1, l2):
     # f' = (g' - f p') n / (n p - 1), from the log slopes of G = n g and P = n p
     lg = _log_ng(l1, l2, n)
-    m, esum, lp = _power_sum(l1, l2, n, alpha)
-    pm = np.expm1(lp)  # P - 1 without cancellation
-    dg = np.exp(lg) * _g_log_slope(a, X, Y, n)
-    dp = np.exp(lp) * _p_log_slope(l1, l2, m, esum, n, alpha)
-    return (dg - np.expm1(lg) / pm * dp) / pm
+    m, esum, lp = _power_sum(xp, l1, l2, n, alpha)
+    pm = xp.expm1(lp)  # P - 1 without cancellation
+    dg = xp.exp(lg) * _g_log_slope(a, X, Y, n)
+    dp = xp.exp(lp) * _p_log_slope(xp, l1, l2, m, esum, n, alpha)
+    return (dg - xp.expm1(lg) / pm * dp) / pm
 
 
-def _s(n, alpha, a, X, Y, l1, l2):
+def _s(xp, n, alpha, a, X, Y, l1, l2):
     return X / Y
 
 
-def _U(n, alpha, a, X, Y, l1, l2):
+def _U(xp, n, alpha, a, X, Y, l1, l2):
     sm1 = n * a / Y  # s - 1
-    return np.expm1((1.0 - alpha) * (l1 - l2)) / ((1.0 - alpha) * sm1)
+    return xp.expm1((1.0 - alpha) * (l1 - l2)) / ((1.0 - alpha) * sm1)
 
 
-def _V(n, alpha, a, X, Y, l1, l2):
-    return ((n - 1) * np.exp(alpha * (l1 - l2)) + 1.0) / n
+def _V(xp, n, alpha, a, X, Y, l1, l2):
+    return ((n - 1) * xp.exp(alpha * (l1 - l2)) + 1.0) / n
 
 
-def _W(n, alpha, a, X, Y, l1, l2):
-    return _U(n, alpha, a, X, Y, l1, l2) * _V(n, alpha, a, X, Y, l1, l2)
+def _W(xp, n, alpha, a, X, Y, l1, l2):
+    return _U(xp, n, alpha, a, X, Y, l1, l2) * _V(xp, n, alpha, a, X, Y, l1, l2)
 
 
-def _W_prime(n, alpha, a, X, Y, l1, l2):
+def _W_prime(xp, n, alpha, a, X, Y, l1, l2):
     # the expm1 terms' linear parts cancel: n alpha log s each way.  Each
     # e^u - 1 is scaled by e^-c, c the excess of the largest |u| over
     # _LOG_EDGE, so no term overflows into inf - inf; c = 0 leaves expm1(u)
     lns = l1 - l2
     c = np.maximum(max(abs(alpha), abs(1.0 - alpha)) * np.abs(lns) - _LOG_EDGE, 0.0)
-    em1 = lambda u: np.expm1(u - c) - np.expm1(-c)
+    em1 = lambda u: xp.expm1(u - c) - xp.expm1(-c)
     num = alpha / (1.0 - alpha) * (
         (n - 1) * em1((alpha - 1.0) * lns) - em1((1.0 - alpha) * lns)
     ) - em1(-alpha * lns) + (n - 1) * em1(alpha * lns)
-    return num / (n * (a * a)) * np.exp(c)
+    return num / (n * (a * a)) * xp.exp(c)
 
 
 def g_profile(x, params: ProfileParams):
@@ -465,22 +451,33 @@ class Side:
 
     t = x on the left and t = 1 - (n-1)x on the right; either way t runs
     from 1/n at the center down to 0 at the domain end, and the methods
-    take a float t in (0, 1/n) and return floats.  `t_min` is the far
-    edge of every search on the side: the smallest t at which f' and W
-    are still finite, where the largest of |log s|, alpha log s and
-    (1 - alpha) log s reaches 600.
+    take a float t in (0, 1/n) and return floats: through `math`, or
+    where math raises on an overflow or a zero divisor, numpy's inf or
+    nan for that point.  `t_min` is the far edge of every search on the
+    side: the smallest t at which f' and W are still finite, where the
+    largest of |log s|, alpha log s and (1 - alpha) log s reaches 600.
     """
 
     params: ProfileParams
     side: str  # "left" | "right"
 
-    def _coords(self, t: float):
+    def _coords(self, t: float, xp):
         n = self.params.n
         if self.side == "left":
-            return _coords(n * t, n)
+            return _coords(n * t, n, xp)
         Y = n * t
         a = (1.0 - Y) / (n - 1)
-        return a, 1.0 + a, Y, np.log1p(a), np.log(Y)
+        return a, 1.0 + a, Y, xp.log1p(a), xp.log(Y)
+
+    def _evaluate(self, interior, t: float) -> float:
+        # plain floats through math; where math raises rather than return
+        # inf or nan as numpy does, that one point runs again through numpy
+        n, alpha = self.params.n, self.params.e.alpha
+        try:
+            return interior(math, n, alpha, *self._coords(t, math))
+        except (OverflowError, ZeroDivisionError):
+            with np.errstate(all="ignore"):
+                return float(interior(np, n, alpha, *self._coords(t, np)))
 
     @property
     def t_min(self) -> float:
@@ -498,11 +495,11 @@ class Side:
         return t if self.side == "left" else (1.0 - t) / (self.params.n - 1)
 
     def f(self, t: float) -> float:
-        return float(_f(self.params.n, self.params.e.alpha, *self._coords(t)))
+        return self._evaluate(_f, t)
 
     def f_prime(self, t: float) -> float:
         """d/dx of f; its sign in t is the same on the left, opposite on the right."""
-        return float(_f_prime(self.params.n, self.params.e.alpha, *self._coords(t)))
+        return self._evaluate(_f_prime, t)
 
     def W(self, t: float) -> float:
-        return float(_W(self.params.n, self.params.e.alpha, *self._coords(t)))
+        return self._evaluate(_W, t)

@@ -180,8 +180,9 @@ def classify(n: int, e: ExponentPair) -> Regime:
 
 
 def _scan_crossings(params: ProfileParams, lo: float, hi: float) -> int:
-    # coarse diagnostic scan for sign changes of W - 1 on (lo, hi)
-    xs = np.linspace(lo, hi, 257)
+    # coarse diagnostic scan for sign changes of W - 1 at 257 points
+    # strictly inside (lo, hi), however narrow the side
+    xs = np.linspace(lo, hi, 259)[1:-1]
     vals = W_func(xs, params) - 1.0
     vals = vals[np.isfinite(vals) & (vals != 0.0)]
     if vals.size < 2:
@@ -220,7 +221,7 @@ def locate_mu(
         return side.W(math.exp(s)) - 1.0
 
     d = MU_OFFSET / n
-    t_prev = center - d
+    t_prev = max(center - d, t_end)
     f_prev = side.W(t_prev) - 1.0
     bracket = None
     for _ in range(max_expand):
@@ -242,7 +243,7 @@ def locate_mu(
         objective, Bracket(math.log(bracket[0]), math.log(bracket[1])), tol=tol
     )
     lo, hi = sorted((center, side.x(t_end)))
-    crossings = _scan_crossings(params, lo + 1e-12, hi - 1e-12)
+    crossings = _scan_crossings(params, lo, hi)
     if crossings > 1:
         logger.warning(
             "W - 1 changes sign %d times on the %s side for n=%d, r=%g; "

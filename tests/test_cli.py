@@ -3,6 +3,7 @@
 import csv
 import io
 import json
+import warnings
 
 import pytest
 from click.testing import CliRunner
@@ -116,14 +117,44 @@ class TestConstantsCommand:
         ["constants", "--n", "300", "--alpha", "1.01"],  # no f' sign change
         ["sweep", "--n-min", "3", "--n-max", "4", "--alpha", "-1000000"],
         ["verify", "--n", "300", "--alpha", "1.01"],
+        ["constants", "--n", "100000", "--alpha", "3/2"],
+        # t_min lies closer to the center than the first W = 1 probe
+        ["constants", "--n", "3768", "--alpha", "1000000"],
     ])
     def test_uncertifiable_instance_exits_three(self, runner, args):
-        # a valid instance the solvers cannot certify is not a usage error
-        result = runner.invoke(main, args)
+        # a valid instance the solvers cannot certify is not a usage error,
+        # and no overflow warning escapes on the way
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            result = runner.invoke(main, args)
         assert result.exit_code == 3
         lines = result.output.splitlines()
         assert len(lines) == 1
         assert lines[0].startswith("Error: cannot certify this instance: ")
+        assert not caught, [str(w.message) for w in caught]
+
+    @pytest.mark.parametrize("args,cause", [
+        ("constants --n 4 --alpha 3/4", "the W = 1 crossing lies at the far edge t_min"),
+        ("sweep --n-min 3 --n-max 4 --alpha 3/4", "at n = 4: the W = 1 crossing"),
+        ("sweep --n-min 3 --n-max 4 --alpha -1000000", "at n = 3: no W = 1 crossing"),
+    ])
+    def test_refusal_names_its_cause(self, runner, args, cause):
+        result = runner.invoke(main, args.split())
+        assert result.exit_code == 3
+        assert cause in result.output
+        assert "bracket" not in result.output
+
+    @pytest.mark.parametrize("args", [
+        "--n 1000000 --alpha -1", "--n 3000 --alpha -1/2", "--n 3 --alpha 60",
+        "--n 3 --alpha -60", "--n 5 --alpha 0.999999999",
+        # the side is about 1e-14 wide in x: the crossing scan stays on it
+        "--n 10000000 --alpha -60",
+    ])
+    def test_edge_instances_certify_without_warnings(self, runner, args):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            run_json(runner, ["constants", *args.split()])
+        assert not caught, [str(w.message) for w in caught]
 
     def test_endpoint_near_the_limit_still_certifies(self, runner):
         env = run_json(runner, ["constants", "--n", "3", "--alpha", "1/640"])

@@ -10,6 +10,7 @@ from meangap.means import ExponentPair
 from meangap.profile import (
     CENTER_BAND,
     ProfileParams,
+    Side,
     U_func,
     V_func,
     W_func,
@@ -23,6 +24,9 @@ from meangap.profile import (
     p_profile,
     p_second,
     s_map,
+    _W,
+    _f,
+    _f_prime,
 )
 
 # high-precision reference values (50-digit arithmetic, rounded to 17
@@ -393,3 +397,54 @@ class TestDomain:
         assert p_profile(params.x_hi, params) == pytest.approx(
             (2.0 / 3.0) ** 646 / 3.0, rel=1e-13
         )
+
+
+SIDE_METHODS = {"f": _f, "f_prime": _f_prime, "W": _W}
+
+
+def numpy_side(side, interior, t):
+    # the interior through numpy at the coordinates Side forms for t
+    n, alpha = side.params.n, side.params.e.alpha
+    with np.errstate(all="ignore"):
+        return float(interior(np, n, alpha, *side._coords(np.float64(t), np)))
+
+
+class TestSide:
+    # one instance per turning regime (NEG_R, FRAC_R, LOW_R_SMALL_N,
+    # HIGH_R_SMALL_N), then alpha = +-60
+    @pytest.mark.parametrize("n,alpha", [
+        (5, -1.0), (5, 2.0), (4, 1.0 / 1.2), (5, 0.1), (3, 60.0), (3, -60.0),
+    ])
+    @pytest.mark.parametrize("side", ["left", "right"])
+    def test_matches_numpy_formulas(self, n, alpha, side):
+        # math and numpy's exp and log differ in the last bit, so the
+        # float path agrees to rounding, at points 1e-3 or more from the center
+        s = Side(params_for(n, alpha), side)
+        for t in (0.05 / n, 0.3 / n, 0.7 / n, 0.999 / n):
+            for name, interior in SIDE_METHODS.items():
+                got = getattr(s, name)(t)
+                assert type(got) is float
+                want = numpy_side(s, interior, t)
+                assert got == pytest.approx(want, rel=1e-13), (t, name)
+
+    def test_raises_nothing_on_the_side(self):
+        # where math raises (a zero divisor next to the center, an
+        # overflow beyond t_min), Side returns the numpy kernel's value;
+        # alpha = 1e-6 is left out, as ProfileParams refuses it for every n
+        raised = set()
+        alphas = [60.0, -60.0, 1e6, -1e6, -1e-6, 1 + 1e-9, 1 - 1e-9, 2.0, -1.0, 0.5]
+        for n in (3, 10, 10**3, 10**6):
+            for alpha in alphas:
+                for side in ("left", "right"):
+                    s = Side(params_for(n, alpha), side)
+                    inner = np.geomspace(s.t_min, 1.0 / n, 10)[1:-1].tolist()
+                    for t in (s.t_min, *inner, (1.0 - 1e-12) / n, 1e-300):
+                        for name, interior in SIDE_METHODS.items():
+                            got = getattr(s, name)(t)
+                            try:
+                                interior(math, n, alpha, *s._coords(t, math))
+                            except (OverflowError, ZeroDivisionError) as exc:
+                                raised.add(type(exc))
+                                want = numpy_side(s, interior, t)
+                                assert got == want or math.isnan(got) and math.isnan(want)
+        assert raised == {OverflowError, ZeroDivisionError}
