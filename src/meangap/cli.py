@@ -377,6 +377,8 @@ def reduce3_cmd(sum_c: float, prod_c: float, r_: float, grid: int, fmt: str) -> 
     started = time.perf_counter()
     if grid < 2:
         raise click.UsageError("--grid must be >= 2")
+    if not math.isfinite(r_):
+        raise click.UsageError(f"--r must be finite, got {r_}")
     try:
         cp = curve_params(sum_c, prod_c)
     except ConstraintDegenerateError as exc:

@@ -2,10 +2,10 @@
 
 Two complementary oracles:
 
-* ``grid_scan_two_value`` sweeps the two-value profile on a dense grid
-  (including the exact endpoints whenever they are finite) and reports
-  the extreme ratios found, which ``check_bounds`` compares against a
-  certificate.
+* ``grid_scan_two_value`` sweeps the two-value ratio on a dense grid,
+  log-spaced in the small coordinate of each side (plus the exact ends
+  for r > 0), and reports the extreme ratios found, which
+  ``check_bounds`` compares against a certificate.
 
 * ``monte_carlo_extremes`` throws uniformly distributed simplex tuples,
   plus deliberate boundary probes, at the raw n-variable ratio and
@@ -34,7 +34,7 @@ from .constants import (
     format_float,
 )
 from .means import ExponentPair, SampleVector
-from .profile import ProfileParams, f_profile
+from .profile import CENTER_BAND, ProfileParams, Side
 
 __all__ = [
     "BoundsCheck",
@@ -51,9 +51,18 @@ __all__ = [
 
 VIOLATION_SLACK = 1e-9
 
-# samples and grid points stream through blocks of about this many
-# coordinates, whose buffers stay in cache, as profile._BLOCK's do
+# how far the grid extreme on a certified-extremum side may miss the
+# certified constant b, relative to max(1, |b|)
+GRID_TOL = 1e-6
+
+# samples stream through blocks of about this many coordinates, whose
+# buffers stay in cache, as profile._BLOCK's do
 _STREAM = 1 << 16
+
+# points per block of the grid: the ratio's temporaries (32 KiB each) stay
+# in cache and come from the heap; 2^11 to 2^14 points timed alike, while
+# 2^16 ran about 40% slower and took fresh pages, for 4.6 MB more peak RSS
+_GRID_BLOCK = 1 << 12
 
 DEFAULT_SAMPLES = 100_000
 DEFAULT_GRID = 1_000_000
@@ -65,6 +74,11 @@ _MIX2 = np.uint64(0x94D049BB133111EB)
 
 class InstanceMismatchError(ValueError):
     """Certificate and scan were produced for different (n, alpha)."""
+
+
+def _scale(*bounds: float) -> float:
+    # max(1, |b|) over the finite bounds: what slacks and tolerances scale by
+    return max([1.0] + [abs(b) for b in bounds if math.isfinite(b)])
 
 
 def _splitmix(seed: int, z: np.ndarray, tmp: np.ndarray) -> None:
@@ -156,15 +170,10 @@ class GridExtreme:
     e: ExponentPair
     points: int
     includes_endpoints: bool
-    step: float  # uniform x-spacing of the base grid
     min_value: float
     arg_x_min: float
     max_value: float
     arg_x_max: float
-    # second-difference estimates of |d2 ratio/dx2| at each extreme; 0
-    # when the extreme sits on the array boundary
-    min_curvature: float
-    max_curvature: float
 
     def to_payload(self) -> dict:
         return {
@@ -173,7 +182,6 @@ class GridExtreme:
             "r": format_float(self.e.r),
             "points": self.points,
             "includes_endpoints": self.includes_endpoints,
-            "step": format_float(self.step),
             "min_value": format_float(self.min_value),
             "arg_x_min": format_float(self.arg_x_min),
             "max_value": format_float(self.max_value),
@@ -184,77 +192,47 @@ class GridExtreme:
 def grid_scan_two_value(
     params: ProfileParams, grid: int = DEFAULT_GRID
 ) -> GridExtreme:
-    """Extremes of the two-value ratio profile over a uniform grid.
+    """Extremes of the two-value ratio over a grid in the small coordinate.
 
-    For r > 0 the exact endpoints are part of the grid (the ratio
-    extends continuously there and the closed-form endpoint values are
-    attained exactly); they take those closed forms, n^(r-1) and
-    (n/(n-1))^(r-1), since f/(f - 1) cancels once n^(r-1) is large.
-    For r < 0 the ratio diverges to -inf at the ends; the endpoints are
-    excluded and offset points at 1e-9/n from each end take their place.
-    The points stream through blocks; no grid-sized array is kept.
+    Each side of x = 1/n takes half of the points, evenly spaced in log t
+    (`profile.Side`) from its far edge t_min to the center band, so they
+    crowd toward the ends, where an extremum can lie arbitrarily close.
+    For r > 0 the exact ends, at the closed-form limits n^(r-1) and
+    (n/(n-1))^(r-1) of the ratio, are two more points.  The points stream
+    through blocks in increasing x, and the extremes are those np.argmin
+    and np.argmax pick over the whole grid: the first NaN, else the first
+    extreme value.
     """
     if not 1000 <= grid <= 10**8:
         raise ValueError("grid must have between 1000 and 1e8 points")
-    n = params.n
-    e = params.e
-    hi = params.x_hi
-    # eps < step for every grid <= 1e8, so the offsets sit inside the
-    # first and last grid cells and the points below are in order
-    eps = EPS_HAT / n
-    step = hi / (grid - 1)
+    n, e = params.n, params.e
     include = e.r > 0
-    points = grid + 2 * include
-    ends = list(zip((0, points - 1), (0.0, hi), _endpoint_values(n, e.r)))
-
-    def scan(lo: int, stop: int):
-        # points lo .. stop - 1 and their ratio values: np.linspace(0, hi,
-        # grid)'s j * step with its ends moved eps inward, and for r > 0 the
-        # ends at their closed-form values; check_bounds rejects infinities
-        k = np.arange(lo, stop)
-        xs = np.clip((k - include) * step, eps, hi - eps)
-        f = f_profile(xs, params)
-        with np.errstate(divide="ignore"):
-            vals = f / (f - 1.0)
-        for i, x, v in ends if include else ():
-            xs[k == i], vals[k == i] = x, v
-        return xs, vals
-
-    # each block's first minimum and maximum; the first of those that is
-    # extreme (or NaN) is np.argmin's and np.argmax's pick over the grid
-    found = []
-    for lo in range(0, points, _STREAM):
-        vals = scan(lo, min(lo + _STREAM, points))[1]
-        i, j = int(np.argmin(vals)), int(np.argmax(vals))
-        found.append((lo + i, vals[i], lo + j, vals[j]))
-    imin = found[int(np.argmin([b[1] for b in found]))][0]
-    imax = found[int(np.argmax([b[3] for b in found]))][2]
-
-    def extreme(i: int) -> Tuple[float, float, float]:
-        # the point, its value, and |d2 ratio/dx2| from its neighbours (0
-        # at the grid's ends)
-        lo = max(i - 1, 0)
-        xs, v = (arr.tolist() for arr in scan(lo, min(i + 2, points)))
-        if len(xs) < 3:
-            return xs[i - lo], v[i - lo], 0.0
-        hl, hr = xs[1] - xs[0], xs[2] - xs[1]
-        sl, sr = (v[1] - v[0]) / hl, (v[2] - v[1]) / hr
-        return xs[1], v[1], abs(2.0 * (sr - sl) / (hl + hr))
-
-    arg_x_min, min_value, min_curvature = extreme(imin)
-    arg_x_max, max_value, max_curvature = extreme(imax)
+    found = []  # each block's first minimum and maximum, with their x
+    for name, count in (("left", (grid + 1) // 2), ("right", grid // 2)):
+        side = Side(params, name)
+        lo = math.log(side.t_min)
+        step = (math.log((1.0 - CENTER_BAND) / n) - lo) / (count - 1)
+        for start in range(0, count, _GRID_BLOCK):
+            # t rises toward the center on the left, falls from it on the right
+            j = np.arange(start, min(start + _GRID_BLOCK, count), dtype=float)
+            t = np.exp(lo + (j if name == "left" else count - 1 - j) * step)
+            vals = side.ratio(t)
+            i, k = int(np.argmin(vals)), int(np.argmax(vals))
+            found.append((vals[i], side.x(t[i]), vals[k], side.x(t[k])))
+    if include:
+        at_lo, at_hi = _endpoint_values(n, e.r)
+        found = [(at_lo, 0.0) * 2] + found + [(at_hi, params.x_hi) * 2]
+    min_value, arg_x_min = found[int(np.argmin([b[0] for b in found]))][:2]
+    max_value, arg_x_max = found[int(np.argmax([b[2] for b in found]))][2:]
     return GridExtreme(
         n=n,
         e=e,
-        points=points,
+        points=grid + 2 * include,
         includes_endpoints=include,
-        step=step,
-        min_value=min_value,
-        arg_x_min=arg_x_min,
-        max_value=max_value,
-        arg_x_max=arg_x_max,
-        min_curvature=min_curvature,
-        max_curvature=max_curvature,
+        min_value=float(min_value),
+        arg_x_min=float(arg_x_min),
+        max_value=float(max_value),
+        arg_x_max=float(arg_x_max),
     )
 
 
@@ -385,7 +363,7 @@ def monte_carlo_extremes(
         for start in starts:
             run_chunk(start)
 
-    scale = max(1.0, abs(lower) if math.isfinite(lower) else 1.0, abs(upper))
+    scale = _scale(lower, upper)
 
     def outside(vals: np.ndarray) -> np.ndarray:
         return (
@@ -440,10 +418,6 @@ class BoundsCheck:
     tol_max: float
     failures: Tuple[str, ...]
 
-    @property
-    def tol_grid(self) -> float:
-        return max(self.tol_min, self.tol_max)
-
     def to_payload(self) -> dict:
         return {
             "ok": self.ok,
@@ -453,26 +427,15 @@ class BoundsCheck:
         }
 
 
-def _grid_tolerance(step: float, curvature: float, tol: Optional[float]) -> float:
-    if tol is not None:
-        return tol
-    return max(1e-5, 10.0 * step * curvature)
-
-
-def check_bounds(
-    report: OracleReport,
-    cert: ExtremumCertificate,
-    tol: Optional[float] = None,
-) -> BoundsCheck:
+def check_bounds(report: OracleReport, cert: ExtremumCertificate) -> BoundsCheck:
     """Validate a Monte-Carlo report against a certificate.
 
     Fails when any sample or probe violated the bounds (the first
-    offending tuples are named), when a grid value escapes the bounds,
-    when a grid extreme is infinite or NaN while its side's bound is
-    finite, or when the grid extreme on a certified-extremum side misses
-    the constant by more than tol (default: max(1e-5, 10 * grid step *
-    local curvature at the extreme)).  The grid slack is scaled by the
-    finite grid extremes only.
+    offending tuples are named), when a grid value escapes the bounds by
+    more than VIOLATION_SLACK relative to them, when a grid extreme is
+    infinite or NaN while its side's bound is finite, or when the grid
+    extreme on a certified-extremum side misses the constant b by more
+    than GRID_TOL * max(1, |b|).
     """
     if report.n != cert.n or report.e != cert.e:
         raise InstanceMismatchError(
@@ -481,10 +444,9 @@ def check_bounds(
         )
     grid = report.grid_extreme
     failures: List[str] = []
-    tol_min = _grid_tolerance(grid.step, grid.min_curvature, tol)
-    tol_max = _grid_tolerance(grid.step, grid.max_curvature, tol)
-    finite = [abs(v) for v in (grid.min_value, grid.max_value) if math.isfinite(v)]
-    scale = max([1.0] + finite)
+    tol_min = GRID_TOL * _scale(cert.lower_bound)
+    tol_max = GRID_TOL * _scale(cert.upper_bound)
+    scale = _scale(cert.lower_bound, cert.upper_bound)
 
     if report.violations > 0:
         named = "; ".join(
@@ -495,40 +457,28 @@ def check_bounds(
             f"{report.violations} sampled value(s) violated "
             f"[{cert.lower_bound}, {cert.upper_bound}]: {named}"
         )
-    for name, value, arg, side, bound in (
-        ("min", grid.min_value, grid.arg_x_min, "lower", cert.lower_bound),
-        ("max", grid.max_value, grid.arg_x_max, "upper", cert.upper_bound),
+    for name, value, arg, side, bound, kind, tol, beyond, escapes in (
+        ("min", grid.min_value, grid.arg_x_min, "lower", cert.lower_bound,
+         cert.lower_kind, tol_min, -1.0, "undercuts"),
+        ("max", grid.max_value, grid.arg_x_max, "upper", cert.upper_bound,
+         cert.upper_kind, tol_max, 1.0, "exceeds"),
     ):
-        if math.isfinite(bound) and not math.isfinite(value):
+        if not math.isfinite(bound):
+            continue
+        if not math.isfinite(value):
             failures.append(
                 f"grid {name} {value} at x={arg} is not finite, "
                 f"against the finite {side} bound {bound}"
             )
-    if math.isfinite(cert.lower_bound):
-        if grid.min_value < cert.lower_bound - VIOLATION_SLACK * scale:
+        if beyond * (value - bound) > VIOLATION_SLACK * scale:
             failures.append(
-                f"grid min {grid.min_value} at x={grid.arg_x_min} undercuts "
-                f"lower bound {cert.lower_bound}"
+                f"grid {name} {value} at x={arg} {escapes} {side} bound {bound}"
             )
-        if cert.lower_kind == "certified-extremum" and (
-            abs(grid.min_value - cert.lower_bound) > tol_min
-        ):
+        if kind == "certified-extremum" and abs(value - bound) > tol:
             failures.append(
-                f"grid min {grid.min_value} is not within {tol_min} of the "
-                f"certified lower bound {cert.lower_bound}"
+                f"grid {name} {value} is not within {tol} of the "
+                f"certified {side} bound {bound}"
             )
-    if grid.max_value > cert.upper_bound + VIOLATION_SLACK * scale:
-        failures.append(
-            f"grid max {grid.max_value} at x={grid.arg_x_max} exceeds "
-            f"upper bound {cert.upper_bound}"
-        )
-    if cert.upper_kind == "certified-extremum" and (
-        abs(grid.max_value - cert.upper_bound) > tol_max
-    ):
-        failures.append(
-            f"grid max {grid.max_value} is not within {tol_max} of the "
-            f"certified upper bound {cert.upper_bound}"
-        )
     return BoundsCheck(
         ok=not failures, tol_min=tol_min, tol_max=tol_max, failures=tuple(failures)
     )

@@ -27,14 +27,15 @@ their larger term, so no power of a coordinate overflows.
 All functions accept a scalar or a numpy array; a scalar x runs through
 the array path as one element and returns a float.
 
-`Side` evaluates f, f' and W in the small coordinate t of one side of
-x = 1/n (t = x on the left, t = y on the right), where the solvers
-search; on the right it forms n y from t itself, so a point next to
-x = 1/(n-1) keeps every digit of its vanishing coordinate.  It runs the
-same interior formulas on plain floats through `math`, which skips
-numpy's per-call dispatch, so it matches the array path to rounding
-(libm and numpy's exp and log can differ in the last bit), not bit for
-bit.
+`Side` evaluates f, f', W and the gap ratio in the small coordinate t
+of one side of x = 1/n (t = x on the left, t = y on the right), where
+the solvers search and the verify grid runs; on the right it forms n y
+from t itself, so a point next to x = 1/(n-1) keeps every digit of its
+vanishing coordinate.  It runs the same interior formulas on plain
+floats through `math`, which skips numpy's per-call dispatch, so it
+matches the array path to rounding (libm and numpy's exp and log can
+differ in the last bit), not bit for bit; the ratio runs them through
+numpy over an array of t.
 """
 
 from __future__ import annotations
@@ -232,6 +233,14 @@ def _p_second(xp, n, alpha, a, X, Y, l1, l2):
     pw = xp.exp((alpha * l1 - m) + (alpha * l2 - m) - 2.0 * (l1 + l2))
     den = n + esum
     return -(n**4) * (n - 1) * (1.0 - alpha) * pw * (xp.exp(lp) / n) / (den * den)
+
+
+def _ratio(xp, n, alpha, a, X, Y, l1, l2):
+    # (A - G)/(P - G) = (1 - G)/(P - G) = (1/G - 1)/(P/G - 1) with G = n g
+    # and P = n p; not f/(f - 1), whose f - 1 rounds to 0 where f is huge.
+    # From t_min to the center -log G stays below about 600, so 1/G is finite
+    lg = _log_ng(l1, l2, n)
+    return xp.expm1(-lg) / xp.expm1(_power_sum(xp, l1, l2, n, alpha)[2] - lg)
 
 
 def _f_prime(xp, n, alpha, a, X, Y, l1, l2):
@@ -453,9 +462,10 @@ class Side:
     from 1/n at the center down to 0 at the domain end, and the methods
     take a float t in (0, 1/n) and return floats: through `math`, or
     where math raises on an overflow or a zero divisor, numpy's inf or
-    nan for that point.  `t_min` is the far edge of every search on the
-    side: the smallest t at which f' and W are still finite, where the
-    largest of |log s|, alpha log s and (1 - alpha) log s reaches 600.
+    nan for that point.  `ratio` alone takes a numpy array of t, for the
+    verify grid.  `t_min` is the far edge of every search on the side:
+    the smallest t at which f' and W are still finite, where the largest
+    of |log s|, alpha log s and (1 - alpha) log s reaches 600.
     """
 
     params: ProfileParams
@@ -503,3 +513,8 @@ class Side:
 
     def W(self, t: float) -> float:
         return self._evaluate(_W, t)
+
+    def ratio(self, t: np.ndarray) -> np.ndarray:
+        """The gap ratio (A - G)/(P_alpha - G) at an array of t, through numpy."""
+        with np.errstate(over="ignore"):  # as in `_evaluate`: a NaN still warns
+            return _ratio(np, self.params.n, self.params.e.alpha, *self._coords(t, np))

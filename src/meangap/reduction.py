@@ -97,14 +97,20 @@ def curve_params(sum_c: float, prod_c: float) -> CurveParams:
     """
     sum_c = float(sum_c)
     prod_c = float(prod_c)
-    if not (sum_c > 0.0 and prod_c > 0.0):
+    if not (0.0 < sum_c < math.inf and 0.0 < prod_c < math.inf):
         raise ConstraintDegenerateError(
-            f"constraints must be positive, got sum={sum_c}, product={prod_c}"
+            f"need finite positive constraints, got sum={sum_c}, product={prod_c}"
         )
-    if not sum_c**3 > 27.0 * prod_c:
+    try:
+        cube = sum_c**3
+    except OverflowError:
+        raise ConstraintDegenerateError(
+            f"sum^3 overflows a double, got sum={sum_c}"
+        ) from None
+    if not cube > 27.0 * prod_c:
         raise ConstraintDegenerateError(
             f"need sum^3 > 27*product for a nondegenerate curve, got "
-            f"sum^3={sum_c**3}, 27*product={27.0 * prod_c}"
+            f"sum^3={cube}, 27*product={27.0 * prod_c}"
         )
     tol = 1e-15 * max(1.0, sum_c)
     kappa = lambda t: _kappa(t, sum_c, prod_c)

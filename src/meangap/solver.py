@@ -10,6 +10,7 @@ f', and the ends of the fixed sum-and-product curve.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -76,8 +77,8 @@ def find_root(
     drops below tol, an exact zero is hit, or no double is left between
     the bracket's ends.
     """
-    if tol <= 0.0:
-        raise ValueError("tol must be positive")
+    if not 0.0 < tol < math.inf:
+        raise ValueError(f"tol must be positive and finite, got {tol}")
     lo, hi = bracket.lo, bracket.hi
     flo = objective(lo)
     fhi = objective(hi)

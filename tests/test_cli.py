@@ -92,6 +92,17 @@ class TestConstantsCommand:
         assert payload["lower_bound"] == "1.25"
         assert payload["upper_bound"] == "5"
 
+    @pytest.mark.parametrize("cmd", [
+        ["constants", "--n", "4", "--alpha", "2"],
+        ["sweep", "--n-max", "5", "--alpha", "2"],
+    ])
+    @pytest.mark.parametrize("tol", ["inf", "nan", "0"])
+    def test_non_finite_tol_is_usage_error(self, runner, cmd, tol):
+        # --tol inf printed a lower bound of 0.5 against the sharp 0.4385
+        result = runner.invoke(main, cmd + ["--tol", tol])
+        assert result.exit_code == 2
+        assert "tol must be positive and finite" in result.output
+
     def test_usage_error_for_small_n(self, runner):
         result = runner.invoke(main, ["constants", "--n", "2", "--alpha", "2"])
         assert result.exit_code == 2
@@ -167,8 +178,10 @@ class TestConstantsCommand:
 
 
 class TestVerifyCommand:
+    # 1e5 grid points space log t by about 0.012, which resolves the
+    # extremum within the grid check's 1e-6; 1e4 points miss it by 6e-5
     ARGS = ["verify", "--n", "4", "--alpha", "2", "--samples", "10000",
-            "--grid", "10000", "--seed", "3"]
+            "--grid", "100000", "--seed", "3"]
 
     def test_pass_exit_zero(self, runner):
         env = run_json(runner, self.ARGS)
@@ -193,7 +206,7 @@ class TestVerifyCommand:
 
         monkeypatch.setattr(
             cli_mod, "check_bounds",
-            lambda report, cert, tol=None: BoundsCheck(
+            lambda report, cert: BoundsCheck(
                 ok=False, tol_min=1e-5, tol_max=1e-5,
                 failures=("forced failure for the exit code path",)),
         )
@@ -208,9 +221,22 @@ class TestVerifyCommand:
     ])
     def test_extreme_orders_pass(self, runner, n, alpha):
         env = run_json(runner, ["verify", "--n", n, "--alpha", alpha,
-                                "--samples", "10000", "--grid", "10000"])
+                                "--samples", "10000", "--grid", "100000"])
         assert set(env) == {"format", "payload", "metadata"}
         assert env["payload"]["ok"] is True
+
+    @pytest.mark.parametrize("n,alpha", [
+        ("200", "-0.3"),  # x* at t = 1.2e-10, inside the old x grid's last cell
+        ("3000", "-1"),  # x* 4.2e-12 from 1/(n-1); about 1 s
+    ])
+    def test_extremum_next_to_the_end_passes(self, runner, n, alpha):
+        env = run_json(runner, ["verify", "--n", n, "--alpha", alpha,
+                                "--samples", "10000"])
+        payload = env["payload"]
+        assert payload["ok"] is True
+        grid_max = float(payload["report"]["grid_extreme"]["max_value"])
+        upper = float(payload["certificate"]["upper_bound"])
+        assert upper - 1e-6 <= grid_max <= upper
 
     def test_small_sample_count_is_usage_error(self, runner):
         result = runner.invoke(
@@ -311,6 +337,18 @@ class TestReduce3Command:
         env = run_json(runner, ["reduce3", "--sum", "6", "--prod", "6",
                                 "--r", "1", "--grid", "9"])
         assert env["payload"]["monotone"] == "constant"
+
+    @pytest.mark.parametrize("args,named", [
+        (["--sum", "inf", "--prod", "1", "--r", "2"], "finite positive"),
+        (["--sum", "6", "--prod", "nan", "--r", "2"], "finite positive"),
+        (["--sum", "1e200", "--prod", "1", "--r", "2"], "sum^3 overflows"),
+        (["--sum", "6", "--prod", "6", "--r", "nan"], "--r must be finite"),
+    ])
+    def test_non_finite_input_is_usage_error(self, runner, args, named):
+        result = runner.invoke(main, ["reduce3", *args])
+        assert result.exit_code == 2
+        assert isinstance(result.exception, SystemExit)
+        assert named in result.output
 
     def test_degenerate_constraints_are_usage_errors(self, runner):
         result = runner.invoke(main, ["reduce3", "--sum", "3", "--prod", "8",

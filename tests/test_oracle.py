@@ -9,9 +9,10 @@ import numpy as np
 import pytest
 
 from meangap import oracle
-from meangap.constants import EPS_HAT, _endpoint_values, best_constants
+from meangap.constants import _endpoint_values, best_constants
 from meangap.means import ExponentPair, SampleVector, ratio_gap
 from meangap.oracle import (
+    DEFAULT_GRID,
     BoundsCheck,
     GridExtreme,
     InstanceMismatchError,
@@ -23,7 +24,7 @@ from meangap.oracle import (
     simplex_sample_block,
     splitmix64,
 )
-from meangap.profile import ProfileParams, f_profile
+from meangap.profile import CENTER_BAND, ProfileParams, Side
 
 
 def ref_splitmix(seed: int, counter: int) -> int:
@@ -132,28 +133,45 @@ class TestRatioRows:
 
 class TestGridScan:
     def test_closed_form_ends_attained(self):
-        # r = 2 endpoints are exact grid values
+        # r = 2: the ends hold the exact extremes; next to x = 0 the grid's
+        # points reach the end value to rounding
         params = ProfileParams(n=5, e=ExponentPair.from_alpha(0.5))
         ge = grid_scan_two_value(params, grid=200_001)
         assert ge.includes_endpoints
         assert ge.min_value == pytest.approx(1.25, abs=1e-12)
         assert ge.max_value == pytest.approx(5.0, abs=1e-12)
-        assert ge.arg_x_max == 0.0
+        assert ge.arg_x_max < 1e-12
         assert ge.arg_x_min == params.x_hi
 
+    def test_closed_form_end_beyond_t_min(self):
+        # for large alpha t_min stops short of the ends: at (3, 60) the
+        # right side reaches about 0.6590, so only the end point attains
+        # the upper bound (n/(n-1))^(r-1)
+        e = ExponentPair.from_alpha(60.0)
+        params = ProfileParams(n=3, e=e)
+        ge = grid_scan_two_value(params, grid=10_000)
+        assert ge.max_value == _endpoint_values(3, e.r)[1]
+        assert ge.arg_x_max == params.x_hi
+        assert check_bounds(
+            monte_carlo_extremes(3, e, samples=10_000, grid=10**6),
+            best_constants(3, e),
+        ).ok
+
     def test_interior_extreme_matches_certificate(self):
+        # log t steps of about 1.2e-3 on each side
         e = ExponentPair.from_alpha(2.0)
         cert = best_constants(4, e)
         ge = grid_scan_two_value(ProfileParams(n=4, e=e), grid=1_000_000)
-        assert ge.min_value == pytest.approx(cert.omega, abs=1e-6)
-        assert abs(ge.arg_x_min - cert.x_star) <= 2.0 * ge.step
+        assert ge.min_value == pytest.approx(cert.omega, abs=1e-7)
+        assert ge.min_value >= cert.omega
+        assert ge.arg_x_min == pytest.approx(cert.x_star, rel=2e-3)
 
     def test_negative_r_excludes_endpoints(self):
         params = ProfileParams(n=3, e=ExponentPair.from_alpha(-1.0))
         ge = grid_scan_two_value(params, grid=10_000)
         assert not ge.includes_endpoints
-        assert ge.points == 10_000  # the ends replaced by their offsets
-        assert ge.min_value < -100.0  # divergence recorded at the offsets
+        assert ge.points == 10_000
+        assert ge.min_value < -100.0  # divergence recorded next to the ends
         assert 0.0 < ge.arg_x_min < params.x_hi
 
     def test_small_grid_rejected(self):
@@ -162,7 +180,6 @@ class TestGridScan:
             grid_scan_two_value(params, grid=999)
 
     def test_huge_grid_rejected(self):
-        # from about 1e9 points the grid step drops below the 1e-9/n offsets
         params = ProfileParams(n=3, e=ExponentPair.from_alpha(2.0))
         with pytest.raises(ValueError, match="1e8"):
             grid_scan_two_value(params, grid=10**8 + 1)
@@ -171,9 +188,8 @@ class TestGridScan:
         params = ProfileParams(n=3, e=ExponentPair.from_alpha(2.0))
         ge = grid_scan_two_value(params, grid=2000)
         assert isinstance(ge, GridExtreme)
-        assert ge.points == 2002  # both ends and their 1e-9/n offsets
-        assert ge.step == pytest.approx(params.x_hi / 1999.0)
-        assert ge.min_curvature >= 0.0
+        assert ge.points == 2002  # 1000 per side and both ends
+        assert "step" not in ge.to_payload()
 
 
 class TestMonteCarlo:
@@ -255,16 +271,21 @@ class TestCheckBounds:
         assert chk.failures == ()
 
     def test_tolerance_formula(self):
-        n, e = 4, ExponentPair.from_alpha(2.0)
+        # one fixed tolerance relative to each bound, whatever the grid
+        n, e = 5, ExponentPair.from_alpha(1 / 13)
         cert = best_constants(n, e)
-        rep = monte_carlo_extremes(n, e, samples=20_000, seed=0, cert=cert,
+        rep = monte_carlo_extremes(n, e, samples=10_000, seed=0, cert=cert,
                                    grid=100_000)
-        ge = rep.grid_extreme
         chk = check_bounds(rep, cert)
-        assert chk.tol_min == max(1e-5, 10.0 * ge.step * ge.min_curvature)
-        assert chk.tol_grid == max(chk.tol_min, chk.tol_max)
-        explicit = check_bounds(rep, cert, tol=1e-3)
-        assert explicit.tol_min == explicit.tol_max == 1e-3
+        assert chk.ok
+        assert chk.tol_min == oracle.GRID_TOL * cert.lower_bound
+        assert chk.tol_max == oracle.GRID_TOL * 5.0**12
+        # an unbounded side has nothing to scale by
+        e = ExponentPair.from_alpha(-1.0)
+        cert = best_constants(3, e)
+        rep = monte_carlo_extremes(3, e, samples=10_000, seed=0, cert=cert,
+                                   grid=100_000)
+        assert check_bounds(rep, cert).tol_min == oracle.GRID_TOL
 
     def test_tampered_bound_fails_with_named_sample(self):
         n, e = 4, ExponentPair.from_alpha(2.0)
@@ -288,6 +309,41 @@ class TestCheckBounds:
         chk = check_bounds(rep, bad)
         assert not chk.ok
         assert any("certified lower bound" in f for f in chk.failures)
+
+    def test_old_large_n_certificate_fails(self):
+        # the upper bound certified at (1000, -1) before the solvers worked
+        # in the small coordinate sits 1.8e-6 below the sharp constant
+        n, e = 1000, ExponentPair.from_alpha(-1.0)
+        old = dataclasses.replace(best_constants(n, e), upper_bound=-0.0090238158)
+        rep = monte_carlo_extremes(n, e, samples=10_000, seed=0, cert=old,
+                                   grid=DEFAULT_GRID)
+        chk = check_bounds(rep, old)
+        assert not chk.ok
+        assert any("exceeds upper bound" in f for f in chk.failures)
+        assert any("certified upper bound" in f for f in chk.failures)
+
+    @pytest.mark.parametrize("n,e", [
+        (3, ExponentPair.from_r(-1.0)),  # NEG_R, upper
+        (4, ExponentPair.from_alpha(2.0)),  # FRAC_R, lower
+        (3, ExponentPair.from_r(1.4)),  # LOW_R_SMALL_N, upper
+        (3, ExponentPair.from_r(5.0)),  # HIGH_R_SMALL_N, lower
+    ])
+    def test_moved_certified_bound_fails(self, n, e):
+        # outward by 1e-5 relative the grid cannot attain it; inward by
+        # 1e-6 relative the grid escapes it
+        cert = best_constants(n, e)
+        rep = monte_carlo_extremes(n, e, samples=10_000, seed=0, cert=cert,
+                                   grid=DEFAULT_GRID)
+        assert check_bounds(rep, cert).ok
+        side = "lower" if cert.lower_kind == "certified-extremum" else "upper"
+        b = getattr(cert, f"{side}_bound")
+        outward = -1.0 if side == "lower" else 1.0
+        escape = "undercuts" if side == "lower" else "exceeds"
+        for shift, named in ((1e-5, f"certified {side} bound"), (-1e-6, escape)):
+            moved = {f"{side}_bound": b + outward * shift * max(1.0, abs(b))}
+            chk = check_bounds(rep, dataclasses.replace(cert, **moved))
+            assert not chk.ok
+            assert any(named in f for f in chk.failures), (shift, chk.failures)
 
     @pytest.mark.parametrize("bad", [math.inf, math.nan])
     def test_non_finite_grid_extreme_fails(self, bad):
@@ -324,38 +380,33 @@ class TestCheckBounds:
         assert len(payload["arg_min"]) == 3
 
 
-def materialised_scan(params: ProfileParams, grid: int) -> GridExtreme:
-    # the grid scan as one whole-grid array, np.linspace plus the ends
-    n, e, hi = params.n, params.e, params.x_hi
-    eps = EPS_HAT / n
-    base = np.linspace(0.0, hi, grid)
+def grid_points(params: ProfileParams, grid: int):
+    # (side, t) for each side as one array: half of the grid each, evenly
+    # spaced in log t from t_min to n t = 1 - CENTER_BAND, in increasing x
+    for name, count in (("left", (grid + 1) // 2), ("right", grid // 2)):
+        side = Side(params, name)
+        lo = math.log(side.t_min)
+        step = (math.log((1.0 - CENTER_BAND) / params.n) - lo) / (count - 1)
+        j = np.arange(count)
+        yield side, np.exp(lo + (j if name == "left" else count - 1 - j) * step)
+
+
+def whole_array_scan(params: ProfileParams, grid: int) -> GridExtreme:
+    # the grid scan over whole-side arrays, plus the ends for r > 0
+    n, e = params.n, params.e
+    sides = list(grid_points(params, grid))
+    xs = np.concatenate([side.x(t) for side, t in sides])
+    vals = np.concatenate([side.ratio(t) for side, t in sides])
     include = e.r > 0
     if include:
-        xs = np.concatenate([[0.0, eps], base[1:-1], [hi - eps, hi]])
-    else:
-        xs = np.concatenate([[eps], base[1:-1], [hi - eps]])
-    f = f_profile(xs, params)
-    with np.errstate(divide="ignore"):
-        vals = f / (f - 1.0)
-    if include:
-        vals[0], vals[-1] = _endpoint_values(n, e.r)
+        lo, hi = _endpoint_values(n, e.r)
+        xs = np.concatenate([[0.0], xs, [params.x_hi]])
+        vals = np.concatenate([[lo], vals, [hi]])
     imin, imax = int(np.argmin(vals)), int(np.argmax(vals))
-
-    def curvature(i):
-        if i == 0 or i == len(vals) - 1:
-            return 0.0
-        hl = float(xs[i] - xs[i - 1])
-        hr = float(xs[i + 1] - xs[i])
-        sl = (float(vals[i]) - float(vals[i - 1])) / hl
-        sr = (float(vals[i + 1]) - float(vals[i])) / hr
-        return abs(2.0 * (sr - sl) / (hl + hr))
-
     return GridExtreme(
         n=n, e=e, points=len(xs), includes_endpoints=include,
-        step=hi / (grid - 1),
         min_value=float(vals[imin]), arg_x_min=float(xs[imin]),
         max_value=float(vals[imax]), arg_x_max=float(xs[imax]),
-        min_curvature=curvature(imin), max_curvature=curvature(imax),
     )
 
 
@@ -404,31 +455,35 @@ class TestStreaming:
     @pytest.mark.parametrize("block", [None, 333])
     def test_grid_matches_the_materialised_scan(self, monkeypatch, grid, n, alpha,
                                                 block):
-        # r > 0 and r < 0; a 333-point block puts block edges next to the
-        # extremes' neighbours and leaves a ragged last block
+        # r > 0 and r < 0; a 333-point block leaves a ragged last block on
+        # each side, and an odd grid gives the left side one more point
         if block is not None:
-            monkeypatch.setattr(oracle, "_STREAM", block)
+            monkeypatch.setattr(oracle, "_GRID_BLOCK", block)
         params = ProfileParams(n=n, e=ExponentPair.from_alpha(alpha))
         got = grid_scan_two_value(params, grid=grid)
-        want = materialised_scan(params, grid)
+        want = whole_array_scan(params, grid)
+        assert got.points == want.points
         for field in dataclasses.fields(GridExtreme):
             assert getattr(got, field.name) == getattr(want, field.name), field.name
 
     def test_first_nan_of_the_grid_wins(self, monkeypatch):
-        # NaNs in the middle of two later blocks: as with np.argmin and
-        # np.argmax over the whole grid, both extremes are the first one
-        monkeypatch.setattr(oracle, "_STREAM", 1000)
+        # NaNs in the middle of two later blocks of the left side: as with
+        # np.argmin and np.argmax over the whole grid, both extremes are
+        # the first one
+        monkeypatch.setattr(oracle, "_GRID_BLOCK", 1000)
         n, e = 4, ExponentPair.from_alpha(2.0)
         params = ProfileParams(n=n, e=e)
         grid = 10_000
-        targets = np.linspace(0.0, params.x_hi, grid)[[5499, 7499]]
+        targets = next(grid_points(params, grid))[1][[2499, 3499]]
+        kernel = Side.ratio
 
-        def with_nan(xs, p):
-            f = f_profile(xs, p)
-            f[np.isin(xs, targets)] = math.nan
-            return f
+        def with_nan(side, t):
+            vals = kernel(side, t)
+            if side.side == "left":
+                vals[np.isin(t, targets)] = math.nan
+            return vals
 
-        monkeypatch.setattr(oracle, "f_profile", with_nan)
+        monkeypatch.setattr(Side, "ratio", with_nan)
         cert = best_constants(n, e)
         rep = monte_carlo_extremes(n, e, samples=10_000, seed=0, cert=cert,
                                    grid=grid)

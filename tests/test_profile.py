@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from meangap.means import ExponentPair
+from meangap.means import ExponentPair, ratio_gap
 from meangap.profile import (
     CENTER_BAND,
     ProfileParams,
@@ -27,6 +27,7 @@ from meangap.profile import (
     _W,
     _f,
     _f_prime,
+    _ratio,
 )
 
 # high-precision reference values (50-digit arithmetic, rounded to 17
@@ -448,3 +449,24 @@ class TestSide:
                                 want = numpy_side(s, interior, t)
                                 assert got == want or math.isnan(got) and math.isnan(want)
         assert raised == {OverflowError, ZeroDivisionError}
+
+    @pytest.mark.parametrize("n,alpha", [(5, -1.0), (5, 2.0), (3, 60.0), (3, -60.0)])
+    @pytest.mark.parametrize("side", ["left", "right"])
+    def test_ratio_over_an_array_of_t(self, n, alpha, side):
+        # numpy's formulas on every entry, from t_min to the edge of the
+        # center band
+        s = Side(params_for(n, alpha), side)
+        ts = np.geomspace(s.t_min, (1.0 - 1e-9) / n, 41)
+        got = s.ratio(ts)
+        assert isinstance(got, np.ndarray) and got.shape == ts.shape
+        np.testing.assert_array_equal(got, [numpy_side(s, _ratio, t) for t in ts])
+
+    @pytest.mark.parametrize("alpha", [-1.0, -0.3, -60.0, 2.0, 0.1])
+    def test_ratio_keeps_its_digits_at_the_end(self, alpha):
+        # down to t_min, where f - 1 rounds to 0 for alpha < 0 and f/(f - 1)
+        # is inf or noise; the tuple (t, t, 1 - 2t) holds t exactly
+        s = Side(params_for(3, alpha), "left")
+        e = ExponentPair.from_alpha(alpha)
+        ts = np.geomspace(s.t_min, 0.3, 12)
+        want = [ratio_gap((t, t, 1.0 - 2.0 * t), e) for t in ts.tolist()]
+        np.testing.assert_allclose(s.ratio(ts), want, rtol=1e-12, atol=0.0)
