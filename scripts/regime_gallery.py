@@ -13,7 +13,7 @@ import argparse
 
 from meangap.constants import best_constants
 from meangap.means import ExponentPair
-from meangap.oracle import check_bounds, monte_carlo_extremes
+from meangap.oracle import MIN_GRID, check_bounds, monte_carlo_extremes
 from meangap.regimes import classify
 
 # one representative per regime; r chosen exactly via from_r
@@ -29,7 +29,7 @@ GALLERY = (
 
 def parse_args() -> argparse.Namespace:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--grid", type=int, default=100_000)
+    ap.add_argument("--grid", type=int, default=MIN_GRID)
     ap.add_argument("--samples", type=int, default=20_000)
     ap.add_argument("--seed", type=int, default=0)
     return ap.parse_args()

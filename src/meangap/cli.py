@@ -39,6 +39,7 @@ from .means import ExponentPair
 from .oracle import (
     DEFAULT_GRID,
     DEFAULT_SAMPLES,
+    MIN_GRID,
     VIOLATION_SLACK,
     check_bounds,
     monte_carlo_extremes,
@@ -217,7 +218,7 @@ def constants_cmd(n: int, e: ExponentPair, tol: float, fmt: str) -> None:
 @click.option("--workers", type=int, default=1, show_default=True,
               help="worker threads; the output does not depend on this")
 @click.option("--grid", type=int, default=DEFAULT_GRID, show_default=True,
-              help="grid resolution for the profile scan")
+              help=f"grid points of the profile scan, at least {MIN_GRID}")
 @format_option
 @click.pass_context
 def verify_cmd(

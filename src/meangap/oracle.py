@@ -59,13 +59,18 @@ GRID_TOL = 1e-6
 # buffers stay in cache, as profile._BLOCK's do
 _STREAM = 1 << 16
 
-# points per block of the grid: the ratio's temporaries (32 KiB each) stay
-# in cache and come from the heap; 2^11 to 2^14 points timed alike, while
-# 2^16 ran about 40% slower and took fresh pages, for 4.6 MB more peak RSS
+# points per block of the grid: the ratio's dozen temporaries (32 KiB each)
+# stay in cache; six default scans took 278 ms at 2^12 against 338 ms at
+# profile._BLOCK's 2^13 and 351 ms at 2^11 (medians of six rounds)
 _GRID_BLOCK = 1 << 12
 
 DEFAULT_SAMPLES = 100_000
 DEFAULT_GRID = 1_000_000
+# the coarsest grid whose extreme meets GRID_TOL: with the extremum midway
+# between two points, it would miss by up to 9.6e-8 * max(1, |b|) at 3e5
+# points, against 8.6e-7 at 1e5 (331 certified sides of random instances,
+# n 3..1e6, |alpha| 0.003..1000; the miss falls as 1/grid^2)
+MIN_GRID = 300_000
 
 _GAMMA = np.uint64(0x9E3779B97F4A7C15)
 _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
@@ -76,9 +81,9 @@ class InstanceMismatchError(ValueError):
     """Certificate and scan were produced for different (n, alpha)."""
 
 
-def _scale(*bounds: float) -> float:
-    # max(1, |b|) over the finite bounds: what slacks and tolerances scale by
-    return max([1.0] + [abs(b) for b in bounds if math.isfinite(b)])
+def _scale(bound: float) -> float:
+    # max(1, |b|), 1 for an unbounded side: what slacks and tolerances scale by
+    return max(1.0, abs(bound)) if math.isfinite(bound) else 1.0
 
 
 def _splitmix(seed: int, z: np.ndarray, tmp: np.ndarray) -> None:
@@ -189,36 +194,65 @@ class GridExtreme:
         }
 
 
+def _runs(side: Side, count: int) -> List[Tuple[float, float, int]]:
+    """The side's count grid points as runs (v0, step, points) in increasing x.
+
+    Point i of a run lies at v = v0 + i * step, where v = log(X/(1 - X)),
+    X = n t, is log t near the end of the side and -log of the distance
+    from the center near it, so an extremum close to either is resolved.
+    The points run from t_end to the center band.  Where t_min stops short
+    of t_end (and of the band), a sixteenth of them cover that stretch,
+    and the rest space t_min to the center band as finely as an extremum
+    there, about 1/|alpha| wide in log t, needs.
+    """
+    n = side.params.n
+
+    def v(t: float) -> float:
+        return math.log(n * t) - math.log1p(-n * t)
+
+    # the band |n x - 1| <= CENTER_BAND ends at 1 - n t = CENTER_BAND on the
+    # left and, as n y = 1 - (n-1)(n x - 1), at (n-1) CENTER_BAND on the right
+    band = (1 if side.side == "left" else n - 1) * CENTER_BAND
+    end, edge, center = v(side.t_end), v(side.t_min), math.log((1.0 - band) / band)
+    knots = [end, edge, center] if end < edge < center else [end, center]
+    sizes = [count // 16, count - count // 16] if len(knots) == 3 else [count]
+    # each run starts at its knot; the last one also ends at the next
+    runs = [(v0, (v1 - v0) / (m - 1 if v1 == knots[-1] else m), m)
+            for v0, v1, m in zip(knots, knots[1:], sizes)]
+    if side.side == "left":
+        return runs
+    # on the right x rises as t falls
+    return [(v0 + (m - 1) * step, -step, m) for v0, step, m in reversed(runs)]
+
+
 def grid_scan_two_value(
     params: ProfileParams, grid: int = DEFAULT_GRID
 ) -> GridExtreme:
     """Extremes of the two-value ratio over a grid in the small coordinate.
 
-    Each side of x = 1/n takes half of the points, evenly spaced in log t
-    (`profile.Side`) from its far edge t_min to the center band, so they
-    crowd toward the ends, where an extremum can lie arbitrarily close.
-    For r > 0 the exact ends, at the closed-form limits n^(r-1) and
-    (n/(n-1))^(r-1) of the ratio, are two more points.  The points stream
-    through blocks in increasing x, and the extremes are those np.argmin
-    and np.argmax pick over the whole grid: the first NaN, else the first
-    extreme value.
+    Each side of x = 1/n takes half of the points, placed in its small
+    coordinate t (`profile.Side`) as `_runs` sets out, so they crowd
+    toward the end and toward the center, where an extremum can lie
+    arbitrarily close.  For r > 0 the exact ends, at the closed-form
+    limits n^(r-1) and (n/(n-1))^(r-1) of the ratio, are two more points.
+    The points stream through blocks in increasing x, and the extremes
+    are those np.argmin and np.argmax pick over the whole grid: the first
+    NaN, else the first extreme value.
     """
-    if not 1000 <= grid <= 10**8:
-        raise ValueError("grid must have between 1000 and 1e8 points")
+    if not MIN_GRID <= grid <= 10**8:
+        raise ValueError(f"grid must have between {MIN_GRID} and 1e8 points")
     n, e = params.n, params.e
     include = e.r > 0
     found = []  # each block's first minimum and maximum, with their x
     for name, count in (("left", (grid + 1) // 2), ("right", grid // 2)):
         side = Side(params, name)
-        lo = math.log(side.t_min)
-        step = (math.log((1.0 - CENTER_BAND) / n) - lo) / (count - 1)
-        for start in range(0, count, _GRID_BLOCK):
-            # t rises toward the center on the left, falls from it on the right
-            j = np.arange(start, min(start + _GRID_BLOCK, count), dtype=float)
-            t = np.exp(lo + (j if name == "left" else count - 1 - j) * step)
-            vals = side.ratio(t)
-            i, k = int(np.argmin(vals)), int(np.argmax(vals))
-            found.append((vals[i], side.x(t[i]), vals[k], side.x(t[k])))
+        for v0, step, points in _runs(side, count):
+            for start in range(0, points, _GRID_BLOCK):
+                j = np.arange(start, min(start + _GRID_BLOCK, points), dtype=float)
+                t = 1.0 / (n * (1.0 + np.exp(-(v0 + step * j))))
+                vals = side.ratio(t)
+                i, k = int(np.argmin(vals)), int(np.argmax(vals))
+                found.append((vals[i], side.x(t[i]), vals[k], side.x(t[k])))
     if include:
         at_lo, at_hi = _endpoint_values(n, e.r)
         found = [(at_lo, 0.0) * 2] + found + [(at_hi, params.x_hi) * 2]
@@ -320,12 +354,12 @@ def monte_carlo_extremes(
 
     Draws `samples` uniform simplex tuples (counter-based, so the result
     is identical for any `workers` value), adds deterministic boundary
-    probes and a dense two-value grid scan, and counts values outside
-    [lower, upper] beyond `slack`; a NaN or infinite value counts as a
-    violation too.  Draws are strictly positive by construction, so no
-    sample can degenerate a negative-order mean.  For alpha < 0 the finite
-    probe values record boundary behavior but are not counted against the
-    (one-sided) bounds.
+    probes and a dense two-value grid scan, and counts values beyond a
+    bound b by more than slack * max(1, |b|); a NaN or infinite value
+    counts as a violation too.  Draws are strictly positive by
+    construction, so no sample can degenerate a negative-order mean.  For
+    alpha < 0 the finite probe values record boundary behavior but are
+    not counted against the (one-sided) bounds.
     """
     if cert is None:
         cert = best_constants(n, e)
@@ -363,13 +397,11 @@ def monte_carlo_extremes(
         for start in starts:
             run_chunk(start)
 
-    scale = _scale(lower, upper)
-
     def outside(vals: np.ndarray) -> np.ndarray:
         return (
             ~np.isfinite(vals)
-            | (vals < lower - slack * scale)
-            | (vals > upper + slack * scale)
+            | (vals < lower - slack * _scale(lower))
+            | (vals > upper + slack * _scale(upper))
         )
 
     bad_idx = np.nonzero(outside(values))[0]
@@ -431,8 +463,8 @@ def check_bounds(report: OracleReport, cert: ExtremumCertificate) -> BoundsCheck
     """Validate a Monte-Carlo report against a certificate.
 
     Fails when any sample or probe violated the bounds (the first
-    offending tuples are named), when a grid value escapes the bounds by
-    more than VIOLATION_SLACK relative to them, when a grid extreme is
+    offending tuples are named), when a grid value escapes a bound b by
+    more than VIOLATION_SLACK * max(1, |b|), when a grid extreme is
     infinite or NaN while its side's bound is finite, or when the grid
     extreme on a certified-extremum side misses the constant b by more
     than GRID_TOL * max(1, |b|).
@@ -446,7 +478,6 @@ def check_bounds(report: OracleReport, cert: ExtremumCertificate) -> BoundsCheck
     failures: List[str] = []
     tol_min = GRID_TOL * _scale(cert.lower_bound)
     tol_max = GRID_TOL * _scale(cert.upper_bound)
-    scale = _scale(cert.lower_bound, cert.upper_bound)
 
     if report.violations > 0:
         named = "; ".join(
@@ -470,7 +501,7 @@ def check_bounds(report: OracleReport, cert: ExtremumCertificate) -> BoundsCheck
                 f"grid {name} {value} at x={arg} is not finite, "
                 f"against the finite {side} bound {bound}"
             )
-        if beyond * (value - bound) > VIOLATION_SLACK * scale:
+        if beyond * (value - bound) > VIOLATION_SLACK * _scale(bound):
             failures.append(
                 f"grid {name} {value} at x={arg} {escapes} {side} bound {bound}"
             )

@@ -238,7 +238,7 @@ def _p_second(xp, n, alpha, a, X, Y, l1, l2):
 def _ratio(xp, n, alpha, a, X, Y, l1, l2):
     # (A - G)/(P - G) = (1 - G)/(P - G) = (1/G - 1)/(P/G - 1) with G = n g
     # and P = n p; not f/(f - 1), whose f - 1 rounds to 0 where f is huge.
-    # From t_min to the center -log G stays below about 600, so 1/G is finite
+    # Out to t_end -log G stays below about 600, so 1/G is finite
     lg = _log_ng(l1, l2, n)
     return xp.expm1(-lg) / xp.expm1(_power_sum(xp, l1, l2, n, alpha)[2] - lg)
 
@@ -465,7 +465,9 @@ class Side:
     nan for that point.  `ratio` alone takes a numpy array of t, for the
     verify grid.  `t_min` is the far edge of every search on the side:
     the smallest t at which f' and W are still finite, where the largest
-    of |log s|, alpha log s and (1 - alpha) log s reaches 600.
+    of |log s|, alpha log s and (1 - alpha) log s reaches 600.  `t_end`,
+    where |log s| alone does, lies further out for large |alpha| (at
+    n = 3, alpha = 1000, t_min is 0.26 on the left, the center 1/3).
     """
 
     params: ProfileParams
@@ -489,17 +491,24 @@ class Side:
             with np.errstate(all="ignore"):
                 return float(interior(np, n, alpha, *self._coords(t, np)))
 
+    def _t_at(self, log_s: float) -> float:
+        # the t at which |log s| = log_s: s = x/y < 1 on the left, > 1 on the right
+        ratio, n = math.exp(log_s), self.params.n
+        return 1.0 / (ratio + n - 1) if self.side == "left" else 1.0 / (ratio * (n - 1) + 1.0)
+
     @property
     def t_min(self) -> float:
         # alpha log s and (1 - alpha) log s grow toward the end of the side
         # for one sign of alpha each: log s < 0 on the left, > 0 on the right
         alpha = self.params.e.alpha
-        n = self.params.n
-        if self.side == "left":
-            ratio = math.exp(_LOG_EDGE / max(1.0, -alpha, alpha - 1.0))
-            return 1.0 / (ratio + n - 1)  # s = 1/ratio
-        ratio = math.exp(_LOG_EDGE / max(1.0, alpha, 1.0 - alpha))
-        return 1.0 / (ratio * (n - 1) + 1.0)  # s = ratio
+        k = max(1.0, -alpha, alpha - 1.0) if self.side == "left" else max(1.0, alpha, 1.0 - alpha)
+        return self._t_at(_LOG_EDGE / k)
+
+    @property
+    def t_end(self) -> float:
+        # the verify grid's far edge: the ratio needs only -log G and
+        # log P - log G finite, and they stay below about 600 out to here
+        return self._t_at(_LOG_EDGE)
 
     def x(self, t: float) -> float:
         return t if self.side == "left" else (1.0 - t) / (self.params.n - 1)

@@ -178,10 +178,9 @@ class TestConstantsCommand:
 
 
 class TestVerifyCommand:
-    # 1e5 grid points space log t by about 0.012, which resolves the
-    # extremum within the grid check's 1e-6; 1e4 points miss it by 6e-5
+    # the coarsest grid verify accepts
     ARGS = ["verify", "--n", "4", "--alpha", "2", "--samples", "10000",
-            "--grid", "100000", "--seed", "3"]
+            "--grid", "300000", "--seed", "3"]
 
     def test_pass_exit_zero(self, runner):
         env = run_json(runner, self.ARGS)
@@ -221,9 +220,18 @@ class TestVerifyCommand:
     ])
     def test_extreme_orders_pass(self, runner, n, alpha):
         env = run_json(runner, ["verify", "--n", n, "--alpha", alpha,
-                                "--samples", "10000", "--grid", "100000"])
+                                "--samples", "10000", "--grid", "300000"])
         assert set(env) == {"format", "payload", "metadata"}
         assert env["payload"]["ok"] is True
+
+    @pytest.mark.parametrize("n,alpha", [("4", "2"), ("5", "1/13")])
+    def test_grid_below_the_floor_is_usage_error(self, runner, n, alpha):
+        # 1e4 points missed these constants by 6.1e-5 and 2.0e-6, beyond
+        # the grid check's 1e-6, so correct certificates failed
+        result = runner.invoke(main, ["verify", "--n", n, "--alpha", alpha,
+                                      "--samples", "10000", "--grid", "10000"])
+        assert result.exit_code == 2
+        assert "grid must have between 300000 and 1e8 points" in result.output
 
     @pytest.mark.parametrize("n,alpha", [
         ("200", "-0.3"),  # x* at t = 1.2e-10, inside the old x grid's last cell

@@ -13,6 +13,7 @@ from meangap.constants import _endpoint_values, best_constants
 from meangap.means import ExponentPair, SampleVector, ratio_gap
 from meangap.oracle import (
     DEFAULT_GRID,
+    MIN_GRID,
     BoundsCheck,
     GridExtreme,
     InstanceMismatchError,
@@ -24,7 +25,7 @@ from meangap.oracle import (
     simplex_sample_block,
     splitmix64,
 )
-from meangap.profile import CENTER_BAND, ProfileParams, Side
+from meangap.profile import ProfileParams, Side
 
 
 def ref_splitmix(seed: int, counter: int) -> int:
@@ -116,7 +117,7 @@ class TestRatioRows:
     def test_large_negative_order_regression(self):
         # unnormalized powers of the smallest coordinate overflow here
         e = ExponentPair.from_alpha(-60.0)
-        rep = monte_carlo_extremes(3, e, samples=100_000, seed=0, grid=10_000)
+        rep = monte_carlo_extremes(3, e, samples=100_000, seed=0, grid=MIN_GRID)
         assert rep.observed_min == pytest.approx(
             ratio_gap(rep.arg_min, e), rel=1e-12, abs=0.0
         )
@@ -136,29 +137,33 @@ class TestGridScan:
         # r = 2: the ends hold the exact extremes; next to x = 0 the grid's
         # points reach the end value to rounding
         params = ProfileParams(n=5, e=ExponentPair.from_alpha(0.5))
-        ge = grid_scan_two_value(params, grid=200_001)
+        ge = grid_scan_two_value(params, grid=MIN_GRID + 1)
         assert ge.includes_endpoints
         assert ge.min_value == pytest.approx(1.25, abs=1e-12)
         assert ge.max_value == pytest.approx(5.0, abs=1e-12)
         assert ge.arg_x_max < 1e-12
         assert ge.arg_x_min == params.x_hi
 
-    def test_closed_form_end_beyond_t_min(self):
-        # for large alpha t_min stops short of the ends: at (3, 60) the
-        # right side reaches about 0.6590, so only the end point attains
-        # the upper bound (n/(n-1))^(r-1)
+    def test_scan_reaches_the_end_beyond_t_min(self, monkeypatch):
+        # for large alpha the solvers' edge t_min stops short of the ends:
+        # at (3, 60) the right side's ratio there is about 0.6590.  With the
+        # closed-form end points replaced by the center value r, which is
+        # never an extremum, the scanned points alone reach the end value
+        # (n/(n-1))^(r-1) = 0.67119
         e = ExponentPair.from_alpha(60.0)
         params = ProfileParams(n=3, e=e)
-        ge = grid_scan_two_value(params, grid=10_000)
-        assert ge.max_value == _endpoint_values(3, e.r)[1]
-        assert ge.arg_x_max == params.x_hi
-        assert check_bounds(
-            monte_carlo_extremes(3, e, samples=10_000, grid=10**6),
-            best_constants(3, e),
-        ).ok
+        at_end = _endpoint_values(3, e.r)[1]
+        right = Side(params, "right")
+        assert right.ratio(np.array([right.t_min]))[0] < at_end - 0.01
+        t = list(grid_points(params, MIN_GRID))[1][1]
+        assert t[-1] == pytest.approx(right.t_end, rel=1e-9)
+        monkeypatch.setattr(oracle, "_endpoint_values", lambda n, r: (r, r))
+        ge = grid_scan_two_value(params, grid=MIN_GRID)
+        assert ge.max_value == pytest.approx(at_end, abs=1e-12)
+        assert params.x_hi - ge.arg_x_max < 1e-100
 
     def test_interior_extreme_matches_certificate(self):
-        # log t steps of about 1.2e-3 on each side
+        # steps of about 1.2e-3 in log(X/(1 - X)) on each side
         e = ExponentPair.from_alpha(2.0)
         cert = best_constants(4, e)
         ge = grid_scan_two_value(ProfileParams(n=4, e=e), grid=1_000_000)
@@ -168,16 +173,25 @@ class TestGridScan:
 
     def test_negative_r_excludes_endpoints(self):
         params = ProfileParams(n=3, e=ExponentPair.from_alpha(-1.0))
-        ge = grid_scan_two_value(params, grid=10_000)
+        ge = grid_scan_two_value(params, grid=MIN_GRID)
         assert not ge.includes_endpoints
-        assert ge.points == 10_000
+        assert ge.points == MIN_GRID
         assert ge.min_value < -100.0  # divergence recorded next to the ends
         assert 0.0 < ge.arg_x_min < params.x_hi
 
+    def test_floor_grid_attains_the_certificate(self):
+        # of ~400 random instances the floor resolves this extremum worst:
+        # midway between two points it would miss by 9.6e-8 * |b|
+        e = ExponentPair.from_alpha(-0.3942)
+        cert = best_constants(4, e)
+        ge = grid_scan_two_value(ProfileParams(n=4, e=e), grid=MIN_GRID)
+        b = cert.upper_bound
+        assert 0.0 <= b - ge.max_value < 0.1 * oracle.GRID_TOL * abs(b)
+
     def test_small_grid_rejected(self):
         params = ProfileParams(n=3, e=ExponentPair.from_alpha(2.0))
-        with pytest.raises(ValueError):
-            grid_scan_two_value(params, grid=999)
+        with pytest.raises(ValueError, match=str(MIN_GRID)):
+            grid_scan_two_value(params, grid=MIN_GRID - 1)
 
     def test_huge_grid_rejected(self):
         params = ProfileParams(n=3, e=ExponentPair.from_alpha(2.0))
@@ -186,9 +200,9 @@ class TestGridScan:
 
     def test_fields(self):
         params = ProfileParams(n=3, e=ExponentPair.from_alpha(2.0))
-        ge = grid_scan_two_value(params, grid=2000)
+        ge = grid_scan_two_value(params, grid=MIN_GRID)
         assert isinstance(ge, GridExtreme)
-        assert ge.points == 2002  # 1000 per side and both ends
+        assert ge.points == MIN_GRID + 2  # half per side and both ends
         assert "step" not in ge.to_payload()
 
 
@@ -196,7 +210,7 @@ class TestMonteCarlo:
     def test_worker_count_does_not_change_payload(self):
         n, e = 3, ExponentPair.from_alpha(-1.0)
         cert = best_constants(n, e)
-        kw = dict(samples=20_000, seed=7, cert=cert, grid=10_000)
+        kw = dict(samples=20_000, seed=7, cert=cert, grid=MIN_GRID)
         p1 = monte_carlo_extremes(n, e, workers=1, **kw).to_payload()
         p4 = monte_carlo_extremes(n, e, workers=4, **kw).to_payload()
         assert json.dumps(p1, sort_keys=True) == json.dumps(p4, sort_keys=True)
@@ -205,20 +219,20 @@ class TestMonteCarlo:
         n, e = 4, ExponentPair.from_alpha(2.0)
         cert = best_constants(n, e)
         a = monte_carlo_extremes(n, e, samples=12_000, seed=1, cert=cert,
-                                 grid=10_000, chunk=1000)
+                                 grid=MIN_GRID, chunk=1000)
         b = monte_carlo_extremes(n, e, samples=12_000, seed=1, cert=cert,
-                                 grid=10_000, chunk=7001)
+                                 grid=MIN_GRID, chunk=7001)
         assert a.to_payload() == b.to_payload()
 
     def test_no_violations_on_correct_certificate(self):
         n, e = 4, ExponentPair.from_alpha(2.0)
-        rep = monte_carlo_extremes(n, e, samples=50_000, seed=0, grid=10_000)
+        rep = monte_carlo_extremes(n, e, samples=50_000, seed=0, grid=MIN_GRID)
         assert rep.violations == 0
         assert rep.lower_bound <= rep.observed_min <= rep.observed_max <= rep.upper_bound
 
     def test_arg_extremes_regenerate(self):
         n, e = 4, ExponentPair.from_alpha(2.0)
-        rep = monte_carlo_extremes(n, e, samples=10_000, seed=5, grid=10_000)
+        rep = monte_carlo_extremes(n, e, samples=10_000, seed=5, grid=MIN_GRID)
         assert isinstance(rep.arg_min, SampleVector)
         assert rep.arg_min.is_normalized()
         assert rep.arg_max.is_normalized()
@@ -226,13 +240,13 @@ class TestMonteCarlo:
     def test_sample_floor_enforced(self):
         with pytest.raises(ValueError):
             monte_carlo_extremes(3, ExponentPair.from_alpha(2.0), samples=9_999,
-                                 grid=10_000)
+                                 grid=MIN_GRID)
 
     def test_instance_mismatch(self):
         cert = best_constants(3, ExponentPair.from_alpha(2.0))
         with pytest.raises(InstanceMismatchError):
             monte_carlo_extremes(4, ExponentPair.from_alpha(2.0), samples=10_000,
-                                 cert=cert, grid=10_000)
+                                 cert=cert, grid=MIN_GRID)
 
     def test_nan_value_is_a_violation(self, monkeypatch):
         # NaN fails every comparison, so it must be flagged explicitly
@@ -246,7 +260,7 @@ class TestMonteCarlo:
         n, e = 4, ExponentPair.from_alpha(2.0)
         cert = best_constants(n, e)
         rep = monte_carlo_extremes(n, e, samples=10_000, seed=0, cert=cert,
-                                   grid=10_000)
+                                   grid=MIN_GRID)
         assert rep.violations >= 1
         assert check_bounds(rep, cert).ok is False
 
@@ -254,7 +268,7 @@ class TestMonteCarlo:
         # boundary probes dive toward -inf for alpha < 0 but are recorded,
         # not counted against the one-sided bounds
         n, e = 3, ExponentPair.from_alpha(-1.0)
-        rep = monte_carlo_extremes(n, e, samples=10_000, seed=2, grid=10_000)
+        rep = monte_carlo_extremes(n, e, samples=10_000, seed=2, grid=MIN_GRID)
         assert rep.violations == 0
         assert rep.probe_min < -100.0
 
@@ -264,7 +278,7 @@ class TestCheckBounds:
         n, e = 4, ExponentPair.from_alpha(2.0)
         cert = best_constants(n, e)
         rep = monte_carlo_extremes(n, e, samples=20_000, seed=0, cert=cert,
-                                   grid=100_000)
+                                   grid=MIN_GRID)
         chk = check_bounds(rep, cert)
         assert isinstance(chk, BoundsCheck)
         assert chk.ok
@@ -275,7 +289,7 @@ class TestCheckBounds:
         n, e = 5, ExponentPair.from_alpha(1 / 13)
         cert = best_constants(n, e)
         rep = monte_carlo_extremes(n, e, samples=10_000, seed=0, cert=cert,
-                                   grid=100_000)
+                                   grid=MIN_GRID)
         chk = check_bounds(rep, cert)
         assert chk.ok
         assert chk.tol_min == oracle.GRID_TOL * cert.lower_bound
@@ -284,7 +298,7 @@ class TestCheckBounds:
         e = ExponentPair.from_alpha(-1.0)
         cert = best_constants(3, e)
         rep = monte_carlo_extremes(3, e, samples=10_000, seed=0, cert=cert,
-                                   grid=100_000)
+                                   grid=MIN_GRID)
         assert check_bounds(rep, cert).tol_min == oracle.GRID_TOL
 
     def test_tampered_bound_fails_with_named_sample(self):
@@ -292,7 +306,7 @@ class TestCheckBounds:
         cert = best_constants(n, e)
         bad = dataclasses.replace(cert, upper_bound=cert.upper_bound - 0.1)
         rep = monte_carlo_extremes(n, e, samples=10_000, seed=7, cert=bad,
-                                   grid=10_000)
+                                   grid=MIN_GRID)
         chk = check_bounds(rep, bad)
         assert not chk.ok
         assert rep.violations > 0
@@ -305,7 +319,7 @@ class TestCheckBounds:
         cert = best_constants(n, e)
         bad = dataclasses.replace(cert, lower_bound=cert.lower_bound - 5e-4)
         rep = monte_carlo_extremes(n, e, samples=10_000, seed=7, cert=bad,
-                                   grid=100_000)
+                                   grid=MIN_GRID)
         chk = check_bounds(rep, bad)
         assert not chk.ok
         assert any("certified lower bound" in f for f in chk.failures)
@@ -345,6 +359,21 @@ class TestCheckBounds:
             assert not chk.ok
             assert any(named in f for f in chk.failures), (shift, chk.failures)
 
+    def test_each_side_escapes_by_its_own_scale(self):
+        # the closed-form upper bound 25^12 = 6e16 would give a shared
+        # slack of 6e7 against the lower bound 1.63; moved inward by 1e-6
+        # relative, the lower bound is undercut by the probes and the grid
+        n, e = 25, ExponentPair.from_r(13.0)
+        cert = best_constants(n, e)
+        assert cert.upper_bound > 1e16
+        moved = dataclasses.replace(
+            cert, lower_bound=cert.lower_bound * (1.0 + 1e-6))
+        rep = monte_carlo_extremes(n, e, samples=10_000, seed=0, cert=moved,
+                                   grid=MIN_GRID)
+        assert rep.violations > 0
+        chk = check_bounds(rep, moved)
+        assert any("undercuts lower bound" in f for f in chk.failures)
+
     @pytest.mark.parametrize("bad", [math.inf, math.nan])
     def test_non_finite_grid_extreme_fails(self, bad):
         # the upper bound is closed-form here, so only the finiteness check
@@ -352,7 +381,7 @@ class TestCheckBounds:
         n, e = 4, ExponentPair.from_alpha(2.0)
         cert = best_constants(n, e)
         rep = monte_carlo_extremes(n, e, samples=10_000, seed=0, cert=cert,
-                                   grid=10_000)
+                                   grid=MIN_GRID)
         ge = dataclasses.replace(rep.grid_extreme, max_value=bad)
         chk = check_bounds(dataclasses.replace(rep, grid_extreme=ge), cert)
         assert not chk.ok
@@ -363,7 +392,7 @@ class TestCheckBounds:
         cert3 = best_constants(3, e)
         cert4 = best_constants(4, e)
         rep = monte_carlo_extremes(3, e, samples=10_000, seed=0, cert=cert3,
-                                   grid=10_000)
+                                   grid=MIN_GRID)
         with pytest.raises(InstanceMismatchError):
             check_bounds(rep, cert4)
 
@@ -371,7 +400,7 @@ class TestCheckBounds:
         n, e = 3, ExponentPair.from_alpha(-1.0)
         cert = best_constants(n, e)
         rep = monte_carlo_extremes(n, e, samples=10_000, seed=0, cert=cert,
-                                   grid=10_000)
+                                   grid=MIN_GRID)
         payload = rep.to_payload()
         assert isinstance(rep, OracleReport)
         assert payload["samples"] == 10_000
@@ -381,14 +410,13 @@ class TestCheckBounds:
 
 
 def grid_points(params: ProfileParams, grid: int):
-    # (side, t) for each side as one array: half of the grid each, evenly
-    # spaced in log t from t_min to n t = 1 - CENTER_BAND, in increasing x
+    # (side, t) for each side as one array: half of the grid each, in
+    # increasing x
     for name, count in (("left", (grid + 1) // 2), ("right", grid // 2)):
         side = Side(params, name)
-        lo = math.log(side.t_min)
-        step = (math.log((1.0 - CENTER_BAND) / params.n) - lo) / (count - 1)
-        j = np.arange(count)
-        yield side, np.exp(lo + (j if name == "left" else count - 1 - j) * step)
+        v = np.concatenate([v0 + step * np.arange(m, dtype=float)
+                            for v0, step, m in oracle._runs(side, count)])
+        yield side, 1.0 / (params.n * (1.0 + np.exp(-v)))
 
 
 def whole_array_scan(params: ProfileParams, grid: int) -> GridExtreme:
@@ -433,7 +461,7 @@ class TestStreaming:
         monkeypatch.setattr(oracle, "_ratio_rows", spy)
         e = ExponentPair.from_alpha(-1.3 if n == 7 else 2.5)
         samples = 10_000
-        rep = monte_carlo_extremes(n, e, samples=samples, seed=4, grid=1000)
+        rep = monte_carlo_extremes(n, e, samples=samples, seed=4, grid=MIN_GRID)
         rows = simplex_sample_block(n, seed=4, count=samples)
         want = kernel(rows, e)
         assert max(len(b) for b in blocks) == max(1, 40 // n)
@@ -456,7 +484,10 @@ class TestStreaming:
     def test_grid_matches_the_materialised_scan(self, monkeypatch, grid, n, alpha,
                                                 block):
         # r > 0 and r < 0; a 333-point block leaves a ragged last block on
-        # each side, and an odd grid gives the left side one more point
+        # each side, and an odd grid gives the left side one more point.
+        # How the points stream does not depend on the floor, which grids
+        # this small would be under
+        monkeypatch.setattr(oracle, "MIN_GRID", 1000)
         if block is not None:
             monkeypatch.setattr(oracle, "_GRID_BLOCK", block)
         params = ProfileParams(n=n, e=ExponentPair.from_alpha(alpha))
@@ -473,7 +504,7 @@ class TestStreaming:
         monkeypatch.setattr(oracle, "_GRID_BLOCK", 1000)
         n, e = 4, ExponentPair.from_alpha(2.0)
         params = ProfileParams(n=n, e=e)
-        grid = 10_000
+        grid = MIN_GRID
         targets = next(grid_points(params, grid))[1][[2499, 3499]]
         kernel = Side.ratio
 
