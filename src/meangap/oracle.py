@@ -194,6 +194,11 @@ class GridExtreme:
         }
 
 
+def _check_grid(grid: int) -> None:
+    if not MIN_GRID <= grid <= 10**8:
+        raise ValueError(f"grid must have between {MIN_GRID} and 1e8 points")
+
+
 def _runs(side: Side, count: int) -> List[Tuple[float, float, int]]:
     """The side's count grid points as runs (v0, step, points) in increasing x.
 
@@ -239,8 +244,7 @@ def grid_scan_two_value(
     are those np.argmin and np.argmax pick over the whole grid: the first
     NaN, else the first extreme value.
     """
-    if not MIN_GRID <= grid <= 10**8:
-        raise ValueError(f"grid must have between {MIN_GRID} and 1e8 points")
+    _check_grid(grid)
     n, e = params.n, params.e
     include = e.r > 0
     found = []  # each block's first minimum and maximum, with their x
@@ -370,6 +374,7 @@ def monte_carlo_extremes(
         )
     if samples < 10_000:
         raise ValueError("need at least 10000 samples for a meaningful scan")
+    _check_grid(grid)  # before the samples, which take seconds at large n
     lower, upper = cert.lower_bound, cert.upper_bound
 
     starts = list(range(0, samples, chunk))

@@ -188,6 +188,22 @@ class TestGridScan:
         b = cert.upper_bound
         assert 0.0 <= b - ge.max_value < 0.1 * oracle.GRID_TOL * abs(b)
 
+    def test_extremum_next_to_the_center_is_resolved(self):
+        # n x* - 1 = -2.2e-5: points evenly spaced in log t missed the
+        # constant by 7.2e-7 even at 1e6 points
+        n, e = 43791, ExponentPair.from_alpha(34.0)
+        cert = best_constants(n, e)
+        ge = grid_scan_two_value(ProfileParams(n=n, e=e), grid=MIN_GRID)
+        assert 0.0 <= ge.min_value - cert.lower_bound < 0.1 * oracle.GRID_TOL
+
+    def test_right_side_stops_at_the_center_band(self):
+        # ending the right side at n y = 1 - 1e-9, i.e. |n x - 1| = 1e-9/(n-1),
+        # put points deep inside the band, where the ratio read +22.2 here
+        n, e = 571718, ExponentPair.from_alpha(-0.1238)
+        cert = best_constants(n, e)
+        ge = grid_scan_two_value(ProfileParams(n=n, e=e), grid=MIN_GRID)
+        assert 0.0 <= cert.upper_bound - ge.max_value < oracle.GRID_TOL
+
     def test_small_grid_rejected(self):
         params = ProfileParams(n=3, e=ExponentPair.from_alpha(2.0))
         with pytest.raises(ValueError, match=str(MIN_GRID)):
@@ -241,6 +257,15 @@ class TestMonteCarlo:
         with pytest.raises(ValueError):
             monte_carlo_extremes(3, ExponentPair.from_alpha(2.0), samples=9_999,
                                  grid=MIN_GRID)
+
+    def test_grid_floor_enforced_before_sampling(self, monkeypatch):
+        def no_sampling(*args):
+            raise AssertionError("sampled before checking the grid")
+
+        monkeypatch.setattr(oracle, "_sample_rows", no_sampling)
+        with pytest.raises(ValueError, match=str(MIN_GRID)):
+            monte_carlo_extremes(3, ExponentPair.from_alpha(2.0), samples=10_000,
+                                 grid=MIN_GRID - 1)
 
     def test_instance_mismatch(self):
         cert = best_constants(3, ExponentPair.from_alpha(2.0))
