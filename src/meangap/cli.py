@@ -56,7 +56,6 @@ from .profile import (
     p_profile,
 )
 from .reduction import (
-    ConstraintDegenerateError,
     curve_params,
     curve_point,
     h_power_sum,
@@ -382,30 +381,32 @@ def reduce3_cmd(sum_c: float, prod_c: float, r_: float, grid: int, fmt: str) -> 
         raise click.UsageError(f"--r must be finite, got {r_}")
     try:
         cp = curve_params(sum_c, prod_c)
-    except ConstraintDegenerateError as exc:
+        ts = np.linspace(cp.t_lo, cp.t_hi, grid)
+        rows = []
+        h_vals = []
+        for i, t in enumerate(ts):
+            pt = curve_point(float(t), cp)
+            h = h_power_sum(float(t), cp, r_)
+            h_vals.append(h)
+            # the derivative formula pivots on distinct coordinates, which
+            # fail exactly at the endpoints
+            endpoint = i == 0 or i == grid - 1
+            rows.append(
+                {
+                    "t": format_float(t),
+                    "x": format_float(pt.x),
+                    "y": format_float(pt.y),
+                    "z": format_float(pt.z),
+                    "h": format_float(h),
+                    "h_prime": None if endpoint else format_float(
+                        h_prime(float(t), cp, r_)
+                    ),
+                }
+            )
+    except ValueError as exc:
+        # degenerate constraints, or finite ones past what doubles resolve:
+        # a power of a coordinate overflows, or two coordinates merge
         raise click.UsageError(str(exc))
-    ts = np.linspace(cp.t_lo, cp.t_hi, grid)
-    rows = []
-    h_vals = []
-    for i, t in enumerate(ts):
-        pt = curve_point(float(t), cp)
-        h = h_power_sum(float(t), cp, r_)
-        h_vals.append(h)
-        # the derivative formula pivots on distinct coordinates, which
-        # fail exactly at the endpoints
-        endpoint = i == 0 or i == grid - 1
-        rows.append(
-            {
-                "t": format_float(t),
-                "x": format_float(pt.x),
-                "y": format_float(pt.y),
-                "z": format_float(pt.z),
-                "h": format_float(h),
-                "h_prime": None if endpoint else format_float(
-                    h_prime(float(t), cp, r_)
-                ),
-            }
-        )
     diffs = np.diff(h_vals)
     flat = 1e-12 * max(1.0, float(np.max(np.abs(h_vals))))
     if np.all(np.abs(diffs) <= flat):

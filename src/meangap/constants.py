@@ -30,7 +30,7 @@ from .means import (
 )
 from .profile import ProfileParams, Side
 from .regimes import RegimeTag, classify, locate_mu
-from .solver import Bracket, UncertifiedInstance, find_root
+from .solver import Bracket, UncertifiedInstance, _check_tol, find_root
 
 __all__ = [
     "BRACKET_SLACK",
@@ -172,12 +172,13 @@ def best_constants(
     small coordinate, `profile.Side`) to a bracket of width tol.
     """
     _validate_n(n)
+    _check_tol(tol)
     regime = classify(n, e)
     r = e.r
     params = ProfileParams(n=n, e=e)
     tolerances = {"nu_bracket_width": tol, "omega_abs": max(tol * tol, 1e-12)}
 
-    if not regime.has_mu:
+    if regime.mu_side is None:
         at_zero, at_top = _endpoint_values(n, r)
         return ExtremumCertificate(
             n=n,

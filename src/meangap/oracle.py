@@ -64,6 +64,9 @@ _STREAM = 1 << 16
 # profile._BLOCK's 2^13 and 351 ms at 2^11 (medians of six rounds)
 _GRID_BLOCK = 1 << 12
 
+# samples per thread work unit of the Monte Carlo oracle
+_CHUNK = 8192
+
 DEFAULT_SAMPLES = 100_000
 DEFAULT_GRID = 1_000_000
 # the coarsest grid whose extreme meets GRID_TOL: with the extremum midway
@@ -351,19 +354,18 @@ def monte_carlo_extremes(
     cert: Optional[ExtremumCertificate] = None,
     workers: int = 1,
     grid: int = DEFAULT_GRID,
-    slack: float = VIOLATION_SLACK,
-    chunk: int = 8192,
 ) -> OracleReport:
     """Random-search oracle for the certified bounds.
 
     Draws `samples` uniform simplex tuples (counter-based, so the result
-    is identical for any `workers` value), adds deterministic boundary
-    probes and a dense two-value grid scan, and counts values beyond a
-    bound b by more than slack * max(1, |b|); a NaN or infinite value
-    counts as a violation too.  Draws are strictly positive by
-    construction, so no sample can degenerate a negative-order mean.  For
-    alpha < 0 the finite probe values record boundary behavior but are
-    not counted against the (one-sided) bounds.
+    is identical for any `workers` value) in work units of _CHUNK, adds
+    deterministic boundary probes and a dense two-value grid scan, and
+    counts values beyond a bound b by more than VIOLATION_SLACK *
+    max(1, |b|); a NaN or infinite value counts as a violation too.
+    Draws are strictly positive by construction, so no sample can
+    degenerate a negative-order mean.  For alpha < 0 the finite probe
+    values record boundary behavior but are not counted against the
+    (one-sided) bounds.
     """
     if cert is None:
         cert = best_constants(n, e)
@@ -377,14 +379,14 @@ def monte_carlo_extremes(
     _check_grid(grid)  # before the samples, which take seconds at large n
     lower, upper = cert.lower_bound, cert.upper_bound
 
-    starts = list(range(0, samples, chunk))
+    starts = list(range(0, samples, _CHUNK))
 
     values = np.empty(samples)
 
     def run_chunk(start: int) -> None:
         # blocks of at most _STREAM coordinates (one row at least) reuse a
         # counter ramp and two buffers, allocated once per chunk
-        stop = min(start + chunk, samples)
+        stop = min(start + _CHUNK, samples)
         per = max(1, min(_STREAM // n, stop - start))
         ramp = np.arange(per * n, dtype=np.uint64)
         z, buf = np.empty_like(ramp), np.empty(per * n)
@@ -405,8 +407,8 @@ def monte_carlo_extremes(
     def outside(vals: np.ndarray) -> np.ndarray:
         return (
             ~np.isfinite(vals)
-            | (vals < lower - slack * _scale(lower))
-            | (vals > upper + slack * _scale(upper))
+            | (vals < lower - VIOLATION_SLACK * _scale(lower))
+            | (vals > upper + VIOLATION_SLACK * _scale(upper))
         )
 
     bad_idx = np.nonzero(outside(values))[0]

@@ -2,9 +2,11 @@
 
 Every extremal tuple of the gap ratio can be normalized to
 
-    (x, x, ..., x, 1 - (n-1)x),   0 <= x <= 1/(n-1),
+    (x, x, ..., x, 1 - (n-1)x),   0 < x < 1/(n-1),
 
-so the whole n-dimensional problem collapses to scalar functions of x:
+so the whole n-dimensional problem collapses to scalar functions of x
+on the open interval; the ratio's values at its ends are the
+certificate's closed forms (`constants._endpoint_values`):
 
     g(x) = geometric mean of the tuple
     p(x) = power mean of order alpha = 1/r of the tuple
@@ -64,7 +66,6 @@ __all__ = [
     "p_profile",
     "p_prime",
     "p_second",
-    "s_map",
 ]
 
 # half-width of the removable-singularity band in a = n*x - 1;
@@ -78,9 +79,8 @@ _LOG_DBL_MAX = math.log(sys.float_info.max)
 # where whole-array temporaries would fault in fresh pages on every call
 _BLOCK = 1 << 13
 
-# n x at which the array path evaluates, and then overwrites, the
-# endpoints and the center band: 1e-3 inside the center, where every
-# interior is finite
+# n x at which the array path evaluates, and then overwrites, the center
+# band: 1e-3 inside the center, where every interior is finite
 _STAND_IN = 1.0 - 1e-3
 
 # the solvers' far edge: |log s|, alpha log s and (1 - alpha) log s stay
@@ -119,13 +119,12 @@ def _coords(X, n: int, xp):
     return a, X, 1.0 + c, xp.log(X), xp.log1p(c)
 
 
-def _evaluate(x, params: ProfileParams, interior, lo, hi, center=None):
-    """Evaluate one profile function at a scalar or an array x.
+def _evaluate(x, params: ProfileParams, interior, center=None):
+    """Evaluate one profile function at a scalar or an array x in (0, 1/(n-1)).
 
-    lo and hi are the values at x = 0 and x = 1/(n-1); center, unless
-    None, is the value inside the band |n x - 1| <= CENTER_BAND, which the
-    interior formula covers otherwise.  A str in place of a value is the
-    message of the ValueError raised there.
+    center, unless None, is the value inside the band |n x - 1| <=
+    CENTER_BAND, which the interior formula covers otherwise; a str in its
+    place is the message of the ValueError raised there.
 
     interior(xp, n, alpha, a, X, Y, l1, l2) takes numpy as xp and the
     scaled coordinates from `_coords`, computed here once per block.  A
@@ -135,34 +134,31 @@ def _evaluate(x, params: ProfileParams, interior, lo, hi, center=None):
     x_hi = params.x_hi
     arr = np.asarray(x, dtype=float)
     # min and max are nan when any entry is, which fails both tests
-    if arr.size and not (0.0 <= arr.min() and arr.max() <= x_hi):
-        raise ValueError(f"x must lie in [0, {x_hi}]")
+    if arr.size and not (0.0 < arr.min() and arr.max() < x_hi):
+        raise ValueError(f"x must lie in (0, {x_hi})")
     out = np.empty_like(arr)
     flat, flat_out = arr.reshape(-1), out.reshape(-1)
     with np.errstate(over="ignore"):
         for i in range(0, flat.size, _BLOCK):
             flat_out[i:i + _BLOCK] = _evaluate_block(
-                flat[i:i + _BLOCK], params, interior, lo, hi, center
+                flat[i:i + _BLOCK], params, interior, center
             )
     return out if out.ndim else float(out)
 
 
-def _evaluate_block(x, params: ProfileParams, interior, lo, hi, center):
-    # the interior runs on every entry, so the endpoints and the center
-    # band get a tame stand-in first and their values after
+def _evaluate_block(x, params: ProfileParams, interior, center):
+    # the interior runs on every entry, so the center band gets a tame
+    # stand-in first and its value after
     n = params.n
     X = n * x
-    cases = [(x == 0.0, lo), (x == params.x_hi, hi)]
     if center is not None:
-        cases.append((np.abs(X - 1.0) <= CENTER_BAND, center))
-    for mask, value in cases:
-        if isinstance(value, str) and np.any(mask):
-            raise ValueError(value)
-        X[mask] = _STAND_IN
+        band = np.abs(X - 1.0) <= CENTER_BAND
+        if isinstance(center, str) and np.any(band):
+            raise ValueError(center)
+        X[band] = _STAND_IN
     out = interior(np, n, params.e.alpha, *_coords(X, n, np))
-    for mask, value in cases:
-        if not isinstance(value, str):
-            out[mask] = value
+    if center is not None and not isinstance(center, str):
+        out[band] = center
     return out
 
 
@@ -253,10 +249,6 @@ def _f_prime(xp, n, alpha, a, X, Y, l1, l2):
     return (dg - xp.expm1(lg) / pm * dp) / pm
 
 
-def _s(xp, n, alpha, a, X, Y, l1, l2):
-    return X / Y
-
-
 def _U(xp, n, alpha, a, X, Y, l1, l2):
     sm1 = n * a / Y  # s - 1
     return xp.expm1((1.0 - alpha) * (l1 - l2)) / ((1.0 - alpha) * sm1)
@@ -284,164 +276,75 @@ def _W_prime(xp, n, alpha, a, X, Y, l1, l2):
 
 
 def g_profile(x, params: ProfileParams):
-    """Geometric mean of the two-value tuple; 0 at both endpoints."""
-    return _evaluate(x, params, _g, 0.0, 0.0)
+    """Geometric mean of the two-value tuple."""
+    return _evaluate(x, params, _g)
 
 
 def p_profile(x, params: ProfileParams):
-    """Power mean of the two-value tuple.
-
-    Endpoint values are taken in closed form: n^-r and ((n-1)/n)^(r-1)/n for
-    r > 0, and 0 at both ends for r < 0 (a zero coordinate collapses a
-    negative-order mean).
-    """
-    n = params.n
-    r = params.e.r
-    if r > 0:
-        return _evaluate(x, params, _p, n ** (-r), ((n - 1) / n) ** (r - 1) / n)
-    return _evaluate(x, params, _p, 0.0, 0.0)
+    """Power mean of order alpha of the two-value tuple."""
+    return _evaluate(x, params, _p)
 
 
 def f_profile(x, params: ProfileParams):
     """Gap-ratio profile f = (g - 1/n) / (p - 1/n).
 
     The 0/0 at x = 1/n is removable; inside the band |x - 1/n| <= 1e-9/n
-    the branch value r/(r-1) is returned.  Endpoints take their closed
-    forms: 1 at both ends for r < 0, and n^(r-1)/(n^(r-1)-1),
-    n^(r-1)/(n^(r-1)-(n-1)^(r-1)) for r > 0.
+    the branch value r/(r-1) is returned.
     """
-    n = params.n
     r = params.e.r
-    if r > 0:
-        c = n ** (r - 1.0)
-        lo, hi = c / (c - 1.0), c / (c - (n - 1) ** (r - 1.0))
-    else:
-        lo = hi = 1.0
-    return _evaluate(x, params, _f, lo, hi, r / (r - 1.0))
+    return _evaluate(x, params, _f, r / (r - 1.0))
 
 
 def g_prime(x, params: ProfileParams):
-    """d/dx of g; +inf at x = 0 and -inf at x = 1/(n-1)."""
-    return _evaluate(x, params, _g_prime, math.inf, -math.inf)
+    """d/dx of g."""
+    return _evaluate(x, params, _g_prime)
 
 
 def p_prime(x, params: ProfileParams):
-    """d/dx of p.
-
-    Finite at the endpoints for r < 1 and infinite for r > 1:
-        r < 0:      ((n-1)/n)^r at 0,        -(n-1)/n^r at 1/(n-1)
-        0 < r < 1:  -(n-1)/n^r at 0,         ((n-1)/n)^r at 1/(n-1)
-        r > 1:      +inf at 0,               -inf at 1/(n-1)
-    """
-    n = params.n
-    r = params.e.r
-    if r > 1:
-        lo, hi = math.inf, -math.inf
-    elif r > 0:
-        lo, hi = -(n - 1) / n**r, ((n - 1) / n) ** r
-    else:
-        lo, hi = ((n - 1) / n) ** r, -(n - 1) / n**r
-    return _evaluate(x, params, _p_prime, lo, hi)
+    """d/dx of p."""
+    return _evaluate(x, params, _p_prime)
 
 
 def g_second(x, params: ProfileParams):
-    """d2/dx2 of g; strictly negative, -inf at both endpoints."""
-    return _evaluate(x, params, _g_second, -math.inf, -math.inf)
-
-
-def _p_second_endpoint(n: int, r: float, alpha: float, at_lo: bool) -> float:
-    # the vanishing coordinate enters with exponent alpha-2 (r>0) or
-    # -(alpha+1) (r<0); negative exponent blows up, positive flattens out
-    sign = -1.0 if (r > 1.0 or r < 0.0) else 1.0
-    expo = (alpha - 2.0) if r > 0 else -(alpha + 1.0)
-    if expo < 0.0:
-        return sign * math.inf
-    if expo > 0.0:
-        return sign * 0.0
-    if alpha == 2.0:
-        return (n - 1) / math.sqrt(n) if at_lo else (n - 1) ** 2.5 / math.sqrt(n)
-    # alpha == -1 exactly
-    return -2.0 * n / (n - 1) ** 2 if at_lo else -2.0 * n * (n - 1) ** 4
+    """d2/dx2 of g; strictly negative."""
+    return _evaluate(x, params, _g_second)
 
 
 def p_second(x, params: ProfileParams):
-    """d2/dx2 of p; its sign is -sign(r/(r-1)).
-
-    Endpoint calls return the one-sided limits: signed infinities where
-    the profile curls up, signed zeros where it flattens, and finite
-    values exactly at alpha = 2 and alpha = -1.
-    """
-    n = params.n
-    r = params.e.r
-    alpha = params.e.alpha
-    lo, hi = (_p_second_endpoint(n, r, alpha, at_lo) for at_lo in (True, False))
-    return _evaluate(x, params, _p_second, lo, hi)
-
-
-def _fprime_endpoint(n: int, r: float, at_lo: bool) -> float:
-    # signs of the one-sided limits of f' at the domain endpoints
-    if r < 0:
-        return -math.inf if at_lo else math.inf
-    if r < 1:
-        return math.inf if at_lo else -math.inf
-    if r < 2 and n < r / (r - 1.0):
-        return -math.inf if at_lo else math.inf
-    if r <= 2 or n >= r:
-        return math.inf
-    return math.inf if at_lo else -math.inf
+    """d2/dx2 of p; its sign is -sign(r/(r-1))."""
+    return _evaluate(x, params, _p_second)
 
 
 def f_prime(x, params: ProfileParams):
     """d/dx of f via f' = (g' - f p') / (p - 1/n).
 
     Undefined inside the removable band around x = 1/n (the identity
-    degenerates to 0/0 there); endpoint calls return the signed infinite
-    limits.
+    degenerates to 0/0 there).
     """
-    n = params.n
-    r = params.e.r
-    lo, hi = (_fprime_endpoint(n, r, at_lo) for at_lo in (True, False))
     band = "f_prime is not defined within 1e-9/n of x = 1/n"
-    return _evaluate(x, params, _f_prime, lo, hi, band)
-
-
-def s_map(x, params: ProfileParams):
-    """Coordinate ratio s = x / (1 - (n-1)x); 0 at x=0, 1 at x=1/n, +inf at the top."""
-    return _evaluate(x, params, _s, 0.0, math.inf)
+    return _evaluate(x, params, _f_prime, band)
 
 
 def U_func(x, params: ProfileParams):
     """Chord slope of t -> t^(1-1/r) between s(x) and 1, normalized to U(1/n) = 1."""
-    alpha = params.e.alpha
-    lo = 1.0 / (1.0 - alpha) if alpha < 1 else math.inf
-    hi = math.inf if alpha < 0 else 0.0
-    return _evaluate(x, params, _U, lo, hi, 1.0)
+    return _evaluate(x, params, _U, 1.0)
 
 
 def V_func(x, params: ProfileParams):
     """Shifted power sum V = ((n-1) s^(1/r) + 1)/n; strictly increasing for r > 0."""
-    n = params.n
-    lo, hi = (1.0 / n, math.inf) if params.e.alpha > 0 else (math.inf, 1.0 / n)
-    return _evaluate(x, params, _V, lo, hi, 1.0)
+    return _evaluate(x, params, _V, 1.0)
 
 
 def W_func(x, params: ProfileParams):
     """Turning weight W = U * V.  W - 1 flags where g'/p' changes direction.
 
-    Endpoint limits: r/(n(r-1)) and r(n-1)/(n(r-1)) for r > 1, +inf for
-    r < 1.  W(1/n) = 1 always.
+    W(1/n) = 1 always.
     """
-    n = params.n
-    r = params.e.r
-    if r > 1:
-        lo, hi = r / (n * (r - 1.0)), r * (n - 1) / (n * (r - 1.0))
-    else:
-        lo = hi = math.inf
-    return _evaluate(x, params, _W, lo, hi, 1.0)
+    return _evaluate(x, params, _W, 1.0)
 
 
 def W_prime(x, params: ProfileParams):
-    """d/dx of W on the open interval.
+    """d/dx of W.
 
     The closed form has a double zero against a double pole at x = 1/n;
     inside the removable band the branch value n(n-2)/(2r) is returned.
@@ -449,9 +352,7 @@ def W_prime(x, params: ProfileParams):
     analytically, so the evaluation stays accurate near the center.
     """
     n = params.n
-    undefined = "W_prime is defined on the open interval only"
-    center = n * (n - 2) / (2.0 * params.e.r)
-    return _evaluate(x, params, _W_prime, undefined, undefined, center)
+    return _evaluate(x, params, _W_prime, n * (n - 2) / (2.0 * params.e.r))
 
 
 @dataclass(frozen=True)

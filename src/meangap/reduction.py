@@ -1,9 +1,6 @@
 """Reductions that pin down where the gap ratio is extremal.
 
-Three tools live here:
-
-* ``two_value_config`` builds the normalized tuple (x, ..., x, 1-(n-1)x)
-  on which the whole extremal problem is decided.
+Two tools live here:
 
 * the three-variable constraint curve: among positive triples with fixed
   sum sum_c and product prod_c (sum_c^3 > 27*prod_c), the ordered
@@ -28,7 +25,6 @@ from typing import Sequence
 
 import numpy as np
 
-from .means import SampleVector
 from .solver import Bracket, find_root
 
 __all__ = [
@@ -39,25 +35,12 @@ __all__ = [
     "curve_point",
     "h_power_sum",
     "h_prime",
-    "lemma1_coefficient",
     "lemma1_ratio",
-    "two_value_config",
 ]
 
 
 class ConstraintDegenerateError(ValueError):
     """The (sum, product) constraint admits no one-parameter curve."""
-
-
-def two_value_config(x: float, n: int) -> SampleVector:
-    """Normalized vector with n-1 coordinates at x and the last at 1-(n-1)x."""
-    if not isinstance(n, int) or n < 3:
-        raise ValueError(f"n must be an integer >= 3, got {n!r}")
-    x = float(x)
-    hi = 1.0 / (n - 1)
-    if not 0.0 <= x <= hi:
-        raise ValueError(f"x must lie in [0, {hi}], got {x}")
-    return SampleVector((x,) * (n - 1) + (1.0 - (n - 1) * x,))
 
 
 @dataclass(frozen=True)
@@ -150,10 +133,23 @@ def curve_point(t: float, cp: CurveParams) -> CurvePoint:
     return CurvePoint(t=t, x=x, y=t, z=z)
 
 
+def _powers(pt: CurvePoint, r: float):
+    # (x^r, y^r, z^r); where a power leaves the double range, float's
+    # OverflowError or ZeroDivisionError (0.0 to a negative r) becomes a
+    # ValueError that names the point
+    try:
+        return pt.x**r, pt.y**r, pt.z**r
+    except (OverflowError, ZeroDivisionError):
+        raise ValueError(
+            f"a coordinate of ({pt.x}, {pt.y}, {pt.z}) at t={pt.t} to the "
+            f"power r={r} is not a finite double"
+        ) from None
+
+
 def h_power_sum(t: float, cp: CurveParams, r: float) -> float:
     """Power sum x^r + y^r + z^r along the curve."""
-    pt = curve_point(t, cp)
-    return pt.x**r + pt.y**r + pt.z**r
+    xr, yr, zr = _powers(curve_point(t, cp), r)
+    return xr + yr + zr
 
 
 def h_prime(t: float, cp: CurveParams, r: float) -> float:
@@ -174,8 +170,9 @@ def h_prime(t: float, cp: CurveParams, r: float) -> float:
     x, y, z = pt.x, pt.y, pt.z
     if x == y or y == z:
         raise ValueError(f"coordinates merge at t={t}; h_prime is 0/0 there")
-    chord_hi = (z**r - y**r) / (z - y)
-    chord_lo = (y**r - x**r) / (y - x)
+    xr, yr, zr = _powers(pt, r)
+    chord_hi = (zr - yr) / (z - y)
+    chord_lo = (yr - xr) / (y - x)
     return r * (y - x) * (z - y) / (y * (x - z)) * (chord_hi - chord_lo)
 
 
@@ -233,23 +230,3 @@ def lemma1_ratio(
     if den == 0.0:
         raise ValueError("denominator mean difference vanished")
     return math.expm1(la - lb) / den * math.exp(lb - ld)
-
-
-def lemma1_coefficient(
-    direction: Sequence[float],
-    eps: float,
-    a: float,
-    b: float,
-) -> float:
-    """Normalized second-order coefficient 2n*(P_a - P_b)/(eps^2 * sum d^2).
-
-    Evaluated on the unit-base tuple 1 + eps*direction with a zero-sum
-    direction; the limit as eps -> 0 is a - b.
-    """
-    a, b = float(a), float(b)
-    arr = _direction_array(direction, float(eps))
-    ss = float(np.sum(arr * arr))
-    la = _log_power_mean(a, eps, arr)
-    lb = _log_power_mean(b, eps, arr)
-    diff = math.exp(lb) * math.expm1(la - lb)
-    return diff * 2.0 * arr.size / (eps**2 * ss)

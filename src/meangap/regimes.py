@@ -1,6 +1,6 @@
 """Classification of (n, r) instances into monotonicity regimes.
 
-The shape of the gap-ratio profile f on [0, 1/(n-1)] is controlled by
+The shape of the gap-ratio profile f on (0, 1/(n-1)) is controlled by
 where the turning weight W crosses 1.  Six regimes cover all admissible
 (n, r); four of them have an interior crossing mu on a known side of
 x = 1/n, and the profile attains exactly one interior extremum (nu, at
@@ -38,6 +38,12 @@ logger = logging.getLogger(__name__)
 # to it in the small coordinate: at t = (1 - 1e-6)/n
 MU_OFFSET = 1e-6
 
+# width of the final bracket of the crossing search, in log t
+_MU_TOL = 1e-14
+
+# doublings of the distance from the center before the search gives up
+_MAX_EXPAND = 64
+
 
 class RegimeTag(enum.Enum):
     NEG_R = "NEG_R"
@@ -52,16 +58,13 @@ class RegimeTag(enum.Enum):
 class FShape:
     """Qualitative shape of the profile f in a regime.
 
-    nu_index numbers the interior extremum 1..4 in the order
-    NEG_R, FRAC_R, LOW_R_SMALL_N, HIGH_R_SMALL_N; it is None for the
-    two monotone regimes.  nu_side says on which side of x = 1/n the
-    extremum lives.
+    nu_side says on which side of x = 1/n the interior extremum lives;
+    it is None for the two monotone regimes, where f is strictly
+    increasing and the extremes sit at the domain ends.
     """
 
-    nu_index: Optional[int]
     nu_kind: str  # "min" | "max" | "none"
     nu_side: Optional[str]  # "left" | "right" | None
-    description: str
 
 
 @dataclass(frozen=True)
@@ -71,7 +74,6 @@ class Regime:
     tag: RegimeTag
     n: int
     e: ExponentPair
-    has_mu: bool
     # side of x = 1/n on which W - 1 crosses zero ("left" | "right"),
     # None when the regime has no interior crossing
     mu_side: Optional[str]
@@ -91,54 +93,12 @@ class CriticalPoint:
 
 
 _SHAPES = {
-    RegimeTag.NEG_R: FShape(
-        nu_index=1,
-        nu_kind="min",
-        nu_side="right",
-        description=(
-            "f drops from 1 at x=0, dips to an interior minimum right of "
-            "the crossing, and climbs back to 1"
-        ),
-    ),
-    RegimeTag.FRAC_R: FShape(
-        nu_index=2,
-        nu_kind="max",
-        nu_side="left",
-        description=(
-            "f rises from its left endpoint value to an interior maximum "
-            "left of the crossing, then decreases through x = 1/n"
-        ),
-    ),
-    RegimeTag.LOW_R_SMALL_N: FShape(
-        nu_index=3,
-        nu_kind="min",
-        nu_side="left",
-        description=(
-            "f falls from its left endpoint value to an interior minimum "
-            "left of the crossing, then increases through x = 1/n"
-        ),
-    ),
-    RegimeTag.LOW_R_LARGE_N: FShape(
-        nu_index=None,
-        nu_kind="none",
-        nu_side=None,
-        description="f is strictly increasing; extremes sit at the endpoints",
-    ),
-    RegimeTag.HIGH_R_SMALL_N: FShape(
-        nu_index=4,
-        nu_kind="max",
-        nu_side="right",
-        description=(
-            "f rises through x = 1/n to an interior maximum right of the "
-            "crossing, then falls to its right endpoint value"
-        ),
-    ),
-    RegimeTag.HIGH_R_LARGE_N: FShape(
-        nu_index=None,
-        nu_kind="none",
-        nu_side=None,
-        description="f is strictly increasing; extremes sit at the endpoints",
-    ),
+    RegimeTag.NEG_R: FShape(nu_kind="min", nu_side="right"),
+    RegimeTag.FRAC_R: FShape(nu_kind="max", nu_side="left"),
+    RegimeTag.LOW_R_SMALL_N: FShape(nu_kind="min", nu_side="left"),
+    RegimeTag.LOW_R_LARGE_N: FShape(nu_kind="none", nu_side=None),
+    RegimeTag.HIGH_R_SMALL_N: FShape(nu_kind="max", nu_side="right"),
+    RegimeTag.HIGH_R_LARGE_N: FShape(nu_kind="none", nu_side=None),
 }
 
 
@@ -167,16 +127,9 @@ def classify(n: int, e: ExponentPair) -> Regime:
             if n < r / (r - 1.0)
             else RegimeTag.LOW_R_LARGE_N
         )
+    shape = _SHAPES[tag]
     # the W = 1 crossing sits on the same side of x = 1/n as the extremum
-    side = _SHAPES[tag].nu_side
-    return Regime(
-        tag=tag,
-        n=n,
-        e=e,
-        has_mu=side is not None,
-        mu_side=side,
-        f_shape=_SHAPES[tag],
-    )
+    return Regime(tag=tag, n=n, e=e, mu_side=shape.nu_side, f_shape=shape)
 
 
 def _scan_crossings(params: ProfileParams, lo: float, hi: float) -> int:
@@ -190,19 +143,14 @@ def _scan_crossings(params: ProfileParams, lo: float, hi: float) -> int:
     return int(np.sum(np.signbit(vals[1:]) != np.signbit(vals[:-1])))
 
 
-def locate_mu(
-    params: ProfileParams,
-    regime: Regime,
-    tol: float = 1e-14,
-    max_expand: int = 64,
-) -> Optional[CriticalPoint]:
+def locate_mu(params: ProfileParams, regime: Regime) -> Optional[CriticalPoint]:
     """Locate the interior W = 1 crossing, or None if the regime has none.
 
     Searches in the small coordinate t of the regime's side
     (`profile.Side`): starts at t = (1 - 1e-6)/n, doubles the distance
     from the center 1/n until W - 1 changes sign (the side's far edge
     t_min, where W has a known limit, serves as the final stop), then
-    bisects in log t to a width of tol.  A coarse scan of the same range
+    bisects in log t to a width of _MU_TOL.  A coarse scan of the same range
     afterwards logs a warning if more than one crossing is visible.
     """
     if params.n != regime.n or params.e != regime.e:
@@ -210,7 +158,7 @@ def locate_mu(
             f"params (n={params.n}, r={params.e.r}) do not match the "
             f"regime (n={regime.n}, r={regime.e.r})"
         )
-    if not regime.has_mu:
+    if regime.mu_side is None:
         return None
     n = regime.n
     side = Side(params, regime.mu_side)
@@ -224,7 +172,7 @@ def locate_mu(
     t_prev = max(center - d, t_end)
     f_prev = side.W(t_prev) - 1.0
     bracket = None
-    for _ in range(max_expand):
+    for _ in range(_MAX_EXPAND):
         d *= 2.0
         t_new = max(center - d, t_end)
         f_new = side.W(t_new) - 1.0
@@ -240,7 +188,7 @@ def locate_mu(
             f"n={n}, r={regime.e.r}"
         )
     result = find_root(
-        objective, Bracket(math.log(bracket[0]), math.log(bracket[1])), tol=tol
+        objective, Bracket(math.log(bracket[0]), math.log(bracket[1])), tol=_MU_TOL
     )
     lo, hi = sorted((center, side.x(t_end)))
     crossings = _scan_crossings(params, lo, hi)

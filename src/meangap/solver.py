@@ -61,7 +61,11 @@ class SolveResult:
     value: float
     residual_or_width: float   # width of the final bracket
     iterations: int
-    converged: bool
+
+
+def _check_tol(tol: float) -> None:
+    if not 0.0 < tol < math.inf:
+        raise ValueError(f"tol must be positive and finite, got {tol}")
 
 
 def find_root(
@@ -77,15 +81,14 @@ def find_root(
     drops below tol, an exact zero is hit, or no double is left between
     the bracket's ends.
     """
-    if not 0.0 < tol < math.inf:
-        raise ValueError(f"tol must be positive and finite, got {tol}")
+    _check_tol(tol)
     lo, hi = bracket.lo, bracket.hi
     flo = objective(lo)
     fhi = objective(hi)
     if flo == 0.0:
-        return SolveResult(lo, 0.0, 0.0, 0, True)
+        return SolveResult(lo, 0.0, 0.0, 0)
     if fhi == 0.0:
-        return SolveResult(hi, 0.0, 0.0, 0, True)
+        return SolveResult(hi, 0.0, 0.0, 0)
     if (flo > 0.0) == (fhi > 0.0):
         raise BracketError(
             f"no sign change on [{lo}, {hi}]: f(lo)={flo}, f(hi)={fhi}"
@@ -95,14 +98,14 @@ def find_root(
         mid = 0.5 * (lo + hi)
         fm = objective(mid)
         if fm == 0.0 or hi - lo <= tol or mid in (lo, hi):
-            return SolveResult(mid, fm, hi - lo, it, True)
+            return SolveResult(mid, fm, hi - lo, it)
         if (fm < 0.0) == neg_lo:
             lo = mid
         else:
             hi = mid
     mid = 0.5 * (lo + hi)
     if hi - lo <= tol:
-        return SolveResult(mid, objective(mid), hi - lo, max_iter, True)
+        return SolveResult(mid, objective(mid), hi - lo, max_iter)
     raise MaxIterationsError(
         f"bisection did not reach width {tol} in {max_iter} iterations"
     )

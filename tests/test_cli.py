@@ -95,10 +95,14 @@ class TestConstantsCommand:
     @pytest.mark.parametrize("cmd", [
         ["constants", "--n", "4", "--alpha", "2"],
         ["sweep", "--n-max", "5", "--alpha", "2"],
+        # monotone regimes, which call no solver
+        ["constants", "--n", "5", "--alpha", "1/2"],
+        ["sweep", "--n-max", "5", "--alpha", "1/2"],
     ])
     @pytest.mark.parametrize("tol", ["inf", "nan", "0"])
     def test_non_finite_tol_is_usage_error(self, runner, cmd, tol):
-        # --tol inf printed a lower bound of 0.5 against the sharp 0.4385
+        # --tol inf printed a lower bound of 0.5 against the sharp 0.4385,
+        # and --tol nan a bracket width "nan" on a monotone instance
         result = runner.invoke(main, cmd + ["--tol", tol])
         assert result.exit_code == 2
         assert "tol must be positive and finite" in result.output
@@ -168,10 +172,12 @@ class TestConstantsCommand:
         assert not caught, [str(w.message) for w in caught]
 
     def test_endpoint_near_the_limit_still_certifies(self, runner):
-        env = run_json(runner, ["constants", "--n", "3", "--alpha", "1/640"])
-        assert env["payload"]["regime"] == "HIGH_R_SMALL_N"
-        assert float(env["payload"]["upper_bound"]) == pytest.approx(
-            3.0**639, rel=1e-13)
+        # at r = 647, n^r overflows although n^(r-1) does not
+        for r in (640, 647):
+            env = run_json(runner, ["constants", "--n", "3", "--alpha", f"1/{r}"])
+            assert env["payload"]["regime"] == "HIGH_R_SMALL_N"
+            assert float(env["payload"]["upper_bound"]) == pytest.approx(
+                3.0 ** (r - 1), rel=1e-13)
         rows = run_json(runner, ["profile", "--n", "3", "--alpha", "1/647",
                                  "--points", "5"])["payload"]["rows"]
         assert len(rows) == 5
@@ -351,12 +357,16 @@ class TestReduce3Command:
         (["--sum", "6", "--prod", "nan", "--r", "2"], "finite positive"),
         (["--sum", "1e200", "--prod", "1", "--r", "2"], "sum^3 overflows"),
         (["--sum", "6", "--prod", "6", "--r", "nan"], "--r must be finite"),
+        # finite input past what doubles resolve
+        (["--sum", "6", "--prod", "6", "--r", "1000"], "to the power r=1000.0"),
+        (["--sum", "5e102", "--prod", "1", "--r", "2"], "coordinates merge"),
+        (["--sum", "1e50", "--prod", "1e-300", "--r", "-1"], "to the power r=-1.0"),
     ])
     def test_non_finite_input_is_usage_error(self, runner, args, named):
         result = runner.invoke(main, ["reduce3", *args])
         assert result.exit_code == 2
         assert isinstance(result.exception, SystemExit)
-        assert named in result.output
+        assert named in result.output.splitlines()[-1]
 
     def test_degenerate_constraints_are_usage_errors(self, runner):
         result = runner.invoke(main, ["reduce3", "--sum", "3", "--prod", "8",

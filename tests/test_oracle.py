@@ -231,14 +231,16 @@ class TestMonteCarlo:
         p4 = monte_carlo_extremes(n, e, workers=4, **kw).to_payload()
         assert json.dumps(p1, sort_keys=True) == json.dumps(p4, sort_keys=True)
 
-    def test_chunking_does_not_change_payload(self):
+    def test_chunking_does_not_change_payload(self, monkeypatch):
         n, e = 4, ExponentPair.from_alpha(2.0)
         cert = best_constants(n, e)
-        a = monte_carlo_extremes(n, e, samples=12_000, seed=1, cert=cert,
-                                 grid=MIN_GRID, chunk=1000)
-        b = monte_carlo_extremes(n, e, samples=12_000, seed=1, cert=cert,
-                                 grid=MIN_GRID, chunk=7001)
-        assert a.to_payload() == b.to_payload()
+        payloads = []
+        for chunk in (1000, 7001):
+            monkeypatch.setattr(oracle, "_CHUNK", chunk)
+            payloads.append(monte_carlo_extremes(
+                n, e, samples=12_000, seed=1, cert=cert, grid=MIN_GRID
+            ).to_payload())
+        assert payloads[0] == payloads[1]
 
     def test_no_violations_on_correct_certificate(self):
         n, e = 4, ExponentPair.from_alpha(2.0)

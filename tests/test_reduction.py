@@ -9,7 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from meangap.constants import ratio_from_f
-from meangap.means import ExponentPair, SampleVector, ratio_gap
+from meangap.means import ExponentPair, ratio_gap
 from meangap.profile import ProfileParams, f_profile
 from meangap.reduction import (
     ConstraintDegenerateError,
@@ -19,9 +19,7 @@ from meangap.reduction import (
     curve_point,
     h_power_sum,
     h_prime,
-    lemma1_coefficient,
     lemma1_ratio,
-    two_value_config,
 )
 
 # zero-sum directions with nonzero third moment, so the difference
@@ -33,20 +31,6 @@ DIR5 = (-0.9, -0.2, -0.1, 0.5, 0.7)
 
 
 class TestTwoValueConfig:
-    def test_returns_sample_vector(self):
-        v = two_value_config(0.2, 3)
-        assert isinstance(v, SampleVector)
-        assert v.xs == (0.2, 0.2, 0.6)
-        assert v.is_normalized()
-
-    def test_domain_validation(self):
-        with pytest.raises(ValueError):
-            two_value_config(0.6, 3)
-        with pytest.raises(ValueError):
-            two_value_config(-0.1, 3)
-        with pytest.raises(ValueError):
-            two_value_config(0.2, 2)
-
     @given(x=st.floats(min_value=1e-6, max_value=0.499).filter(
         lambda x: abs(x - 1.0 / 3.0) > 1e-3))
     def test_ratio_matches_profile_involution(self, x):
@@ -57,7 +41,7 @@ class TestTwoValueConfig:
         n = 3
         e = ExponentPair.from_alpha(-1.0)
         params = ProfileParams(n=n, e=e)
-        direct = ratio_gap(two_value_config(x, n), e)
+        direct = ratio_gap((x,) * (n - 1) + (1.0 - (n - 1) * x,), e)
         via_profile = ratio_from_f(f_profile(x, params))
         assert direct == pytest.approx(via_profile, rel=1e-9, abs=1e-9)
 
@@ -212,17 +196,3 @@ class TestLemma1Ratio:
             lemma1_ratio(-1.0, DIR3, 1e-3, 0.0, 1.0, 0.5, 1.0)  # base <= 0
         with pytest.raises(ValueError):
             lemma1_ratio(1.0, (0.0, 0.0, 0.0), 1e-3, 0.0, 1.0, 0.5, 1.0)
-
-
-class TestLemma1Coefficient:
-    @pytest.mark.parametrize("a,b", [(0.0, 1.0), (2.0, 1.0), (-1.0, 2.0)])
-    def test_limit_is_order_difference(self, a, b):
-        got = lemma1_coefficient(DIR5, 1e-5, a, b)
-        assert got == pytest.approx(a - b, rel=1e-4, abs=1e-6)
-
-    def test_symmetric_direction_also_converges(self):
-        # zero third moment kills the eps term; convergence is quadratic
-        sym = (0.5, -0.5)
-        errs = [abs(lemma1_coefficient(sym, eps, 2.0, 0.0) - 2.0)
-                for eps in (1e-2, 1e-3)]
-        assert errs[1] < errs[0] * 1e-3

@@ -64,7 +64,6 @@ class TestRegimeStructure:
         }
         for (n, r) in [(3, -1.0), (4, 0.5), (3, 1.4), (3, 5.0)]:
             reg = classify(n, ExponentPair.from_r(r))
-            assert reg.has_mu
             assert reg.mu_side == sides[reg.tag]
             # the search runs from the center out to a far edge inside the domain
             t_min = Side(ProfileParams(n=n, e=reg.e), reg.mu_side).t_min
@@ -73,7 +72,6 @@ class TestRegimeStructure:
     def test_monotone_regimes_have_no_mu(self):
         for (n, r) in [(5, 2.0), (5, 5.0)]:
             reg = classify(n, ExponentPair.from_r(r))
-            assert not reg.has_mu
             assert reg.mu_side is None
             assert reg.f_shape.nu_kind == "none"
 
@@ -87,18 +85,17 @@ class TestRegimeStructure:
 
     def test_shape_table(self):
         kinds = {
-            RegimeTag.NEG_R: ("min", "right", 1),
-            RegimeTag.FRAC_R: ("max", "left", 2),
-            RegimeTag.LOW_R_SMALL_N: ("min", "left", 3),
-            RegimeTag.HIGH_R_SMALL_N: ("max", "right", 4),
+            RegimeTag.NEG_R: ("min", "right"),
+            RegimeTag.FRAC_R: ("max", "left"),
+            RegimeTag.LOW_R_SMALL_N: ("min", "left"),
+            RegimeTag.HIGH_R_SMALL_N: ("max", "right"),
         }
         for (n, r) in [(3, -1.0), (4, 0.5), (3, 1.4), (3, 5.0)]:
             reg = classify(n, ExponentPair.from_r(r))
             shape = reg.f_shape
-            kind, side, idx = kinds[reg.tag]
+            kind, side = kinds[reg.tag]
             assert shape.nu_kind == kind
             assert shape.nu_side == side
-            assert shape.nu_index == idx
 
     def test_rejects_non_pair(self):
         with pytest.raises(TypeError):
@@ -166,7 +163,7 @@ class TestLocateMu:
         params = ProfileParams(n=5, e=e)
         donor = classify(5, ExponentPair.from_r(5.5))
         forged = type(donor)(
-            tag=donor.tag, n=5, e=e, has_mu=True, mu_side=donor.mu_side,
+            tag=donor.tag, n=5, e=e, mu_side=donor.mu_side,
             f_shape=donor.f_shape,
         )
         with pytest.raises(BracketError):
