@@ -256,6 +256,16 @@ def test_w_equals_u_times_v(n, alpha):
     np.testing.assert_allclose(w, uv, rtol=1e-12, atol=0.0)
 
 
+class TestEndpointTags:
+    # the endpoints carry no one-sided values: W' refuses both, as every
+    # profile function does
+    def test_w_prime_rejected_at_endpoints(self):
+        params = params_for(3, -1.0)
+        for arg in (0.0, params.x_hi, np.array([0.1, params.x_hi])):
+            with pytest.raises(ValueError, match=r"x must lie in \(0, 0\.5\)"):
+                W_prime(arg, params)
+
+
 class TestDomain:
     def test_outside_domain_rejected(self):
         params = params_for(3, 2.0)
@@ -274,6 +284,19 @@ class TestDomain:
     def test_params_reject_overflowing_endpoint(self, n, r):
         with pytest.raises(ValueError, match=r"ln\(DBL_MAX\)"):
             ProfileParams(n=n, e=ExponentPair.from_r(r))
+
+    def test_p_top_endpoint_near_the_limit(self):
+        # n^r overflows here although n^(r-1) does not; just inside the top
+        # endpoint every profile function is finite, and p falls toward
+        # its limit (2/3)^646 / 3 from above
+        params = ProfileParams(n=3, e=ExponentPair.from_r(647.0))
+        hi = params.x_hi
+        xs = np.append(hi * (1.0 - np.geomspace(1e-3, 1e-15, 5)), np.nextafter(hi, 0.0))
+        for fn in FNS.values():
+            assert np.all(np.isfinite(fn(xs, params))), fn.__name__
+        ps = p_profile(xs, params)
+        assert np.all(np.diff(ps) < 0.0)
+        assert ps[-1] > (2.0 / 3.0) ** 646 / 3.0
 
 
 SIDE_METHODS = {"f": _f, "f_prime": _f_prime, "W": _W}
