@@ -197,7 +197,8 @@ def main() -> None:
 @n_option
 @alpha_option
 @click.option("--tol", type=float, default=1e-10, show_default=True,
-              help="bracket width of the interior extremum search, in log t")
+              help="bracket width of the interior extremum search, "
+                   "in log(n t/(1 - n t))")
 @format_option
 def constants_cmd(n: int, e: ExponentPair, tol: float, fmt: str) -> None:
     """Certificate of the extremal constants for one instance."""

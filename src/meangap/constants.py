@@ -30,7 +30,7 @@ from .means import (
 )
 from .profile import ProfileParams, Side
 from .regimes import RegimeTag, classify, locate_mu
-from .solver import Bracket, UncertifiedInstance, _check_tol, find_root
+from .solver import BracketError, UncertifiedInstance, _check_tol, search_outward
 
 __all__ = [
     "BRACKET_SLACK",
@@ -51,7 +51,7 @@ __all__ = [
 # table stay 1e-9/n away from the domain ends
 EPS_HAT = 1e-9
 
-# width of the final bracket of the extremum search, in log t
+# width of the final bracket of the extremum search, in v = log(n t/(1 - n t))
 DEFAULT_EXTREMUM_TOL = 1e-10
 
 # slack for the a-priori bracket cross-checks on certified constants
@@ -168,8 +168,9 @@ def best_constants(
     endpoint bounds; the four turning regimes additionally locate mu, the
     interior extremum nu of the profile on the regime's side, and the
     certified constant omega = nu/(nu-1).  The extremum is the sign change
-    of f' between mu and the side's far edge, bisected in log t (t the
-    small coordinate, `profile.Side`) to a bracket of width tol.
+    of f' nearest mu on the way to the side's far edge: stepped out from mu
+    and narrowed by false position in v = log(n t/(1 - n t)) (t the small
+    coordinate, `profile.Side`) to a bracket of width tol.
     """
     _validate_n(n)
     _check_tol(tol)
@@ -203,14 +204,17 @@ def best_constants(
     tolerances["mu_residual"] = cp.residual
     shape = regime.f_shape
     side = Side(params, shape.nu_side)
-    lo, hi = math.log(side.t_min), math.log(cp.t)
-    if not lo < hi:
-        raise UncertifiedInstance(
-            f"the W = 1 crossing lies at the far edge t_min = {side.t_min!r} "
-            f"of the {shape.nu_side} side, leaving no room for the extremum search"
+    try:
+        res = search_outward(
+            lambda v: side.f_prime(side.t(v)), side.v(cp.t), side.v(side.t_min),
+            tol=tol,
         )
-    res = find_root(lambda s: side.f_prime(math.exp(s)), Bracket(lo, hi), tol=tol)
-    t_star = math.exp(res.x_star)
+    except BracketError:
+        raise UncertifiedInstance(
+            f"f' keeps its sign from the W = 1 crossing out to the far edge "
+            f"t_min = {side.t_min!r} of the {shape.nu_side} side"
+        ) from None
+    t_star = side.t(res.x_star)
     nu = side.f(t_star)
     omega = ratio_from_f(nu)
 

@@ -213,11 +213,7 @@ def _runs(side: Side, count: int) -> List[Tuple[float, float, int]]:
     and the rest space t_min to the center band as finely as an extremum
     there, about 1/|alpha| wide in log t, needs.
     """
-    n = side.params.n
-
-    def v(t: float) -> float:
-        return math.log(n * t) - math.log1p(-n * t)
-
+    n, v = side.params.n, side.v
     # the band |n x - 1| <= CENTER_BAND ends at 1 - n t = CENTER_BAND on the
     # left and, as n y = 1 - (n-1)(n x - 1), at (n-1) CENTER_BAND on the right
     band = (1 if side.side == "left" else n - 1) * CENTER_BAND

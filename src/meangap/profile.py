@@ -369,6 +369,8 @@ class Side:
     of |log s|, alpha log s and (1 - alpha) log s reaches 600.  `t_end`,
     where |log s| alone does, lies further out for large |alpha| (at
     n = 3, alpha = 1000, t_min is 0.26 on the left, the center 1/3).
+    `v` and `t` map t to v = log(n t/(1 - n t)) and back: the solvers
+    search in v and the verify grid is evenly spaced in it.
     """
 
     params: ProfileParams
@@ -413,6 +415,20 @@ class Side:
 
     def x(self, t: float) -> float:
         return t if self.side == "left" else (1.0 - t) / (self.params.n - 1)
+
+    def v(self, t: float) -> float:
+        """v = log(n t/(1 - n t)) of a float t.
+
+        v is log t up to a constant near the end of the side and -log of
+        the distance from the center near it, so steps of 1, 2, 4, ... in
+        v reach either in about ten probes.
+        """
+        X = self.params.n * t
+        return math.log(X) - math.log1p(-X)
+
+    def t(self, v: float) -> float:
+        """The t of a float v, the inverse of `v`."""
+        return 1.0 / (self.params.n * (1.0 + math.exp(-v)))
 
     def f(self, t: float) -> float:
         return self._evaluate(_f, t)

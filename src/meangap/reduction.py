@@ -25,7 +25,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .solver import Bracket, find_root
+from .solver import Bracket, SolveResult, find_root
 
 __all__ = [
     "ConstraintDegenerateError",
@@ -37,6 +37,10 @@ __all__ = [
     "h_prime",
     "lemma1_ratio",
 ]
+
+
+# width of the final bracket of each end of the curve, relative to the end
+_CURVE_RTOL = 1e-15
 
 
 class ConstraintDegenerateError(ValueError):
@@ -68,8 +72,16 @@ class CurvePoint:
     z: float
 
 
-def _kappa(t: float, sum_c: float, prod_c: float) -> float:
-    return -8.0 * t**3 + 4.0 * sum_c * t**2 - 4.0 * prod_c
+def _quarter_kappa(t: float, sum_c: float, prod_c: float) -> float:
+    # kappa/4 = t^2 (sum_c - 2t) - prod_c, multiplied in an order in which
+    # nothing overflows where sum_c^3 does not and t^2 cannot underflow alone
+    return t * (t * (sum_c - 2.0 * t)) - prod_c
+
+
+def _inner_end(res: SolveResult, inward: float) -> float:
+    # the end of the final bracket on the curve, where kappa >= 0: the last
+    # probe, or the bracket's other end, a width away toward the curve
+    return res.x_star if res.value >= 0.0 else res.x_star + inward * res.residual_or_width
 
 
 def curve_params(sum_c: float, prod_c: float) -> CurveParams:
@@ -95,13 +107,21 @@ def curve_params(sum_c: float, prod_c: float) -> CurveParams:
             f"need sum^3 > 27*product for a nondegenerate curve, got "
             f"sum^3={cube}, 27*product={27.0 * prod_c}"
         )
-    tol = 1e-15 * max(1.0, sum_c)
-    kappa = lambda t: _kappa(t, sum_c, prod_c)
-    t_lo = find_root(kappa, Bracket(0.0, sum_c / 3.0), tol=tol)
-    t_hi = find_root(kappa, Bracket(sum_c / 3.0, sum_c), tol=tol)
-    return CurveParams(
-        sum_c=sum_c, prod_c=prod_c, t_lo=t_lo.x_star, t_hi=t_hi.x_star
+    # kappa/4 = t^2 (sum - 2t) - prod, so the small root lies in
+    # [q, sqrt(3) q], q = sqrt(prod/sum), and the large one in (sum/3, sum).
+    # Widened by e each way, the small root's bracket keeps kappa's signs
+    # past rounding, and each root is solved to a width relative to itself
+    kappa = lambda t: _quarter_kappa(t, sum_c, prod_c)
+    q = math.exp(0.5 * (math.log(prod_c) - math.log(sum_c)))
+    top = sum_c / 3.0
+    t_lo = _inner_end(find_root(
+        kappa, Bracket(q / math.e, min(q * math.e * math.sqrt(3.0), top)),
+        tol=_CURVE_RTOL * q,
+    ), 1.0)
+    t_hi = _inner_end(
+        find_root(kappa, Bracket(top, sum_c), tol=_CURVE_RTOL * sum_c), -1.0
     )
+    return CurveParams(sum_c=sum_c, prod_c=prod_c, t_lo=t_lo, t_hi=t_hi)
 
 
 def curve_point(t: float, cp: CurveParams) -> CurvePoint:

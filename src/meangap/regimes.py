@@ -20,7 +20,7 @@ import numpy as np
 
 from .means import ExponentPair
 from .profile import ProfileParams, Side, W_func
-from .solver import Bracket, BracketError, find_root
+from .solver import BracketError, UncertifiedInstance, search_outward
 
 __all__ = [
     "MU_OFFSET",
@@ -38,11 +38,8 @@ logger = logging.getLogger(__name__)
 # to it in the small coordinate: at t = (1 - 1e-6)/n
 MU_OFFSET = 1e-6
 
-# width of the final bracket of the crossing search, in log t
+# width of the final bracket of the crossing search, in v = log(n t/(1 - n t))
 _MU_TOL = 1e-14
-
-# doublings of the distance from the center before the search gives up
-_MAX_EXPAND = 64
 
 
 class RegimeTag(enum.Enum):
@@ -146,12 +143,15 @@ def _scan_crossings(params: ProfileParams, lo: float, hi: float) -> int:
 def locate_mu(params: ProfileParams, regime: Regime) -> Optional[CriticalPoint]:
     """Locate the interior W = 1 crossing, or None if the regime has none.
 
-    Searches in the small coordinate t of the regime's side
-    (`profile.Side`): starts at t = (1 - 1e-6)/n, doubles the distance
-    from the center 1/n until W - 1 changes sign (the side's far edge
-    t_min, where W has a known limit, serves as the final stop), then
-    bisects in log t to a width of _MU_TOL.  A coarse scan of the same range
-    afterwards logs a warning if more than one crossing is visible.
+    Searches in the coordinate v = log(n t/(1 - n t)) of the small
+    coordinate t of the regime's side (`profile.Side`): steps outward from
+    t = (1 - 1e-6)/n toward the side's far edge t_min, where W has a known
+    limit, until W - 1 changes sign, then narrows the step by false
+    position to a width of _MU_TOL in v (`solver.search_outward`).  A
+    crossing within that width of t_min, or where W rounds to 1 out to
+    t_min, is refused, as it leaves no room for the extremum beyond it.
+    A coarse scan of the side afterwards logs a warning if more than one
+    crossing is visible.
     """
     if params.n != regime.n or params.e != regime.e:
         raise ValueError(
@@ -162,34 +162,28 @@ def locate_mu(params: ProfileParams, regime: Regime) -> Optional[CriticalPoint]:
         return None
     n = regime.n
     side = Side(params, regime.mu_side)
-    center = 1.0 / n
     t_end = side.t_min
-
-    def objective(s: float) -> float:
-        return side.W(math.exp(s)) - 1.0
-
-    d = MU_OFFSET / n
-    t_prev = max(center - d, t_end)
-    f_prev = side.W(t_prev) - 1.0
-    bracket = None
-    for _ in range(_MAX_EXPAND):
-        d *= 2.0
-        t_new = max(center - d, t_end)
-        f_new = side.W(t_new) - 1.0
-        if f_new == 0.0 or (f_new > 0) != (f_prev > 0):
-            bracket = (t_new, t_prev)
-            break
-        if t_new == t_end:
-            break
-        t_prev, f_prev = t_new, f_new
-    if bracket is None:
+    edge = side.v(t_end)
+    start = max(math.log((1.0 - MU_OFFSET) / MU_OFFSET), edge)
+    try:
+        result = search_outward(
+            lambda v: side.W(side.t(v)) - 1.0, start, edge, tol=_MU_TOL
+        )
+    except BracketError:
         raise BracketError(
             f"no W = 1 crossing found on the {regime.mu_side} side for "
             f"n={n}, r={regime.e.r}"
+        ) from None
+    # W tends to 1 at the end of the side at some instances: a crossing
+    # where W - 1 rounds to 0 and W rounds to 1 at t_min as well is that
+    # approach, not a crossing that can be told from the far edge
+    at_edge = result.value == 0.0 and side.W(t_end) == 1.0
+    if result.x_star - edge <= _MU_TOL or at_edge:
+        raise UncertifiedInstance(
+            f"the W = 1 crossing lies at the far edge t_min = {t_end!r} "
+            f"of the {regime.mu_side} side, leaving no room for the extremum search"
         )
-    result = find_root(
-        objective, Bracket(math.log(bracket[0]), math.log(bracket[1])), tol=_MU_TOL
-    )
+    center = 1.0 / n
     lo, hi = sorted((center, side.x(t_end)))
     crossings = _scan_crossings(params, lo, hi)
     if crossings > 1:
@@ -201,7 +195,7 @@ def locate_mu(params: ProfileParams, regime: Regime) -> Optional[CriticalPoint]:
             n,
             regime.e.r,
         )
-    t_mu = math.exp(result.x_star)
+    t_mu = side.t(result.x_star)
     return CriticalPoint(
         mu=side.x(t_mu),
         residual=abs(result.value),

@@ -1,11 +1,14 @@
-"""Deterministic scalar solver: bisection on a sign change.
+"""Deterministic scalar solver: safeguarded false position on a sign change.
 
-The routine is derivative free and uses only fixed arithmetic on the
-bracket, so repeated runs are bit identical.  It is deliberately plain;
-callers are expected to supply brackets that already isolate the sign
-change they are looking for.  Every 1-d search of the package runs
-through it: the W = 1 crossing mu, the extremum x* as the sign change of
-f', and the ends of the fixed sum-and-product curve.
+The routines are derivative free and use only fixed arithmetic on the
+bracket, so repeated runs are bit identical.  `find_root` refines a
+bracket that already isolates the sign change by Illinois false position
+(Dowell & Jarratt, BIT 1971), which falls back to bisection wherever the
+secant step cannot be trusted; `search_outward` first finds such a
+bracket by stepping away from a start point.  Every 1-d search of the
+package runs through them: the W = 1 crossing mu and the extremum x* as
+the sign change of f', both stepped out from the center side, and the
+ends of the fixed sum-and-product curve.
 """
 
 from __future__ import annotations
@@ -21,10 +24,15 @@ __all__ = [
     "SolveResult",
     "UncertifiedInstance",
     "find_root",
+    "search_outward",
 ]
 
 DEFAULT_ROOT_TOL = 1e-11
 MAX_ITERATIONS = 200
+
+# false-position steps in a row that may leave the bracket more than half
+# as wide as before them; the next step bisects
+_SECANT_STEPS = 3
 
 
 class UncertifiedInstance(Exception):
@@ -74,38 +82,104 @@ def find_root(
     tol: float = DEFAULT_ROOT_TOL,
     max_iter: int = MAX_ITERATIONS,
 ) -> SolveResult:
-    """Bisection root of objective on the bracket.
+    """Root of objective on the bracket, by safeguarded Illinois false position.
 
     Requires a sign change across the bracket; endpoint function values may
-    be +-inf, only their sign is used.  Bisects until the bracket width
-    drops below tol, an exact zero is hit, or no double is left between
-    the bracket's ends.
+    be +-inf, only their sign is used.  Narrows the bracket until its width
+    drops to tol, an exact zero is hit, or no double is left between the
+    bracket's ends, and returns the last probe, one end of the final
+    bracket, with its value.
     """
     _check_tol(tol)
     lo, hi = bracket.lo, bracket.hi
     flo = objective(lo)
-    fhi = objective(hi)
     if flo == 0.0:
         return SolveResult(lo, 0.0, 0.0, 0)
+    fhi = objective(hi)
     if fhi == 0.0:
         return SolveResult(hi, 0.0, 0.0, 0)
     if (flo > 0.0) == (fhi > 0.0):
         raise BracketError(
             f"no sign change on [{lo}, {hi}]: f(lo)={flo}, f(hi)={fhi}"
         )
+    return _refine(objective, lo, hi, flo, fhi, tol, max_iter, 0)
+
+
+def search_outward(
+    objective: Callable[[float], float],
+    start: float,
+    edge: float,
+    tol: float = DEFAULT_ROOT_TOL,
+    max_iter: int = MAX_ITERATIONS,
+) -> SolveResult:
+    """The sign change of objective nearest start on the way to edge.
+
+    Steps from start toward edge by 1, 2, 4, ..., with edge itself as the
+    last probe, until the objective's sign differs from its sign at start,
+    then narrows the last step as `find_root` does, in at most max_iter
+    steps.  `iterations` counts every probe after the one at start.
+    Raises BracketError if edge is reached without a sign change.
+    """
+    _check_tol(tol)
+    x, fx = start, objective(start)
+    if fx == 0.0:
+        return SolveResult(start, 0.0, 0.0, 0)
+    step, probes = math.copysign(1.0, edge - start), 0
+    while x != edge:
+        near, f_near = x, fx
+        x = x + step if abs(step) < abs(edge - x) else edge
+        fx = objective(x)
+        probes += 1
+        if fx == 0.0:
+            return SolveResult(x, 0.0, 0.0, probes)
+        if (fx > 0.0) != (f_near > 0.0):
+            ends = (x, near, fx, f_near) if x < near else (near, x, f_near, fx)
+            return _refine(objective, *ends, tol, max_iter, probes)
+        step *= 2.0
+    raise BracketError(f"no sign change from {start} out to {edge}: f(edge)={fx}")
+
+
+def _refine(objective, lo, hi, flo, fhi, tol, max_iter, probes) -> SolveResult:
+    # Illinois false position on [lo, hi], flo and fhi of opposite signs and
+    # nonzero.  The secant runs on copies of the end values, of which the
+    # one kept twice in a row is halved.  A step within tol of an end moves
+    # to tol past it, so the bracket closes to a width <= tol; where such a
+    # step leaves it wider, the secant is off, and the next step bisects, as
+    # it does after a non-finite end value, a secant outside the bracket, or
+    # _SECANT_STEPS steps that did not halve the bracket.
     neg_lo = flo < 0.0
+    slo, shi, kept = flo, fhi, 0
+    width, steps = hi - lo, 0
+    x, fx = (lo, flo) if abs(flo) < abs(fhi) else (hi, fhi)
     for it in range(1, max_iter + 1):
-        mid = 0.5 * (lo + hi)
-        fm = objective(mid)
-        if fm == 0.0 or hi - lo <= tol or mid in (lo, hi):
-            return SolveResult(mid, fm, hi - lo, it)
-        if (fm < 0.0) == neg_lo:
-            lo = mid
+        if hi - lo <= tol:
+            return SolveResult(x, fx, hi - lo, probes + it - 1)
+        mid, moved = 0.5 * (lo + hi), False
+        if steps < _SECANT_STEPS and math.isfinite(slo) and math.isfinite(shi):
+            sec = hi - shi * ((hi - lo) / (shi - slo))
+            inner = min(max(sec, lo + tol), hi - tol)
+            if lo < inner < hi:
+                mid, moved = inner, inner != sec
+        if not lo < mid < hi:
+            return SolveResult(x, fx, hi - lo, probes + it - 1)
+        x, fx = mid, objective(mid)
+        if fx == 0.0:
+            return SolveResult(x, 0.0, hi - lo, probes + it)
+        steps = _SECANT_STEPS if moved else steps + 1
+        if (fx < 0.0) == neg_lo:
+            lo, slo = x, fx
+            if kept == 1:
+                shi *= 0.5
+            kept = 1
         else:
-            hi = mid
-    mid = 0.5 * (lo + hi)
+            hi, shi = x, fx
+            if kept == -1:
+                slo *= 0.5
+            kept = -1
+        if hi - lo <= 0.5 * width:
+            width, steps = hi - lo, 0
     if hi - lo <= tol:
-        return SolveResult(mid, objective(mid), hi - lo, max_iter)
+        return SolveResult(x, fx, hi - lo, probes + max_iter)
     raise MaxIterationsError(
-        f"bisection did not reach width {tol} in {max_iter} iterations"
+        f"false position did not reach width {tol} in {max_iter} iterations"
     )

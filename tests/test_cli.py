@@ -359,7 +359,7 @@ class TestReduce3Command:
         (["--sum", "6", "--prod", "6", "--r", "nan"], "--r must be finite"),
         # finite input past what doubles resolve
         (["--sum", "6", "--prod", "6", "--r", "1000"], "to the power r=1000.0"),
-        (["--sum", "5e102", "--prod", "1", "--r", "2"], "coordinates merge"),
+        (["--sum", "5.7e102", "--prod", "1", "--r", "2"], "sum^3 overflows"),
         (["--sum", "1e50", "--prod", "1e-300", "--r", "-1"], "to the power r=-1.0"),
     ])
     def test_non_finite_input_is_usage_error(self, runner, args, named):
@@ -367,6 +367,15 @@ class TestReduce3Command:
         assert result.exit_code == 2
         assert isinstance(result.exception, SystemExit)
         assert named in result.output.splitlines()[-1]
+
+    def test_large_sum_gives_the_curve(self, runner):
+        # the small end of the curve lies near sqrt(prod/sum), 154 decades
+        # below the sum, and every row between the ends is a proper triple
+        payload = run_json(runner, ["reduce3", "--sum", "5e102", "--prod", "1",
+                                    "--r", "2"])["payload"]
+        assert float(payload["t_lo"]) == pytest.approx(5e102 ** -0.5, rel=1e-12)
+        assert float(payload["t_hi"]) == pytest.approx(2.5e102, rel=1e-12)
+        assert payload["monotone"] == "strictly decreasing"
 
     def test_degenerate_constraints_are_usage_errors(self, runner):
         result = runner.invoke(main, ["reduce3", "--sum", "3", "--prod", "8",

@@ -20,6 +20,7 @@ from meangap.constants import (
     wen_reference,
 )
 from meangap.means import ExponentPair, ratio_gap
+from meangap.profile import Side
 from meangap.regimes import RegimeTag
 
 simplex3 = st.lists(
@@ -160,6 +161,23 @@ class TestSweep:
             sweep_constants(ExponentPair.from_alpha(2.0), 4, 3)
         with pytest.raises(ValueError):
             sweep_constants(ExponentPair.from_alpha(2.0), 2, 5)
+
+    @pytest.mark.parametrize("alpha", [2.0, -1.0])
+    def test_profile_evaluations_per_certificate(self, monkeypatch, alpha):
+        # both searches step out from the center side and narrow the last
+        # step by false position: a few dozen W and f' probes a certificate
+        calls = []
+        for name in ("W", "f_prime"):
+            method = getattr(Side, name)
+
+            def probe(self, t, method=method):
+                calls.append(t)
+                return method(self, t)
+
+            monkeypatch.setattr(Side, name, probe)
+        certs = sweep_constants(ExponentPair.from_alpha(alpha), 3, 40)
+        assert all(c.x_star is not None for c in certs)
+        assert len(calls) / len(certs) <= 50
 
 
 class TestInterpolation:

@@ -63,6 +63,26 @@ class TestCurveParams:
                 0.0, abs=1e-11
             )
 
+    # small roots at large sums, frozen from mpmath at 60 digits (iterating
+    # t = sqrt(prod/(sum - 2t)) from sqrt(prod/sum))
+    SMALL_ROOTS = {
+        (1e50, 1.0): 1e-25,
+        (1e60, 1e-300): 1e-180,
+        (1e80, 1e100): 1e10,
+        (1e100, 1.0): 1e-50,
+        (1e102, 1.0): 1e-51,
+        (5e102, 1e-300): 4.472135954999579e-202,
+        (5e102, 1.0): 4.4721359549995796e-52,
+    }
+
+    @pytest.mark.parametrize("sum_c,prod_c", sorted(SMALL_ROOTS))
+    def test_small_root_is_relative_at_large_sums(self, sum_c, prod_c):
+        # the small root sits near sqrt(prod/sum), far below the sum: each
+        # end must come to a width relative to itself, not to the sum
+        cp = curve_params(sum_c, prod_c)
+        assert cp.t_lo == pytest.approx(self.SMALL_ROOTS[sum_c, prod_c], rel=1e-12)
+        assert cp.t_hi == pytest.approx(sum_c / 2.0, rel=1e-12)
+
     def test_degenerate_rejected(self):
         with pytest.raises(ConstraintDegenerateError):
             curve_params(6.0, 8.0)  # 216 = 27*8: all-equal collapse

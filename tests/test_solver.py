@@ -1,4 +1,4 @@
-"""The bisection solver against scipy and closed forms."""
+"""False position and the outward search against scipy and closed forms."""
 
 import math
 
@@ -13,7 +13,17 @@ from meangap.solver import (
     MaxIterationsError,
     SolveResult,
     find_root,
+    search_outward,
 )
+
+
+def counted(fn):
+    """fn with a list of the points it was called at, as .probes."""
+    def wrapper(x):
+        wrapper.probes.append(x)
+        return fn(x)
+    wrapper.probes = []
+    return wrapper
 
 
 class TestBracket:
@@ -57,9 +67,25 @@ class TestFindRoot:
             find_root(math.cos, Bracket(1.0, 2.0), tol=0.0)
 
     def test_iteration_cap(self):
+        # a transcendental root that no probe hits exactly: eight steps
+        # close the bracket neither to 1e-30 nor to two adjacent doubles
         with pytest.raises(MaxIterationsError):
-            find_root(lambda x: x - 0.1234, Bracket(0.0, 1.0), tol=1e-30,
+            find_root(lambda x: math.exp(x) - 3.0, Bracket(0.0, 2.0), tol=1e-30,
                       max_iter=8)
+
+    def test_steep_objective_converges_in_few_evaluations(self):
+        # the secant of [-20, 1] sits next to -20, where f = -2 against
+        # f(1) = 5e21: the safeguards must bisect the bracket down to where
+        # the secant is good, without spending dozens of probes
+        fn = counted(lambda x: math.expm1(50.0 * x) - 1.0)
+        tol = 1e-12
+        res = find_root(fn, Bracket(-20.0, 1.0), tol=tol)
+        assert len(fn.probes) <= 30
+        w = res.residual_or_width
+        assert w <= tol
+        # x_star is one end of the final bracket, and f is increasing
+        assert fn(res.x_star - w) < 0.0 < fn(res.x_star + w)
+        assert res.x_star == pytest.approx(math.log(2.0) / 50.0, abs=tol)
 
     def test_deterministic(self):
         fn = lambda x: math.expm1(x) - 1.0
@@ -77,3 +103,33 @@ class TestFindRoot:
         assert isinstance(res, SolveResult)
         assert res.residual_or_width <= 1e-10
         assert res.iterations > 0
+
+
+class TestSearchOutward:
+    def test_stops_at_the_first_sign_change(self):
+        # roots at 3.5 and 10.5; the probes 0, 1, 3, 7 step over the first
+        fn = counted(lambda x: (x - 3.5) * (x - 10.5))
+        res = search_outward(fn, 0.0, 100.0, tol=1e-13)
+        assert fn.probes[:4] == [0.0, 1.0, 3.0, 7.0]
+        assert max(fn.probes) == 7.0
+        assert res.x_star == pytest.approx(3.5, abs=1e-13)
+        assert res.iterations == len(fn.probes) - 1
+
+    def test_steps_either_way_and_stop_at_the_edge(self):
+        fn = counted(lambda x: x + 5.5)
+        res = search_outward(fn, 0.0, -100.0, tol=1e-13)
+        assert fn.probes[:4] == [0.0, -1.0, -3.0, -7.0]
+        assert res.x_star == pytest.approx(-5.5, abs=1e-13)
+        # the step from 3 to 7 would pass the edge: the edge is probed
+        fn = counted(lambda x: x - 4.9)
+        res = search_outward(fn, 0.0, 5.0, tol=1e-13)
+        assert fn.probes[:4] == [0.0, 1.0, 3.0, 5.0]
+        assert res.x_star == pytest.approx(4.9, abs=1e-13)
+
+    def test_no_sign_change_out_to_the_edge_raises(self):
+        fn = counted(lambda x: x * x + 1.0)
+        with pytest.raises(BracketError):
+            search_outward(fn, 0.0, 30.0)
+        assert fn.probes == [0.0, 1.0, 3.0, 7.0, 15.0, 30.0]
+        with pytest.raises(BracketError):
+            search_outward(fn, 2.0, 2.0)
