@@ -110,15 +110,14 @@ def search_outward(
     start: float,
     edge: float,
     tol: float = DEFAULT_ROOT_TOL,
-    max_iter: int = MAX_ITERATIONS,
 ) -> SolveResult:
     """The sign change of objective nearest start on the way to edge.
 
     Steps from start toward edge by 1, 2, 4, ..., with edge itself as the
     last probe, until the objective's sign differs from its sign at start,
-    then narrows the last step as `find_root` does, in at most max_iter
-    steps.  `iterations` counts every probe after the one at start.
-    Raises BracketError if edge is reached without a sign change.
+    then narrows the last step as `find_root` does.  `iterations` counts
+    every probe after the one at start.  Raises BracketError if edge is
+    reached without a sign change.
     """
     _check_tol(tol)
     x, fx = start, objective(start)
@@ -134,7 +133,7 @@ def search_outward(
             return SolveResult(x, 0.0, 0.0, probes)
         if (fx > 0.0) != (f_near > 0.0):
             ends = (x, near, fx, f_near) if x < near else (near, x, f_near, fx)
-            return _refine(objective, *ends, tol, max_iter, probes)
+            return _refine(objective, *ends, tol, MAX_ITERATIONS, probes)
         step *= 2.0
     raise BracketError(f"no sign change from {start} out to {edge}: f(edge)={fx}")
 
