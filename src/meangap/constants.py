@@ -30,7 +30,7 @@ from .means import (
 )
 from .profile import ProfileParams, Side
 from .regimes import RegimeTag, classify, locate_mu
-from .solver import BracketError, UncertifiedInstance, _check_tol, search_outward
+from .solver import UncertifiedInstance, _check_tol, search_outward
 
 __all__ = [
     "BRACKET_SLACK",
@@ -204,16 +204,17 @@ def best_constants(
     tolerances["mu_residual"] = cp.residual
     shape = regime.f_shape
     side = Side(params, shape.nu_side)
-    try:
-        res = search_outward(
-            lambda v: side.f_prime(side.t(v)), side.v(cp.t), side.v(side.t_min),
-            tol=tol,
-        )
-    except BracketError:
+    slope = lambda v: side.f_prime(side.t(v))
+    start, edge = side.v(cp.t), side.v(side.t_min)
+    # the regime has exactly one extremum beyond mu, so f' has opposite
+    # signs at mu and at the far edge unless the extremum lies past t_min;
+    # a first sign change found with the same sign at both ends is rounding
+    if (slope(start) > 0.0) == (slope(edge) > 0.0):
         raise UncertifiedInstance(
-            f"f' keeps its sign from the W = 1 crossing out to the far edge "
+            f"f' has the same sign at the W = 1 crossing as at the far edge "
             f"t_min = {side.t_min!r} of the {shape.nu_side} side"
-        ) from None
+        )
+    res = search_outward(slope, start, edge, tol=tol)
     t_star = side.t(res.x_star)
     nu = side.f(t_star)
     omega = ratio_from_f(nu)

@@ -22,6 +22,7 @@ from meangap.constants import (
 from meangap.means import ExponentPair, ratio_gap
 from meangap.profile import Side
 from meangap.regimes import RegimeTag
+from meangap.solver import UncertifiedInstance
 
 simplex3 = st.lists(
     st.floats(min_value=1e-4, max_value=1.0), min_size=3, max_size=3
@@ -178,6 +179,20 @@ class TestSweep:
         certs = sweep_constants(ExponentPair.from_alpha(alpha), 3, 40)
         assert all(c.x_star is not None for c in certs)
         assert len(calls) / len(certs) <= 50
+
+
+    @pytest.mark.parametrize("k", [38, 44, 47, 50, 53])
+    def test_no_extremum_from_rounding_at_huge_n(self, k):
+        # at n = 2^k and alpha = 2, f' changes sign near the center only
+        # through lost digits and has the same sign at mu and at t_min; the
+        # first of those sign changes gave lower bounds 5e-9 to 3e-7
+        # relative above the end value n^(r-1), which bounds the inf
+        n = 2**k
+        try:
+            cert = best_constants(n, ExponentPair.from_alpha(2.0))
+        except UncertifiedInstance:
+            return
+        assert cert.lower_bound <= n**-0.5 * (1.0 + 1e-12)
 
 
 class TestInterpolation:
