@@ -57,6 +57,12 @@ DEFAULT_EXTREMUM_TOL = 1e-10
 # slack for the a-priori bracket cross-checks on certified constants
 BRACKET_SLACK = 1e-9
 
+# largest n with a certified extremum: the power sum forms P - 1 with a
+# relative rounding of about n eps, and at alpha = -1 and -1/2 the bound
+# missed the 80-digit sharp constant by up to 1.1e-5 relative at n <= 2^44
+# and by 1.3e-5 to 0.22 at n = 2^45..2^50
+_MAX_EXTREMUM_N = 2**44
+
 _N2_MESSAGE = (
     "n = 2 is governed by a different sharp description and is not covered "
     "here; use n >= 3"
@@ -124,6 +130,10 @@ class ExtremumCertificate:
     omega_bracket: Optional[Tuple[float, float]]
     wen_observed: Optional[float]
     tol: Dict[str, float]
+    # mu and x_star in the small coordinate of their side, which keeps the
+    # digits that x loses next to 1/(n-1); not part of the payload
+    t_mu: Optional[float] = None
+    t_star: Optional[float] = None
 
     def to_payload(self) -> dict:
         opt = lambda v: None if v is None else format_float(v)
@@ -160,7 +170,10 @@ def _check_bracket(omega: float, bracket: Tuple[float, float], label: str) -> No
 
 
 def best_constants(
-    n: int, e: ExponentPair, tol: float = DEFAULT_EXTREMUM_TOL
+    n: int,
+    e: ExponentPair,
+    tol: float = DEFAULT_EXTREMUM_TOL,
+    guess: Optional[Tuple[Tuple[float, float], Tuple[float, float]]] = None,
 ) -> ExtremumCertificate:
     """Compute the certified extremal constants for (n, alpha = 1/r).
 
@@ -170,7 +183,11 @@ def best_constants(
     certified constant omega = nu/(nu-1).  The extremum is the sign change
     of f' nearest mu on the way to the side's far edge: stepped out from mu
     and narrowed by false position in v = log(n t/(1 - n t)) (t the small
-    coordinate, `profile.Side`) to a bracket of width tol.
+    coordinate, `profile.Side`) to a bracket of width tol.  guess, if
+    given, holds a (v, step) start for the mu search and one for the x*
+    search (`solver.search_outward`), such as the solution at a
+    neighbouring n; the regime has one crossing and one extremum, so it
+    moves only where the searches start and where they stop within tol.
     """
     _validate_n(n)
     _check_tol(tol)
@@ -200,7 +217,7 @@ def best_constants(
             tol=tolerances,
         )
 
-    cp = locate_mu(params, regime)
+    cp = locate_mu(params, regime, None if guess is None else guess[0])
     tolerances["mu_residual"] = cp.residual
     shape = regime.f_shape
     side = Side(params, shape.nu_side)
@@ -209,12 +226,22 @@ def best_constants(
     # the regime has exactly one extremum beyond mu, so f' has opposite
     # signs at mu and at the far edge unless the extremum lies past t_min;
     # a first sign change found with the same sign at both ends is rounding
-    if (slope(start) > 0.0) == (slope(edge) > 0.0):
+    f_start = slope(start)
+    if (f_start > 0.0) == (slope(edge) > 0.0):
         raise UncertifiedInstance(
             f"f' has the same sign at the W = 1 crossing as at the far edge "
             f"t_min = {side.t_min!r} of the {shape.nu_side} side"
         )
-    res = search_outward(slope, start, edge, tol=tol)
+    res = search_outward(
+        slope, start, edge, tol=tol, f_start=f_start,
+        guess=None if guess is None else guess[1],
+    )
+    if n > _MAX_EXTREMUM_N:
+        raise UncertifiedInstance(
+            f"n = {n} exceeds 2^44: the power sum keeps P - 1 only to about "
+            f"n eps = {n * math.ulp(1.0):.1e} relative, too coarse "
+            f"to certify the extremum"
+        )
     t_star = side.t(res.x_star)
     nu = side.f(t_star)
     omega = ratio_from_f(nu)
@@ -262,7 +289,26 @@ def best_constants(
         omega_bracket=bracket,
         wen_observed=wen,
         tol=tolerances,
+        t_mu=cp.t,
+        t_star=t_star,
     )
+
+
+def _guess(certs: List[ExtremumCertificate]):
+    # the mu and x* searches at the next n start from their solutions at
+    # the last n in v = log(n t/(1 - n t)), extrapolated linearly through
+    # the n before when it had the same regime, with the last change in v
+    # as the first step.  With a fixed exponent, a turning regime gives way
+    # only to a monotone one, so two turning n share their regime.
+    if not certs or certs[-1].t_star is None:
+        return None
+    def v(c):
+        return [math.log(c.n * t) - math.log1p(-c.n * t) for t in (c.t_mu, c.t_star)]
+
+    last = v(certs[-1])
+    if len(certs) < 2 or certs[-2].t_star is None:
+        return tuple((b, 1.0) for b in last)
+    return tuple((2.0 * b - a, abs(b - a)) for a, b in zip(v(certs[-2]), last))
 
 
 def sweep_constants(
@@ -275,14 +321,16 @@ def sweep_constants(
 
     The returned series exposes the omega sequence for monotonicity and
     convergence checks; a single-n sweep (n_min == n_max) is allowed.  A
-    refusal names the n it stopped at.
+    refusal names the n it stopped at.  Each n starts its searches from
+    its neighbours' solutions, so its bounds may differ from those of
+    `best_constants` alone within the search widths, about 1e-14 relative.
     """
     if not 3 <= n_min <= n_max:
         raise ValueError(f"need 3 <= n_min <= n_max, got [{n_min}, {n_max}]")
     certs = []
     for n in range(n_min, n_max + 1):
         try:
-            certs.append(best_constants(n, e, tol=tol))
+            certs.append(best_constants(n, e, tol=tol, guess=_guess(certs)))
         except UncertifiedInstance as exc:
             raise UncertifiedInstance(f"at n = {n}: {exc}") from exc
     return certs

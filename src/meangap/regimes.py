@@ -11,15 +11,12 @@ extremes sit at the domain endpoints in closed form.
 from __future__ import annotations
 
 import enum
-import logging
 import math
 from dataclasses import dataclass
-from typing import Optional
-
-import numpy as np
+from typing import Optional, Tuple
 
 from .means import ExponentPair
-from .profile import ProfileParams, Side, W_func
+from .profile import ProfileParams, Side
 from .solver import BracketError, UncertifiedInstance, search_outward
 
 __all__ = [
@@ -31,8 +28,6 @@ __all__ = [
     "classify",
     "locate_mu",
 ]
-
-logger = logging.getLogger(__name__)
 
 # search for the W = 1 crossing starts this far from the center, relative
 # to it in the small coordinate: at t = (1 - 1e-6)/n
@@ -129,18 +124,11 @@ def classify(n: int, e: ExponentPair) -> Regime:
     return Regime(tag=tag, n=n, e=e, mu_side=shape.nu_side, f_shape=shape)
 
 
-def _scan_crossings(params: ProfileParams, lo: float, hi: float) -> int:
-    # coarse diagnostic scan for sign changes of W - 1 at 257 points
-    # strictly inside (lo, hi), however narrow the side
-    xs = np.linspace(lo, hi, 259)[1:-1]
-    vals = W_func(xs, params) - 1.0
-    vals = vals[np.isfinite(vals) & (vals != 0.0)]
-    if vals.size < 2:
-        return 0
-    return int(np.sum(np.signbit(vals[1:]) != np.signbit(vals[:-1])))
-
-
-def locate_mu(params: ProfileParams, regime: Regime) -> Optional[CriticalPoint]:
+def locate_mu(
+    params: ProfileParams,
+    regime: Regime,
+    guess: Optional[Tuple[float, float]] = None,
+) -> Optional[CriticalPoint]:
     """Locate the interior W = 1 crossing, or None if the regime has none.
 
     Searches in the coordinate v = log(n t/(1 - n t)) of the small
@@ -150,8 +138,9 @@ def locate_mu(params: ProfileParams, regime: Regime) -> Optional[CriticalPoint]:
     position to a width of _MU_TOL in v (`solver.search_outward`).  A
     crossing within that width of t_min, or where W rounds to 1 out to
     t_min, is refused, as it leaves no room for the extremum beyond it.
-    A coarse scan of the side afterwards logs a warning if more than one
-    crossing is visible.
+    A guess (v, step), such as the crossing at a neighbouring n, is
+    probed first and the steps start from it (`search_outward`); it
+    changes where the search starts, not the crossing it finds.
     """
     if params.n != regime.n or params.e != regime.e:
         raise ValueError(
@@ -167,7 +156,7 @@ def locate_mu(params: ProfileParams, regime: Regime) -> Optional[CriticalPoint]:
     start = max(math.log((1.0 - MU_OFFSET) / MU_OFFSET), edge)
     try:
         result = search_outward(
-            lambda v: side.W(side.t(v)) - 1.0, start, edge, tol=_MU_TOL
+            lambda v: side.W(side.t(v)) - 1.0, start, edge, tol=_MU_TOL, guess=guess
         )
     except BracketError:
         raise BracketError(
@@ -182,18 +171,6 @@ def locate_mu(params: ProfileParams, regime: Regime) -> Optional[CriticalPoint]:
         raise UncertifiedInstance(
             f"the W = 1 crossing lies at the far edge t_min = {t_end!r} "
             f"of the {regime.mu_side} side, leaving no room for the extremum search"
-        )
-    center = 1.0 / n
-    lo, hi = sorted((center, side.x(t_end)))
-    crossings = _scan_crossings(params, lo, hi)
-    if crossings > 1:
-        logger.warning(
-            "W - 1 changes sign %d times on the %s side for n=%d, r=%g; "
-            "using the crossing nearest x = 1/n",
-            crossings,
-            regime.mu_side,
-            n,
-            regime.e.r,
         )
     t_mu = side.t(result.x_star)
     return CriticalPoint(

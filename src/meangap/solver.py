@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Optional, Tuple
 
 __all__ = [
     "Bracket",
@@ -110,25 +110,46 @@ def search_outward(
     start: float,
     edge: float,
     tol: float = DEFAULT_ROOT_TOL,
+    f_start: Optional[float] = None,
+    guess: Optional[Tuple[float, float]] = None,
 ) -> SolveResult:
     """The sign change of objective nearest start on the way to edge.
 
     Steps from start toward edge by 1, 2, 4, ..., with edge itself as the
     last probe, until the objective's sign differs from its sign at start,
-    then narrows the last step as `find_root` does.  `iterations` counts
-    every probe after the one at start.  Raises BracketError if edge is
-    reached without a sign change.
+    then narrows the last step as `find_root` does.  f_start, if given, is
+    the objective's value at start, which is then not probed again.
+
+    A guess (point, step) strictly between start and edge is probed first:
+    where its sign is the one at start, the steps step, 2 step, 4 step, ...
+    go on from it toward edge, and otherwise back toward start.  Where the
+    objective has one sign change between start and edge, that is the one
+    found either way.  `iterations` counts every probe after the one at
+    start.  Raises BracketError if edge is reached without a sign change.
     """
     _check_tol(tol)
-    x, fx = start, objective(start)
-    if fx == 0.0:
+    fs = objective(start) if f_start is None else f_start
+    if fs == 0.0:
         return SolveResult(start, 0.0, 0.0, 0)
-    step, probes = math.copysign(1.0, edge - start), 0
-    while x != edge:
+    x, fx, target, step, probes = start, fs, edge, 1.0, 0
+    if guess is not None and min(start, edge) < guess[0] < max(start, edge):
+        x, step = guess
+        fx, probes = objective(x), 1
+        if fx == 0.0:
+            return SolveResult(x, 0.0, 0.0, probes)
+        if (fx > 0.0) != (fs > 0.0):
+            target = start
+    # no step below tol: the last one is narrowed to tol anyway, and a
+    # zero step would never move
+    step = math.copysign(max(step, tol), target - x)
+    while x != target:
         near, f_near = x, fx
-        x = x + step if abs(step) < abs(edge - x) else edge
-        fx = objective(x)
-        probes += 1
+        x = x + step if abs(step) < abs(target - x) else target
+        if x == start:
+            fx = fs
+        else:
+            fx = objective(x)
+            probes += 1
         if fx == 0.0:
             return SolveResult(x, 0.0, 0.0, probes)
         if (fx > 0.0) != (f_near > 0.0):

@@ -135,6 +135,8 @@ class TestConstantsCommand:
         ["constants", "--n", "100000", "--alpha", "3/2"],
         # t_min lies closer to the center than the first W = 1 probe
         ["constants", "--n", "3768", "--alpha", "1000000"],
+        # past n = 2^44 the power sum keeps too few digits of P - 1
+        ["constants", "--n", "1125899906842624", "--alpha", "-1"],
     ])
     def test_uncertifiable_instance_exits_three(self, runner, args):
         # a valid instance the solvers cannot certify is not a usage error,
@@ -152,6 +154,7 @@ class TestConstantsCommand:
         ("constants --n 4 --alpha 3/4", "the W = 1 crossing lies at the far edge t_min"),
         ("sweep --n-min 3 --n-max 4 --alpha 3/4", "at n = 4: the W = 1 crossing"),
         ("sweep --n-min 3 --n-max 4 --alpha -1000000", "at n = 3: no W = 1 crossing"),
+        ("constants --n 35184372088832 --alpha -1/2", "exceeds 2^44"),
     ])
     def test_refusal_names_its_cause(self, runner, args, cause):
         result = runner.invoke(main, args.split())
@@ -159,11 +162,22 @@ class TestConstantsCommand:
         assert cause in result.output
         assert "bracket" not in result.output
 
+    def test_refusal_in_mid_sweep_names_n_and_cause(self, runner):
+        # the warm start from n = 202 refuses n = 203 as a lone certificate does
+        swept = runner.invoke(main, "sweep --n-min 150 --n-max 260 --alpha 1.01".split())
+        single = runner.invoke(main, "constants --n 203 --alpha 1.01".split())
+        assert swept.exit_code == single.exit_code == 3
+        cause = single.output.split("cannot certify this instance: ")[1]
+        assert cause.startswith("f' has the same sign at the W = 1 crossing")
+        assert swept.output == (
+            f"Error: cannot certify this instance: at n = 203: {cause}")
+
     @pytest.mark.parametrize("args", [
         "--n 1000000 --alpha -1", "--n 3000 --alpha -1/2", "--n 3 --alpha 60",
         "--n 3 --alpha -60", "--n 5 --alpha 0.999999999",
-        # the side is about 1e-14 wide in x: the crossing scan stays on it
+        # the side is about 1e-14 wide in x
         "--n 10000000 --alpha -60",
+        "--n 17592186044416 --alpha -60",  # 2^44
     ])
     def test_edge_instances_certify_without_warnings(self, runner, args):
         with warnings.catch_warnings(record=True) as caught:

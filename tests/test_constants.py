@@ -163,10 +163,8 @@ class TestSweep:
         with pytest.raises(ValueError):
             sweep_constants(ExponentPair.from_alpha(2.0), 2, 5)
 
-    @pytest.mark.parametrize("alpha", [2.0, -1.0])
-    def test_profile_evaluations_per_certificate(self, monkeypatch, alpha):
-        # both searches step out from the center side and narrow the last
-        # step by false position: a few dozen W and f' probes a certificate
+    @staticmethod
+    def _count_probes(monkeypatch):
         calls = []
         for name in ("W", "f_prime"):
             method = getattr(Side, name)
@@ -176,10 +174,55 @@ class TestSweep:
                 return method(self, t)
 
             monkeypatch.setattr(Side, name, probe)
+        return calls
+
+    @pytest.mark.parametrize("alpha", [2.0, -1.0])
+    def test_profile_evaluations_per_certificate(self, monkeypatch, alpha):
+        # each n starts both searches from its neighbours' solutions: about
+        # 20 W and f' probes a certificate
+        calls = self._count_probes(monkeypatch)
         certs = sweep_constants(ExponentPair.from_alpha(alpha), 3, 40)
         assert all(c.x_star is not None for c in certs)
-        assert len(calls) / len(certs) <= 50
+        assert len(calls) / len(certs) <= 25
 
+    @pytest.mark.parametrize("alpha,limit", [(2.0, 33.0), (-1.0, 43.9)])
+    def test_profile_evaluations_per_cold_certificate(self, monkeypatch, alpha, limit):
+        # one certificate with no neighbour steps out from the center side
+        calls = self._count_probes(monkeypatch)
+        e = ExponentPair.from_alpha(alpha)
+        for n in range(3, 41):
+            assert best_constants(n, e).x_star is not None
+        assert len(calls) / 38 <= limit
+
+    @pytest.mark.parametrize("alpha", [2.0, -1.0, -0.5, 1.5, 3.0])
+    def test_sweep_rows_match_single_certificates(self, alpha):
+        # a warm start moves only where a search stops inside its final
+        # bracket; f is flat there, up to its own rounding (about 1.3e-14
+        # relative at n = 165, alpha = 3, over +-1e-10 in v around x*)
+        e = ExponentPair.from_alpha(alpha)
+        certs = sweep_constants(e, 3, 200)
+        for warm in certs:
+            cold = best_constants(warm.n, e)
+            assert (warm.regime, warm.lower_kind, warm.upper_kind) == (
+                cold.regime, cold.lower_kind, cold.upper_kind)
+            for a, b in ((warm.lower_bound, cold.lower_bound),
+                         (warm.upper_bound, cold.upper_bound)):
+                assert a == b or abs(a - b) <= 1e-14 * max(1.0, abs(b))
+
+    def test_one_best_constants_call_per_n(self, monkeypatch):
+        # the benchmark counts certificate probes under best_constants
+        import meangap.constants as constants
+
+        calls = []
+        original = constants.best_constants
+
+        def counted(n, *args, **kwargs):
+            calls.append(n)
+            return original(n, *args, **kwargs)
+
+        monkeypatch.setattr(constants, "best_constants", counted)
+        sweep_constants(ExponentPair.from_alpha(2.0), 3, 40)
+        assert calls == list(range(3, 41))
 
     @pytest.mark.parametrize("k", [38, 44, 47, 50, 53])
     def test_no_extremum_from_rounding_at_huge_n(self, k):
@@ -193,6 +236,31 @@ class TestSweep:
         except UncertifiedInstance:
             return
         assert cert.lower_bound <= n**-0.5 * (1.0 + 1e-12)
+
+    # upper bounds at n = 2^40..2^44, as certified before the W scan was
+    # deleted; that scan refused n = 2^45..2^53 as usage errors
+    KEPT = {
+        -1.0: (-2.8313316047684557e-11, -1.448263217701151e-11,
+               -7.404131060925287e-12, -3.783389609469023e-12,
+               -1.932356654994877e-12),
+        -0.5: (-5.388162990909036e-11, -2.7583620206864897e-11,
+               -1.4113134818526208e-11, -7.217081450442503e-12,
+               -3.6887696749681685e-12),
+        -60.0: (-7.845059831694683e-13, -4.0144029274256835e-13,
+                -2.0530083809499282e-13, -1.0493435124414915e-13,
+                -5.360596734189161e-14),
+    }
+
+    @pytest.mark.parametrize("alpha", [-1.0, -0.5, -60.0])
+    def test_no_certificate_past_the_power_sum_precision(self, alpha):
+        # past n = 2^44 the power sum's rounding of P - 1 (about n eps)
+        # moved the bound by up to 0.22 relative: those n are refused
+        e = ExponentPair.from_alpha(alpha)
+        for k, bound in zip(range(40, 45), self.KEPT[alpha]):
+            assert best_constants(2**k, e).upper_bound == bound
+        for k in range(45, 54):
+            with pytest.raises(UncertifiedInstance, match="n eps"):
+                best_constants(2**k, e)
 
 
 class TestInterpolation:

@@ -134,6 +134,17 @@ class TestLocateMu:
         right = W_func(cp.mu + d, params) - 1.0
         assert left * right < 0.0
 
+    @pytest.mark.parametrize("n,r", sorted(FROZEN))
+    def test_guess_either_side_finds_the_same_crossing(self, n, r):
+        # one crossing on the side: a guess moves where the search starts
+        e = ExponentPair.from_r(r)
+        params = ProfileParams(n=n, e=e)
+        side = Side(params, classify(n, e).mu_side)
+        v_mu = side.v(locate_mu(params, classify(n, e)).t)
+        for shift, step in ((-3.0, 0.5), (3.0, 0.5), (1e-3, 1e-4), (-1e-3, 1e-4)):
+            cp = locate_mu(params, classify(n, e), guess=(v_mu + shift, step))
+            assert cp.mu == pytest.approx(self.FROZEN[(n, r)], abs=1e-12)
+
     def test_none_for_monotone_regime(self):
         e = ExponentPair.from_r(2.0)
         params = ProfileParams(n=5, e=e)

@@ -133,3 +133,46 @@ class TestSearchOutward:
         assert fn.probes == [0.0, 1.0, 3.0, 7.0, 15.0, 30.0]
         with pytest.raises(BracketError):
             search_outward(fn, 2.0, 2.0)
+
+    def test_known_value_at_start_is_not_probed_again(self):
+        fn = counted(lambda x: x - 4.5)
+        res = search_outward(fn, 0.0, 100.0, tol=1e-13, f_start=-4.5)
+        assert fn.probes[:3] == [1.0, 3.0, 7.0]
+        assert 0.0 not in fn.probes
+        assert res.x_star == pytest.approx(4.5, abs=1e-13)
+        assert res.iterations == len(fn.probes)
+
+    def test_guess_steps_on_toward_the_edge(self):
+        # the guess has the sign of the start: the root lies beyond it
+        fn = counted(lambda x: x - 4.5)
+        res = search_outward(fn, 0.0, 100.0, tol=1e-13, f_start=-4.5,
+                             guess=(4.0, 0.25))
+        assert fn.probes[:3] == [4.0, 4.25, 4.75]
+        assert res.x_star == pytest.approx(4.5, abs=1e-13)
+
+    def test_guess_past_the_root_steps_back_toward_start(self):
+        fn = counted(lambda x: x - 4.5)
+        res = search_outward(fn, 0.0, 100.0, tol=1e-13, f_start=-4.5,
+                             guess=(5.0, 0.25))
+        assert fn.probes[:3] == [5.0, 4.75, 4.25]
+        assert res.x_star == pytest.approx(4.5, abs=1e-13)
+        # stepping back to start uses its known value rather than a probe
+        fn = counted(lambda x: x - 0.1)
+        res = search_outward(fn, 0.0, 100.0, tol=1e-13, f_start=-0.1,
+                             guess=(5.0, 1.0))
+        assert fn.probes[:3] == [5.0, 4.0, 2.0]
+        assert 0.0 not in fn.probes
+        assert res.x_star == pytest.approx(0.1, abs=1e-13)
+
+    def test_guess_outside_the_search_is_ignored(self):
+        for point in (-1.0, 0.0, 30.0, 40.0):
+            fn = counted(lambda x: x - 4.9)
+            res = search_outward(fn, 0.0, 30.0, tol=1e-13, guess=(point, 0.5))
+            assert fn.probes[:4] == [0.0, 1.0, 3.0, 7.0]
+            assert res.x_star == pytest.approx(4.9, abs=1e-13)
+
+    def test_guess_without_a_sign_change_to_the_edge_raises(self):
+        fn = counted(lambda x: x * x + 1.0)
+        with pytest.raises(BracketError):
+            search_outward(fn, 0.0, 30.0, guess=(10.0, 1.0))
+        assert fn.probes == [0.0, 10.0, 11.0, 13.0, 17.0, 25.0, 30.0]
