@@ -288,19 +288,12 @@ def sweep_cmd(n_min: int, n_max: int, e: ExponentPair, tol: float, fmt: str) -> 
     for cert in certs:
         t = _trend(prev_omega, cert.omega)
         trends.append(t)
-        rows.append(
-            {
-                "n": cert.n,
-                "regime": cert.regime.value,
-                "lower_bound": format_float(cert.lower_bound),
-                "upper_bound": format_float(cert.upper_bound),
-                "lower_kind": cert.lower_kind,
-                "upper_kind": cert.upper_kind,
-                "omega": None if cert.omega is None else format_float(cert.omega),
-                "x_star": None if cert.x_star is None else format_float(cert.x_star),
-                "omega_trend": t,
-            }
-        )
+        # the key order sets the CSV header
+        p = cert.to_payload()
+        row = {k: p[k] for k in ("n", "regime", "lower_bound", "upper_bound",
+                                 "lower_kind", "upper_kind", "omega", "x_star")}
+        row["omega_trend"] = t
+        rows.append(row)
         if cert.omega is not None:
             prev_omega = cert.omega
     payload = {"rows": rows, "verdict": {"omega": _overall(trends)}}

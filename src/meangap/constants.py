@@ -130,10 +130,10 @@ class ExtremumCertificate:
     omega_bracket: Optional[Tuple[float, float]]
     wen_observed: Optional[float]
     tol: Dict[str, float]
-    # mu and x_star in the small coordinate of their side, which keeps the
-    # digits that x loses next to 1/(n-1); not part of the payload
-    t_mu: Optional[float] = None
-    t_star: Optional[float] = None
+    # mu and x_star in v = log(n t/(1 - n t)) of their side's small
+    # coordinate t, which keeps the digits that x loses next to 1/(n-1),
+    # for a sweep to start the next n from; not part of the payload
+    v: Optional[Tuple[float, float]] = None
 
     def to_payload(self) -> dict:
         opt = lambda v: None if v is None else format_float(v)
@@ -188,6 +188,7 @@ def best_constants(
     search (`solver.search_outward`), such as the solution at a
     neighbouring n; the regime has one crossing and one extremum, so it
     moves only where the searches start and where they stop within tol.
+    A turning instance with n above 2^44 is refused before the searches.
     """
     _validate_n(n)
     _check_tol(tol)
@@ -196,7 +197,8 @@ def best_constants(
     params = ProfileParams(n=n, e=e)
     tolerances = {"nu_bracket_width": tol, "omega_abs": max(tol * tol, 1e-12)}
 
-    if regime.mu_side is None:
+    shape = regime.f_shape
+    if shape.nu_side is None:
         at_zero, at_top = _endpoint_values(n, r)
         return ExtremumCertificate(
             n=n,
@@ -217,10 +219,15 @@ def best_constants(
             tol=tolerances,
         )
 
-    cp = locate_mu(params, regime, None if guess is None else guess[0])
-    tolerances["mu_residual"] = cp.residual
-    shape = regime.f_shape
+    if n > _MAX_EXTREMUM_N:
+        raise UncertifiedInstance(
+            f"n = {n} exceeds 2^44: the power sum keeps P - 1 only to about "
+            f"n eps = {n * math.ulp(1.0):.1e} relative, too coarse "
+            f"to certify the extremum"
+        )
     side = Side(params, shape.nu_side)
+    cp = locate_mu(side, None if guess is None else guess[0])
+    tolerances["mu_residual"] = cp.residual
     slope = lambda v: side.f_prime(side.t(v))
     start, edge = side.v(cp.t), side.v(side.t_min)
     # the regime has exactly one extremum beyond mu, so f' has opposite
@@ -236,12 +243,6 @@ def best_constants(
         slope, start, edge, tol=tol, f_start=f_start,
         guess=None if guess is None else guess[1],
     )
-    if n > _MAX_EXTREMUM_N:
-        raise UncertifiedInstance(
-            f"n = {n} exceeds 2^44: the power sum keeps P - 1 only to about "
-            f"n eps = {n * math.ulp(1.0):.1e} relative, too coarse "
-            f"to certify the extremum"
-        )
     t_star = side.t(res.x_star)
     nu = side.f(t_star)
     omega = ratio_from_f(nu)
@@ -289,8 +290,7 @@ def best_constants(
         omega_bracket=bracket,
         wen_observed=wen,
         tol=tolerances,
-        t_mu=cp.t,
-        t_star=t_star,
+        v=(start, side.v(t_star)),
     )
 
 
@@ -300,15 +300,12 @@ def _guess(certs: List[ExtremumCertificate]):
     # the n before when it had the same regime, with the last change in v
     # as the first step.  With a fixed exponent, a turning regime gives way
     # only to a monotone one, so two turning n share their regime.
-    if not certs or certs[-1].t_star is None:
+    if not certs or certs[-1].v is None:
         return None
-    def v(c):
-        return [math.log(c.n * t) - math.log1p(-c.n * t) for t in (c.t_mu, c.t_star)]
-
-    last = v(certs[-1])
-    if len(certs) < 2 or certs[-2].t_star is None:
+    last = certs[-1].v
+    if len(certs) < 2 or certs[-2].v is None:
         return tuple((b, 1.0) for b in last)
-    return tuple((2.0 * b - a, abs(b - a)) for a, b in zip(v(certs[-2]), last))
+    return tuple((2.0 * b - a, abs(b - a)) for a, b in zip(certs[-2].v, last))
 
 
 def sweep_constants(

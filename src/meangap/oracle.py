@@ -56,12 +56,12 @@ VIOLATION_SLACK = 1e-9
 GRID_TOL = 1e-6
 
 # samples stream through blocks of about this many coordinates, whose
-# buffers stay in cache, as profile._BLOCK's do
+# buffers stay in cache
 _STREAM = 1 << 16
 
 # points per block of the grid: the ratio's dozen temporaries (32 KiB each)
 # stay in cache; six default scans took 278 ms at 2^12 against 338 ms at
-# profile._BLOCK's 2^13 and 351 ms at 2^11 (medians of six rounds)
+# 2^13 and 351 ms at 2^11 (medians of six rounds)
 _GRID_BLOCK = 1 << 12
 
 # samples per thread work unit of the Monte Carlo oracle
@@ -252,7 +252,7 @@ def grid_scan_two_value(
         for v0, step, points in _runs(side, count):
             for start in range(0, points, _GRID_BLOCK):
                 j = np.arange(start, min(start + _GRID_BLOCK, points), dtype=float)
-                t = 1.0 / (n * (1.0 + np.exp(-(v0 + step * j))))
+                t = side.t(v0 + step * j)
                 vals = side.ratio(t)
                 i, k = int(np.argmin(vals)), int(np.argmax(vals))
                 found.append((vals[i], side.x(t[i]), vals[k], side.x(t[k])))

@@ -26,18 +26,20 @@ order) numerically quiet.  A vanishing coordinate enters only through
 its own logarithm, so it keeps its digits, and power sums are scaled by
 their larger term, so no power of a coordinate overflows.
 
-All functions accept a scalar or a numpy array; a scalar x runs through
-the array path as one element and returns a float.
+`Side` is the one place that forms these coordinates, from the small
+coordinate t of one side of x = 1/n (t = x on the left, t = y on the
+right), where the solvers search and the verify grid runs.  On
+the right it forms n y from t itself, so a point next to x = 1/(n-1)
+keeps every digit of its vanishing coordinate.  On the left t is x, and
+its formulas (X = n x, a = X - 1, Y = 1 - (n-1)a) hold on the whole open
+interval, so the functions of x below run through the left side.
 
-`Side` evaluates f, f', W and the gap ratio in the small coordinate t
-of one side of x = 1/n (t = x on the left, t = y on the right), where
-the solvers search and the verify grid runs; on the right it forms n y
-from t itself, so a point next to x = 1/(n-1) keeps every digit of its
-vanishing coordinate.  It runs the same interior formulas on plain
-floats through `math`, which skips numpy's per-call dispatch, so it
-matches the array path to rounding (libm and numpy's exp and log can
-differ in the last bit), not bit for bit; the ratio runs them through
-numpy over an array of t.
+All functions of x accept a scalar or a numpy array, and always run
+through numpy: a scalar x is a one-element array and returns a float.
+`Side` runs the same interior formulas on a float t through `math`,
+which skips numpy's per-call dispatch, so it matches the array path to
+rounding (libm and numpy's exp and log can differ in the last bit), not
+bit for bit; on an array of t it runs them through numpy.
 """
 
 from __future__ import annotations
@@ -74,15 +76,6 @@ CENTER_BAND = 1e-9
 
 _LOG_DBL_MAX = math.log(sys.float_info.max)
 
-# the array path works in blocks of this many points: an interior's
-# temporaries (64 KiB each) stay in cache and are reused from the heap,
-# where whole-array temporaries would fault in fresh pages on every call
-_BLOCK = 1 << 13
-
-# n x at which the array path evaluates, and then overwrites, the center
-# band: 1e-3 inside the center, where every interior is finite
-_STAND_IN = 1.0 - 1e-3
-
 # the solvers' far edge: |log s|, alpha log s and (1 - alpha) log s stay
 # below this, so every exponential of f' and W is at most about e^600 and
 # leaves room for the polynomial factors in n around it
@@ -91,7 +84,7 @@ _LOG_EDGE = 600.0
 
 @dataclass(frozen=True)
 class ProfileParams:
-    """One instance (n, alpha); n^(r-1) must be a finite double for r > 0."""
+    """One instance (n, alpha); n and, for r > 0, n^(r-1) must be finite doubles."""
 
     n: int
     e: ExponentPair
@@ -99,6 +92,13 @@ class ProfileParams:
     def __post_init__(self) -> None:
         if not isinstance(self.n, int) or self.n < 3:
             raise ValueError(f"n must be an integer >= 3, got {self.n!r}")
+        try:
+            float(self.n)
+        except OverflowError:
+            raise ValueError(
+                f"n of {self.n.bit_length()} bits is past the double range: "
+                f"need n <= DBL_MAX = {sys.float_info.max!r}"
+            ) from None
         r = self.e.r
         if r > 0 and (r - 1.0) * math.log(self.n) > _LOG_DBL_MAX:
             raise ValueError(
@@ -111,25 +111,14 @@ class ProfileParams:
         return 1.0 / (self.n - 1)
 
 
-def _coords(X, n: int, xp):
-    # a = X - 1 (exact near the center), X = n x and Y = n y = 1 - (n-1)a,
-    # with the logarithms of X and Y
-    a = X - 1.0
-    c = -(n - 1) * a
-    return a, X, 1.0 + c, xp.log(X), xp.log1p(c)
-
-
 def _evaluate(x, params: ProfileParams, interior, center=None):
     """Evaluate one profile function at a scalar or an array x in (0, 1/(n-1)).
 
     center, unless None, is the value inside the band |n x - 1| <=
     CENTER_BAND, which the interior formula covers otherwise; a str in its
-    place is the message of the ValueError raised there.
-
-    interior(xp, n, alpha, a, X, Y, l1, l2) takes numpy as xp and the
-    scaled coordinates from `_coords`, computed here once per block.  A
-    scalar x goes through the same blocks as a one-element array and
-    returns a float.
+    place is the message of the ValueError raised there.  The points
+    outside the band go through the left `Side`, whose t is x, in one
+    numpy call; a scalar x is a one-element array and returns a float.
     """
     x_hi = params.x_hi
     arr = np.asarray(x, dtype=float)
@@ -137,29 +126,16 @@ def _evaluate(x, params: ProfileParams, interior, center=None):
     if arr.size and not (0.0 < arr.min() and arr.max() < x_hi):
         raise ValueError(f"x must lie in (0, {x_hi})")
     out = np.empty_like(arr)
-    flat, flat_out = arr.reshape(-1), out.reshape(-1)
-    with np.errstate(over="ignore"):
-        for i in range(0, flat.size, _BLOCK):
-            flat_out[i:i + _BLOCK] = _evaluate_block(
-                flat[i:i + _BLOCK], params, interior, center
-            )
+    if center is None:
+        band = np.zeros(arr.shape, dtype=bool)
+    else:
+        band = np.abs(params.n * arr - 1.0) <= CENTER_BAND
+        if np.any(band):
+            if isinstance(center, str):
+                raise ValueError(center)
+            out[band] = center
+    out[~band] = Side(params, "left")._evaluate(interior, arr[~band])
     return out if out.ndim else float(out)
-
-
-def _evaluate_block(x, params: ProfileParams, interior, center):
-    # the interior runs on every entry, so the center band gets a tame
-    # stand-in first and its value after
-    n = params.n
-    X = n * x
-    if center is not None:
-        band = np.abs(X - 1.0) <= CENTER_BAND
-        if isinstance(center, str) and np.any(band):
-            raise ValueError(center)
-        X[band] = _STAND_IN
-    out = interior(np, n, params.e.alpha, *_coords(X, n, np))
-    if center is not None and not isinstance(center, str):
-        out[band] = center
-    return out
 
 
 def _log_ng(l1, l2, n: int):
@@ -193,8 +169,8 @@ def _g_log_slope(a, X, Y, n: int):
 
 
 # interiors: (xp, n, alpha, a, X, Y, l1, l2) -> value, with xp the
-# namespace of exp, expm1, log and log1p: numpy over the blocks of
-# `_evaluate`, math on the floats of `Side`
+# namespace of exp, expm1, log and log1p: numpy on an array of t, math on
+# a float t (`Side._evaluate`)
 
 
 def _g(xp, n, alpha, a, X, Y, l1, l2):
@@ -360,34 +336,47 @@ class Side:
     """One side of x = 1/n, parametrized by its small coordinate t.
 
     t = x on the left and t = 1 - (n-1)x on the right; either way t runs
-    from 1/n at the center down to 0 at the domain end, and the methods
-    take a float t in (0, 1/n) and return floats: through `math`, or
-    where math raises on an overflow or a zero divisor, numpy's inf or
-    nan for that point.  `ratio` alone takes a numpy array of t, for the
-    verify grid.  `t_min` is the far edge of every search on the side:
-    the smallest t at which f' and W are still finite, where the largest
-    of |log s|, alpha log s and (1 - alpha) log s reaches 600.  `t_end`,
-    where |log s| alone does, lies further out for large |alpha| (at
-    n = 3, alpha = 1000, t_min is 0.26 on the left, the center 1/3).
-    `v` and `t` map t to v = log(n t/(1 - n t)) and back: the solvers
-    search in v and the verify grid is evenly spaced in it.
+    from 1/n at the center down to 0 at the domain end.  The left side's
+    formulas hold past the center too, on the whole open interval
+    0 < x < 1/(n-1), and the functions of x run through them.  The methods
+    take a float t and return a float: through `math`, or where math
+    raises on an overflow or a zero divisor, numpy's inf or nan for that
+    point; or they take a numpy array of t and return an array, through
+    numpy, as the functions of x and the verify grid do.  `t_min` is the
+    far edge of every search on the side: the smallest t at which f' and
+    W are still finite, where the largest of |log s|, alpha log s and
+    (1 - alpha) log s reaches 600.  `t_end`, where |log s| alone does,
+    lies further out for large |alpha| (at n = 3, alpha = 1000, t_min is
+    0.26 on the left, the center 1/3).  `v` and `t` map t to
+    v = log(n t/(1 - n t)) and back: the solvers search in v and the
+    verify grid is evenly spaced in it.
     """
 
     params: ProfileParams
     side: str  # "left" | "right"
 
-    def _coords(self, t: float, xp):
+    def _coords(self, t, xp):
+        # a = X - 1, X = n x and Y = n y = 1 - (n-1)a, with the logarithms
+        # of X and Y: a is exact near the center on the left, and Y keeps
+        # every digit of t on the right
         n = self.params.n
         if self.side == "left":
-            return _coords(n * t, n, xp)
+            X = n * t
+            a = X - 1.0
+            c = -(n - 1) * a
+            return a, X, 1.0 + c, xp.log(X), xp.log1p(c)
         Y = n * t
         a = (1.0 - Y) / (n - 1)
         return a, 1.0 + a, Y, xp.log1p(a), xp.log(Y)
 
-    def _evaluate(self, interior, t: float) -> float:
-        # plain floats through math; where math raises rather than return
-        # inf or nan as numpy does, that one point runs again through numpy
+    def _evaluate(self, interior, t):
+        # an array through numpy; a float through math, and where math
+        # raises rather than return inf or nan as numpy does, that one
+        # point runs again through numpy
         n, alpha = self.params.n, self.params.e.alpha
+        if isinstance(t, np.ndarray):
+            with np.errstate(over="ignore"):  # a NaN still warns
+                return interior(np, n, alpha, *self._coords(t, np))
         try:
             return interior(math, n, alpha, *self._coords(t, math))
         except (OverflowError, ZeroDivisionError):
@@ -426,9 +415,10 @@ class Side:
         X = self.params.n * t
         return math.log(X) - math.log1p(-X)
 
-    def t(self, v: float) -> float:
-        """The t of a float v, the inverse of `v`."""
-        return 1.0 / (self.params.n * (1.0 + math.exp(-v)))
+    def t(self, v):
+        """The t of a float or an array v, the inverse of `v`."""
+        exp = np.exp if isinstance(v, np.ndarray) else math.exp
+        return 1.0 / (self.params.n * (1.0 + exp(-v)))
 
     def f(self, t: float) -> float:
         return self._evaluate(_f, t)
@@ -440,7 +430,6 @@ class Side:
     def W(self, t: float) -> float:
         return self._evaluate(_W, t)
 
-    def ratio(self, t: np.ndarray) -> np.ndarray:
-        """The gap ratio (A - G)/(P_alpha - G) at an array of t, through numpy."""
-        with np.errstate(over="ignore"):  # as in `_evaluate`: a NaN still warns
-            return _ratio(np, self.params.n, self.params.e.alpha, *self._coords(t, np))
+    def ratio(self, t):
+        """The gap ratio (A - G)/(P_alpha - G)."""
+        return self._evaluate(_ratio, t)

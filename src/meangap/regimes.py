@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from typing import Optional, Tuple
 
 from .means import ExponentPair
-from .profile import ProfileParams, Side
+from .profile import Side
 from .solver import BracketError, UncertifiedInstance, search_outward
 
 __all__ = [
@@ -50,9 +50,10 @@ class RegimeTag(enum.Enum):
 class FShape:
     """Qualitative shape of the profile f in a regime.
 
-    nu_side says on which side of x = 1/n the interior extremum lives;
-    it is None for the two monotone regimes, where f is strictly
-    increasing and the extremes sit at the domain ends.
+    nu_side says on which side of x = 1/n the interior extremum lives,
+    beyond the W = 1 crossing on the same side; it is None for the two
+    monotone regimes, where f is strictly increasing and the extremes sit
+    at the domain ends.
     """
 
     nu_kind: str  # "min" | "max" | "none"
@@ -66,9 +67,6 @@ class Regime:
     tag: RegimeTag
     n: int
     e: ExponentPair
-    # side of x = 1/n on which W - 1 crosses zero ("left" | "right"),
-    # None when the regime has no interior crossing
-    mu_side: Optional[str]
     f_shape: FShape
 
 
@@ -78,7 +76,6 @@ class CriticalPoint:
 
     mu: float
     residual: float
-    iterations: int
     # mu in the small coordinate of its side, which keeps the digits that
     # mu itself loses next to x = 1/(n-1)
     t: float
@@ -119,38 +116,23 @@ def classify(n: int, e: ExponentPair) -> Regime:
             if n < r / (r - 1.0)
             else RegimeTag.LOW_R_LARGE_N
         )
-    shape = _SHAPES[tag]
-    # the W = 1 crossing sits on the same side of x = 1/n as the extremum
-    return Regime(tag=tag, n=n, e=e, mu_side=shape.nu_side, f_shape=shape)
+    return Regime(tag=tag, n=n, e=e, f_shape=_SHAPES[tag])
 
 
-def locate_mu(
-    params: ProfileParams,
-    regime: Regime,
-    guess: Optional[Tuple[float, float]] = None,
-) -> Optional[CriticalPoint]:
-    """Locate the interior W = 1 crossing, or None if the regime has none.
+def locate_mu(side: Side, guess: Optional[Tuple[float, float]] = None) -> CriticalPoint:
+    """Locate the W = 1 crossing on the side of a turning regime's extremum.
 
-    Searches in the coordinate v = log(n t/(1 - n t)) of the small
-    coordinate t of the regime's side (`profile.Side`): steps outward from
-    t = (1 - 1e-6)/n toward the side's far edge t_min, where W has a known
-    limit, until W - 1 changes sign, then narrows the step by false
-    position to a width of _MU_TOL in v (`solver.search_outward`).  A
-    crossing within that width of t_min, or where W rounds to 1 out to
-    t_min, is refused, as it leaves no room for the extremum beyond it.
-    A guess (v, step), such as the crossing at a neighbouring n, is
-    probed first and the steps start from it (`search_outward`); it
-    changes where the search starts, not the crossing it finds.
+    Searches in the coordinate v = log(n t/(1 - n t)) of the side's small
+    coordinate t: steps outward from t = (1 - 1e-6)/n toward the side's
+    far edge t_min, where W has a known limit, until W - 1 changes sign,
+    then narrows the step by false position to a width of _MU_TOL in v
+    (`solver.search_outward`).  A crossing within that width of t_min, or
+    where W rounds to 1 out to t_min, is refused, as it leaves no room for
+    the extremum beyond it.  A guess (v, step), such as the crossing at a
+    neighbouring n, is probed first and the steps start from it
+    (`search_outward`); it changes where the search starts, not the
+    crossing it finds.
     """
-    if params.n != regime.n or params.e != regime.e:
-        raise ValueError(
-            f"params (n={params.n}, r={params.e.r}) do not match the "
-            f"regime (n={regime.n}, r={regime.e.r})"
-        )
-    if regime.mu_side is None:
-        return None
-    n = regime.n
-    side = Side(params, regime.mu_side)
     t_end = side.t_min
     edge = side.v(t_end)
     start = max(math.log((1.0 - MU_OFFSET) / MU_OFFSET), edge)
@@ -160,8 +142,8 @@ def locate_mu(
         )
     except BracketError:
         raise BracketError(
-            f"no W = 1 crossing found on the {regime.mu_side} side for "
-            f"n={n}, r={regime.e.r}"
+            f"no W = 1 crossing found on the {side.side} side for "
+            f"n={side.params.n}, r={side.params.e.r}"
         ) from None
     # W tends to 1 at the end of the side at some instances: a crossing
     # where W - 1 rounds to 0 and W rounds to 1 at t_min as well is that
@@ -170,12 +152,7 @@ def locate_mu(
     if result.x_star - edge <= _MU_TOL or at_edge:
         raise UncertifiedInstance(
             f"the W = 1 crossing lies at the far edge t_min = {t_end!r} "
-            f"of the {regime.mu_side} side, leaving no room for the extremum search"
+            f"of the {side.side} side, leaving no room for the extremum search"
         )
     t_mu = side.t(result.x_star)
-    return CriticalPoint(
-        mu=side.x(t_mu),
-        residual=abs(result.value),
-        iterations=result.iterations,
-        t=t_mu,
-    )
+    return CriticalPoint(mu=side.x(t_mu), residual=abs(result.value), t=t_mu)

@@ -127,6 +127,34 @@ class TestConstantsCommand:
         assert "ln(DBL_MAX)" in result.output
 
     @pytest.mark.parametrize("args", [
+        ["constants", "--n", str(10**400), "--alpha", "2/3"],
+        ["constants", "--n", str(10**400), "--alpha", "-1"],
+        ["sweep", "--n-min", str(10**400), "--n-max", str(10**400), "--alpha", "2"],
+        ["profile", "--n", str(10**400), "--alpha", "2"],
+        ["verify", "--n", str(10**400), "--alpha", "2"],
+    ])
+    def test_n_past_the_double_range_is_usage_error(self, runner, args):
+        # float(n) overflowed into a traceback
+        result = runner.invoke(main, args)
+        assert result.exit_code == 2
+        assert isinstance(result.exception, SystemExit)
+        assert "past the double range: need n <= DBL_MAX" in result.output
+
+    @pytest.mark.parametrize("alpha", [
+        "-1", "-1/2", "2", "3/2", "2/3", "5/6", "9/10", "1/5", "1/10",
+    ])
+    def test_powers_of_two_certify_or_refuse(self, runner, alpha):
+        # n = 4 .. 2^62 in every regime: a certificate or a refusal, and
+        # above 2^44 a turning instance is refused for that cause before
+        # its searches, which failed from 2^54 on
+        for k in range(2, 63):
+            result = runner.invoke(main, ["constants", "--n", str(2**k), "--alpha", alpha])
+            assert result.exit_code in (0, 3), (k, result.output)
+            assert isinstance(result.exception, (SystemExit, type(None))), k
+            if k > 44 and result.exit_code == 3:
+                assert "exceeds 2^44" in result.output, k
+
+    @pytest.mark.parametrize("args", [
         ["constants", "--n", "4", "--alpha", "3/4"],  # empty extremum bracket
         ["constants", "--n", "3", "--alpha", "-1000000"],  # no W = 1 crossing
         ["constants", "--n", "300", "--alpha", "1.01"],  # no f' sign change

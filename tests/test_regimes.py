@@ -14,6 +14,12 @@ from meangap.regimes import (
 from meangap.solver import BracketError
 
 
+def turning_side(n, r):
+    # the side of the regime's extremum and W = 1 crossing
+    e = ExponentPair.from_r(r)
+    return Side(ProfileParams(n=n, e=e), classify(n, e).f_shape.nu_side)
+
+
 CASES = [
     (3, -1.0, RegimeTag.NEG_R),
     (5, -0.25, RegimeTag.NEG_R),
@@ -64,23 +70,20 @@ class TestRegimeStructure:
         }
         for (n, r) in [(3, -1.0), (4, 0.5), (3, 1.4), (3, 5.0)]:
             reg = classify(n, ExponentPair.from_r(r))
-            assert reg.mu_side == sides[reg.tag]
+            assert reg.f_shape.nu_side == sides[reg.tag]
             # the search runs from the center out to a far edge inside the domain
-            t_min = Side(ProfileParams(n=n, e=reg.e), reg.mu_side).t_min
+            t_min = Side(ProfileParams(n=n, e=reg.e), reg.f_shape.nu_side).t_min
             assert 0.0 < t_min < 1.0 / n
 
     def test_monotone_regimes_have_no_mu(self):
         for (n, r) in [(5, 2.0), (5, 5.0)]:
             reg = classify(n, ExponentPair.from_r(r))
-            assert reg.mu_side is None
+            assert reg.f_shape.nu_side is None
             assert reg.f_shape.nu_kind == "none"
 
     def test_bracket_excludes_center_guard(self):
         # the trivial W = 1 root at x = 1/n stays outside the search band
-        e = ExponentPair.from_r(-1.0)
-        params = ProfileParams(n=3, e=e)
-        reg = classify(3, e)
-        cp = locate_mu(params, reg)
+        cp = locate_mu(turning_side(3, -1.0))
         assert cp.t <= (1.0 - MU_OFFSET) / 3.0
 
     def test_shape_table(self):
@@ -117,18 +120,16 @@ class TestLocateMu:
 
     @pytest.mark.parametrize("n,r", sorted(FROZEN))
     def test_frozen_crossings(self, n, r):
-        e = ExponentPair.from_r(r)
-        params = ProfileParams(n=n, e=e)
-        cp = locate_mu(params, classify(n, e))
+        cp = locate_mu(turning_side(n, r))
         assert isinstance(cp, CriticalPoint)
         assert cp.mu == pytest.approx(self.FROZEN[(n, r)], abs=1e-12)
         assert abs(cp.residual) <= 1e-11
 
     @pytest.mark.parametrize("n,r", sorted(FROZEN))
     def test_crossing_is_a_sign_change(self, n, r):
-        e = ExponentPair.from_r(r)
-        params = ProfileParams(n=n, e=e)
-        cp = locate_mu(params, classify(n, e))
+        side = turning_side(n, r)
+        params = side.params
+        cp = locate_mu(side)
         d = 1e-6
         left = W_func(cp.mu - d, params) - 1.0
         right = W_func(cp.mu + d, params) - 1.0
@@ -137,45 +138,25 @@ class TestLocateMu:
     @pytest.mark.parametrize("n,r", sorted(FROZEN))
     def test_guess_either_side_finds_the_same_crossing(self, n, r):
         # one crossing on the side: a guess moves where the search starts
-        e = ExponentPair.from_r(r)
-        params = ProfileParams(n=n, e=e)
-        side = Side(params, classify(n, e).mu_side)
-        v_mu = side.v(locate_mu(params, classify(n, e)).t)
+        side = turning_side(n, r)
+        v_mu = side.v(locate_mu(side).t)
         for shift, step in ((-3.0, 0.5), (3.0, 0.5), (1e-3, 1e-4), (-1e-3, 1e-4)):
-            cp = locate_mu(params, classify(n, e), guess=(v_mu + shift, step))
+            cp = locate_mu(side, guess=(v_mu + shift, step))
             assert cp.mu == pytest.approx(self.FROZEN[(n, r)], abs=1e-12)
-
-    def test_none_for_monotone_regime(self):
-        e = ExponentPair.from_r(2.0)
-        params = ProfileParams(n=5, e=e)
-        assert locate_mu(params, classify(5, e)) is None
-
-    def test_instance_mismatch_rejected(self):
-        e = ExponentPair.from_r(-1.0)
-        params = ProfileParams(n=3, e=e)
-        with pytest.raises(ValueError):
-            locate_mu(params, classify(4, e))
 
     def test_mu_on_declared_side(self):
         for (n, r) in [(3, -1.0), (4, 0.5), (3, 1.4), (3, 5.0)]:
-            e = ExponentPair.from_r(r)
-            params = ProfileParams(n=n, e=e)
-            reg = classify(n, e)
-            cp = locate_mu(params, reg)
-            if reg.mu_side == "right":
+            side = turning_side(n, r)
+            cp = locate_mu(side)
+            if side.side == "right":
                 assert cp.mu > 1.0 / n
             else:
                 assert cp.mu < 1.0 / n
 
     def test_failure_is_bracket_error(self):
-        # a regime forged onto a monotone instance finds no crossing and
-        # must say so instead of silently widening the search
-        e = ExponentPair.from_r(2.0)
-        params = ProfileParams(n=5, e=e)
+        # the turning side of (5, 5.5) forged onto the monotone (5, 2) finds
+        # no crossing and must say so instead of silently widening the search
         donor = classify(5, ExponentPair.from_r(5.5))
-        forged = type(donor)(
-            tag=donor.tag, n=5, e=e, mu_side=donor.mu_side,
-            f_shape=donor.f_shape,
-        )
+        forged = Side(ProfileParams(n=5, e=ExponentPair.from_r(2.0)), donor.f_shape.nu_side)
         with pytest.raises(BracketError):
-            locate_mu(params, forged)
+            locate_mu(forged)
