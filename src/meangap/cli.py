@@ -342,7 +342,8 @@ def profile_cmd(n: int, e: ExponentPair, points: int, which: str, fmt: str) -> N
             # band entries empty
             col = np.full(len(xs), np.nan)
             if np.any(~center):
-                col[~center] = f_prime(xs[~center], params)
+                with _refusals():
+                    col[~center] = f_prime(xs[~center], params)
             columns[name] = col
         else:
             columns[name] = _PROFILE_COLUMNS[name](xs, params)

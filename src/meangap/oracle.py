@@ -15,6 +15,8 @@ Two complementary oracles:
 Randomness is counter based: sample i is a pure function of (seed, i)
 through a splitmix64 mix, so runs are bit reproducible and can be split
 across workers in disjoint counter ranges without changing any output.
+Below n = 256 the sampler lays a block out one sample per column, and
+sample i is still the same to the bit.
 """
 
 from __future__ import annotations
@@ -46,7 +48,6 @@ __all__ = [
     "monte_carlo_extremes",
     "simplex_sample",
     "simplex_sample_block",
-    "splitmix64",
 ]
 
 VIOLATION_SLACK = 1e-9
@@ -78,6 +79,7 @@ MIN_GRID = 300_000
 _GAMMA = np.uint64(0x9E3779B97F4A7C15)
 _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
 _MIX2 = np.uint64(0x94D049BB133111EB)
+_MASK = (1 << 64) - 1
 
 
 class InstanceMismatchError(ValueError):
@@ -89,33 +91,67 @@ def _scale(bound: float) -> float:
     return max(1.0, abs(bound)) if math.isfinite(bound) else 1.0
 
 
-def _splitmix(seed: int, z: np.ndarray, tmp: np.ndarray) -> None:
-    # splitmix64 in place: the counters in z become their output words
-    z += np.uint64(1)
-    z *= _GAMMA
-    z += np.uint64(seed & 0xFFFFFFFFFFFFFFFF)
+def _gamma_ramp(count: int, n: int, cols: bool) -> np.ndarray:
+    # gamma * (i n + k) mod 2^64 at [i, k]: splitmix64's increment times the
+    # counter offset of coordinate k of sample i, in C order for a block of
+    # rows and in Fortran order for a block of columns
+    ramp = np.arange(count * n, dtype=np.uint64).reshape(count, n) * _GAMMA
+    return np.asfortranarray(ramp) if cols else ramp
+
+
+def _block(buf: np.ndarray, count: int, n: int, cols: bool) -> np.ndarray:
+    # the first count * n entries of buf as count samples of n coordinates,
+    # shape (count, n): rows, or the transpose of one sample per column
+    flat = buf[:count * n]
+    return flat.reshape(n, count).T if cols else flat.reshape(count, n)
+
+
+def _splitmix(seed: int, first: int, ramp: np.ndarray, z: np.ndarray,
+              tmp: np.ndarray) -> None:
+    # splitmix64 words into z for the counters first + c, where ramp holds
+    # gamma * c: the mix's first step, (counter + 1) * gamma + seed, is then
+    # one addition
+    np.add(ramp, np.uint64((seed + (first + 1) * int(_GAMMA)) & _MASK), out=z)
     for shift, mix in ((30, _MIX1), (27, _MIX2), (31, None)):
         z ^= np.right_shift(z, np.uint64(shift), out=tmp)
         if mix is not None:
             z *= mix
 
 
-def splitmix64(seed: int, counters: np.ndarray) -> np.ndarray:
-    """splitmix64 output words for the given counters under one seed."""
-    z = counters.astype(np.uint64)
-    _splitmix(seed, z, np.empty_like(z))
-    return z
+def _pairwise_sums(cols: np.ndarray) -> np.ndarray:
+    # the sums down the columns of a C-contiguous (n, m) array, added in the
+    # order numpy adds a contiguous row: fewer than 8 terms one by one, up to
+    # 128 in 8 interleaved partial sums then added in pairs, more as two
+    # halves split at a multiple of 8
+    n = len(cols)
+    if n < 8:
+        return cols.sum(axis=0)
+    if n > 128:
+        half = n // 2 - n // 2 % 8
+        return _pairwise_sums(cols[:half]) + _pairwise_sums(cols[half:])
+    m = n - n % 8
+    part = cols[:m].reshape(m // 8, 8, -1).sum(axis=0)
+    part = part[0::2] + part[1::2]
+    part = part[0::2] + part[1::2]
+    total = part[0] + part[1]
+    for row in cols[m:]:
+        total += row
+    return total
 
 
-def _sample_rows(seed: int, z: np.ndarray, rows: np.ndarray) -> None:
-    # the samples whose counters z holds, into the C-contiguous (count, n)
-    # array rows, which is the mix's scratch first; z is used up
-    flat = rows.reshape(-1)
-    _splitmix(seed, z, flat.view(np.uint64))
-    np.multiply(np.right_shift(z, np.uint64(11), out=z), 2.0**-53, out=flat)
-    np.negative(np.log1p(np.negative(flat, out=flat), out=flat), out=flat)
-    np.maximum(flat, 1e-300, out=flat)
-    np.divide(rows, rows.sum(axis=1, keepdims=True), out=rows)
+def _sample_rows(seed: int, first: int, ramp: np.ndarray, z: np.ndarray,
+                 rows: np.ndarray) -> None:
+    # the samples whose counters are first + ramp / gamma into rows, of shape
+    # (count, n) and laid out as ramp and z are; rows is the mix's scratch
+    # first, z is used up.  A block of columns is normalized by sums in the
+    # order a row's are, so a sample is the same to the bit in either layout
+    _splitmix(seed, first, ramp, z, rows.view(np.uint64))
+    # -u, u uniform on [0, 1), and -log(1 - u), a standard exponential
+    np.multiply(np.right_shift(z, np.uint64(11), out=z), -(2.0**-53), out=rows)
+    np.negative(np.log1p(rows, out=rows), out=rows)
+    np.maximum(rows, 1e-300, out=rows)
+    sums = rows.sum(axis=1) if rows.flags.c_contiguous else _pairwise_sums(rows.T)
+    np.divide(rows, sums[:, None], out=rows)
 
 
 def simplex_sample_block(
@@ -128,8 +164,9 @@ def simplex_sample_block(
     """
     if n < 2 or count < 1 or start < 0:
         raise ValueError("need n >= 2, count >= 1, start >= 0")
+    ramp = _gamma_ramp(count, n, cols=False)
     rows = np.empty((count, n))
-    _sample_rows(seed, np.arange(start * n, (start + count) * n, dtype=np.uint64), rows)
+    _sample_rows(seed, start * n, ramp, np.empty_like(ramp), rows)
     return rows
 
 
@@ -155,7 +192,9 @@ def _ratio_rows(rows: np.ndarray, e: ExponentPair, scratch=None) -> np.ndarray:
     A/P_alpha, the value ratio_gap takes there.  Constant rows have no
     rule here (their 0/0 gives NaN or rounding noise); neither samples
     nor probes are constant.  scratch (rows' shape, may be rows itself)
-    takes the logarithms and powers in place of a fresh temporary.
+    takes the logarithms and powers in place of a fresh temporary.  rows
+    may be a transposed block of one sample per column: each reduction then
+    runs along the samples, in one pass per coordinate.
     """
     alpha = e.alpha
     a = rows.mean(axis=1)
@@ -378,20 +417,23 @@ def monte_carlo_extremes(
     starts = list(range(0, samples, _CHUNK))
 
     values = np.empty(samples)
+    # blocks of at most _STREAM coordinates (one sample at least); while a
+    # block holds more samples than coordinates, it holds one sample per
+    # column, so the kernel's sums over each sample's coordinates run as
+    # passes along contiguous memory rather than one short row at a time
+    per = max(1, min(_STREAM // n, _CHUNK))
+    cols = per > n
+    ramp = _gamma_ramp(per, n, cols)
 
     def run_chunk(start: int) -> None:
-        # blocks of at most _STREAM coordinates (one row at least) reuse a
-        # counter ramp and two buffers, allocated once per chunk
+        # two buffers per chunk, reused by its blocks
         stop = min(start + _CHUNK, samples)
-        per = max(1, min(_STREAM // n, stop - start))
-        ramp = np.arange(per * n, dtype=np.uint64)
-        z, buf = np.empty_like(ramp), np.empty(per * n)
+        z, buf = np.empty(per * n, dtype=np.uint64), np.empty(per * n)
         for lo in range(start, stop, per):
-            m = min(per, stop - lo) * n
-            np.add(ramp[:m], np.uint64(lo * n), out=z[:m])
-            rows = buf[:m].reshape(-1, n)
-            _sample_rows(seed, z[:m], rows)
-            values[lo:lo + len(rows)] = _ratio_rows(rows, e, rows)
+            count = min(per, stop - lo)
+            rows = _block(buf, count, n, cols)
+            _sample_rows(seed, lo * n, ramp[:count], _block(z, count, n, cols), rows)
+            values[lo:lo + count] = _ratio_rows(rows, e, rows)
 
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:

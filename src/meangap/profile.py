@@ -138,6 +138,15 @@ def _evaluate(x, params: ProfileParams, interior, center=None):
     return out if out.ndim else float(out)
 
 
+def _check_factor(params: ProfileParams, factor: int, name: str) -> None:
+    # a derivative's integer factor in n, exact in Python, becomes a double
+    if factor > sys.float_info.max:
+        raise ValueError(
+            f"{name} overflows a double for n={params.n}: "
+            f"need {name} <= DBL_MAX = {sys.float_info.max!r}"
+        )
+
+
 def _log_ng(l1, l2, n: int):
     # log(n * g), exact 0 at a = 0
     return ((n - 1) * l1 + l2) / n
@@ -273,21 +282,25 @@ def f_profile(x, params: ProfileParams):
 
 def g_prime(x, params: ProfileParams):
     """d/dx of g."""
+    _check_factor(params, params.n * (params.n - 1), "n(n-1)")
     return _evaluate(x, params, _g_prime)
 
 
 def p_prime(x, params: ProfileParams):
     """d/dx of p."""
+    _check_factor(params, params.n * (params.n - 1), "n(n-1)")
     return _evaluate(x, params, _p_prime)
 
 
 def g_second(x, params: ProfileParams):
     """d2/dx2 of g; strictly negative."""
+    _check_factor(params, params.n**2 * (params.n - 1), "n^2(n-1)")
     return _evaluate(x, params, _g_second)
 
 
 def p_second(x, params: ProfileParams):
     """d2/dx2 of p; its sign is -sign(r/(r-1))."""
+    _check_factor(params, params.n**4 * (params.n - 1), "n^4(n-1)")
     return _evaluate(x, params, _p_second)
 
 
@@ -298,6 +311,7 @@ def f_prime(x, params: ProfileParams):
     degenerates to 0/0 there).
     """
     band = "f_prime is not defined within 1e-9/n of x = 1/n"
+    _check_factor(params, params.n * (params.n - 1), "n(n-1)")
     return _evaluate(x, params, _f_prime, band)
 
 

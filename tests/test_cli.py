@@ -140,6 +140,16 @@ class TestConstantsCommand:
         assert isinstance(result.exception, SystemExit)
         assert "past the double range: need n <= DBL_MAX" in result.output
 
+    @pytest.mark.parametrize("n", [2 * 10**154, 10**200])
+    def test_slope_factor_past_the_double_range_is_usage_error(self, runner, n):
+        # f' multiplies by the exact int n(n-1), whose conversion to a
+        # double overflowed into a traceback
+        result = runner.invoke(main, ["profile", "--n", str(n), "--alpha", "2",
+                                      "--which", "fprime", "--points", "3"])
+        assert result.exit_code == 2
+        assert isinstance(result.exception, SystemExit)
+        assert "need n(n-1) <= DBL_MAX" in result.output
+
     @pytest.mark.parametrize("alpha", [
         "-1", "-1/2", "2", "3/2", "2/3", "5/6", "9/10", "1/5", "1/10",
     ])

@@ -1,6 +1,7 @@
 """Counter-based sampling, grid scans, and certificate checking."""
 
 import dataclasses
+import hashlib
 import json
 import math
 import tracemalloc
@@ -23,7 +24,6 @@ from meangap.oracle import (
     monte_carlo_extremes,
     simplex_sample,
     simplex_sample_block,
-    splitmix64,
 )
 from meangap.profile import ProfileParams, Side
 
@@ -40,10 +40,18 @@ def ref_splitmix(seed: int, counter: int) -> int:
     return z
 
 
+def splitmix_words(seed: int, first: int, count: int) -> list:
+    # the sampler's word path: counters first .. first + count - 1 through
+    # the ramp of gamma times their offsets
+    ramp = oracle._gamma_ramp(count, 1, cols=False)
+    z = np.empty_like(ramp)
+    oracle._splitmix(seed, first, ramp, z, np.empty_like(ramp))
+    return [int(t) for t in z[:, 0]]
+
+
 class TestSplitmix64:
     def test_golden_words_seed_zero(self):
-        got = splitmix64(0, np.arange(4, dtype=np.uint64))
-        assert [int(t) for t in got] == [
+        assert splitmix_words(0, 0, 4) == [
             0xE220A8397B1DCDAF,
             0x6E789E6AA1B965F4,
             0x06C45D188009454F,
@@ -52,9 +60,9 @@ class TestSplitmix64:
 
     def test_matches_integer_reference(self):
         for seed in (0, 42, 2**63):
-            got = splitmix64(seed, np.arange(16, dtype=np.uint64))
-            want = [ref_splitmix(seed, c) for c in range(16)]
-            assert [int(t) for t in got] == want
+            for first in (0, 3 * 2**62 + 5):
+                want = [ref_splitmix(seed, first + c) for c in range(16)]
+                assert splitmix_words(seed, first, 16) == want
 
 
 class TestSimplexSample:
@@ -77,6 +85,18 @@ class TestSimplexSample:
         for i in range(8):
             v = simplex_sample(4, seed=11, index=5 + i)
             assert tuple(rows[i]) == v.xs
+
+    def test_column_blocks_match_rows(self):
+        # a block of one sample per column is summed in numpy's order for a
+        # row, so its samples equal the rows' to the bit: every remainder
+        # mod 8, and the halving beyond 128 coordinates
+        for n in range(2, 300):
+            count = 5
+            want = simplex_sample_block(n, seed=6, count=count, start=9)
+            ramp = oracle._gamma_ramp(count, n, cols=True)
+            cols = np.empty((n, count))
+            oracle._sample_rows(6, 9 * n, ramp, np.empty_like(ramp), cols.T)
+            np.testing.assert_array_equal(cols.T, want, err_msg=f"n = {n}")
 
     def test_counter_blocks_are_disjoint(self):
         a = simplex_sample_block(3, seed=1, count=10, start=0)
@@ -101,17 +121,23 @@ class TestSimplexSample:
 
 
 class TestRatioRows:
-    @pytest.mark.parametrize("n", [3, 25, 100])
+    @pytest.mark.parametrize("n", [3, 7, 25, 100, 255, 256, 300])
     @pytest.mark.parametrize("alpha", [-60.0, -1.3, 0.25, 2.5, 200.0])
     def test_matches_ratio_gap(self, n, alpha):
         # sampled rows, and the probe rows, which hold zero coordinates
-        # for alpha > 0
+        # for alpha > 0; the samples also as one per column, the layout they
+        # take below n = 256.  Probes stay rows: where A - G cancels, the
+        # column layout's sums, one coordinate after another, lose about
+        # ten times the accuracy of numpy's pairwise sums of a row
         e = ExponentPair.from_alpha(alpha)
         probes = oracle._boundary_probes(n, e)
-        rows = np.vstack([simplex_sample_block(n, seed=4, count=300), probes])
-        got = oracle._ratio_rows(rows, e)
+        samples = simplex_sample_block(n, seed=4, count=300)
+        rows = np.vstack([samples, probes])
         want = [ratio_gap(tuple(row), e) for row in rows]
+        got = oracle._ratio_rows(rows, e)
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
+        got = oracle._ratio_rows(np.asfortranarray(samples), e)
+        np.testing.assert_allclose(got, want[:300], rtol=1e-12, atol=0.0)
         assert (np.min(probes) == 0.0) == (alpha > 0)
 
     def test_large_negative_order_regression(self):
@@ -265,9 +291,11 @@ class TestMonteCarlo:
             raise AssertionError("sampled before checking the grid")
 
         monkeypatch.setattr(oracle, "_sample_rows", no_sampling)
-        with pytest.raises(ValueError, match=str(MIN_GRID)):
-            monte_carlo_extremes(3, ExponentPair.from_alpha(2.0), samples=10_000,
-                                 grid=MIN_GRID - 1)
+        # blocks of columns below n = 256, of rows from there on
+        for n in (3, 7, 100, 255, 256, 300):
+            with pytest.raises(ValueError, match=str(MIN_GRID)):
+                monte_carlo_extremes(n, ExponentPair.from_alpha(2.0),
+                                     samples=10_000, grid=MIN_GRID - 1)
 
     def test_instance_mismatch(self):
         cert = best_constants(3, ExponentPair.from_alpha(2.0))
@@ -298,6 +326,52 @@ class TestMonteCarlo:
         rep = monte_carlo_extremes(n, e, samples=10_000, seed=2, grid=MIN_GRID)
         assert rep.violations == 0
         assert rep.probe_min < -100.0
+
+    # reports of 20000 samples at seed 3, as the sampler of rows gives them
+    # at every n: observed min and max, probe min and max, and arg_min and
+    # arg_max (the coordinates at n = 5, the sha256 of their float64 bytes
+    # at larger n).  n = 5 takes blocks of columns, n = 300 blocks of rows
+    FROZEN = {
+        (5, -1.3): (
+            -14.015357055166467, -0.5321208006115278,
+            -11645808.630038543, -17.292420847429213,
+            (0.00447384151311286, 0.005975098816110197, 0.023704750801671795,
+             0.960021711435898, 0.005824597433207292),
+            (0.04169248527897598, 0.2447130930828888, 0.2442276092822113,
+             0.22912951262818823, 0.24023729972773553),
+        ),
+        (100, 0.25): (
+            2.8860039052848827, 4.949637836034911,
+            1.0306101521283644, 1000000.0,
+            "4885edd0720ba32dcfbe746f27134afd1b40bd28726254ea248d89847b13ff37",
+            "8e9232b525893de6e4c1bd5986b59aa5402d2efcf1a66b86c9c9263551f173bb",
+        ),
+        (300, 2.5): (
+            0.3144323438850154, 0.4922331762418275,
+            0.032638278743414906, 0.9979986645884356,
+            "cc12d6fd8873e1a803a7af80291309f73aee82b9f7c0bf0e8f454f78caeaed4a",
+            "e4d243a77b14941ad615b8df31dd1262f008b2147f5145af74376e00bcb92442",
+        ),
+    }
+
+    @pytest.mark.parametrize("n,alpha", list(FROZEN))
+    def test_report_is_frozen(self, n, alpha):
+        # every sample is the same to the bit in either layout; from n = 8
+        # on, a block of columns sums a sample's terms in another order, so
+        # only the observed values there may move, by rounding
+        rep = monte_carlo_extremes(n, ExponentPair.from_alpha(alpha),
+                                   samples=20_000, seed=3, grid=MIN_GRID)
+        lo, hi, probe_lo, probe_hi, arg_lo, arg_hi = self.FROZEN[(n, alpha)]
+        if 8 <= n < 256:
+            assert rep.observed_min == pytest.approx(lo, rel=1e-13, abs=0.0)
+            assert rep.observed_max == pytest.approx(hi, rel=1e-13, abs=0.0)
+        else:
+            assert (rep.observed_min, rep.observed_max) == (lo, hi)
+        assert (rep.probe_min, rep.probe_max) == (probe_lo, probe_hi)
+        for arg, want in ((rep.arg_min.xs, arg_lo), (rep.arg_max.xs, arg_hi)):
+            if n > 5:
+                arg = hashlib.sha256(np.array(arg).tobytes()).hexdigest()
+            assert arg == want
 
 
 class TestCheckBounds:
@@ -468,32 +542,46 @@ def whole_array_scan(params: ProfileParams, grid: int) -> GridExtreme:
 class TestStreaming:
     """The oracle's blocks give what whole-array evaluation gives, bit for bit."""
 
-    @pytest.mark.parametrize("n", [3, 7, 100])
+    @pytest.mark.parametrize("n", [3, 7, 100, 255, 256, 300])
     def test_block_samples_match_the_wrapper(self, monkeypatch, n):
-        # 40 coordinates per block: 13 rows at n = 3 and 5 at n = 7, so the
-        # last block of each 8192-row chunk is ragged; at n = 100 the block
-        # is smaller than one row, and holds one row
-        monkeypatch.setattr(oracle, "_STREAM", 40)
+        # coordinates per block: below n = 256 a block holds one sample per
+        # column, n + 2 of them here, and from n = 256 on it holds rows, 3
+        # of them here; neither divides the 8192 samples of a chunk, so the
+        # last block of each chunk is ragged.  At n = 300 the block is
+        # smaller than one row, and holds one row
+        stream = {256: 3 * 256, 300: 40}.get(n, n * (n + 2))
+        monkeypatch.setattr(oracle, "_STREAM", stream)
         kernel = oracle._ratio_rows
-        blocks, block_vals = [], []
+        blocks, block_vals, layouts = [], [], []
 
         def spy(rows, e, scratch=None):
             if scratch is not None:
                 blocks.append(rows.copy())
+                layouts.append(rows.flags.c_contiguous)
             vals = kernel(rows, e, scratch)
             if scratch is not None:
                 block_vals.append(vals)
             return vals
 
         monkeypatch.setattr(oracle, "_ratio_rows", spy)
-        e = ExponentPair.from_alpha(-1.3 if n == 7 else 2.5)
+        e = ExponentPair.from_alpha(-1.3 if n in (7, 255) else 2.5)
         samples = 10_000
         rep = monte_carlo_extremes(n, e, samples=samples, seed=4, grid=MIN_GRID)
         rows = simplex_sample_block(n, seed=4, count=samples)
-        want = kernel(rows, e)
-        assert max(len(b) for b in blocks) == max(1, 40 // n)
+        per = max(1, stream // n)
+        assert max(len(b) for b in blocks) == per
+        assert set(layouts) == {per <= n}
         np.testing.assert_array_equal(np.vstack(blocks), rows)
-        np.testing.assert_array_equal(np.concatenate(block_vals), want)
+        if per <= n:
+            want = kernel(rows, e)
+            np.testing.assert_array_equal(np.concatenate(block_vals), want)
+        else:
+            # the sums of a block of columns run down its columns, one
+            # coordinate after another, not in numpy's pairwise order for a
+            # row: from 8 coordinates on the values may move by rounding
+            want = kernel(np.asfortranarray(rows), e)
+            np.testing.assert_array_equal(np.concatenate(block_vals), want)
+            np.testing.assert_allclose(want, kernel(rows, e), rtol=1e-13, atol=0.0)
         assert rep.observed_min == want.min()
         assert rep.observed_max == want.max()
 

@@ -285,6 +285,20 @@ class TestDomain:
         with pytest.raises(ValueError, match=r"ln\(DBL_MAX\)"):
             ProfileParams(n=n, e=ExponentPair.from_r(r))
 
+    def test_derivative_factor_past_the_double_range(self):
+        # the derivatives' exact int factors in n overflowed into an
+        # OverflowError on conversion to a double
+        for n, fns in ((2 * 10**154, (g_prime, p_prime, f_prime)),
+                       (6 * 10**102, (g_second,)), (5 * 10**61, (p_second,))):
+            params = params_for(n, -1.0)
+            x = params.x_hi / 2
+            for fn in fns:
+                with pytest.raises(ValueError, match="overflows a double"):
+                    fn(x, params)
+        for fn in (g_prime, p_prime, f_prime, g_second, p_second):
+            params = params_for(10**61, -1.0)
+            assert math.isfinite(fn(params.x_hi / 2, params)), fn.__name__
+
     def test_p_top_endpoint_near_the_limit(self):
         # n^r overflows here although n^(r-1) does not; just inside the top
         # endpoint every profile function is finite, and p falls toward
