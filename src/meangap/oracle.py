@@ -95,8 +95,9 @@ def _gamma_ramp(count: int, n: int, cols: bool) -> np.ndarray:
     # gamma * (i n + k) mod 2^64 at [i, k]: splitmix64's increment times the
     # counter offset of coordinate k of sample i, in C order for a block of
     # rows and in Fortran order for a block of columns
-    ramp = np.arange(count * n, dtype=np.uint64).reshape(count, n) * _GAMMA
-    return np.asfortranarray(ramp) if cols else ramp
+    i = np.arange(count, dtype=np.uint64) * np.uint64(int(_GAMMA) * n & _MASK)
+    k = np.arange(n, dtype=np.uint64) * _GAMMA
+    return np.add.outer(k, i).T if cols else np.add.outer(i, k)
 
 
 def _block(buf: np.ndarray, count: int, n: int, cols: bool) -> np.ndarray:
@@ -417,17 +418,18 @@ def monte_carlo_extremes(
     starts = list(range(0, samples, _CHUNK))
 
     values = np.empty(samples)
-    # blocks of at most _STREAM coordinates (one sample at least); while a
-    # block holds more samples than coordinates, it holds one sample per
-    # column, so the kernel's sums over each sample's coordinates run as
-    # passes along contiguous memory rather than one short row at a time
-    per = max(1, min(_STREAM // n, _CHUNK))
-    cols = per > n
-    ramp = _gamma_ramp(per, n, cols)
+    # while a full block holds more samples than coordinates, it holds one
+    # sample per column, so the kernel's sums over each sample's
+    # coordinates run as passes along contiguous memory rather than one
+    # short row at a time
+    cols = min(_STREAM // n, _CHUNK) > n
 
     def run_chunk(start: int) -> None:
-        # two buffers per chunk, reused by its blocks
+        # blocks of at most _STREAM coordinates (one sample at least) reuse a
+        # ramp and two buffers, allocated once per chunk
         stop = min(start + _CHUNK, samples)
+        per = max(1, min(_STREAM // n, stop - start))
+        ramp = _gamma_ramp(per, n, cols)
         z, buf = np.empty(per * n, dtype=np.uint64), np.empty(per * n)
         for lo in range(start, stop, per):
             count = min(per, stop - lo)
