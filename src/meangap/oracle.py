@@ -421,7 +421,13 @@ def monte_carlo_extremes(
     # while a full block holds more samples than coordinates, it holds one
     # sample per column, so the kernel's sums over each sample's
     # coordinates run as passes along contiguous memory rather than one
-    # short row at a time
+    # short row at a time.  Time per coordinate of columns over rows, each
+    # forced (sampler and kernel, alpha = 2 and -1, 2-core VM): 0.79-0.92
+    # at n = 64..200, 0.92-1.03 at 255..400, 1.12-1.22 at 600..1000 and
+    # 1.7-1.9 at 3000, so the cut falls where the two are even.  A block
+    # of one sample (a chunk's tail) is a row in either layout, so from 8
+    # coordinates on its value can differ in the last digits from the
+    # same sample's in a larger block of columns
     cols = min(_STREAM // n, _CHUNK) > n
 
     def run_chunk(start: int) -> None:

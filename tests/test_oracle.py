@@ -540,7 +540,12 @@ def whole_array_scan(params: ProfileParams, grid: int) -> GridExtreme:
 
 
 class TestStreaming:
-    """The oracle's blocks give what whole-array evaluation gives, bit for bit."""
+    """The oracle's blocks give what whole-array evaluation gives.
+
+    Samples match bit for bit in either layout.  Their ratios match the
+    row kernel's bit for bit in blocks of rows and below 8 coordinates;
+    from 8 coordinates on, blocks of columns match within 1e-13.
+    """
 
     @pytest.mark.parametrize("n", [3, 7, 100, 255, 256, 300])
     def test_block_samples_match_the_wrapper(self, monkeypatch, n):
@@ -572,15 +577,18 @@ class TestStreaming:
         assert max(len(b) for b in blocks) == per
         assert set(layouts) == {per <= n}
         np.testing.assert_array_equal(np.vstack(blocks), rows)
-        if per <= n:
+        got = np.concatenate(block_vals)
+        if per <= n or n < 8:
+            # rows, and columns below 8 coordinates, where numpy adds a
+            # row's terms one by one as a column block's sums do
             want = kernel(rows, e)
-            np.testing.assert_array_equal(np.concatenate(block_vals), want)
+            np.testing.assert_array_equal(got, want)
         else:
             # the sums of a block of columns run down its columns, one
             # coordinate after another, not in numpy's pairwise order for a
             # row: from 8 coordinates on the values may move by rounding
             want = kernel(np.asfortranarray(rows), e)
-            np.testing.assert_array_equal(np.concatenate(block_vals), want)
+            np.testing.assert_array_equal(got, want)
             np.testing.assert_allclose(want, kernel(rows, e), rtol=1e-13, atol=0.0)
         assert rep.observed_min == want.min()
         assert rep.observed_max == want.max()
