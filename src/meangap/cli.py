@@ -26,7 +26,6 @@ from io import StringIO
 from typing import List, Optional, Sequence
 
 import click
-import numpy as np
 
 from . import __version__
 from .constants import (
@@ -40,6 +39,7 @@ from .oracle import (
     DEFAULT_GRID,
     DEFAULT_SAMPLES,
     MIN_GRID,
+    MIN_SAMPLES,
     VIOLATION_SLACK,
     check_bounds,
     monte_carlo_extremes,
@@ -213,9 +213,10 @@ def constants_cmd(n: int, e: ExponentPair, tol: float, fmt: str) -> None:
 @main.command("verify")
 @n_option
 @alpha_option
-@click.option("--samples", type=int, default=DEFAULT_SAMPLES, show_default=True)
+@click.option("--samples", type=int, default=DEFAULT_SAMPLES, show_default=True,
+              help=f"Monte Carlo samples, {MIN_SAMPLES} to 1e8")
 @click.option("--seed", type=int, default=0, show_default=True)
-@click.option("--workers", type=int, default=1, show_default=True,
+@click.option("--workers", type=click.IntRange(min=1), default=1, show_default=True,
               help="worker threads; the output does not depend on this")
 @click.option("--grid", type=int, default=DEFAULT_GRID, show_default=True,
               help=f"grid points of the profile scan, at least {MIN_GRID}")
@@ -240,7 +241,7 @@ def verify_cmd(
         "report": report.to_payload(),
         "check": chk.to_payload(),
     }
-    tolerances = dict(cert.to_payload()["tol"])
+    tolerances = dict(payload["certificate"]["tol"])
     tolerances["violation_slack"] = format_float(VIOLATION_SLACK)
     _emit(fmt, payload, instance=_instance(n, e),
           tolerances=tolerances, started=started)
@@ -332,6 +333,8 @@ def profile_cmd(n: int, e: ExponentPair, points: int, which: str, fmt: str) -> N
         )
     with _refusals():
         params = ProfileParams(n=n, e=e)
+    import numpy as np
+
     eps = EPS_HAT / n
     xs = np.linspace(eps, params.x_hi - eps, points)
     center = np.abs(n * xs - 1.0) <= CENTER_BAND
@@ -347,12 +350,14 @@ def profile_cmd(n: int, e: ExponentPair, points: int, which: str, fmt: str) -> N
             columns[name] = col
         else:
             columns[name] = _PROFILE_COLUMNS[name](xs, params)
+    # lists of floats: indexing an array makes a numpy scalar per cell
+    cells = {name: col.tolist() for name, col in columns.items()}
     rows = []
-    for i, x in enumerate(xs):
+    for i, (x, mid) in enumerate(zip(xs.tolist(), center.tolist())):
         row = {"x": format_float(x)}
         for name in names:
-            v = columns[name][i]
-            row[name] = None if (name == "fprime" and center[i]) else format_float(v)
+            v = cells[name][i]
+            row[name] = None if (name == "fprime" and mid) else format_float(v)
         rows.append(row)
     payload = {"rows": rows}
     _emit(fmt, payload, instance=_instance(n, e), tolerances={}, started=started)
@@ -374,6 +379,8 @@ def reduce3_cmd(sum_c: float, prod_c: float, r_: float, grid: int, fmt: str) -> 
         raise click.UsageError("--grid must be >= 2")
     if not math.isfinite(r_):
         raise click.UsageError(f"--r must be finite, got {r_}")
+    import numpy as np
+
     try:
         cp = curve_params(sum_c, prod_c)
         ts = np.linspace(cp.t_lo, cp.t_hi, grid)

@@ -17,16 +17,16 @@ through a splitmix64 mix, so runs are bit reproducible and can be split
 across workers in disjoint counter ranges without changing any output.
 Below n = 256 the sampler lays a block out one sample per column, and
 sample i is still the same to the bit.
+
+numpy is imported by the functions that build arrays, not with the
+module, so `check_bounds` and the CLI's other subcommands run without it.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
-
-import numpy as np
+from typing import TYPE_CHECKING, List, Optional, Tuple
 
 from .constants import (
     EPS_HAT,
@@ -37,6 +37,9 @@ from .constants import (
 )
 from .means import ExponentPair, SampleVector
 from .profile import CENTER_BAND, ProfileParams, Side
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "BoundsCheck",
@@ -69,6 +72,7 @@ _GRID_BLOCK = 1 << 12
 _CHUNK = 8192
 
 DEFAULT_SAMPLES = 100_000
+MIN_SAMPLES = 10_000
 DEFAULT_GRID = 1_000_000
 # the coarsest grid whose extreme meets GRID_TOL: with the extremum midway
 # between two points, it would miss by up to 9.6e-8 * max(1, |b|) at 3e5
@@ -76,9 +80,9 @@ DEFAULT_GRID = 1_000_000
 # n 3..1e6, |alpha| 0.003..1000; the miss falls as 1/grid^2)
 MIN_GRID = 300_000
 
-_GAMMA = np.uint64(0x9E3779B97F4A7C15)
-_MIX1 = np.uint64(0xBF58476D1CE4E5B9)
-_MIX2 = np.uint64(0x94D049BB133111EB)
+_GAMMA = 0x9E3779B97F4A7C15
+_MIX1 = 0xBF58476D1CE4E5B9
+_MIX2 = 0x94D049BB133111EB
 _MASK = (1 << 64) - 1
 
 
@@ -95,8 +99,10 @@ def _gamma_ramp(count: int, n: int, cols: bool) -> np.ndarray:
     # gamma * (i n + k) mod 2^64 at [i, k]: splitmix64's increment times the
     # counter offset of coordinate k of sample i, in C order for a block of
     # rows and in Fortran order for a block of columns
-    i = np.arange(count, dtype=np.uint64) * np.uint64(int(_GAMMA) * n & _MASK)
-    k = np.arange(n, dtype=np.uint64) * _GAMMA
+    import numpy as np
+
+    i = np.arange(count, dtype=np.uint64) * np.uint64(_GAMMA * n & _MASK)
+    k = np.arange(n, dtype=np.uint64) * np.uint64(_GAMMA)
     return np.add.outer(k, i).T if cols else np.add.outer(i, k)
 
 
@@ -112,11 +118,13 @@ def _splitmix(seed: int, first: int, ramp: np.ndarray, z: np.ndarray,
     # splitmix64 words into z for the counters first + c, where ramp holds
     # gamma * c: the mix's first step, (counter + 1) * gamma + seed, is then
     # one addition
-    np.add(ramp, np.uint64((seed + (first + 1) * int(_GAMMA)) & _MASK), out=z)
+    import numpy as np
+
+    np.add(ramp, np.uint64((seed + (first + 1) * _GAMMA) & _MASK), out=z)
     for shift, mix in ((30, _MIX1), (27, _MIX2), (31, None)):
         z ^= np.right_shift(z, np.uint64(shift), out=tmp)
         if mix is not None:
-            z *= mix
+            z *= np.uint64(mix)
 
 
 def _pairwise_sums(cols: np.ndarray) -> np.ndarray:
@@ -146,6 +154,8 @@ def _sample_rows(seed: int, first: int, ramp: np.ndarray, z: np.ndarray,
     # (count, n) and laid out as ramp and z are; rows is the mix's scratch
     # first, z is used up.  A block of columns is normalized by sums in the
     # order a row's are, so a sample is the same to the bit in either layout
+    import numpy as np
+
     _splitmix(seed, first, ramp, z, rows.view(np.uint64))
     # -u, u uniform on [0, 1), and -log(1 - u), a standard exponential
     np.multiply(np.right_shift(z, np.uint64(11), out=z), -(2.0**-53), out=rows)
@@ -165,6 +175,8 @@ def simplex_sample_block(
     """
     if n < 2 or count < 1 or start < 0:
         raise ValueError("need n >= 2, count >= 1, start >= 0")
+    import numpy as np
+
     ramp = _gamma_ramp(count, n, cols=False)
     rows = np.empty((count, n))
     _sample_rows(seed, start * n, ramp, np.empty_like(ramp), rows)
@@ -197,6 +209,8 @@ def _ratio_rows(rows: np.ndarray, e: ExponentPair, scratch=None) -> np.ndarray:
     may be a transposed block of one sample per column: each reduction then
     runs along the samples, in one pass per coordinate.
     """
+    import numpy as np
+
     alpha = e.alpha
     a = rows.mean(axis=1)
     with np.errstate(divide="ignore"):
@@ -242,6 +256,13 @@ def _check_grid(grid: int) -> None:
         raise ValueError(f"grid must have between {MIN_GRID} and 1e8 points")
 
 
+def _check_samples(samples: int) -> None:
+    # below the floor the scan is too thin to mean anything; the cap, the
+    # grid's, holds the one double the oracle keeps per sample to 0.8 GB
+    if not MIN_SAMPLES <= samples <= 10**8:
+        raise ValueError(f"samples must number between {MIN_SAMPLES} and 1e8")
+
+
 def _runs(side: Side, count: int) -> List[Tuple[float, float, int]]:
     """The side's count grid points as runs (v0, step, points) in increasing x.
 
@@ -283,6 +304,8 @@ def grid_scan_two_value(
     are those np.argmin and np.argmax pick over the whole grid: the first
     NaN, else the first extreme value.
     """
+    import numpy as np
+
     _check_grid(grid)
     n, e = params.n, params.e
     include = e.r > 0
@@ -362,6 +385,8 @@ class OracleReport:
 
 def _boundary_probes(n: int, e: ExponentPair) -> np.ndarray:
     # two-value rows (x, ..., x, 1 - (n-1)x) at both ends of [0, 1/(n-1)]
+    import numpy as np
+
     hi = 1.0 / (n - 1)
     eps = EPS_HAT / n
     if e.alpha > 0:
@@ -403,6 +428,8 @@ def monte_carlo_extremes(
     values record boundary behavior but are not counted against the
     (one-sided) bounds.
     """
+    import numpy as np
+
     if cert is None:
         cert = best_constants(n, e)
     if cert.n != n or cert.e != e:
@@ -410,8 +437,7 @@ def monte_carlo_extremes(
             f"certificate is for (n={cert.n}, alpha={cert.e.alpha}), "
             f"requested (n={n}, alpha={e.alpha})"
         )
-    if samples < 10_000:
-        raise ValueError("need at least 10000 samples for a meaningful scan")
+    _check_samples(samples)  # before the values array, 8 bytes a sample
     _check_grid(grid)  # before the samples, which take seconds at large n
     lower, upper = cert.lower_bound, cert.upper_bound
 
@@ -444,6 +470,8 @@ def monte_carlo_extremes(
             values[lo:lo + count] = _ratio_rows(rows, e, rows)
 
     if workers > 1:
+        from concurrent.futures import ThreadPoolExecutor
+
         with ThreadPoolExecutor(max_workers=workers) as pool:
             list(pool.map(run_chunk, starts))
     else:

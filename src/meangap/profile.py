@@ -39,7 +39,9 @@ through numpy: a scalar x is a one-element array and returns a float.
 `Side` runs the same interior formulas on a float t through `math`,
 which skips numpy's per-call dispatch, so it matches the array path to
 rounding (libm and numpy's exp and log can differ in the last bit), not
-bit for bit; on an array of t it runs them through numpy.
+bit for bit; on an array of t it runs them through numpy.  numpy is
+imported only on the array paths, so the certificate searches, which
+probe floats, run without it.
 """
 
 from __future__ import annotations
@@ -47,8 +49,6 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-
-import numpy as np
 
 from .means import ExponentPair
 
@@ -120,6 +120,8 @@ def _evaluate(x, params: ProfileParams, interior, center=None):
     outside the band go through the left `Side`, whose t is x, in one
     numpy call; a scalar x is a one-element array and returns a float.
     """
+    import numpy as np
+
     x_hi = params.x_hi
     arr = np.asarray(x, dtype=float)
     # min and max are nan when any entry is, which fails both tests
@@ -161,7 +163,7 @@ def _power_sum(xp, l1, l2, n: int, alpha: float):
     """
     al1 = alpha * l1
     al2 = alpha * l2
-    m = np.maximum(al1, al2) if isinstance(al1, np.ndarray) else max(al1, al2)
+    m = (max if xp is math else xp.maximum)(al1, al2)
     esum = (n - 1) * xp.expm1(al1 - m) + xp.expm1(al2 - m)
     return m, esum, (m + xp.log1p(esum / n)) / alpha
 
@@ -252,7 +254,8 @@ def _W_prime(xp, n, alpha, a, X, Y, l1, l2):
     # e^u - 1 is scaled by e^-c, c the excess of the largest |u| over
     # _LOG_EDGE, so no term overflows into inf - inf; c = 0 leaves expm1(u)
     lns = l1 - l2
-    c = np.maximum(max(abs(alpha), abs(1.0 - alpha)) * np.abs(lns) - _LOG_EDGE, 0.0)
+    c = (max if xp is math else xp.maximum)(
+        max(abs(alpha), abs(1.0 - alpha)) * abs(lns) - _LOG_EDGE, 0.0)
     em1 = lambda u: xp.expm1(u - c) - xp.expm1(-c)
     num = alpha / (1.0 - alpha) * (
         (n - 1) * em1((alpha - 1.0) * lns) - em1((1.0 - alpha) * lns)
@@ -386,14 +389,20 @@ class Side:
     def _evaluate(self, interior, t):
         # an array through numpy; a float through math, and where math
         # raises rather than return inf or nan as numpy does, that one
-        # point runs again through numpy
+        # point runs again through numpy.  A float is tested first, so
+        # its path imports nothing
         n, alpha = self.params.n, self.params.e.alpha
-        if isinstance(t, np.ndarray):
-            with np.errstate(over="ignore"):  # a NaN still warns
-                return interior(np, n, alpha, *self._coords(t, np))
+        if not isinstance(t, float):
+            import numpy as np
+
+            if isinstance(t, np.ndarray):
+                with np.errstate(over="ignore"):  # a NaN still warns
+                    return interior(np, n, alpha, *self._coords(t, np))
         try:
             return interior(math, n, alpha, *self._coords(t, math))
         except (OverflowError, ZeroDivisionError):
+            import numpy as np
+
             with np.errstate(all="ignore"):
                 return float(interior(np, n, alpha, *self._coords(t, np)))
 
@@ -431,7 +440,12 @@ class Side:
 
     def t(self, v):
         """The t of a float or an array v, the inverse of `v`."""
-        exp = np.exp if isinstance(v, np.ndarray) else math.exp
+        exp = math.exp
+        if not isinstance(v, float):
+            import numpy as np
+
+            if isinstance(v, np.ndarray):
+                exp = np.exp
         return 1.0 / (self.params.n * (1.0 + exp(-v)))
 
     def f(self, t: float) -> float:

@@ -21,11 +21,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Sequence
 
 from .solver import Bracket, SolveResult, find_root
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "ConstraintDegenerateError",
@@ -198,6 +199,8 @@ def h_prime(t: float, cp: CurveParams, r: float) -> float:
 
 def _log_power_mean(order: float, eps: float, dirs: np.ndarray) -> float:
     # log of the order-mean of the perturbed tuple 1 + eps*dirs
+    import numpy as np
+
     lp1 = np.log1p(eps * dirs)
     if order == 0.0:
         return float(np.mean(lp1))
@@ -206,6 +209,8 @@ def _log_power_mean(order: float, eps: float, dirs: np.ndarray) -> float:
 
 
 def _direction_array(direction: Sequence[float], eps: float) -> np.ndarray:
+    import numpy as np
+
     arr = np.asarray(direction, dtype=float)
     if arr.ndim != 1 or arr.size < 2:
         raise ValueError("direction must be a 1-d sequence with >= 2 entries")

@@ -309,6 +309,30 @@ class TestVerifyCommand:
             main, ["verify", "--n", "4", "--alpha", "2", "--samples", "10"])
         assert result.exit_code == 2
 
+    @pytest.fixture()
+    def no_sampling(self, monkeypatch):
+        from meangap import oracle
+
+        def no_sampling(*args):
+            raise AssertionError("sampled before checking the options")
+
+        monkeypatch.setattr(oracle, "_sample_rows", no_sampling)
+
+    @pytest.mark.parametrize("samples", [10**8 + 1, 10**14])
+    def test_samples_past_the_cap_are_usage_error(self, runner, no_sampling, samples):
+        # 1e14 samples ended in a MemoryError traceback and exit 1, the code
+        # of a failed verification
+        result = runner.invoke(main, ["verify", "--n", "4", "--alpha", "2",
+                                      "--samples", str(samples)])
+        assert result.exit_code == 2, result.output
+        assert "samples must number between 10000 and 1e8" in result.output
+
+    @pytest.mark.parametrize("workers", ["0", "-3"])
+    def test_workers_below_one_are_usage_error(self, runner, no_sampling, workers):
+        result = runner.invoke(main, self.ARGS + ["--workers", workers])
+        assert result.exit_code == 2, result.output
+        assert "x>=1" in result.output
+
 
 class TestSweepCommand:
     def test_single_row(self, runner):

@@ -286,6 +286,15 @@ class TestMonteCarlo:
             monte_carlo_extremes(3, ExponentPair.from_alpha(2.0), samples=9_999,
                                  grid=MIN_GRID)
 
+    def test_sample_cap_enforced_before_sampling(self, monkeypatch):
+        def no_sampling(*args):
+            raise AssertionError("sampled before checking the sample count")
+
+        monkeypatch.setattr(oracle, "_sample_rows", no_sampling)
+        with pytest.raises(ValueError, match="between 10000 and 1e8"):
+            monte_carlo_extremes(4, ExponentPair.from_alpha(2.0),
+                                 samples=10**8 + 1, grid=MIN_GRID)
+
     def test_grid_floor_enforced_before_sampling(self, monkeypatch):
         def no_sampling(*args):
             raise AssertionError("sampled before checking the grid")
