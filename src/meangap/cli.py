@@ -338,6 +338,8 @@ def profile_cmd(n: int, e: ExponentPair, points: int, which: str, fmt: str) -> N
     eps = EPS_HAT / n
     xs = np.linspace(eps, params.x_hi - eps, points)
     center = np.abs(n * xs - 1.0) <= CENTER_BAND
+    # columns as lists of floats: indexing an array makes a numpy scalar
+    # per cell
     columns = {}
     for name in names:
         if name == "fprime":
@@ -347,16 +349,14 @@ def profile_cmd(n: int, e: ExponentPair, points: int, which: str, fmt: str) -> N
             if np.any(~center):
                 with _refusals():
                     col[~center] = f_prime(xs[~center], params)
-            columns[name] = col
+            columns[name] = col.tolist()
         else:
-            columns[name] = _PROFILE_COLUMNS[name](xs, params)
-    # lists of floats: indexing an array makes a numpy scalar per cell
-    cells = {name: col.tolist() for name, col in columns.items()}
+            columns[name] = _PROFILE_COLUMNS[name](xs, params).tolist()
     rows = []
     for i, (x, mid) in enumerate(zip(xs.tolist(), center.tolist())):
         row = {"x": format_float(x)}
         for name in names:
-            v = cells[name][i]
+            v = columns[name][i]
             row[name] = None if (name == "fprime" and mid) else format_float(v)
         rows.append(row)
     payload = {"rows": rows}
