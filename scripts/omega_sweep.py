@@ -11,6 +11,7 @@ and printed alongside omega for eyeballing decay rates.
 import argparse
 import math
 
+from meangap.cli import _overall, _trends
 from meangap.constants import sweep_constants
 from meangap.means import ExponentPair
 
@@ -34,8 +35,6 @@ def main() -> None:
         header += f" {args.reference:>18}"
     print(f"alpha = {e.alpha:g}, r = {e.r:g}")
     print(header)
-    prev = None
-    moves = set()
     for cert in certs:
         omega = cert.omega
         row = (f"{cert.n:>4}  {cert.regime.value:<16}"
@@ -45,18 +44,8 @@ def main() -> None:
             ref = eval(args.reference, {"n": cert.n, "math": math})
             row += f" {ref:>18.12g}"
         print(row)
-        if omega is not None and prev is not None:
-            moves.add("up" if omega > prev else "down" if omega < prev else "flat")
-        if omega is not None:
-            prev = omega
-    if not moves:
-        print("omega trend: constant (no interior extremum in this regime)")
-    elif moves <= {"up"}:
-        print("omega trend: strictly increasing")
-    elif moves <= {"down"}:
-        print("omega trend: strictly decreasing")
-    else:
-        print(f"omega trend: mixed ({sorted(moves)})")
+    # the verdict `meangap sweep` prints
+    print(f"omega trend: {_overall(_trends([cert.omega for cert in certs]))}")
 
 
 if __name__ == "__main__":

@@ -23,6 +23,7 @@ import time
 from contextlib import contextmanager
 from fractions import Fraction
 from io import StringIO
+from json.encoder import encode_basestring_ascii as _quote
 from typing import List, Optional, Sequence
 
 import click
@@ -116,6 +117,17 @@ alpha_option = click.option(
 )
 
 
+# rows of a profile or reduce3 table: one takes up to about 2 KB a row
+# while it is built and written, so the largest takes about 0.2 GB
+MAX_ROWS = 10**5
+
+# profile leaves the f' cells with n a^2 min(1, |alpha (1 - alpha)|) at
+# or below this empty, a = n x - 1.  Measured at n = 3..3409 and alpha
+# from -60 to 60, the f' printed outside is within 2.5e-9 relative of
+# the 50-digit value; with a limit of 1e-6 the worst reads 1.0e-8
+FPRIME_BLANK = 4e-6
+
+
 class _Uncertified(click.ClickException):
     exit_code = 3
 
@@ -129,6 +141,21 @@ def _refusals():
         raise _Uncertified(f"cannot certify this instance: {exc}")
     except ValueError as exc:
         raise click.UsageError(str(exc))
+
+
+def _fprime_blank(xs, params: ProfileParams):
+    """Where profile leaves f' empty: the center band and around it.
+
+    f' = (g' - f p')/(p - 1/n) divides differences that cancel at the
+    center, where f_prime refuses; around it the error grows as about
+    1e-14/(n a^2 min(1, |alpha (1 - alpha)|)), a = n x - 1.
+    """
+    import numpy as np
+
+    n, alpha = params.n, params.e.alpha
+    a = n * xs - 1.0
+    return (np.abs(a) <= CENTER_BAND) | (
+        n * (a * a) * min(1.0, abs(alpha * (1.0 - alpha))) <= FPRIME_BLANK)
 
 
 def _emit(fmt: str, payload, instance: dict, tolerances: dict, started: float) -> None:
@@ -145,7 +172,62 @@ def _emit(fmt: str, payload, instance: dict, tolerances: dict, started: float) -
             "timing": {"elapsed_s": format_float(time.perf_counter() - started)},
         },
     }
-    click.echo(json.dumps(envelope, indent=2, sort_keys=True))
+    click.echo(_json(envelope))
+
+
+def _json(obj, pad: str = "") -> str:
+    """obj as json.dumps writes it with an indent of 2 and sorted keys, at pad.
+
+    With any indent json.dumps runs its pure-Python encoder, not the C
+    one.  Here strings go through the C string quoter, and a list of
+    dicts sharing one key set (a table's rows) through one %-template
+    built from the sorted keys.  Keys must be str.
+    """
+    if isinstance(obj, str):
+        return _quote(obj)
+    if obj is None:
+        return "null"
+    if obj is True:
+        return "true"
+    if obj is False:
+        return "false"
+    if isinstance(obj, int):
+        return int.__repr__(obj)
+    if isinstance(obj, float):
+        return json.dumps(obj)
+    inner = pad + "  "
+    sep = ",\n" + inner
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        return ("{\n" + inner + sep.join(
+            _quote(k) + ": " + _json(obj[k], inner) for k in sorted(obj))
+            + "\n" + pad + "}")
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        return "[\n" + inner + sep.join(_items(obj, inner)) + "\n" + pad + "]"
+    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+
+
+def _items(items, pad: str) -> list:
+    # the JSON texts of a list's items at pad, rows through one template
+    first = items[0]
+    if not isinstance(first, dict) or not first:
+        return [_json(v, pad) for v in items]
+    keys = sorted(first)
+    inner = pad + "  "
+    row = ("{\n" + inner + (",\n" + inner).join(
+        _quote(k).replace("%", "%%") + ": %s" for k in keys) + "\n" + pad + "}")
+    out = []
+    for item in items:
+        if isinstance(item, dict) and item.keys() == first.keys():
+            out.append(row % tuple([
+                _quote(v) if type(v) is str else _json(v, inner)
+                for v in map(item.__getitem__, keys)]))
+        else:
+            out.append(_json(item, pad))
+    return out
 
 
 def _flatten(obj, prefix: str = "") -> list:
@@ -249,16 +331,20 @@ def verify_cmd(
         ctx.exit(1)
 
 
-def _trend(prev: Optional[float], cur: Optional[float]) -> str:
-    if cur is None:
-        return "none"
-    if prev is None:
-        return "start"
-    if cur > prev:
-        return "up"
-    if cur < prev:
-        return "down"
-    return "flat"
+def _trends(omegas: Sequence[Optional[float]]) -> List[str]:
+    """Each omega's step from the last one before it that is not None."""
+    trends = []
+    prev = None
+    for cur in omegas:
+        if cur is None:
+            trends.append("none")
+            continue
+        if prev is None:
+            trends.append("start")
+        else:
+            trends.append("up" if cur > prev else "down" if cur < prev else "flat")
+        prev = cur
+    return trends
 
 
 def _overall(trends: Sequence[str]) -> str:
@@ -283,20 +369,15 @@ def sweep_cmd(n_min: int, n_max: int, e: ExponentPair, tol: float, fmt: str) -> 
     started = time.perf_counter()
     with _refusals():
         certs = sweep_constants(e, n_min, n_max, tol=tol)
+    trends = _trends([cert.omega for cert in certs])
     rows = []
-    prev_omega: Optional[float] = None
-    trends: List[str] = []
-    for cert in certs:
-        t = _trend(prev_omega, cert.omega)
-        trends.append(t)
+    for cert, t in zip(certs, trends):
         # the key order sets the CSV header
         p = cert.to_payload()
         row = {k: p[k] for k in ("n", "regime", "lower_bound", "upper_bound",
                                  "lower_kind", "upper_kind", "omega", "x_star")}
         row["omega_trend"] = t
         rows.append(row)
-        if cert.omega is not None:
-            prev_omega = cert.omega
     payload = {"rows": rows, "verdict": {"omega": _overall(trends)}}
     _emit(
         fmt,
@@ -311,7 +392,8 @@ def sweep_cmd(n_min: int, n_max: int, e: ExponentPair, tol: float, fmt: str) -> 
 @main.command("profile")
 @n_option
 @alpha_option
-@click.option("--points", type=int, default=201, show_default=True)
+@click.option("--points", type=click.IntRange(2, MAX_ROWS), default=201,
+              show_default=True, help="grid points, 2 to 1e5")
 @click.option(
     "--which",
     default="g,p,f,U,V,W",
@@ -322,8 +404,6 @@ def sweep_cmd(n_min: int, n_max: int, e: ExponentPair, tol: float, fmt: str) -> 
 def profile_cmd(n: int, e: ExponentPair, points: int, which: str, fmt: str) -> None:
     """Tabulate profile functions on (eps, 1/(n-1) - eps), eps = 1e-9/n."""
     started = time.perf_counter()
-    if points < 2:
-        raise click.UsageError("--points must be >= 2")
     names = [tok.strip() for tok in which.split(",") if tok.strip()]
     unknown = [tok for tok in names if tok not in _PROFILE_COLUMNS]
     if unknown or not names:
@@ -337,28 +417,27 @@ def profile_cmd(n: int, e: ExponentPair, points: int, which: str, fmt: str) -> N
 
     eps = EPS_HAT / n
     xs = np.linspace(eps, params.x_hi - eps, points)
-    center = np.abs(n * xs - 1.0) <= CENTER_BAND
-    # columns as lists of floats: indexing an array makes a numpy scalar
-    # per cell
-    columns = {}
+    blank = _fprime_blank(xs, params)
+    columns = [xs]
     for name in names:
         if name == "fprime":
-            # the slope identity degenerates at the center; leave the
-            # band entries empty
-            col = np.full(len(xs), np.nan)
-            if np.any(~center):
+            col = np.full(points, np.nan)
+            if not blank.all():
                 with _refusals():
-                    col[~center] = f_prime(xs[~center], params)
-            columns[name] = col.tolist()
+                    col[~blank] = f_prime(xs[~blank], params)
+            columns.append(col)
         else:
-            columns[name] = _PROFILE_COLUMNS[name](xs, params).tolist()
-    rows = []
-    for i, (x, mid) in enumerate(zip(xs.tolist(), center.tolist())):
-        row = {"x": format_float(x)}
-        for name in names:
-            v = columns[name][i]
-            row[name] = None if (name == "fprime" and mid) else format_float(v)
-        rows.append(row)
+            columns.append(_PROFILE_COLUMNS[name](xs, params))
+    # each column formatted once, as lists: indexing an array makes a
+    # numpy scalar per cell
+    cells = [[format(v, ".17g") for v in col.tolist()] for col in columns]
+    for name, col in zip(names, cells[1:]):
+        if name == "fprime":
+            for i in np.flatnonzero(blank).tolist():
+                col[i] = None
+    # the key order sets the CSV header
+    keys = ["x", *names]
+    rows = [dict(zip(keys, row)) for row in zip(*cells)]
     payload = {"rows": rows}
     _emit(fmt, payload, instance=_instance(n, e), tolerances={}, started=started)
 
@@ -369,14 +448,13 @@ def profile_cmd(n: int, e: ExponentPair, points: int, which: str, fmt: str) -> N
 @click.option("--prod", "prod_c", type=float, required=True,
               help="fixed coordinate product")
 @click.option("--r", "r_", type=float, required=True, help="power sum exponent")
-@click.option("--grid", type=int, default=101, show_default=True,
-              help="number of t samples, endpoints included")
+@click.option("--grid", type=click.IntRange(2, MAX_ROWS), default=101,
+              show_default=True,
+              help="number of t samples, endpoints included, 2 to 1e5")
 @format_option
 def reduce3_cmd(sum_c: float, prod_c: float, r_: float, grid: int, fmt: str) -> None:
     """Walk the fixed sum-and-product triple curve and its power sum."""
     started = time.perf_counter()
-    if grid < 2:
-        raise click.UsageError("--grid must be >= 2")
     if not math.isfinite(r_):
         raise click.UsageError(f"--r must be finite, got {r_}")
     import numpy as np

@@ -7,8 +7,10 @@ import warnings
 
 import pytest
 from click.testing import CliRunner
+from hypothesis import example, given
+from hypothesis import strategies as st
 
-from meangap.cli import main
+from meangap.cli import _json, main
 
 
 @pytest.fixture()
@@ -50,6 +52,46 @@ class TestEnvelope:
     def test_tolerances_mirror_certificate(self, runner):
         env = run_json(runner, ["constants", "--n", "3", "--alpha", "-1"])
         assert env["metadata"]["tolerances"] == env["payload"]["tol"]
+
+
+# scalars of every JSON type: str with non-ASCII, quote, backslash and
+# control characters, NaN and the infinities among the floats
+_SCALARS = (st.none() | st.booleans() | st.integers() | st.floats()
+            | st.text(alphabet=st.characters(codec="utf-8"))
+            | st.sampled_from(['"', "\\", "\n\t\x00\x1f\x7f", "é \u2028 \U0001d11e"]))
+_KEYS = st.text(max_size=4) | st.sampled_from(["%", "%s", "a%d", "%%(x)s"])
+# tables: dicts mostly sharing one key set, some differing
+_ROWS = st.lists(st.fixed_dictionaries({"x": _SCALARS, "%s": _SCALARS},
+                                       optional={"z": _SCALARS}), max_size=5)
+_JSON = st.recursive(
+    _SCALARS | _ROWS,
+    lambda inner: (st.lists(inner, max_size=4) | st.lists(inner, max_size=3).map(tuple)
+                   | st.dictionaries(_KEYS, inner, max_size=4)),
+    max_leaves=40,
+)
+
+
+class TestJsonWriter:
+    @given(_JSON)
+    @example({"rows": [{"a%": "1", "b": None}, {"a%": "2", "b": "%s"},
+                       {"a%": "3"}, {}, [], 1.5]})
+    def test_matches_json_dumps(self, obj):
+        assert _json(obj) == json.dumps(obj, indent=2, sort_keys=True)
+
+    @pytest.mark.parametrize("args", [
+        ["constants", "--n", "4", "--alpha", "2"],
+        ["verify", "--n", "4", "--alpha", "2", "--samples", "10000",
+         "--grid", "300000"],
+        ["sweep", "--n-max", "6", "--alpha", "-1"],
+        ["profile", "--n", "3", "--alpha", "-1", "--points", "7",
+         "--which", "g,fprime"],
+        ["reduce3", "--sum", "6", "--prod", "6", "--r", "2", "--grid", "5"],
+    ])
+    def test_envelope_bytes_are_json_dumps(self, runner, args):
+        result = runner.invoke(main, args)
+        assert result.exit_code == 0, result.output
+        assert result.output == json.dumps(json.loads(result.output), indent=2,
+                                           sort_keys=True) + "\n"
 
 
 class TestAlphaParsing:
@@ -392,6 +434,47 @@ class TestProfileCommand:
         assert rows[2]["f"] is not None  # only the slope column is masked
         assert all(rows[i]["fprime"] is not None for i in (0, 1, 3))
 
+    @pytest.mark.parametrize("n,alpha,points,blank,printed,want", [
+        # the grids put rows every 5e-5 and 3.3e-4 in a = n x - 1; the
+        # 50-digit f' of `reference.profile_row` in `bench/reference.py`
+        (3, "-1", 30001, 1e-3, 1.5e-3,
+         {19970: -0.50149664103359792455, 20030: -0.4984966095402943403}),
+        (4, "10/9", 4001, 2.5e-3, 3e-3,
+         {2991: -26.379811225026045424, 3009: -26.95912298899556931}),
+    ])
+    def test_fprime_empty_where_it_loses_digits(self, runner, n, alpha, points,
+                                                blank, printed, want):
+        # next to the center f' divides cancelling differences: at (3, -1)
+        # the rows at |a| = 5e-5 printed it 1.8e-7 off relative, and at
+        # a = 1e-8 it read +5.117 against -0.49999999
+        rows = run_json(runner, ["profile", "--n", str(n), "--alpha", alpha,
+                                 "--points", str(points), "--which", "fprime"]
+                        )["payload"]["rows"]
+        for row in rows:
+            a = abs(n * float(row["x"]) - 1.0)
+            if a <= blank:
+                assert row["fprime"] is None, row
+            elif a >= printed:
+                assert row["fprime"] is not None, row
+        for i, value in want.items():
+            assert float(rows[i]["fprime"]) == pytest.approx(value, rel=1e-8)
+
+    def test_fprime_blank_covers_the_points_that_lost_digits(self):
+        # (3, -1): a = 1e-8 gave +5.117 and -1e-8 +0.1544 for about -0.5,
+        # -1e-7 and -1e-6 relative errors of 1.2e-2 and 2.7e-4; (4, 10/9):
+        # a = -1e-8 gave -1144.09 for -26.667
+        import numpy as np
+
+        from meangap.cli import _fprime_blank
+        from meangap.means import ExponentPair
+        from meangap.profile import ProfileParams
+
+        three = ProfileParams(n=3, e=ExponentPair.from_alpha(-1.0))
+        four = ProfileParams(n=4, e=ExponentPair(alpha=10 / 9, r=0.9))
+        a = np.array([1e-8, -1e-8, -1e-7, -1e-6])
+        assert _fprime_blank((1.0 + a) / 3, three).all()
+        assert _fprime_blank(np.array([(1.0 - 1e-8) / 4]), four).all()
+
     def test_unknown_column_rejected(self, runner):
         result = runner.invoke(main, ["profile", "--n", "3", "--alpha", "2",
                                       "--which", "g,bogus"])
@@ -457,6 +540,27 @@ class TestReduce3Command:
         result = runner.invoke(main, ["reduce3", "--sum", "3", "--prod", "8",
                                       "--r", "2"])
         assert result.exit_code == 2
+
+
+class TestTableSize:
+    @pytest.mark.parametrize("args", [
+        ["profile", "--n", "4", "--alpha", "2", "--points"],
+        ["reduce3", "--sum", "10", "--prod", "20", "--r", "2", "--grid"],
+    ])
+    @pytest.mark.parametrize("count", ["1", str(10**5 + 1), "10000000000000"])
+    def test_row_count_outside_the_range_is_usage_error(self, runner, monkeypatch,
+                                                        args, count):
+        # 1e13 rows ended in a numpy MemoryError traceback and exit 1, the
+        # code of a failed verification
+        import numpy as np
+
+        def no_grid(*args, **kwargs):
+            raise AssertionError("built the grid before checking the options")
+
+        monkeypatch.setattr(np, "linspace", no_grid)
+        result = runner.invoke(main, args + [count])
+        assert result.exit_code == 2, result.output
+        assert f"{count} is not in the range 2<=x<=100000" in result.output
 
 
 class TestCsvFormat:

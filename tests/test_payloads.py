@@ -1,0 +1,98 @@
+"""The benchmark's `tabulate` and `sweep` operations print frozen bytes.
+
+FROZEN holds the sha256 of the stdout of every such operation at the
+benchmark's seeds 1 and 2 (`bench/workloads.py`), in JSON, and `profile`
+in CSV as well, with the envelope's `elapsed_s` masked.  They were taken
+from the output before the envelope got its own JSON writer, so a change
+to the writer, the row layout or a profile kernel that moves any byte
+shows here.
+"""
+
+import hashlib
+import importlib.util
+import re
+from pathlib import Path
+
+import pytest
+from click.testing import CliRunner
+
+from meangap.cli import main
+
+ROOT = Path(__file__).resolve().parents[1]
+WHICH = "--which g,p,f,U,V,W,fprime"
+
+FROZEN = {
+    f"profile --n 3 --alpha -1 {WHICH} --format json":
+        "c28fa935af415be26bd7a6ccfd4bb6d9f7cbb022a4cb4d1d23b5cf6ae8bdb239",
+    f"profile --n 3 --alpha -1 {WHICH} --format csv":
+        "5caa2bbe885df87e2797ba6fcf95f2139953d104d3812f8b17c4d07dbaacf8bb",
+    f"profile --n 300 --alpha -1/2 {WHICH} --format json":
+        "ca07850ad26d3d6cdd354cefd9f28147ef6ba23f4e19a887520938e3c674a50a",
+    f"profile --n 300 --alpha -1/2 {WHICH} --format csv":
+        "1ae0b4d068a30b6e4c478ec4cf02598b5b3dafef50e63233414e85275d452e05",
+    f"profile --n 12 --alpha 2 {WHICH} --format json":
+        "560f75b51a12089cd77e7d123b070880d0dc72b527aed5c538ba6e14be105357",
+    f"profile --n 12 --alpha 2 {WHICH} --format csv":
+        "4f5882ec47f3c4219f421f45a08033730ed5fd328c346f2c671c52ef3af31592",
+    f"profile --n 4 --alpha 9/10 {WHICH} --format json":
+        "a8271216f4c322cbbe8f21b4bc25ff1cfa632fe24fa3a3c37bef3c1a2a84afa0",
+    f"profile --n 4 --alpha 9/10 {WHICH} --format csv":
+        "9c660ddc91a4cb89b11d6eed84de8ab459358ece28516d9d5786b4655c9f3c36",
+    f"profile --n 5 --alpha 1/20 {WHICH} --format json":
+        "9b33765fe0483672a6b95c18cac85dd34f6349ced52b85a8b9578f075691f05b",
+    f"profile --n 5 --alpha 1/20 {WHICH} --format csv":
+        "0f8d5d0f7763fa09d30eb35d35d3e2ec3da622caa7bedbae62197725a7f67633",
+    f"profile --n 3000 --alpha 3/4 {WHICH} --format json":
+        "a2a9f7542d68a017f829fcede1b792b5b4cafe45d847acd3f0c25649216843f8",
+    f"profile --n 3000 --alpha 3/4 {WHICH} --format csv":
+        "22ca9540d90e841597818c8e9e4be8ca813b73e84c5ce546e8f50a928321b573",
+    # seed 1
+    "reduce3 --sum 83.2966 --prod 1112.99 --r 2 --format json":
+        "dccc3d98b7e19fe5914bcab8f15dc990646cb0862be0241c1d1147e1261fa264",
+    "reduce3 --sum 32.5259 --prod 473.643 --r 0.5 --format json":
+        "b398e6337ee84f3b1750938af64f74581c4a83437baa2d53edda4bdf2831445c",
+    "reduce3 --sum 1.0385 --prod 0.0258408 --r -1 --format json":
+        "d07566ef0234780e376a8026af78356cfe98397feb1b2f7e4d9b822ad16369ed",
+    "sweep --n-max 40 --alpha 2 --format json":
+        "aad853b6c7561b7ff9ac8976684513ed62d0d403f0cebb22e44265b1de296f6c",
+    "sweep --n-max 40 --alpha -1 --format json":
+        "d4cc771a616b05a0fe517170a6130e8e4b5037ce1c1bbda90877702459f96385",
+    "sweep --n-max 40 --alpha 2.88201 --format json":
+        "abcfcb00def83a618142880d915ff236c5e92160379fd80252d63581122198c7",
+    "sweep --n-max 40 --alpha -2.20435 --format json":
+        "c301921675e7b48f4027b22ef774da08683ff86e96ffcae67421b3527be5bd17",
+    # seed 2
+    "reduce3 --sum 73.364 --prod 1195.85 --r 2 --format json":
+        "b97cb798daed0c77a3f1618b16f9a44c2a71b9f172c221a6a4df6411034e48ba",
+    "reduce3 --sum 9.13646 --prod 2.70958 --r 0.5 --format json":
+        "68b3d84cce830eb83a6ad9abac66ff18b361ce00afa56505058a2c7eee501617",
+    "reduce3 --sum 82.0926 --prod 15368.8 --r -1 --format json":
+        "697932f2a5b78f787f80b950b9e09fb4d99f246b6054634854fd331d7dc10517",
+    "sweep --n-max 40 --alpha 3.42431 --format json":
+        "4145aa0ab0b4ee71464359174b1bbbdccfef7d1ee19e623f2d27afd24e5d4fd6",
+    "sweep --n-max 40 --alpha -2.64118 --format json":
+        "75073388e55bd59dbf43291572c7936b4e04b47b6c2daa0a59b477f3b2c0b0f8",
+}
+
+_ELAPSED = re.compile(r'"elapsed_s": "[^"]*"')
+
+
+def test_frozen_operations_are_the_benchmarks():
+    spec = importlib.util.spec_from_file_location(
+        "workloads", ROOT / "bench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    ops = set()
+    for seed in (1, 2):
+        for args in workloads.tabulate(seed) + workloads.sweep(seed):
+            for fmt in ("json", "csv") if args[0] == "profile" else ("json",):
+                ops.add(" ".join(args + ["--format", fmt]))
+    assert ops == set(FROZEN)
+
+
+@pytest.mark.parametrize("op", sorted(FROZEN))
+def test_operation_prints_frozen_bytes(op):
+    result = CliRunner().invoke(main, op.split())
+    assert result.exit_code == 0, result.output
+    masked = _ELAPSED.sub('"elapsed_s": "X"', result.output)
+    assert hashlib.sha256(masked.encode()).hexdigest() == FROZEN[op]

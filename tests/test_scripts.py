@@ -29,4 +29,4 @@ def test_regime_gallery_checks_every_regime():
 def test_omega_sweep_reports_the_trend():
     result = run_script("omega_sweep.py", "--alpha", "2", "--n-max", "10")
     assert result.returncode == 0, result.stderr
-    assert result.stdout.rstrip().splitlines()[-1] == "omega trend: strictly decreasing"
+    assert result.stdout.rstrip().splitlines()[-1] == "omega trend: decreasing"
