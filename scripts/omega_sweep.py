@@ -2,14 +2,9 @@
 
 Usage:
     python3 scripts/omega_sweep.py --alpha 2 --n-max 30
-    python3 scripts/omega_sweep.py --alpha -1 --n-max 20 --reference "n**-0.5"
-
-The reference expression, if given, is evaluated per row with n in scope
-and printed alongside omega for eyeballing decay rates.
 """
 
 import argparse
-import math
 
 from meangap.cli import _overall, _trends
 from meangap.constants import sweep_constants
@@ -21,8 +16,6 @@ def parse_args() -> argparse.Namespace:
     ap.add_argument("--alpha", type=float, required=True)
     ap.add_argument("--n-min", type=int, default=3)
     ap.add_argument("--n-max", type=int, required=True)
-    ap.add_argument("--reference", default=None,
-                    help="expression in n to print next to omega")
     return ap.parse_args()
 
 
@@ -30,20 +23,13 @@ def main() -> None:
     args = parse_args()
     e = ExponentPair.from_alpha(args.alpha)
     certs = sweep_constants(e, args.n_min, args.n_max)
-    header = f"{'n':>4}  {'regime':<16} {'lower':>22} {'upper':>22} {'omega':>22}"
-    if args.reference:
-        header += f" {args.reference:>18}"
     print(f"alpha = {e.alpha:g}, r = {e.r:g}")
-    print(header)
+    print(f"{'n':>4}  {'regime':<16} {'lower':>22} {'upper':>22} {'omega':>22}")
     for cert in certs:
         omega = cert.omega
-        row = (f"{cert.n:>4}  {cert.regime.value:<16}"
-               f" {cert.lower_bound:>22.15g} {cert.upper_bound:>22.15g}"
-               f" {'' if omega is None else format(omega, '>22.15g'):>22}")
-        if args.reference:
-            ref = eval(args.reference, {"n": cert.n, "math": math})
-            row += f" {ref:>18.12g}"
-        print(row)
+        print(f"{cert.n:>4}  {cert.regime.value:<16}"
+              f" {cert.lower_bound:>22.15g} {cert.upper_bound:>22.15g}"
+              f" {'' if omega is None else format(omega, '>22.15g'):>22}")
     # the verdict `meangap sweep` prints
     print(f"omega trend: {_overall(_trends([cert.omega for cert in certs]))}")
 

@@ -45,34 +45,9 @@ from .oracle import (
     check_bounds,
     monte_carlo_extremes,
 )
-from .profile import (
-    CENTER_BAND,
-    ProfileParams,
-    U_func,
-    V_func,
-    W_func,
-    f_prime,
-    f_profile,
-    g_profile,
-    p_profile,
-)
-from .reduction import (
-    curve_params,
-    curve_point,
-    h_power_sum,
-    h_prime,
-)
+from .profile import CENTER_BAND, TABLE_COLUMNS, ProfileParams, profile_table
+from .reduction import curve_params, curve_table
 from .solver import UncertifiedInstance
-
-_PROFILE_COLUMNS = {
-    "g": g_profile,
-    "p": p_profile,
-    "f": f_profile,
-    "U": U_func,
-    "V": V_func,
-    "W": W_func,
-    "fprime": f_prime,
-}
 
 
 def _parse_alpha(ctx, param, value: str) -> ExponentPair:
@@ -230,6 +205,16 @@ def _items(items, pad: str) -> list:
     return out
 
 
+def _cell(value):
+    # a CSV cell of a scalar as the JSON envelope writes it: None empty,
+    # booleans lower case
+    if value is None:
+        return ""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    return value
+
+
 def _flatten(obj, prefix: str = "") -> list:
     items = []
     if isinstance(obj, dict):
@@ -239,11 +224,11 @@ def _flatten(obj, prefix: str = "") -> list:
     key = prefix[:-1]
     if isinstance(obj, (list, tuple)):
         if all(not isinstance(v, (dict, list, tuple)) for v in obj):
-            items.append((key, ";".join("" if v is None else str(v) for v in obj)))
+            items.append((key, ";".join(str(_cell(v)) for v in obj)))
         else:
             items.append((key, json.dumps(obj, sort_keys=True)))
         return items
-    items.append((key, "" if obj is None else obj))
+    items.append((key, _cell(obj)))
     return items
 
 
@@ -257,7 +242,7 @@ def _to_csv(payload) -> str:
         header = list(rows[0].keys())
         writer.writerow(header)
         for row in rows:
-            writer.writerow(["" if row.get(k) is None else row.get(k) for k in header])
+            writer.writerow([_cell(row.get(k)) for k in header])
     else:
         writer.writerow(["key", "value"])
         for key, value in _flatten(payload):
@@ -405,11 +390,11 @@ def profile_cmd(n: int, e: ExponentPair, points: int, which: str, fmt: str) -> N
     """Tabulate profile functions on (eps, 1/(n-1) - eps), eps = 1e-9/n."""
     started = time.perf_counter()
     names = [tok.strip() for tok in which.split(",") if tok.strip()]
-    unknown = [tok for tok in names if tok not in _PROFILE_COLUMNS]
+    unknown = [tok for tok in names if tok not in TABLE_COLUMNS]
     if unknown or not names:
         raise click.UsageError(
             f"--which must be a comma separated subset of "
-            f"{','.join(_PROFILE_COLUMNS)}; got {which!r}"
+            f"{','.join(TABLE_COLUMNS)}; got {which!r}"
         )
     with _refusals():
         params = ProfileParams(n=n, e=e)
@@ -417,23 +402,15 @@ def profile_cmd(n: int, e: ExponentPair, points: int, which: str, fmt: str) -> N
 
     eps = EPS_HAT / n
     xs = np.linspace(eps, params.x_hi - eps, points)
-    blank = _fprime_blank(xs, params)
-    columns = [xs]
-    for name in names:
-        if name == "fprime":
-            col = np.full(points, np.nan)
-            if not blank.all():
-                with _refusals():
-                    col[~blank] = f_prime(xs[~blank], params)
-            columns.append(col)
-        else:
-            columns.append(_PROFILE_COLUMNS[name](xs, params))
+    with _refusals():
+        columns = [xs, *profile_table(xs, params, names)]
     # each column formatted once, as lists: indexing an array makes a
     # numpy scalar per cell
     cells = [[format(v, ".17g") for v in col.tolist()] for col in columns]
+    blank = np.flatnonzero(_fprime_blank(xs, params)).tolist()
     for name, col in zip(names, cells[1:]):
         if name == "fprime":
-            for i in np.flatnonzero(blank).tolist():
+            for i in blank:
                 col[i] = None
     # the key order sets the CSV header
     keys = ["x", *names]
@@ -462,31 +439,20 @@ def reduce3_cmd(sum_c: float, prod_c: float, r_: float, grid: int, fmt: str) -> 
     try:
         cp = curve_params(sum_c, prod_c)
         ts = np.linspace(cp.t_lo, cp.t_hi, grid)
-        rows = []
-        h_vals = []
-        for i, t in enumerate(ts):
-            pt = curve_point(float(t), cp)
-            h = h_power_sum(float(t), cp, r_)
-            h_vals.append(h)
-            # the derivative formula pivots on distinct coordinates, which
-            # fail exactly at the endpoints
-            endpoint = i == 0 or i == grid - 1
-            rows.append(
-                {
-                    "t": format_float(t),
-                    "x": format_float(pt.x),
-                    "y": format_float(pt.y),
-                    "z": format_float(pt.z),
-                    "h": format_float(h),
-                    "h_prime": None if endpoint else format_float(
-                        h_prime(float(t), cp, r_)
-                    ),
-                }
-            )
+        table = curve_table(ts, cp, r_)
     except ValueError as exc:
         # degenerate constraints, or finite ones past what doubles resolve:
         # a power of a coordinate overflows, or two coordinates merge
         raise click.UsageError(str(exc))
+    # each column formatted once, as lists, y being t; the derivative
+    # formula pivots on distinct coordinates, which fail exactly at the
+    # endpoints, where h' is None
+    t, x, z, h = ([format(v, ".17g") for v in col.tolist()]
+                  for col in (ts, table["x"], table["z"], table["h"]))
+    h_prime = [None if v is None else format(v, ".17g") for v in table["h_prime"]]
+    keys = ("t", "x", "y", "z", "h", "h_prime")
+    rows = [dict(zip(keys, row)) for row in zip(t, x, t, z, h, h_prime)]
+    h_vals = table["h"]
     diffs = np.diff(h_vals)
     flat = 1e-12 * max(1.0, float(np.max(np.abs(h_vals))))
     if np.all(np.abs(diffs) <= flat):

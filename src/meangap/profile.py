@@ -36,6 +36,8 @@ interval, so the functions of x below run through the left side.
 
 All functions of x accept a scalar or a numpy array, and always run
 through numpy: a scalar x is a one-element array and returns a float.
+`profile_table` evaluates several of them at once from one pass over the
+coordinates, and each of them is a one-column call of the same code.
 `Side` runs the same interior formulas on a float t through `math`,
 which skips numpy's per-call dispatch, so it matches the array path to
 rounding (libm and numpy's exp and log can differ in the last bit), not
@@ -56,6 +58,7 @@ __all__ = [
     "CENTER_BAND",
     "ProfileParams",
     "Side",
+    "TABLE_COLUMNS",
     "U_func",
     "V_func",
     "W_func",
@@ -68,6 +71,7 @@ __all__ = [
     "p_profile",
     "p_prime",
     "p_second",
+    "profile_table",
 ]
 
 # half-width of the removable-singularity band in a = n*x - 1;
@@ -111,14 +115,17 @@ class ProfileParams:
         return 1.0 / (self.n - 1)
 
 
-def _evaluate(x, params: ProfileParams, interior, center=None):
-    """Evaluate one profile function at a scalar or an array x in (0, 1/(n-1)).
+def _evaluate(x, params: ProfileParams, columns):
+    """Evaluate profile columns at a scalar or an array x in (0, 1/(n-1)).
 
-    center, unless None, is the value inside the band |n x - 1| <=
-    CENTER_BAND, which the interior formula covers otherwise; a str in its
-    place is the message of the ValueError raised there.  The points
-    outside the band go through the left `Side`, whose t is x, in one
-    numpy call; a scalar x is a one-element array and returns a float.
+    columns is a list of (interior, center) pairs.  center, unless None,
+    is the column's value inside the band |n x - 1| <= CENTER_BAND, which
+    the interior formula covers otherwise; a str in its place is the
+    message of the ValueError raised there.  The left `Side`, whose t is
+    x, forms the coordinates once for all the columns, in one numpy pass,
+    and each interior runs on them, on the points outside the band where
+    it has a center.  Returns one array per column, or one float for a
+    scalar x, which is evaluated as a one-element array.
     """
     import numpy as np
 
@@ -127,17 +134,30 @@ def _evaluate(x, params: ProfileParams, interior, center=None):
     # min and max are nan when any entry is, which fails both tests
     if arr.size and not (0.0 < arr.min() and arr.max() < x_hi):
         raise ValueError(f"x must lie in (0, {x_hi})")
-    out = np.empty_like(arr)
-    if center is None:
-        band = np.zeros(arr.shape, dtype=bool)
-    else:
-        band = np.abs(params.n * arr - 1.0) <= CENTER_BAND
-        if np.any(band):
-            if isinstance(center, str):
-                raise ValueError(center)
-            out[band] = center
-    out[~band] = Side(params, "left")._evaluate(interior, arr[~band])
-    return out if out.ndim else float(out)
+    pts = arr.ravel()
+    band = None
+    if any(center is not None for _, center in columns):
+        band = np.abs(params.n * pts - 1.0) <= CENTER_BAND
+        if band.any():
+            for _, center in columns:
+                if isinstance(center, str):
+                    raise ValueError(center)
+        else:
+            band = None
+    n, alpha = params.n, params.e.alpha
+    out = []
+    with np.errstate(over="ignore"):  # a NaN still warns
+        coords = Side(params, "left")._coords(pts, np)
+        inner = coords if band is None else [c[~band] for c in coords]
+        for interior, center in columns:
+            if center is None or band is None:
+                col = interior(np, n, alpha, *coords)
+            else:
+                col = np.empty_like(pts)
+                col[band] = center
+                col[~band] = interior(np, n, alpha, *inner)
+            out.append(col.reshape(arr.shape) if arr.ndim else float(col[0]))
+    return out
 
 
 def _check_factor(params: ProfileParams, factor: int, name: str) -> None:
@@ -263,14 +283,40 @@ def _W_prime(xp, n, alpha, a, X, Y, l1, l2):
     return num / (n * (a * a)) * xp.exp(c)
 
 
+# the columns `profile_table` knows, in the order the CLI lists them
+TABLE_COLUMNS = ("g", "p", "f", "U", "V", "W", "fprime")
+
+
+def profile_table(x, params: ProfileParams, names):
+    """The profile columns `names`, drawn from TABLE_COLUMNS, at x.
+
+    One `_evaluate` call forms the coordinates once for all of them; each
+    column holds the bits of its one-column function.  The f' column
+    ("fprime") is nan inside the center band, where `f_prime` refuses.
+    """
+    n, r = params.n, params.e.r
+    spec = {
+        "g": (_g, None),
+        "p": (_p, None),
+        "f": (_f, r / (r - 1.0)),
+        "U": (_U, 1.0),
+        "V": (_V, 1.0),
+        "W": (_W, 1.0),
+        "fprime": (_f_prime, math.nan),
+    }
+    if "fprime" in names:
+        _check_factor(params, n * (n - 1), "n(n-1)")
+    return _evaluate(x, params, [spec[name] for name in names])
+
+
 def g_profile(x, params: ProfileParams):
     """Geometric mean of the two-value tuple."""
-    return _evaluate(x, params, _g)
+    return profile_table(x, params, ["g"])[0]
 
 
 def p_profile(x, params: ProfileParams):
     """Power mean of order alpha of the two-value tuple."""
-    return _evaluate(x, params, _p)
+    return profile_table(x, params, ["p"])[0]
 
 
 def f_profile(x, params: ProfileParams):
@@ -279,32 +325,31 @@ def f_profile(x, params: ProfileParams):
     The 0/0 at x = 1/n is removable; inside the band |x - 1/n| <= 1e-9/n
     the branch value r/(r-1) is returned.
     """
-    r = params.e.r
-    return _evaluate(x, params, _f, r / (r - 1.0))
+    return profile_table(x, params, ["f"])[0]
 
 
 def g_prime(x, params: ProfileParams):
     """d/dx of g."""
     _check_factor(params, params.n * (params.n - 1), "n(n-1)")
-    return _evaluate(x, params, _g_prime)
+    return _evaluate(x, params, [(_g_prime, None)])[0]
 
 
 def p_prime(x, params: ProfileParams):
     """d/dx of p."""
     _check_factor(params, params.n * (params.n - 1), "n(n-1)")
-    return _evaluate(x, params, _p_prime)
+    return _evaluate(x, params, [(_p_prime, None)])[0]
 
 
 def g_second(x, params: ProfileParams):
     """d2/dx2 of g; strictly negative."""
     _check_factor(params, params.n**2 * (params.n - 1), "n^2(n-1)")
-    return _evaluate(x, params, _g_second)
+    return _evaluate(x, params, [(_g_second, None)])[0]
 
 
 def p_second(x, params: ProfileParams):
     """d2/dx2 of p; its sign is -sign(r/(r-1))."""
     _check_factor(params, params.n**4 * (params.n - 1), "n^4(n-1)")
-    return _evaluate(x, params, _p_second)
+    return _evaluate(x, params, [(_p_second, None)])[0]
 
 
 def f_prime(x, params: ProfileParams):
@@ -315,17 +360,17 @@ def f_prime(x, params: ProfileParams):
     """
     band = "f_prime is not defined within 1e-9/n of x = 1/n"
     _check_factor(params, params.n * (params.n - 1), "n(n-1)")
-    return _evaluate(x, params, _f_prime, band)
+    return _evaluate(x, params, [(_f_prime, band)])[0]
 
 
 def U_func(x, params: ProfileParams):
     """Chord slope of t -> t^(1-1/r) between s(x) and 1, normalized to U(1/n) = 1."""
-    return _evaluate(x, params, _U, 1.0)
+    return profile_table(x, params, ["U"])[0]
 
 
 def V_func(x, params: ProfileParams):
     """Shifted power sum V = ((n-1) s^(1/r) + 1)/n; strictly increasing for r > 0."""
-    return _evaluate(x, params, _V, 1.0)
+    return profile_table(x, params, ["V"])[0]
 
 
 def W_func(x, params: ProfileParams):
@@ -333,7 +378,7 @@ def W_func(x, params: ProfileParams):
 
     W(1/n) = 1 always.
     """
-    return _evaluate(x, params, _W, 1.0)
+    return profile_table(x, params, ["W"])[0]
 
 
 def W_prime(x, params: ProfileParams):
@@ -345,7 +390,7 @@ def W_prime(x, params: ProfileParams):
     analytically, so the evaluation stays accurate near the center.
     """
     n = params.n
-    return _evaluate(x, params, _W_prime, n * (n - 2) / (2.0 * params.e.r))
+    return _evaluate(x, params, [(_W_prime, n * (n - 2) / (2.0 * params.e.r))])[0]
 
 
 @dataclass(frozen=True)
@@ -359,7 +404,7 @@ class Side:
     take a float t and return a float: through `math`, or where math
     raises on an overflow or a zero divisor, numpy's inf or nan for that
     point; or they take a numpy array of t and return an array, through
-    numpy, as the functions of x and the verify grid do.  `t_min` is the
+    numpy, as the verify grid does.  `t_min` is the
     far edge of every search on the side: the smallest t at which f' and
     W are still finite, where the largest of |log s|, alpha log s and
     (1 - alpha) log s reaches 600.  `t_end`, where |log s| alone does,

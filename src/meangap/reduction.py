@@ -9,7 +9,9 @@ Two tools live here:
   the remaining quadratic closes up (x = y at the left root, y = z at
   the right).  The power sum x^r + y^r + z^r is strictly monotone in t,
   which is what forces extremal tuples to take at most two distinct
-  values.
+  values.  `curve_table` evaluates it at an array of t in one pass, as
+  `meangap reduce3` prints it; `curve_point`, `h_power_sum` and `h_prime`
+  are one-point calls of the same code.
 
 * perturbation-limit ratios: for tuples base*(1 + eps*d) the difference
   of two power means of orders a and b behaves like
@@ -34,6 +36,7 @@ __all__ = [
     "CurvePoint",
     "curve_params",
     "curve_point",
+    "curve_table",
     "h_power_sum",
     "h_prime",
     "lemma1_ratio",
@@ -125,52 +128,107 @@ def curve_params(sum_c: float, prod_c: float) -> CurveParams:
     return CurveParams(sum_c=sum_c, prod_c=prod_c, t_lo=t_lo, t_hi=t_hi)
 
 
-def curve_point(t: float, cp: CurveParams) -> CurvePoint:
-    """Point (x, y=t, z) on the curve, x <= y <= z.
+def _curve(t: np.ndarray, cp: CurveParams):
+    """(x, z) of the curve at an array t, y = t; the first t off it raises.
 
-    The discriminant (sum_c-t)^2 - 4*prod_c/t is clamped to zero when a
+    The discriminant (sum_c-t)^2 - 4*prod_c/t is clamped to zero where a
     rounding-level negative (within -1e-12) appears at the interval ends;
     anything more negative means t is off the curve.
     """
-    t = float(t)
+    import numpy as np
+
     sum_c, prod_c = cp.sum_c, cp.prod_c
     slack = 1e-12 * max(1.0, sum_c)
-    if not (cp.t_lo - slack <= t <= cp.t_hi + slack):
+    off = ~((cp.t_lo - slack <= t) & (t <= cp.t_hi + slack))
+    if off.any():
         raise ValueError(
-            f"t={t} outside the curve interval [{cp.t_lo}, {cp.t_hi}]"
+            f"t={t[off.argmax()].item()} outside the curve interval "
+            f"[{cp.t_lo}, {cp.t_hi}]"
         )
-    disc = (sum_c - t) ** 2 - 4.0 * prod_c / t
-    if disc < 0.0:
-        if disc < -1e-12:
+    d = sum_c - t
+    # the square through float's ** (libm pow), which can differ from d*d
+    # in the last bit
+    disc = np.array([v**2 for v in d.tolist()]) - 4.0 * prod_c / t
+    neg = disc < 0.0
+    if neg.any():
+        deep = disc < -1e-12
+        if deep.any():
+            i = deep.argmax()
             raise ConstraintDegenerateError(
-                f"negative discriminant {disc} at t={t}"
+                f"negative discriminant {disc[i].item()} at t={t[i].item()}"
             )
-        disc = 0.0
-    root = math.sqrt(disc)
-    z = 0.5 * ((sum_c - t) + root)
+        disc[neg] = 0.0
+    z = 0.5 * (d + np.sqrt(disc))
     # x*z = prod_c/t exactly on the curve; dividing avoids the subtractive
     # cancellation near the x = z corner
-    x = prod_c / (t * z)
-    return CurvePoint(t=t, x=x, y=t, z=z)
+    return prod_c / (t * z), z
 
 
-def _powers(pt: CurvePoint, r: float):
-    # (x^r, y^r, z^r); where a power leaves the double range, float's
-    # OverflowError or ZeroDivisionError (0.0 to a negative r) becomes a
-    # ValueError that names the point
+def _powers(t, x, z, r: float):
+    """(x^r, y^r, z^r) as arrays, each power through float's ** (libm pow).
+
+    np.power can differ from it in the last bit.  Where a power leaves the
+    double range, float's OverflowError or ZeroDivisionError (0.0 to a
+    negative r) becomes a ValueError that names the first such point.
+    """
+    import numpy as np
+
+    cols = x.tolist(), t.tolist(), z.tolist()
     try:
-        return pt.x**r, pt.y**r, pt.z**r
+        return tuple(np.array([v**r for v in col]) for col in cols)
     except (OverflowError, ZeroDivisionError):
+        for xi, yi, zi in zip(*cols):
+            try:
+                xi**r, yi**r, zi**r
+            except (OverflowError, ZeroDivisionError):
+                raise ValueError(
+                    f"a coordinate of ({xi}, {yi}, {zi}) at t={yi} to the "
+                    f"power r={r} is not a finite double"
+                ) from None
+        raise
+
+
+def _slopes(t, x, z, powers, r: float):
+    """d/dt of the power sum at an array t whose coordinates are distinct."""
+    xr, yr, zr = powers
+    chord_hi = (zr - yr) / (z - t)
+    chord_lo = (yr - xr) / (t - x)
+    return r * (t - x) * (z - t) / (t * (x - z)) * (chord_hi - chord_lo)
+
+
+def _check_inner(t, x, z, cp: CurveParams) -> None:
+    # h' needs t strictly inside the interval and three distinct coordinates;
+    # x = z with y apart happens only where rounding breaks their order
+    inside = (cp.t_lo < t) & (t < cp.t_hi)
+    if not inside.all():
         raise ValueError(
-            f"a coordinate of ({pt.x}, {pt.y}, {pt.z}) at t={pt.t} to the "
-            f"power r={r} is not a finite double"
-        ) from None
+            f"h_prime needs t strictly inside ({cp.t_lo}, {cp.t_hi}), "
+            f"got {t[(~inside).argmax()].item()}"
+        )
+    merged = (x == t) | (t == z) | (x == z)
+    if merged.any():
+        raise ValueError(
+            f"coordinates merge at t={t[merged.argmax()].item()}; "
+            "h_prime is 0/0 there"
+        )
+
+
+def curve_point(t: float, cp: CurveParams) -> CurvePoint:
+    """Point (x, y=t, z) on the curve, x <= y <= z; a t off it raises."""
+    import numpy as np
+
+    t = float(t)
+    x, z = _curve(np.array([t]), cp)
+    return CurvePoint(t=t, x=x.item(), y=t, z=z.item())
 
 
 def h_power_sum(t: float, cp: CurveParams, r: float) -> float:
     """Power sum x^r + y^r + z^r along the curve."""
-    xr, yr, zr = _powers(curve_point(t, cp), r)
-    return xr + yr + zr
+    import numpy as np
+
+    ts = np.array([float(t)])
+    xr, yr, zr = _powers(ts, *_curve(ts, cp), r)
+    return (xr + yr + zr).item()
 
 
 def h_prime(t: float, cp: CurveParams, r: float) -> float:
@@ -182,19 +240,44 @@ def h_prime(t: float, cp: CurveParams, r: float) -> float:
     ends two coordinates merge and the chord slopes degenerate, so those
     calls are rejected.
     """
+    import numpy as np
+
     t = float(t)
     if not cp.t_lo < t < cp.t_hi:
         raise ValueError(
             f"h_prime needs t strictly inside ({cp.t_lo}, {cp.t_hi}), got {t}"
         )
-    pt = curve_point(t, cp)
-    x, y, z = pt.x, pt.y, pt.z
-    if x == y or y == z:
-        raise ValueError(f"coordinates merge at t={t}; h_prime is 0/0 there")
-    xr, yr, zr = _powers(pt, r)
-    chord_hi = (zr - yr) / (z - y)
-    chord_lo = (yr - xr) / (y - x)
-    return r * (y - x) * (z - y) / (y * (x - z)) * (chord_hi - chord_lo)
+    ts = np.array([t])
+    x, z = _curve(ts, cp)
+    _check_inner(ts, x, z, cp)
+    return _slopes(ts, x, z, _powers(ts, x, z, r), r).item()
+
+
+def curve_table(t: np.ndarray, cp: CurveParams, r: float) -> dict:
+    """Columns x, z, h and h' of the curve at an array t, y being t.
+
+    One pass forms the coordinates and their powers at every t; h' is
+    taken at every t but the first and the last, the ends of a table,
+    where it is None.  Each value holds the bits of `curve_point`,
+    `h_power_sum` and `h_prime` at its t; the columns are arrays, h' a
+    list.  Where a point fails, the ValueError is the one that walking
+    the rows in order with `h_power_sum` and then `h_prime` raises first.
+    """
+    try:
+        x, z = _curve(t, cp)
+        powers = _powers(t, x, z, r)
+        mid = slice(1, -1)
+        _check_inner(t[mid], x[mid], z[mid], cp)
+        slopes = _slopes(t[mid], x[mid], z[mid], [p[mid] for p in powers], r)
+    except ValueError:
+        for i, ti in enumerate(t.tolist()):
+            h_power_sum(ti, cp, r)
+            if 0 < i < t.size - 1:
+                h_prime(ti, cp, r)
+        raise
+    ends = [None] * min(t.size, 2)
+    return {"x": x, "z": z, "h": powers[0] + powers[1] + powers[2],
+            "h_prime": ends[:1] + slopes.tolist() + ends[1:]}
 
 
 def _log_power_mean(order: float, eps: float, dirs: np.ndarray) -> float:

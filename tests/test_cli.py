@@ -527,6 +527,16 @@ class TestReduce3Command:
         assert isinstance(result.exception, SystemExit)
         assert named in result.output.splitlines()[-1]
 
+    def test_crossed_coordinates_are_usage_error(self, runner):
+        # rounding puts x = z with y apart on interior rows, where h' divided
+        # by y (x - z) = 0.0 and ended in a ZeroDivisionError traceback
+        result = runner.invoke(main, ["reduce3", "--sum", "2.9463098016715475e+89",
+                                      "--prod", "9.472649486047106e+266",
+                                      "--r", "-300", "--grid", "57"])
+        assert result.exit_code == 2
+        assert isinstance(result.exception, SystemExit)
+        assert "coordinates merge" in result.output.splitlines()[-1]
+
     def test_large_sum_gives_the_curve(self, runner):
         # the small end of the curve lies near sqrt(prod/sum), 154 decades
         # below the sum, and every row between the ends is a proper triple
@@ -593,6 +603,21 @@ class TestCsvFormat:
         table = dict(rows[1:])
         assert table["omega"] == env["payload"]["omega"]
         assert table["regime"] == env["payload"]["regime"]
+
+    def test_booleans_are_written_as_the_envelope_writes_them(self, runner):
+        # csv.writer wrote Python's True and False
+        from meangap.cli import _to_csv
+
+        assert _to_csv({"ok": True, "check": {"flags": [False, None, True]}}) == (
+            "key,value\nok,true\ncheck.flags,false;;true\n")
+        assert _to_csv({"rows": [{"a": True, "b": None}]}) == "a,b\ntrue,\n"
+        args = ["verify", "--n", "10", "--alpha", "13/10", "--workers", "1",
+                "--format", "csv"]
+        result = runner.invoke(main, args)
+        assert result.exit_code == 0, result.output
+        table = dict(list(csv.reader(io.StringIO(result.output)))[1:])
+        assert table["ok"] == "true"
+        assert not {"True", "False"} & set(table.values())
 
     def test_format_env_var(self, runner):
         result = runner.invoke(main, ["constants", "--n", "4", "--alpha", "2"],

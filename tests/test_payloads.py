@@ -2,10 +2,11 @@
 
 FROZEN holds the sha256 of the stdout of every such operation at the
 benchmark's seeds 1 and 2 (`bench/workloads.py`), in JSON, and `profile`
-in CSV as well, with the envelope's `elapsed_s` masked.  They were taken
-from the output before the envelope got its own JSON writer, so a change
-to the writer, the row layout or a profile kernel that moves any byte
-shows here.
+and `reduce3` in CSV as well, with the envelope's `elapsed_s` masked.
+They were taken from the output before the envelope got its own JSON
+writer (the CSV of `reduce3` before its curve was evaluated as columns),
+so a change to the writer, the row layout, a profile kernel or the curve
+that moves any byte shows here.
 """
 
 import hashlib
@@ -53,6 +54,12 @@ FROZEN = {
         "b398e6337ee84f3b1750938af64f74581c4a83437baa2d53edda4bdf2831445c",
     "reduce3 --sum 1.0385 --prod 0.0258408 --r -1 --format json":
         "d07566ef0234780e376a8026af78356cfe98397feb1b2f7e4d9b822ad16369ed",
+    "reduce3 --sum 83.2966 --prod 1112.99 --r 2 --format csv":
+        "48aea52d20596c07d2062570caeee82bac7f7d52ff8399d689c0ddc39cb98c38",
+    "reduce3 --sum 32.5259 --prod 473.643 --r 0.5 --format csv":
+        "2814ceec0a0b7047f47943bd76d935352cb28e8d06ca610e7d6711603cf2a398",
+    "reduce3 --sum 1.0385 --prod 0.0258408 --r -1 --format csv":
+        "7a5e9f653ad6c7cfbd2c385500cb35ddc4a7be4c5fae47d55120423375c68978",
     "sweep --n-max 40 --alpha 2 --format json":
         "aad853b6c7561b7ff9ac8976684513ed62d0d403f0cebb22e44265b1de296f6c",
     "sweep --n-max 40 --alpha -1 --format json":
@@ -68,6 +75,12 @@ FROZEN = {
         "68b3d84cce830eb83a6ad9abac66ff18b361ce00afa56505058a2c7eee501617",
     "reduce3 --sum 82.0926 --prod 15368.8 --r -1 --format json":
         "697932f2a5b78f787f80b950b9e09fb4d99f246b6054634854fd331d7dc10517",
+    "reduce3 --sum 73.364 --prod 1195.85 --r 2 --format csv":
+        "9c9e26838c1c596e10807e9c66c833e6a1795e3fba0d2d65f0f84aada15a1658",
+    "reduce3 --sum 9.13646 --prod 2.70958 --r 0.5 --format csv":
+        "9c62872cc177c7df032e16c27c53d9582125078ebf9f6260f1c3858e1dcb594b",
+    "reduce3 --sum 82.0926 --prod 15368.8 --r -1 --format csv":
+        "ead8874222ff0bd92d6b762e300b8abc1cafd698efaafe6820e68dcd8a7a3e0f",
     "sweep --n-max 40 --alpha 3.42431 --format json":
         "4145aa0ab0b4ee71464359174b1bbbdccfef7d1ee19e623f2d27afd24e5d4fd6",
     "sweep --n-max 40 --alpha -2.64118 --format json":
@@ -85,7 +98,8 @@ def test_frozen_operations_are_the_benchmarks():
     ops = set()
     for seed in (1, 2):
         for args in workloads.tabulate(seed) + workloads.sweep(seed):
-            for fmt in ("json", "csv") if args[0] == "profile" else ("json",):
+            tables = ("profile", "reduce3")
+            for fmt in ("json", "csv") if args[0] in tables else ("json",):
                 ops.add(" ".join(args + ["--format", fmt]))
     assert ops == set(FROZEN)
 

@@ -9,6 +9,7 @@ import pytest
 from meangap.means import ExponentPair, ratio_gap
 from meangap.profile import (
     CENTER_BAND,
+    TABLE_COLUMNS,
     ProfileParams,
     Side,
     U_func,
@@ -23,6 +24,7 @@ from meangap.profile import (
     p_prime,
     p_profile,
     p_second,
+    profile_table,
     _W,
     _f,
     _f_prime,
@@ -106,6 +108,49 @@ def test_array_matches_scalar(n, alpha):
             scal = [fn(cast(x), params) for x in xs[ok]]
             assert all(type(v) is float for v in scal), name
             np.testing.assert_array_equal(arr, scal, err_msg=name)
+
+
+# the table's grids: (4, 9/10) puts row 150 inside the center band, where
+# U = V = W = 1 and f' is blank; (3, -1) puts row 667 at a = 5e-4, outside
+# the band, where the table leaves f' blank though f_prime answers
+@pytest.mark.parametrize("n,alpha,points,row", [
+    (4, "9/10", 201, 150), (3, "-1", 1001, 667), (300, "-1/2", 201, None),
+])
+def test_one_column_functions_are_their_table_columns(n, alpha, points, row):
+    from meangap.cli import _fprime_blank, _parse_alpha, main
+    from click.testing import CliRunner
+
+    params = ProfileParams(n=n, e=_parse_alpha(None, None, alpha))
+    eps = 1e-9 / n
+    xs = np.linspace(eps, params.x_hi - eps, points)
+    table = dict(zip(TABLE_COLUMNS, profile_table(xs, params, TABLE_COLUMNS)))
+    band = np.abs(n * xs - 1.0) <= CENTER_BAND
+    one = dict(g=g_profile, p=p_profile, f=f_profile, U=U_func, V=V_func,
+               W=W_func, fprime=f_prime)
+    for name, fn in one.items():
+        ok = ~band if name == "fprime" else np.ones_like(band)
+        assert fn(xs[ok], params).tobytes() == table[name][ok].tobytes(), name
+        for i in [0, points - 1] + ([] if row is None else [row]):
+            if ok[i]:
+                assert fn(float(xs[i]), params) == table[name][i], (name, i)
+    if row is None:
+        return
+    blank = _fprime_blank(xs, params)
+    assert blank[row]
+    if band[row]:
+        assert table["U"][row] == table["V"][row] == table["W"][row] == 1.0
+        assert np.isnan(table["fprime"][row])
+        with pytest.raises(ValueError, match="f_prime is not defined"):
+            f_prime(float(xs[row]), params)
+    # the CLI prints the table's bits, f' blank on that row
+    out = CliRunner().invoke(main, [
+        "profile", "--n", str(n), "--alpha", alpha, "--points", str(points),
+        "--which", ",".join(TABLE_COLUMNS), "--format", "csv"]).output
+    cells = out.splitlines()[1 + row].split(",")
+    assert cells[0] == format(xs[row], ".17g")
+    for name, cell in zip(TABLE_COLUMNS, cells[1:]):
+        want = "" if name == "fprime" else format(table[name][row], ".17g")
+        assert cell == want, name
 
 
 def test_first_table_row_keeps_its_digits():

@@ -17,6 +17,7 @@ from meangap.reduction import (
     CurvePoint,
     curve_params,
     curve_point,
+    curve_table,
     h_power_sum,
     h_prime,
     lemma1_ratio,
@@ -176,6 +177,57 @@ class TestHPowerSum:
         ts = np.linspace(cp.t_lo, cp.t_hi, 11)
         h1 = [h_power_sum(float(t), cp, 1.0) for t in ts]
         assert max(h1) - min(h1) <= 1e-10
+
+
+class TestCurveTable:
+    @pytest.mark.parametrize("sum_c,prod_c", [(6.0, 6.0), (83.2966, 1112.99),
+                                              (1.0385, 0.0258408)])
+    @pytest.mark.parametrize("r", [2.0, 0.5, -1.0, 3.7])
+    def test_rows_are_the_one_point_functions(self, sum_c, prod_c, r):
+        # the same bits as curve_point, h_power_sum and h_prime at every t
+        cp = curve_params(sum_c, prod_c)
+        ts = np.linspace(cp.t_lo, cp.t_hi, 41)
+        table = curve_table(ts, cp, r)
+        assert table["h_prime"][0] is None and table["h_prime"][-1] is None
+        for i, t in enumerate(ts.tolist()):
+            pt = curve_point(t, cp)
+            assert (table["x"][i], table["z"][i]) == (pt.x, pt.z)
+            assert table["h"][i] == h_power_sum(t, cp, r)
+            if 0 < i < ts.size - 1:
+                assert table["h_prime"][i] == h_prime(t, cp, r)
+
+    def test_two_rows_are_the_ends(self):
+        cp = curve_params(6.0, 6.0)
+        table = curve_table(np.array([cp.t_lo, cp.t_hi]), cp, 2.0)
+        assert table["h_prime"] == [None, None]
+
+    @pytest.mark.parametrize("sum_c,prod_c,r", [
+        (6.0, 6.0, 1000.0),  # z^r overflows from the first row on
+        (1e50, 1e-300, -1.0),  # x underflows to 0 at the small end
+        # rounding puts x = z with y apart on interior rows
+        (2.9463098016715475e89, 9.472649486047106e266, -300.0),
+    ])
+    def test_refusal_is_the_first_failing_row(self, sum_c, prod_c, r):
+        cp = curve_params(sum_c, prod_c)
+        ts = np.linspace(cp.t_lo, cp.t_hi, 57)
+        with pytest.raises(ValueError) as table_error:
+            curve_table(ts, cp, r)
+        with pytest.raises(ValueError) as walk_error:
+            for i, t in enumerate(ts.tolist()):
+                h_power_sum(t, cp, r)
+                if 0 < i < ts.size - 1:
+                    h_prime(t, cp, r)
+        assert str(table_error.value) == str(walk_error.value)
+
+    def test_crossed_coordinates_merge(self):
+        # x = z rounded equal here, which h_prime divided by as 0.0 and
+        # raised ZeroDivisionError
+        cp = curve_params(2.9463098016715475e89, 9.472649486047106e266)
+        t = np.linspace(cp.t_lo, cp.t_hi, 57)[48].item()
+        pt = curve_point(t, cp)
+        assert pt.x == pt.z != pt.y
+        with pytest.raises(ValueError, match="coordinates merge"):
+            h_prime(t, cp, 2.0)
 
 
 class TestLemma1Ratio:
