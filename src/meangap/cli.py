@@ -21,6 +21,7 @@ import json
 import math
 import time
 from contextlib import contextmanager
+from dataclasses import dataclass
 from fractions import Fraction
 from io import StringIO
 from json.encoder import encode_basestring_ascii as _quote
@@ -150,13 +151,31 @@ def _emit(fmt: str, payload, instance: dict, tolerances: dict, started: float) -
     click.echo(_json(envelope))
 
 
+@dataclass(frozen=True)
+class Table:
+    """Rows of a payload as columns: keys in CSV header order, one list of
+    cells per key, every list as long as the table."""
+
+    keys: Sequence[str]
+    columns: Sequence[list]
+
+
+def _floats(values: list) -> list:
+    """format(v, ".17g") of each float of values, in one % call.
+
+    %-formatting and format() reach the same C routine, so the texts
+    are the same, nan, the infinities and -0 included.
+    """
+    return ("%.17g\n" * len(values) % tuple(values)).split("\n")[:-1]
+
+
 def _json(obj, pad: str = "") -> str:
     """obj as json.dumps writes it with an indent of 2 and sorted keys, at pad.
 
     With any indent json.dumps runs its pure-Python encoder, not the C
-    one.  Here strings go through the C string quoter, and a list of
-    dicts sharing one key set (a table's rows) through one %-template
-    built from the sorted keys.  Keys must be str.
+    one.  Here strings go through the C string quoter, and a `Table` as
+    the list of dicts it stands for, through one %-template built from
+    the sorted keys.  Keys must be str.
     """
     if isinstance(obj, str):
         return _quote(obj)
@@ -178,31 +197,34 @@ def _json(obj, pad: str = "") -> str:
         return ("{\n" + inner + sep.join(
             _quote(k) + ": " + _json(obj[k], inner) for k in sorted(obj))
             + "\n" + pad + "}")
-    if isinstance(obj, (list, tuple)):
-        if not obj:
-            return "[]"
-        return "[\n" + inner + sep.join(_items(obj, inner)) + "\n" + pad + "]"
-    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+    if isinstance(obj, Table):
+        items = _rows(obj, inner)
+    elif isinstance(obj, (list, tuple)):
+        items = [_json(v, inner) for v in obj]
+    else:
+        raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+    if not items:
+        return "[]"
+    return "[\n" + inner + sep.join(items) + "\n" + pad + "]"
 
 
-def _items(items, pad: str) -> list:
-    # the JSON texts of a list's items at pad, rows through one template
-    first = items[0]
-    if not isinstance(first, dict) or not first:
-        return [_json(v, pad) for v in items]
-    keys = sorted(first)
+def _rows(table: Table, pad: str) -> list:
+    # the JSON texts of a table's rows at pad: each column quoted in one
+    # pass, cell by cell where it holds other than str (None, an int),
+    # and every row filled into one template
     inner = pad + "  "
+    order = sorted(range(len(table.keys)), key=table.keys.__getitem__)
     row = ("{\n" + inner + (",\n" + inner).join(
-        _quote(k).replace("%", "%%") + ": %s" for k in keys) + "\n" + pad + "}")
-    out = []
-    for item in items:
-        if isinstance(item, dict) and item.keys() == first.keys():
-            out.append(row % tuple([
-                _quote(v) if type(v) is str else _json(v, inner)
-                for v in map(item.__getitem__, keys)]))
-        else:
-            out.append(_json(item, pad))
-    return out
+        _quote(table.keys[i]).replace("%", "%%") + ": %s" for i in order)
+        + "\n" + pad + "}")
+    texts = []
+    for i in order:
+        col = table.columns[i]
+        try:
+            texts.append(list(map(_quote, col)))
+        except TypeError:
+            texts.append([_json(v, inner) for v in col])
+    return list(map(row.__mod__, zip(*texts)))
 
 
 def _cell(value):
@@ -238,11 +260,9 @@ def _to_csv(payload) -> str:
     buf = StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     rows = payload.get("rows") if isinstance(payload, dict) else None
-    if rows:
-        header = list(rows[0].keys())
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([_cell(row.get(k)) for k in header])
+    if isinstance(rows, Table):
+        writer.writerow(rows.keys)
+        writer.writerows(zip(*[map(_cell, col) for col in rows.columns]))
     else:
         writer.writerow(["key", "value"])
         for key, value in _flatten(payload):
@@ -355,14 +375,11 @@ def sweep_cmd(n_min: int, n_max: int, e: ExponentPair, tol: float, fmt: str) -> 
     with _refusals():
         certs = sweep_constants(e, n_min, n_max, tol=tol)
     trends = _trends([cert.omega for cert in certs])
-    rows = []
-    for cert, t in zip(certs, trends):
-        # the key order sets the CSV header
-        p = cert.to_payload()
-        row = {k: p[k] for k in ("n", "regime", "lower_bound", "upper_bound",
-                                 "lower_kind", "upper_kind", "omega", "x_star")}
-        row["omega_trend"] = t
-        rows.append(row)
+    payloads = [cert.to_payload() for cert in certs]
+    keys = ("n", "regime", "lower_bound", "upper_bound", "lower_kind",
+            "upper_kind", "omega", "x_star")
+    rows = Table((*keys, "omega_trend"),
+                 [[p[k] for p in payloads] for k in keys] + [trends])
     payload = {"rows": rows, "verdict": {"omega": _overall(trends)}}
     _emit(
         fmt,
@@ -404,18 +421,13 @@ def profile_cmd(n: int, e: ExponentPair, points: int, which: str, fmt: str) -> N
     xs = np.linspace(eps, params.x_hi - eps, points)
     with _refusals():
         columns = [xs, *profile_table(xs, params, names)]
-    # each column formatted once, as lists: indexing an array makes a
-    # numpy scalar per cell
-    cells = [[format(v, ".17g") for v in col.tolist()] for col in columns]
+    cells = [_floats(col.tolist()) for col in columns]
     blank = np.flatnonzero(_fprime_blank(xs, params)).tolist()
     for name, col in zip(names, cells[1:]):
         if name == "fprime":
             for i in blank:
                 col[i] = None
-    # the key order sets the CSV header
-    keys = ["x", *names]
-    rows = [dict(zip(keys, row)) for row in zip(*cells)]
-    payload = {"rows": rows}
+    payload = {"rows": Table(["x", *names], cells)}
     _emit(fmt, payload, instance=_instance(n, e), tolerances={}, started=started)
 
 
@@ -442,16 +454,15 @@ def reduce3_cmd(sum_c: float, prod_c: float, r_: float, grid: int, fmt: str) -> 
         table = curve_table(ts, cp, r_)
     except ValueError as exc:
         # degenerate constraints, or finite ones past what doubles resolve:
-        # a power of a coordinate overflows, or two coordinates merge
+        # a power of a coordinate or their sum overflows, or two
+        # coordinates merge
         raise click.UsageError(str(exc))
-    # each column formatted once, as lists, y being t; the derivative
-    # formula pivots on distinct coordinates, which fail exactly at the
-    # endpoints, where h' is None
-    t, x, z, h = ([format(v, ".17g") for v in col.tolist()]
+    # y is t; h' is None at the ends, where the derivative formula's
+    # distinct coordinates merge, and where it is not a finite double
+    t, x, z, h = (_floats(col.tolist())
                   for col in (ts, table["x"], table["z"], table["h"]))
     h_prime = [None if v is None else format(v, ".17g") for v in table["h_prime"]]
-    keys = ("t", "x", "y", "z", "h", "h_prime")
-    rows = [dict(zip(keys, row)) for row in zip(t, x, t, z, h, h_prime)]
+    rows = Table(("t", "x", "y", "z", "h", "h_prime"), [t, x, t, z, h, h_prime])
     h_vals = table["h"]
     diffs = np.diff(h_vals)
     flat = 1e-12 * max(1.0, float(np.max(np.abs(h_vals))))

@@ -188,12 +188,35 @@ def _powers(t, x, z, r: float):
         raise
 
 
+def _power_sum(t, powers, r: float):
+    """x^r + y^r + z^r as an array; a sum past the double range raises a
+    ValueError that names the first such t."""
+    import numpy as np
+
+    with np.errstate(over="ignore"):
+        h = powers[0] + powers[1] + powers[2]
+    inf = np.isinf(h)
+    if inf.any():
+        raise ValueError(
+            f"the power sum at t={t[inf.argmax()].item()} to the power r={r} "
+            "is not a finite double"
+        )
+    return h
+
+
 def _slopes(t, x, z, powers, r: float):
-    """d/dt of the power sum at an array t whose coordinates are distinct."""
+    """d/dt of the power sum at an array t whose coordinates are distinct.
+
+    Not finite where the chord slopes leave the double range, as at tiny
+    coordinates and negative r, where their difference is inf - inf.
+    """
+    import numpy as np
+
     xr, yr, zr = powers
-    chord_hi = (zr - yr) / (z - t)
-    chord_lo = (yr - xr) / (t - x)
-    return r * (t - x) * (z - t) / (t * (x - z)) * (chord_hi - chord_lo)
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        chord_hi = (zr - yr) / (z - t)
+        chord_lo = (yr - xr) / (t - x)
+        return r * (t - x) * (z - t) / (t * (x - z)) * (chord_hi - chord_lo)
 
 
 def _check_inner(t, x, z, cp: CurveParams) -> None:
@@ -227,22 +250,13 @@ def h_power_sum(t: float, cp: CurveParams, r: float) -> float:
     import numpy as np
 
     ts = np.array([float(t)])
-    xr, yr, zr = _powers(ts, *_curve(ts, cp), r)
-    return (xr + yr + zr).item()
+    return _power_sum(ts, _powers(ts, *_curve(ts, cp), r), r).item()
 
 
-def h_prime(t: float, cp: CurveParams, r: float) -> float:
-    """d/dt of the power sum along the curve, for t strictly inside.
-
-    Equals r*(y-x)*(z-y)/(y*(x-z)) times the difference of the chord
-    slopes of u -> u^r over [y, z] and [x, y]; strictly negative for
-    r > 1 and strictly positive for r < 0 and 0 < r < 1.  At the interval
-    ends two coordinates merge and the chord slopes degenerate, so those
-    calls are rejected.
-    """
+def _h_prime(t: float, cp: CurveParams, r: float) -> float:
+    # h' at one t strictly inside, not finite where its formula overflows
     import numpy as np
 
-    t = float(t)
     if not cp.t_lo < t < cp.t_hi:
         raise ValueError(
             f"h_prime needs t strictly inside ({cp.t_lo}, {cp.t_hi}), got {t}"
@@ -253,19 +267,39 @@ def h_prime(t: float, cp: CurveParams, r: float) -> float:
     return _slopes(ts, x, z, _powers(ts, x, z, r), r).item()
 
 
+def h_prime(t: float, cp: CurveParams, r: float) -> float:
+    """d/dt of the power sum along the curve, for t strictly inside.
+
+    Equals r*(y-x)*(z-y)/(y*(x-z)) times the difference of the chord
+    slopes of u -> u^r over [y, z] and [x, y]; strictly negative for
+    r > 1 and strictly positive for r < 0 and 0 < r < 1.  At the interval
+    ends two coordinates merge and the chord slopes degenerate, so those
+    calls are rejected, as are those where the result is not a finite
+    double.
+    """
+    t = float(t)
+    slope = _h_prime(t, cp, r)
+    if not math.isfinite(slope):
+        raise ValueError(f"h_prime at t={t} is not a finite double")
+    return slope
+
+
 def curve_table(t: np.ndarray, cp: CurveParams, r: float) -> dict:
     """Columns x, z, h and h' of the curve at an array t, y being t.
 
     One pass forms the coordinates and their powers at every t; h' is
     taken at every t but the first and the last, the ends of a table,
-    where it is None.  Each value holds the bits of `curve_point`,
-    `h_power_sum` and `h_prime` at its t; the columns are arrays, h' a
-    list.  Where a point fails, the ValueError is the one that walking
-    the rows in order with `h_power_sum` and then `h_prime` raises first.
+    where it is None, as it is where h' is not a finite double.  Each
+    value holds the bits of `curve_point`, `h_power_sum` and `h_prime` at
+    its t; the columns are arrays, h' a list.  Where a point fails, the
+    ValueError is the one that walking the rows in order with
+    `h_power_sum` and then `h_prime` raises first, an h' that is not a
+    finite double aside.
     """
     try:
         x, z = _curve(t, cp)
         powers = _powers(t, x, z, r)
+        h = _power_sum(t, powers, r)
         mid = slice(1, -1)
         _check_inner(t[mid], x[mid], z[mid], cp)
         slopes = _slopes(t[mid], x[mid], z[mid], [p[mid] for p in powers], r)
@@ -273,11 +307,11 @@ def curve_table(t: np.ndarray, cp: CurveParams, r: float) -> dict:
         for i, ti in enumerate(t.tolist()):
             h_power_sum(ti, cp, r)
             if 0 < i < t.size - 1:
-                h_prime(ti, cp, r)
+                _h_prime(ti, cp, r)
         raise
+    inner = [v if math.isfinite(v) else None for v in slopes.tolist()]
     ends = [None] * min(t.size, 2)
-    return {"x": x, "z": z, "h": powers[0] + powers[1] + powers[2],
-            "h_prime": ends[:1] + slopes.tolist() + ends[1:]}
+    return {"x": x, "z": z, "h": h, "h_prime": ends[:1] + inner + ends[1:]}
 
 
 def _log_power_mean(order: float, eps: float, dirs: np.ndarray) -> float:

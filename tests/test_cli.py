@@ -3,6 +3,8 @@
 import csv
 import io
 import json
+import math
+import sys
 import warnings
 
 import pytest
@@ -10,7 +12,7 @@ from click.testing import CliRunner
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from meangap.cli import _json, main
+from meangap.cli import Table, _cell, _floats, _json, _to_csv, main
 
 
 @pytest.fixture()
@@ -92,6 +94,49 @@ class TestJsonWriter:
         assert result.exit_code == 0, result.output
         assert result.output == json.dumps(json.loads(result.output), indent=2,
                                            sort_keys=True) + "\n"
+
+
+@st.composite
+def _tables(draw):
+    # distinct keys, % and escapes among them; columns of any scalars,
+    # None, bools and ints included, all of one length, zero too
+    keys = draw(st.lists(_KEYS, unique=True, max_size=4))
+    size = draw(st.integers(0, 4))
+    return Table(keys, [draw(st.lists(_SCALARS, min_size=size, max_size=size))
+                        for _ in keys])
+
+
+def _dict_rows_csv(rows, keys):
+    # the CSV that `_to_csv` wrote for a payload's rows as a list of dicts
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(keys)
+    for row in rows:
+        writer.writerow([_cell(row.get(k)) for k in keys])
+    return buf.getvalue()
+
+
+class TestTableWriter:
+    @given(_tables())
+    @example(Table(["a%", "%s", "n"], [["1", "2"], [None, "%s"], [3, True]]))
+    @example(Table(["x"], [[]]))
+    def test_json_is_the_list_of_dicts(self, table):
+        rows = [dict(zip(table.keys, r)) for r in zip(*table.columns)]
+        assert _json(table) == json.dumps(rows, indent=2, sort_keys=True)
+        assert _json({"rows": table}) == json.dumps({"rows": rows}, indent=2,
+                                                    sort_keys=True)
+
+    @given(_tables())
+    @example(Table(["a", "b"], [[True, False], [None, "x,\"y\n"]]))
+    def test_csv_is_the_list_of_dicts(self, table):
+        rows = [dict(zip(table.keys, r)) for r in zip(*table.columns)]
+        assert _to_csv({"rows": table}) == _dict_rows_csv(rows, table.keys)
+
+    @given(st.lists(st.floats(), max_size=8))
+    @example([math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324,
+              sys.float_info.max, -sys.float_info.max, 1 / 3, 1e16])
+    def test_float_columns_are_format_17g(self, values):
+        assert _floats(values) == [format(v, ".17g") for v in values]
 
 
 class TestAlphaParsing:
@@ -520,6 +565,9 @@ class TestReduce3Command:
         (["--sum", "6", "--prod", "6", "--r", "1000"], "to the power r=1000.0"),
         (["--sum", "5.7e102", "--prod", "1", "--r", "2"], "sum^3 overflows"),
         (["--sum", "1e50", "--prod", "1e-300", "--r", "-1"], "to the power r=-1.0"),
+        # each power is a finite double, their sum is not
+        (["--sum", "8.154845485377136", "--prod", "20.085534914633975",
+          "--r", "708.7791414792284"], "power sum at t="),
     ])
     def test_non_finite_input_is_usage_error(self, runner, args, named):
         result = runner.invoke(main, ["reduce3", *args])
@@ -545,6 +593,30 @@ class TestReduce3Command:
         assert float(payload["t_lo"]) == pytest.approx(5e102 ** -0.5, rel=1e-12)
         assert float(payload["t_hi"]) == pytest.approx(2.5e102, rel=1e-12)
         assert payload["monotone"] == "strictly decreasing"
+
+    @pytest.mark.parametrize("args", [
+        ["--sum", "1.5095037515713866e-86", "--prod", "1.2656206550011245e-259",
+         "--r", "-2.9395269089284133"],
+        ["--sum", "5.422248155094178e-90", "--prod", "5e-324",
+         "--r", "-1.7574893358734398", "--grid", "3"],
+    ])
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_overflowing_slopes_are_empty_cells(self, runner, args, fmt):
+        # the chord slopes of h' overflowed, and the rows printed h' as nan
+        # (inf - inf) or inf, with RuntimeWarnings, and exit 0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            result = runner.invoke(main, ["reduce3", *args, "--format", fmt])
+        assert result.exit_code == 0, result.output
+        assert result.stderr == ""
+        if fmt == "json":
+            rows = [row.values() for row in
+                    json.loads(result.stdout)["payload"]["rows"]]
+        else:
+            rows = list(csv.reader(io.StringIO(result.stdout)))[1:]
+        cells = [v for row in rows for v in row if v]
+        assert len(cells) >= 5 * len(rows) > 0
+        assert all(math.isfinite(float(v)) for v in cells)
 
     def test_degenerate_constraints_are_usage_errors(self, runner):
         result = runner.invoke(main, ["reduce3", "--sum", "3", "--prod", "8",
@@ -606,11 +678,9 @@ class TestCsvFormat:
 
     def test_booleans_are_written_as_the_envelope_writes_them(self, runner):
         # csv.writer wrote Python's True and False
-        from meangap.cli import _to_csv
-
         assert _to_csv({"ok": True, "check": {"flags": [False, None, True]}}) == (
             "key,value\nok,true\ncheck.flags,false;;true\n")
-        assert _to_csv({"rows": [{"a": True, "b": None}]}) == "a,b\ntrue,\n"
+        assert _to_csv({"rows": Table(["a", "b"], [[True], [None]])}) == "a,b\ntrue,\n"
         args = ["verify", "--n", "10", "--alpha", "13/10", "--workers", "1",
                 "--format", "csv"]
         result = runner.invoke(main, args)

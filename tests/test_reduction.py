@@ -2,6 +2,7 @@
 quotient limits."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -206,6 +207,8 @@ class TestCurveTable:
         (1e50, 1e-300, -1.0),  # x underflows to 0 at the small end
         # rounding puts x = z with y apart on interior rows
         (2.9463098016715475e89, 9.472649486047106e266, -300.0),
+        # the power sum overflows where each power is finite
+        (8.154845485377136, 20.085534914633975, 708.7791414792284),
     ])
     def test_refusal_is_the_first_failing_row(self, sum_c, prod_c, r):
         cp = curve_params(sum_c, prod_c)
@@ -218,6 +221,24 @@ class TestCurveTable:
                 if 0 < i < ts.size - 1:
                     h_prime(t, cp, r)
         assert str(table_error.value) == str(walk_error.value)
+
+    @pytest.mark.parametrize("sum_c,prod_c,r", [
+        (1.5095037515713866e-86, 1.2656206550011245e-259, -2.9395269089284133),
+        (5.422248155094178e-90, 5e-324, -1.7574893358734398),
+    ])
+    def test_overflowing_slopes_are_none(self, sum_c, prod_c, r):
+        # the chord slopes of u^r overflow at tiny coordinates and r < 0,
+        # and h' was nan (inf - inf) or inf
+        cp = curve_params(sum_c, prod_c)
+        ts = np.linspace(cp.t_lo, cp.t_hi, 5)
+        table = curve_table(ts, cp, r)
+        for t, slope in zip(ts.tolist()[1:-1], table["h_prime"][1:-1]):
+            if slope is None:
+                with pytest.raises(ValueError, match=re.escape(f"t={t} is not")):
+                    h_prime(t, cp, r)
+            else:
+                assert slope == h_prime(t, cp, r)
+        assert None in table["h_prime"][1:-1]
 
     def test_crossed_coordinates_merge(self):
         # x = z rounded equal here, which h_prime divided by as 0.0 and
