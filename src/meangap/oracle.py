@@ -63,10 +63,13 @@ GRID_TOL = 1e-6
 # buffers stay in cache
 _STREAM = 1 << 16
 
-# points per block of the grid: the ratio's dozen temporaries (32 KiB each)
-# stay in cache; six default scans took 278 ms at 2^12 against 338 ms at
-# 2^13 and 351 ms at 2^11 (medians of six rounds)
-_GRID_BLOCK = 1 << 12
+# points per block of the grid.  The ramp, a block's t and ratios and the
+# ratio's three scratch arrays, allocated once per scan, take 768 KiB at
+# 2^14 and stay in L2.  The eight default scans of the benchmark's seed-1
+# verify instances took 242 ms at 2^14 against 307 ms at 2^12, 261 ms at
+# 2^13 and 240 ms at 2^15, and 430 ms at 2^12 with a fresh array for
+# every step (medians of 7 rounds, 2-core VM)
+_GRID_BLOCK = 1 << 14
 
 # samples per thread work unit of the Monte Carlo oracle
 _CHUNK = 8192
@@ -79,6 +82,12 @@ DEFAULT_GRID = 1_000_000
 # points, against 8.6e-7 at 1e5 (331 certified sides of random instances,
 # n 3..1e6, |alpha| 0.003..1000; the miss falls as 1/grid^2)
 MIN_GRID = 300_000
+# the largest n verify takes.  Each sample, probe and printed tuple holds n
+# coordinates; the text of the two extremal samples and of five violating
+# tuples costs about 2.2 KB a coordinate, and at this cap a check forced to
+# fail peaked at 677 MB of RSS (CSV; 649 MB as JSON) and a passing one at
+# 166 MB, with 16 samples, each of which adds 8 bytes
+MAX_N = 300_000
 
 _GAMMA = 0x9E3779B97F4A7C15
 _MIX1 = 0xBF58476D1CE4E5B9
@@ -256,6 +265,11 @@ def _check_grid(grid: int) -> None:
         raise ValueError(f"grid must have between {MIN_GRID} and 1e8 points")
 
 
+def _check_n(n: int) -> None:
+    if n > MAX_N:
+        raise ValueError(f"verify takes n up to {MAX_N}, got {n}")
+
+
 def _check_samples(samples: int) -> None:
     # below the floor the scan is too thin to mean anything; the cap, the
     # grid's, holds the one double the oracle keeps per sample to 0.8 GB
@@ -300,7 +314,8 @@ def grid_scan_two_value(
     toward the end and toward the center, where an extremum can lie
     arbitrarily close.  For r > 0 the exact ends, at the closed-form
     limits n^(r-1) and (n/(n-1))^(r-1) of the ratio, are two more points.
-    The points stream through blocks in increasing x, and the extremes
+    The points stream through blocks in increasing x, each evaluated in
+    arrays allocated once per scan (`Side.ratio_into`), and the extremes
     are those np.argmin and np.argmax pick over the whole grid: the first
     NaN, else the first extreme value.
     """
@@ -309,14 +324,19 @@ def grid_scan_two_value(
     _check_grid(grid)
     n, e = params.n, params.e
     include = e.r > 0
+    # the ramp 0, 1, ..., and a block's t (its j first), its ratios and the
+    # ratio's scratch, reused by every block of the scan
+    ramp = np.arange(_GRID_BLOCK, dtype=float)
+    t_buf, vals_buf = np.empty(_GRID_BLOCK), np.empty(_GRID_BLOCK)
+    work = np.empty((3, _GRID_BLOCK))
     found = []  # each block's first minimum and maximum, with their x
     for name, count in (("left", (grid + 1) // 2), ("right", grid // 2)):
         side = Side(params, name)
         for v0, step, points in _runs(side, count):
             for start in range(0, points, _GRID_BLOCK):
-                j = np.arange(start, min(start + _GRID_BLOCK, points), dtype=float)
-                t = side.t(v0 + step * j)
-                vals = side.ratio(t)
+                size = min(_GRID_BLOCK, points - start)
+                t = side.run_t(v0, step, np.add(ramp[:size], start, out=t_buf[:size]))
+                vals = side.ratio_into(t, vals_buf[:size], work[:, :size])
                 i, k = int(np.argmin(vals)), int(np.argmax(vals))
                 found.append((vals[i], side.x(t[i]), vals[k], side.x(t[k])))
     if include:
@@ -437,6 +457,7 @@ def monte_carlo_extremes(
             f"certificate is for (n={cert.n}, alpha={cert.e.alpha}), "
             f"requested (n={n}, alpha={e.alpha})"
         )
+    _check_n(n)  # before any array of n coordinates
     _check_samples(samples)  # before the values array, 8 bytes a sample
     _check_grid(grid)  # before the samples, which take seconds at large n
     lower, upper = cert.lower_bound, cert.upper_bound

@@ -41,9 +41,10 @@ coordinates, and each of them is a one-column call of the same code.
 `Side` runs the same interior formulas on a float t through `math`,
 which skips numpy's per-call dispatch, so it matches the array path to
 rounding (libm and numpy's exp and log can differ in the last bit), not
-bit for bit; on an array of t it runs them through numpy.  numpy is
-imported only on the array paths, so the certificate searches, which
-probe floats, run without it.
+bit for bit.  The verify grid's gap ratio over an array of t is
+`Side.ratio_into`, `_ratio`'s steps written in place into arrays that
+the grid reuses for every block.  numpy is imported only on the array
+paths, so the certificate searches, which probe floats, run without it.
 """
 
 from __future__ import annotations
@@ -400,11 +401,13 @@ class Side:
     t = x on the left and t = 1 - (n-1)x on the right; either way t runs
     from 1/n at the center down to 0 at the domain end.  The left side's
     formulas hold past the center too, on the whole open interval
-    0 < x < 1/(n-1), and the functions of x run through them.  The methods
-    take a float t and return a float: through `math`, or where math
-    raises on an overflow or a zero divisor, numpy's inf or nan for that
-    point; or they take a numpy array of t and return an array, through
-    numpy, as the verify grid does.  `t_min` is the
+    0 < x < 1/(n-1), and the functions of x run through them.  `f`,
+    `f_prime` and `W` take a float t and return a float: through `math`,
+    or where math raises on an overflow or a zero divisor, numpy's inf or
+    nan for that point.  The verify grid takes each block of points as
+    an array: `run_t` forms its t from v, and `ratio_into` its gap
+    ratios, both in place in arrays the scan allocates once; `ratio` is
+    `ratio_into` with fresh arrays.  `t_min` is the
     far edge of every search on the side: the smallest t at which f' and
     W are still finite, where the largest of |log s|, alpha log s and
     (1 - alpha) log s reaches 600.  `t_end`, where |log s| alone does,
@@ -431,18 +434,10 @@ class Side:
         a = (1.0 - Y) / (n - 1)
         return a, 1.0 + a, Y, xp.log1p(a), xp.log(Y)
 
-    def _evaluate(self, interior, t):
-        # an array through numpy; a float through math, and where math
-        # raises rather than return inf or nan as numpy does, that one
-        # point runs again through numpy.  A float is tested first, so
-        # its path imports nothing
+    def _evaluate(self, interior, t: float) -> float:
+        # through math, and where math raises rather than return inf or nan
+        # as numpy does, that one point runs again through numpy
         n, alpha = self.params.n, self.params.e.alpha
-        if not isinstance(t, float):
-            import numpy as np
-
-            if isinstance(t, np.ndarray):
-                with np.errstate(over="ignore"):  # a NaN still warns
-                    return interior(np, n, alpha, *self._coords(t, np))
         try:
             return interior(math, n, alpha, *self._coords(t, math))
         except (OverflowError, ZeroDivisionError):
@@ -483,15 +478,25 @@ class Side:
         X = self.params.n * t
         return math.log(X) - math.log1p(-X)
 
-    def t(self, v):
-        """The t of a float or an array v, the inverse of `v`."""
-        exp = math.exp
-        if not isinstance(v, float):
-            import numpy as np
+    def t(self, v: float) -> float:
+        """The t of a float v, the inverse of `v`."""
+        return 1.0 / (self.params.n * (1.0 + math.exp(-v)))
 
-            if isinstance(v, np.ndarray):
-                exp = np.exp
-        return 1.0 / (self.params.n * (1.0 + exp(-v)))
+    def run_t(self, v0: float, step: float, j):
+        """The t of v = v0 + step j, the inverse of `v`, over a float array j.
+
+        t is written over j and returned.  -v is formed as (-v0) + (-step) j,
+        which is -(v0 + step j) to the bit, so t holds the bits of
+        1/(n (1 + e^-v)) evaluated by numpy at v = v0 + step j.
+        """
+        import numpy as np
+
+        np.multiply(j, -step, out=j)
+        j += -v0
+        np.exp(j, out=j)
+        j += 1.0
+        j *= self.params.n
+        return np.divide(1.0, j, out=j)
 
     def f(self, t: float) -> float:
         return self._evaluate(_f, t)
@@ -504,5 +509,59 @@ class Side:
         return self._evaluate(_W, t)
 
     def ratio(self, t):
-        """The gap ratio (A - G)/(P_alpha - G)."""
-        return self._evaluate(_ratio, t)
+        """The gap ratio (A - G)/(P_alpha - G) at an array of t, in a new array."""
+        import numpy as np
+
+        return self.ratio_into(t, np.empty_like(t), np.empty((3,) + t.shape))
+
+    def ratio_into(self, t, out, work):
+        """The gap ratio (A - G)/(P_alpha - G) at an array of t, written into out.
+
+        work is scratch: three arrays of t's shape, stacked.  t is kept.
+        The steps are `_coords`' and `_ratio`'s, each written into one of
+        the arrays, so every value has `_ratio`'s bits at the coordinates
+        `_coords` forms; Y on the left and X on the right, which the ratio
+        does not read, are not formed.  The verify grid reuses out and
+        work for every block of its scan.
+        """
+        import numpy as np
+
+        n, alpha = self.params.n, self.params.e.alpha
+        w1, w2, lg = work
+        with np.errstate(over="ignore"):  # a NaN still warns
+            if self.side == "left":
+                np.multiply(t, n, out=w1)  # X
+                np.subtract(w1, 1.0, out=w2)  # a
+                w2 *= -(n - 1)  # c, with Y = 1 + c
+                np.log(w1, out=w1)
+                np.log1p(w2, out=w2)
+            else:
+                np.multiply(t, n, out=w2)  # Y
+                np.subtract(1.0, w2, out=w1)
+                w1 /= n - 1  # a, with X = 1 + a
+                np.log1p(w1, out=w1)
+                np.log(w2, out=w2)
+            # w1 and w2 hold l1 = log X and l2 = log Y; lg = log(n g)
+            np.multiply(w1, n - 1, out=lg)
+            lg += w2
+            lg /= n
+            # the power sum: m into out, log(n p) into w1
+            w1 *= alpha
+            w2 *= alpha
+            m = np.maximum(w1, w2, out=out)
+            w1 -= m
+            np.expm1(w1, out=w1)
+            w1 *= n - 1
+            w2 -= m
+            np.expm1(w2, out=w2)
+            w1 += w2
+            w1 /= n
+            np.log1p(w1, out=w1)
+            w1 += m
+            w1 /= alpha
+            # expm1(-lg) / expm1(lp - lg)
+            w1 -= lg
+            np.expm1(w1, out=w1)
+            np.negative(lg, out=lg)
+            np.expm1(lg, out=lg)
+            return np.divide(lg, w1, out=out)

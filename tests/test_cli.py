@@ -414,6 +414,16 @@ class TestVerifyCommand:
         assert result.exit_code == 2, result.output
         assert "samples must number between 10000 and 1e8" in result.output
 
+    @pytest.mark.parametrize("n", ["300001", "1000000000"])
+    def test_n_past_the_cap_is_usage_error(self, runner, no_sampling, n):
+        # n = 1e9 under a 3 GB address-space limit ended in a MemoryError
+        # traceback from the sampler's counter ramp and exit 1, the code of
+        # a failed verification
+        result = runner.invoke(main, ["verify", "--n", n, "--alpha", "-1",
+                                      "--samples", "10000"])
+        assert result.exit_code == 2, result.output
+        assert f"verify takes n up to 300000, got {n}" in result.output
+
     @pytest.mark.parametrize("workers", ["0", "-3"])
     def test_workers_below_one_are_usage_error(self, runner, no_sampling, workers):
         result = runner.invoke(main, self.ARGS + ["--workers", workers])

@@ -25,7 +25,7 @@ from meangap.oracle import (
     simplex_sample,
     simplex_sample_block,
 )
-from meangap.profile import ProfileParams, Side
+from meangap.profile import ProfileParams, Side, _ratio
 
 
 def ref_splitmix(seed: int, counter: int) -> int:
@@ -305,6 +305,20 @@ class TestMonteCarlo:
             with pytest.raises(ValueError, match=str(MIN_GRID)):
                 monte_carlo_extremes(n, ExponentPair.from_alpha(2.0),
                                      samples=10_000, grid=MIN_GRID - 1)
+
+    def test_n_cap_enforced_before_any_array(self, monkeypatch):
+        # one past the cap is refused before the sampler's counter ramp,
+        # which at n = 1e9 asked for 7.45 GiB; the cap itself gets that far
+        def no_arrays(*args):
+            raise AssertionError("built a ramp before checking n")
+
+        monkeypatch.setattr(oracle, "_gamma_ramp", no_arrays)
+        e = ExponentPair.from_alpha(-1.0)
+        for n in (oracle.MAX_N + 1, 10**9):
+            with pytest.raises(ValueError, match=f"verify takes n up to {oracle.MAX_N},"):
+                monte_carlo_extremes(n, e, samples=10_000, grid=MIN_GRID)
+        with pytest.raises(AssertionError, match="before checking n"):
+            monte_carlo_extremes(oracle.MAX_N, e, samples=10_000, grid=MIN_GRID)
 
     def test_instance_mismatch(self):
         cert = best_constants(3, ExponentPair.from_alpha(2.0))
@@ -629,6 +643,36 @@ class TestStreaming:
         for field in dataclasses.fields(GridExtreme):
             assert getattr(got, field.name) == getattr(want, field.name), field.name
 
+    @pytest.mark.parametrize("n,alpha", [
+        (5, -1.84313), (10, 6.4), (3, 0.890063), (4, 0.1), (20, 0.8),
+        (25, 0.24436), (100, 0.25), (100, 2 / 3), (3, -60.0), (1000, -1.0),
+        (3000, 2.0), (7, 1000.0), (64, 0.01), (30, -0.5), (4, 0.75), (300, 2.5),
+    ])
+    def test_block_evaluator_is_the_reference_ratio(self, monkeypatch, n, alpha):
+        # every block the scan evaluates, each run's ragged last one too,
+        # holds the bits of t at v and of _ratio at the coordinates
+        # Side._coords forms, so a change to _power_sum moves the grid too
+        params = ProfileParams(n=n, e=ExponentPair.from_alpha(alpha))
+        kernel = Side.ratio_into
+        blocks = {"left": [], "right": []}
+
+        def spy(side, t, out, work):
+            vals = kernel(side, t, out, work)
+            blocks[side.side].append((t.copy(), vals.copy()))
+            return vals
+
+        monkeypatch.setattr(Side, "ratio_into", spy)
+        grid_scan_two_value(params, grid=MIN_GRID)
+        sizes = [len(t) for side in blocks.values() for t, _ in side]
+        assert max(sizes) == oracle._GRID_BLOCK > min(sizes)
+        for side, want_t in grid_points(params, MIN_GRID):
+            t = np.concatenate([t for t, _ in blocks[side.side]])
+            np.testing.assert_array_equal(t, want_t)
+            vals = np.concatenate([v for _, v in blocks[side.side]])
+            with np.errstate(all="ignore"):
+                want = _ratio(np, n, alpha, *side._coords(want_t, np))
+            np.testing.assert_array_equal(vals, want)
+
     def test_first_nan_of_the_grid_wins(self, monkeypatch):
         # NaNs in the middle of two later blocks of the left side: as with
         # np.argmin and np.argmax over the whole grid, both extremes are
@@ -638,15 +682,15 @@ class TestStreaming:
         params = ProfileParams(n=n, e=e)
         grid = MIN_GRID
         targets = next(grid_points(params, grid))[1][[2499, 3499]]
-        kernel = Side.ratio
+        kernel = Side.ratio_into
 
-        def with_nan(side, t):
-            vals = kernel(side, t)
+        def with_nan(side, t, out, work):
+            vals = kernel(side, t, out, work)
             if side.side == "left":
                 vals[np.isin(t, targets)] = math.nan
             return vals
 
-        monkeypatch.setattr(Side, "ratio", with_nan)
+        monkeypatch.setattr(Side, "ratio_into", with_nan)
         cert = best_constants(n, e)
         rep = monte_carlo_extremes(n, e, samples=10_000, seed=0, cert=cert,
                                    grid=grid)

@@ -1,12 +1,14 @@
-"""The benchmark's `tabulate` and `sweep` operations print frozen bytes.
+"""The benchmark's `tabulate`, `sweep` and `verify` operations print frozen bytes.
 
-FROZEN holds the sha256 of the stdout of every such operation at the
-benchmark's seeds 1 and 2 (`bench/workloads.py`), in JSON and in CSV,
-with the envelope's `elapsed_s` masked.  They were taken from the output
+FROZEN holds the sha256 of the stdout of every `tabulate` and `sweep`
+operation at the benchmark's seeds 1 and 2 (`bench/workloads.py`), in
+JSON and in CSV, and of every `verify` operation at seed 1 in JSON, with
+the envelope's `elapsed_s` masked.  They were taken from the output
 before the envelope got its own JSON writer (the CSV of `reduce3` before
 its curve was evaluated as columns, that of `sweep` before tables were
-written as columns), so a change to the writer, the row layout, a
-profile kernel or the curve that moves any byte shows here.
+written as columns, the `verify` JSON before the grid ran in place), so
+a change to the writer, the row layout, a profile kernel, the curve or
+the grid scan that moves any byte shows here.
 """
 
 import hashlib
@@ -97,6 +99,23 @@ FROZEN = {
         "70394dfafa6984199c076158f962a7e7e5d0ba3db64948cb183f485889733cf1",
     "sweep --n-max 40 --alpha -2.64118 --format csv":
         "f165b0a62c658e2994cce839635e43d452401b80599bbd0a24cd97dda5aa0f2d",
+    # verify, seed 1
+    "verify --n 5 --alpha -1.84313 --workers 1 --format json":
+        "964c775ab039fd6f755454e2b362b9abeb0bced3e646225ee823124ba03e63df",
+    "verify --n 10 --alpha 32/5 --workers 1 --format json":
+        "a995fea44bd5c4ef7b5d036e841f5bcd7d5b90f48172a449f63c6c440dd97c40",
+    "verify --n 3 --alpha 0.890063 --workers 1 --format json":
+        "da5c192a028d0ba7ac58b768fa48d2760b5e25ce7ad5f20f5dfef4c6a4bb2011",
+    "verify --n 4 --alpha 1/10 --workers 1 --format json":
+        "8aa7bbc32b15f8720a6de9599ccfac3017028d2a89faa9d16883ec9dab8e5baa",
+    "verify --n 20 --alpha 4/5 --workers 1 --format json":
+        "22b7668b165564712e242b6fdc8e8a1c179c056d7235591bf0956509136688d8",
+    "verify --n 25 --alpha 0.24436 --workers 1 --format json":
+        "e0583ae3c17b61318628d05337d5bab78274fcbcebeafb224aaf69f94a916909",
+    "verify --n 100 --alpha 1/4 --workers 1 --format json":
+        "4165e0716181ec0de97df4f0f046217631f092582009f2fb0c4fefa262091224",
+    "verify --n 100 --alpha 2/3 --workers 1 --format json":
+        "57689d0eda35fdfb2d7292693b2a013ebd83a1d0584a6c4a5aee961af1c60a1c",
 }
 
 _ELAPSED = re.compile(r'"elapsed_s": "[^"]*"')
@@ -112,6 +131,8 @@ def test_frozen_operations_are_the_benchmarks():
         for args in workloads.tabulate(seed) + workloads.sweep(seed):
             for fmt in ("json", "csv"):
                 ops.add(" ".join(args + ["--format", fmt]))
+    for args in workloads.verify(1):
+        ops.add(" ".join(args + ["--format", "json"]))
     assert ops == set(FROZEN)
 
 
