@@ -4,6 +4,7 @@ import csv
 import io
 import json
 import math
+import re
 import sys
 import warnings
 
@@ -159,7 +160,7 @@ class TestAlphaParsing:
         assert rounded.exit_code == 3
         assert "r=49.00000000000001" in rounded.output
 
-    @pytest.mark.parametrize("bad", ["0", "1", "0/3", "2/2", "inf", "nan", "x"])
+    @pytest.mark.parametrize("bad", ["0", "1", "0/3", "2/2", "inf", "-inf", "nan", "x"])
     def test_rejected_orders(self, runner, bad):
         result = runner.invoke(main, ["constants", "--n", "4", "--alpha", bad])
         assert result.exit_code == 2
@@ -168,6 +169,106 @@ class TestAlphaParsing:
     def test_negative_fraction(self, runner):
         env = run_json(runner, ["constants", "--n", "3", "--alpha", "-1/2"])
         assert env["metadata"]["instance"]["r"] == "-2"
+
+    @pytest.mark.parametrize("args,alpha", [
+        (["--alpha", "-1/2"], "-0.5"),
+        (["--alpha", "-12/11"], "-1.0909090909090908"),
+        (["--alpha", "-1e-05"], "-1.0000000000000001e-05"),
+        (["--alpha=-1/2"], "-0.5"),
+    ])
+    def test_negative_orders_bind_as_values(self, runner, args, alpha):
+        # a value that starts with a minus sign is the option's value, not
+        # an option of its own
+        env = run_json(runner, ["constants", "--n", "4", *args])
+        assert env["metadata"]["instance"]["alpha"] == alpha
+
+
+# every option of each subcommand with a phrase of its help text and the
+# default its help shows (None: no help text, or no default shown)
+OPTION_HELP = {
+    "constants": {
+        "--n": ("tuple length, n >= 3", None),
+        "--alpha": ("mean order, decimal or p/q fraction", None),
+        "--tol": ("bracket width of the interior extremum search, "
+                  "in log(n t/(1 - n t))", "1e-10"),
+        "--format": ("output format (env: MEANGAP_FORMAT)", "json"),
+    },
+    "verify": {
+        "--n": ("tuple length, n >= 3", None),
+        "--alpha": ("mean order, decimal or p/q fraction", None),
+        "--samples": ("Monte Carlo samples, 10000 to 1e8", "100000"),
+        "--seed": (None, "0"),
+        "--workers": ("the output does not depend on this", "1"),
+        "--grid": ("grid points of the profile scan, at least 300000", "1000000"),
+        "--format": ("output format (env: MEANGAP_FORMAT)", "json"),
+    },
+    "sweep": {
+        "--n-min": (None, "3"),
+        "--n-max": (None, None),
+        "--alpha": ("mean order, decimal or p/q fraction", None),
+        "--tol": (None, "1e-10"),
+        "--format": ("output format (env: MEANGAP_FORMAT)", "json"),
+    },
+    "profile": {
+        "--n": ("tuple length, n >= 3", None),
+        "--alpha": ("mean order, decimal or p/q fraction", None),
+        "--points": ("grid points, 2 to 1e5", "201"),
+        "--which": ("comma separated columns from g,p,f,U,V,W,fprime",
+                    "g,p,f,U,V,W"),
+        "--format": ("output format (env: MEANGAP_FORMAT)", "json"),
+    },
+    "reduce3": {
+        "--sum": ("fixed coordinate sum", None),
+        "--prod": ("fixed coordinate product", None),
+        "--r": ("power sum exponent", None),
+        "--grid": ("number of t samples, endpoints included, 2 to 1e5", "101"),
+        "--format": ("output format (env: MEANGAP_FORMAT)", "json"),
+    },
+}
+
+
+class TestParseSurface:
+    @pytest.mark.parametrize("args,named", [
+        (["constants", "--alpha", "2"], "--n"),  # a missing required option
+        (["sweep", "--n-min", "3", "--alpha", "2"], "--n-max"),
+        (["constants", "--n", "4", "--alpha", "2", "--bogus", "1"], "--bogus"),
+        (["bogus"], "bogus"),
+        (["constants", "--n", "4", "--alpha", "2", "--format", "xml"], "xml"),
+    ])
+    def test_usage_error_names_its_cause(self, runner, args, named):
+        result = runner.invoke(main, args)
+        assert result.exit_code == 2
+        assert named in result.output.splitlines()[-1]
+
+    def test_format_env_var_is_validated(self, runner):
+        result = runner.invoke(main, ["constants", "--n", "4", "--alpha", "2"],
+                               env={"MEANGAP_FORMAT": "xml"})
+        assert result.exit_code == 2
+        assert "xml" in result.output.splitlines()[-1]
+
+    def test_version(self, runner):
+        result = runner.invoke(main, ["--version"])
+        assert result.exit_code == 0
+        assert result.output == "meangap, version 0.1.0\n"
+
+    @pytest.mark.parametrize("args,code", [(["--help"], 0), ([], 2)])
+    def test_group_help_lists_the_subcommands(self, runner, args, code):
+        result = runner.invoke(main, args)
+        assert result.exit_code == code
+        for name in OPTION_HELP:
+            assert name in result.output
+
+    @pytest.mark.parametrize("command", sorted(OPTION_HELP))
+    def test_help_lists_every_option(self, runner, command):
+        result = runner.invoke(main, [command, "--help"])
+        assert result.exit_code == 0
+        text = " ".join(result.output.split())
+        for option, (phrase, default) in OPTION_HELP[command].items():
+            assert f"{option} " in text, option
+            if phrase is not None:
+                assert phrase in text, option
+            if default is not None:
+                assert re.search(rf"default: {re.escape(default)}\b", text), option
 
 
 class TestConstantsCommand:
