@@ -1,4 +1,12 @@
+import io
+import os
+from contextlib import redirect_stderr, redirect_stdout
+from dataclasses import dataclass
+from typing import Optional
+from unittest.mock import patch
+
 import hypothesis
+import pytest
 
 # numerical searches inside properties can be slow on CI boxes; examples
 # stay deterministic so the deadline adds noise, not safety
@@ -9,3 +17,39 @@ hypothesis.settings.register_profile(
     derandomize=True,
 )
 hypothesis.settings.load_profile("meangap")
+
+
+@dataclass(frozen=True)
+class Result:
+    """One in-process call of the CLI: its exit code and what it printed."""
+
+    exit_code: int
+    stdout: str
+    stderr: str
+    exception: Optional[SystemExit]  # the exit, when its code is not 0
+
+    @property
+    def output(self) -> str:
+        return self.stdout + self.stderr
+
+
+class Runner:
+    @staticmethod
+    def invoke(main, args, env=None) -> Result:
+        """Call main(args) with stdout and stderr captured and, during the
+        call, `env` set in the environment."""
+        out, err = io.StringIO(), io.StringIO()
+        code, exception = 0, None
+        with patch.dict(os.environ, env or {}), redirect_stdout(out), \
+                redirect_stderr(err):
+            try:
+                main(args)
+            except SystemExit as exc:
+                code = exc.code or 0
+                exception = exc if code else None
+        return Result(code, out.getvalue(), err.getvalue(), exception)
+
+
+@pytest.fixture()
+def runner():
+    return Runner()

@@ -9,16 +9,10 @@ import sys
 import warnings
 
 import pytest
-from click.testing import CliRunner
 from hypothesis import example, given
 from hypothesis import strategies as st
 
 from meangap.cli import Table, _cell, _floats, _json, _to_csv, main
-
-
-@pytest.fixture()
-def runner():
-    return CliRunner()
 
 
 def run_json(runner, args, **kwargs):

@@ -17,7 +17,6 @@ import re
 from pathlib import Path
 
 import pytest
-from click.testing import CliRunner
 
 from meangap.cli import main
 
@@ -137,8 +136,8 @@ def test_frozen_operations_are_the_benchmarks():
 
 
 @pytest.mark.parametrize("op", sorted(FROZEN))
-def test_operation_prints_frozen_bytes(op):
-    result = CliRunner().invoke(main, op.split())
+def test_operation_prints_frozen_bytes(runner, op):
+    result = runner.invoke(main, op.split())
     assert result.exit_code == 0, result.output
     masked = _ELAPSED.sub('"elapsed_s": "X"', result.output)
     assert hashlib.sha256(masked.encode()).hexdigest() == FROZEN[op]

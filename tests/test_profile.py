@@ -116,9 +116,8 @@ def test_array_matches_scalar(n, alpha):
 @pytest.mark.parametrize("n,alpha,points,row", [
     (4, "9/10", 201, 150), (3, "-1", 1001, 667), (300, "-1/2", 201, None),
 ])
-def test_one_column_functions_are_their_table_columns(n, alpha, points, row):
+def test_one_column_functions_are_their_table_columns(runner, n, alpha, points, row):
     from meangap.cli import _fprime_blank, _parse_alpha, main
-    from click.testing import CliRunner
 
     params = ProfileParams(n=n, e=_parse_alpha(None, None, alpha))
     eps = 1e-9 / n
@@ -143,7 +142,7 @@ def test_one_column_functions_are_their_table_columns(n, alpha, points, row):
         with pytest.raises(ValueError, match="f_prime is not defined"):
             f_prime(float(xs[row]), params)
     # the CLI prints the table's bits, f' blank on that row
-    out = CliRunner().invoke(main, [
+    out = runner.invoke(main, [
         "profile", "--n", str(n), "--alpha", alpha, "--points", str(points),
         "--which", ",".join(TABLE_COLUMNS), "--format", "csv"]).output
     cells = out.splitlines()[1 + row].split(",")
