@@ -88,6 +88,10 @@ MIN_GRID = 300_000
 # fail peaked at 677 MB of RSS (CSV; 649 MB as JSON) and a passing one at
 # 166 MB, with 16 samples, each of which adds 8 bytes
 MAX_N = 300_000
+# the most worker threads verify starts.  A pool starts a thread for each
+# work unit it is handed, up to the count asked for, and 1e8 samples make
+# 12208 units of _CHUNK
+MAX_WORKERS = 64
 
 _GAMMA = 0x9E3779B97F4A7C15
 _MIX1 = 0xBF58476D1CE4E5B9
@@ -268,6 +272,11 @@ def _check_grid(grid: int) -> None:
 def _check_n(n: int) -> None:
     if n > MAX_N:
         raise ValueError(f"verify takes n up to {MAX_N}, got {n}")
+
+
+def _check_workers(workers: int) -> None:
+    if workers > MAX_WORKERS:
+        raise ValueError(f"verify takes at most {MAX_WORKERS} workers, got {workers}")
 
 
 def _check_samples(samples: int) -> None:
@@ -460,6 +469,7 @@ def monte_carlo_extremes(
     _check_n(n)  # before any array of n coordinates
     _check_samples(samples)  # before the values array, 8 bytes a sample
     _check_grid(grid)  # before the samples, which take seconds at large n
+    _check_workers(workers)  # before the pool, which starts a thread a unit
     lower, upper = cert.lower_bound, cert.upper_bound
 
     starts = list(range(0, samples, _CHUNK))

@@ -525,6 +525,23 @@ class TestVerifyCommand:
         assert result.exit_code == 2, result.output
         assert "x>=1" in result.output
 
+    def test_workers_past_the_cap_are_usage_error(self, runner, no_sampling,
+                                                  monkeypatch):
+        # a pool starts a thread for each work unit it is handed, up to the
+        # count asked for: 1e8 samples with 1e5 workers would start 12208
+        import concurrent.futures
+
+        from meangap.oracle import MAX_WORKERS
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("made a thread pool before checking the options")
+
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", no_pool)
+        result = runner.invoke(main, self.ARGS + ["--workers", str(MAX_WORKERS + 1)])
+        assert result.exit_code == 2, result.output
+        assert (f"verify takes at most {MAX_WORKERS} workers, got {MAX_WORKERS + 1}"
+                in result.output)
+
 
 class TestSweepCommand:
     def test_single_row(self, runner):
