@@ -17,8 +17,11 @@ and 3 means a valid instance that the solvers cannot certify.
 
 from __future__ import annotations
 
+import argparse
 import json
 import math
+import os
+import sys
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -26,8 +29,6 @@ from fractions import Fraction
 from io import StringIO
 from json.encoder import encode_basestring_ascii as _quote
 from typing import List, Optional, Sequence
-
-import click
 
 from . import __version__
 from .constants import (
@@ -40,6 +41,7 @@ from .means import ExponentPair
 from .oracle import (
     DEFAULT_GRID,
     DEFAULT_SAMPLES,
+    MAX_WORKERS,
     MIN_GRID,
     MIN_SAMPLES,
     VIOLATION_SLACK,
@@ -51,7 +53,7 @@ from .reduction import curve_params, curve_table
 from .solver import UncertifiedInstance
 
 
-def _parse_alpha(ctx, param, value: str) -> ExponentPair:
+def _parse_alpha(value: str) -> ExponentPair:
     """Accept a decimal like -0.5 or a fraction like -1/2.
 
     Fractions keep the reciprocal exact: 1/5 gives r = 5.0, not the
@@ -68,29 +70,57 @@ def _parse_alpha(ctx, param, value: str) -> ExponentPair:
             raise ValueError
         return ExponentPair.from_alpha(alpha)
     except (ValueError, ZeroDivisionError):
-        raise click.BadParameter(
+        raise argparse.ArgumentTypeError(
             f"cannot use exponent {value!r}; need a finite decimal or p/q "
             "fraction different from 0 and 1"
         )
 
 
-format_option = click.option(
-    "--format",
-    "fmt",
-    type=click.Choice(["json", "csv"]),
-    default="json",
-    envvar="MEANGAP_FORMAT",
-    show_default=True,
-    help="output format (env: MEANGAP_FORMAT)",
-)
-n_option = click.option("--n", type=int, required=True, help="tuple length, n >= 3")
-alpha_option = click.option(
-    "--alpha",
-    "e",
-    callback=_parse_alpha,
-    required=True,
-    help="mean order, decimal or p/q fraction",
-)
+def _int_range(lo: int, hi: Optional[int] = None):
+    """An option type: an int from lo to hi, or from lo up with no hi."""
+
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < lo or (hi is not None and value > hi):
+            bounds = f"x>={lo}" if hi is None else f"{lo}<=x<={hi}"
+            raise argparse.ArgumentTypeError(f"{value} is not in the range {bounds}")
+        return value
+
+    parse.__name__ = "int"  # argparse names the type in "invalid int value"
+    return parse
+
+
+FORMATS = ("json", "csv")
+# options that several subcommands take; --format's default is
+# MEANGAP_FORMAT, read at each call, else json
+N_OPTION = dict(type=int, required=True, help="tuple length, n >= 3")
+ALPHA_OPTION = dict(dest="e", metavar="ALPHA", type=_parse_alpha, required=True,
+                    help="mean order, decimal or p/q fraction")
+TOL_OPTION = dict(type=float, default=1e-10,
+                  help="bracket width of the interior extremum search, "
+                       "in log(n t/(1 - n t)) (default: %(default)s)")
+FORMAT_OPTION = dict(dest="fmt", choices=FORMATS,
+                     help="output format (env: MEANGAP_FORMAT) (default: json)")
+# every option but these takes exactly one value
+_FLAGS = ("--help", "--version")
+
+
+def _bind(args: Sequence[str]) -> List[str]:
+    """Each '--key value' pair of args as '--key=value'.
+
+    argparse reads a value that starts with a minus sign and is not a
+    plain number (-1/2, -1e-05, -inf) as an option of its own; bound to
+    its option it is a value.
+    """
+    bound = []
+    rest = iter(args)
+    for arg in rest:
+        if arg.startswith("--") and "=" not in arg and arg not in _FLAGS:
+            value = next(rest, None)
+            if value is not None:
+                arg = f"{arg}={value}"
+        bound.append(arg)
+    return bound
 
 
 # rows of a profile or reduce3 table: one takes up to about 2 KB a row
@@ -104,8 +134,12 @@ MAX_ROWS = 10**5
 FPRIME_BLANK = 4e-6
 
 
-class _Uncertified(click.ClickException):
-    exit_code = 3
+class _UsageError(Exception):
+    """Input the parser took that the command cannot use: exit 2."""
+
+
+class _Uncertified(Exception):
+    """A valid instance that the solvers cannot certify: exit 3."""
 
 
 @contextmanager
@@ -116,7 +150,7 @@ def _refusals():
     except UncertifiedInstance as exc:
         raise _Uncertified(f"cannot certify this instance: {exc}")
     except ValueError as exc:
-        raise click.UsageError(str(exc))
+        raise _UsageError(str(exc))
 
 
 def _fprime_blank(xs, params: ProfileParams):
@@ -136,7 +170,7 @@ def _fprime_blank(xs, params: ProfileParams):
 
 def _emit(fmt: str, payload, instance: dict, tolerances: dict, started: float) -> None:
     if fmt == "csv":
-        click.echo(_to_csv(payload), nl=False)
+        sys.stdout.write(_to_csv(payload))
         return
     envelope = {
         "format": "json",
@@ -148,7 +182,7 @@ def _emit(fmt: str, payload, instance: dict, tolerances: dict, started: float) -
             "timing": {"elapsed_s": format_float(time.perf_counter() - started)},
         },
     }
-    click.echo(_json(envelope))
+    sys.stdout.write(_json(envelope) + "\n")
 
 
 @dataclass(frozen=True)
@@ -274,19 +308,6 @@ def _instance(n: int, e: ExponentPair) -> dict:
     return {"n": n, "alpha": format_float(e.alpha), "r": format_float(e.r)}
 
 
-@click.group()
-@click.version_option(version=__version__, prog_name="meangap")
-def main() -> None:
-    """Extremal constants of (A - G)/(P_alpha - G) on positive tuples."""
-
-
-@main.command("constants")
-@n_option
-@alpha_option
-@click.option("--tol", type=float, default=1e-10, show_default=True,
-              help="bracket width of the interior extremum search, "
-                   "in log(n t/(1 - n t))")
-@format_option
 def constants_cmd(n: int, e: ExponentPair, tol: float, fmt: str) -> None:
     """Certificate of the extremal constants for one instance."""
     started = time.perf_counter()
@@ -297,22 +318,10 @@ def constants_cmd(n: int, e: ExponentPair, tol: float, fmt: str) -> None:
           tolerances=payload["tol"], started=started)
 
 
-@main.command("verify")
-@n_option
-@alpha_option
-@click.option("--samples", type=int, default=DEFAULT_SAMPLES, show_default=True,
-              help=f"Monte Carlo samples, {MIN_SAMPLES} to 1e8")
-@click.option("--seed", type=int, default=0, show_default=True)
-@click.option("--workers", type=click.IntRange(min=1), default=1, show_default=True,
-              help="worker threads; the output does not depend on this")
-@click.option("--grid", type=int, default=DEFAULT_GRID, show_default=True,
-              help=f"grid points of the profile scan, at least {MIN_GRID}")
-@format_option
-@click.pass_context
 def verify_cmd(
-    ctx, n: int, e: ExponentPair, samples: int, seed: int, workers: int,
-    grid: int, fmt: str,
-) -> None:
+    n: int, e: ExponentPair, samples: int, seed: int, workers: int, grid: int,
+    fmt: str,
+) -> int:
     """Run the independent oracles against the certificate; exit 1 on failure."""
     started = time.perf_counter()
     with _refusals():
@@ -332,8 +341,7 @@ def verify_cmd(
     tolerances["violation_slack"] = format_float(VIOLATION_SLACK)
     _emit(fmt, payload, instance=_instance(n, e),
           tolerances=tolerances, started=started)
-    if not chk.ok:
-        ctx.exit(1)
+    return 0 if chk.ok else 1
 
 
 def _trends(omegas: Sequence[Optional[float]]) -> List[str]:
@@ -363,12 +371,6 @@ def _overall(trends: Sequence[str]) -> str:
     return "mixed"
 
 
-@main.command("sweep")
-@click.option("--n-min", type=int, default=3, show_default=True)
-@click.option("--n-max", type=int, required=True)
-@alpha_option
-@click.option("--tol", type=float, default=1e-10, show_default=True)
-@format_option
 def sweep_cmd(n_min: int, n_max: int, e: ExponentPair, tol: float, fmt: str) -> None:
     """Certificates for n in [n-min, n-max] with an omega trend verdict."""
     started = time.perf_counter()
@@ -391,25 +393,13 @@ def sweep_cmd(n_min: int, n_max: int, e: ExponentPair, tol: float, fmt: str) -> 
     )
 
 
-@main.command("profile")
-@n_option
-@alpha_option
-@click.option("--points", type=click.IntRange(2, MAX_ROWS), default=201,
-              show_default=True, help="grid points, 2 to 1e5")
-@click.option(
-    "--which",
-    default="g,p,f,U,V,W",
-    show_default=True,
-    help="comma separated columns from g,p,f,U,V,W,fprime",
-)
-@format_option
 def profile_cmd(n: int, e: ExponentPair, points: int, which: str, fmt: str) -> None:
     """Tabulate profile functions on (eps, 1/(n-1) - eps), eps = 1e-9/n."""
     started = time.perf_counter()
     names = [tok.strip() for tok in which.split(",") if tok.strip()]
     unknown = [tok for tok in names if tok not in TABLE_COLUMNS]
     if unknown or not names:
-        raise click.UsageError(
+        raise _UsageError(
             f"--which must be a comma separated subset of "
             f"{','.join(TABLE_COLUMNS)}; got {which!r}"
         )
@@ -431,21 +421,11 @@ def profile_cmd(n: int, e: ExponentPair, points: int, which: str, fmt: str) -> N
     _emit(fmt, payload, instance=_instance(n, e), tolerances={}, started=started)
 
 
-@main.command("reduce3")
-@click.option("--sum", "sum_c", type=float, required=True,
-              help="fixed coordinate sum")
-@click.option("--prod", "prod_c", type=float, required=True,
-              help="fixed coordinate product")
-@click.option("--r", "r_", type=float, required=True, help="power sum exponent")
-@click.option("--grid", type=click.IntRange(2, MAX_ROWS), default=101,
-              show_default=True,
-              help="number of t samples, endpoints included, 2 to 1e5")
-@format_option
 def reduce3_cmd(sum_c: float, prod_c: float, r_: float, grid: int, fmt: str) -> None:
     """Walk the fixed sum-and-product triple curve and its power sum."""
     started = time.perf_counter()
     if not math.isfinite(r_):
-        raise click.UsageError(f"--r must be finite, got {r_}")
+        raise _UsageError(f"--r must be finite, got {r_}")
     import numpy as np
 
     try:
@@ -456,7 +436,7 @@ def reduce3_cmd(sum_c: float, prod_c: float, r_: float, grid: int, fmt: str) -> 
         # degenerate constraints, or finite ones past what doubles resolve:
         # a power of a coordinate or their sum overflows, or two
         # coordinates merge
-        raise click.UsageError(str(exc))
+        raise _UsageError(str(exc))
     # y is t; h' is None at the ends, where the derivative formula's
     # distinct coordinates merge, and where it is not a finite double
     t, x, z, h = (_floats(col.tolist())
@@ -490,6 +470,105 @@ def reduce3_cmd(sum_c: float, prod_c: float, r_: float, grid: int, fmt: str) -> 
         tolerances={},
         started=started,
     )
+
+
+def _parser(prog: str) -> argparse.ArgumentParser:
+    """The command line's parser.  A subcommand's namespace holds its
+    options, its function as `run` and its own parser as `parser`."""
+    parser = argparse.ArgumentParser(
+        prog=prog, description=main.__doc__.split("\n")[0], add_help=False,
+        allow_abbrev=False)
+    parser.add_argument("--help", action="help", help="show this message and exit")
+    parser.add_argument("--version", action="version",
+                        version=f"meangap, version {__version__}",
+                        help="show the version and exit")
+    commands = parser.add_subparsers(title="commands", required=True)
+
+    def command(name, run):
+        sub = commands.add_parser(name, help=run.__doc__, description=run.__doc__,
+                                  add_help=False, allow_abbrev=False)
+        sub.add_argument("--help", action="help", help="show this message and exit")
+        sub.set_defaults(run=run, parser=sub)
+        return sub.add_argument
+
+    option = command("constants", constants_cmd)
+    option("--n", **N_OPTION)
+    option("--alpha", **ALPHA_OPTION)
+    option("--tol", **TOL_OPTION)
+    option("--format", **FORMAT_OPTION)
+
+    option = command("verify", verify_cmd)
+    option("--n", **N_OPTION)
+    option("--alpha", **ALPHA_OPTION)
+    option("--samples", type=int, default=DEFAULT_SAMPLES,
+           help=f"Monte Carlo samples, {MIN_SAMPLES} to 1e8 (default: %(default)s)")
+    option("--seed", type=int, default=0,
+           help="seed of the Monte Carlo samples (default: %(default)s)")
+    option("--workers", type=_int_range(1), default=1,
+           help=f"worker threads, at most {MAX_WORKERS}; the output does not "
+                "depend on this (default: %(default)s)")
+    option("--grid", type=int, default=DEFAULT_GRID,
+           help=f"grid points of the profile scan, at least {MIN_GRID} "
+                "(default: %(default)s)")
+    option("--format", **FORMAT_OPTION)
+
+    option = command("sweep", sweep_cmd)
+    option("--n-min", type=int, default=3, help="first n (default: %(default)s)")
+    option("--n-max", type=int, required=True, help="last n")
+    option("--alpha", **ALPHA_OPTION)
+    option("--tol", **TOL_OPTION)
+    option("--format", **FORMAT_OPTION)
+
+    option = command("profile", profile_cmd)
+    option("--n", **N_OPTION)
+    option("--alpha", **ALPHA_OPTION)
+    option("--points", type=_int_range(2, MAX_ROWS), default=201,
+           help="grid points, 2 to 1e5 (default: %(default)s)")
+    option("--which", default="g,p,f,U,V,W",
+           help="comma separated columns from g,p,f,U,V,W,fprime "
+                "(default: %(default)s)")
+    option("--format", **FORMAT_OPTION)
+
+    option = command("reduce3", reduce3_cmd)
+    option("--sum", dest="sum_c", metavar="SUM", type=float, required=True,
+           help="fixed coordinate sum")
+    option("--prod", dest="prod_c", metavar="PROD", type=float, required=True,
+           help="fixed coordinate product")
+    option("--r", dest="r_", metavar="R", type=float, required=True,
+           help="power sum exponent")
+    option("--grid", type=_int_range(2, MAX_ROWS), default=101,
+           help="number of t samples, endpoints included, 2 to 1e5 "
+                "(default: %(default)s)")
+    option("--format", **FORMAT_OPTION)
+    return parser
+
+
+def main(args: Optional[Sequence[str]] = None, prog_name: str = "meangap") -> None:
+    """Extremal constants of (A - G)/(P_alpha - G) on positive tuples.
+
+    Parses args (sys.argv[1:] by default), runs the subcommand they name
+    and ends with SystemExit: 0, 1 (a verification failed), 2 (invalid
+    input) or 3 (an instance the solvers cannot certify).
+    """
+    parser = _PARSER if prog_name == _PARSER.prog else _parser(prog_name)
+    opts = vars(parser.parse_args(_bind(sys.argv[1:] if args is None else args)))
+    run, sub = opts.pop("run"), opts.pop("parser")
+    if opts["fmt"] is None:
+        opts["fmt"] = os.environ.get("MEANGAP_FORMAT") or "json"
+        if opts["fmt"] not in FORMATS:
+            sub.error(f"MEANGAP_FORMAT: invalid choice: {opts['fmt']!r} "
+                      f"(choose from {', '.join(map(repr, FORMATS))})")
+    try:
+        code = run(**opts)
+    except _UsageError as exc:
+        sub.error(str(exc))
+    except _Uncertified as exc:
+        print(f"Error: {exc}", file=sys.stderr)
+        code = 3
+    raise SystemExit(code or 0)
+
+
+_PARSER = _parser("meangap")
 
 
 if __name__ == "__main__":

@@ -119,7 +119,7 @@ def test_array_matches_scalar(n, alpha):
 def test_one_column_functions_are_their_table_columns(runner, n, alpha, points, row):
     from meangap.cli import _fprime_blank, _parse_alpha, main
 
-    params = ProfileParams(n=n, e=_parse_alpha(None, None, alpha))
+    params = ProfileParams(n=n, e=_parse_alpha(alpha))
     eps = 1e-9 / n
     xs = np.linspace(eps, params.x_hi - eps, points)
     table = dict(zip(TABLE_COLUMNS, profile_table(xs, params, TABLE_COLUMNS)))

@@ -3,7 +3,8 @@
 numpy is imported by the functions that build arrays, so `constants`,
 `sweep`, their refusals, usage errors and `--help` start without paying
 for it, while `import meangap` still loads every layer module (the
-benchmark's tracer reads them from sys.modules).
+benchmark's tracer reads them from sys.modules).  The command line is
+parsed by the standard library: no subcommand loads click.
 """
 
 import importlib.util
@@ -50,6 +51,7 @@ for args in json.loads(sys.argv[1]):
     except SystemExit as exc:
         codes.append(exc.code)
 numpy_after_cli = "numpy" in sys.modules
+click_after_cli = "click" in sys.modules
 
 from meangap.means import ExponentPair
 from meangap.profile import ProfileParams, Side
@@ -57,6 +59,7 @@ from meangap.profile import ProfileParams, Side
 values = [repr(getattr(Side(ProfileParams(n, ExponentPair.from_alpha(a)), "left"), f)(t))
           for n, a, f, t in json.loads(sys.argv[2])]
 print(json.dumps({"layers": layers, "codes": codes, "numpy_after_cli": numpy_after_cli,
+                  "click_after_cli": click_after_cli,
                   "values": values, "numpy_after_fallback": "numpy" in sys.modules}))
 """
 
@@ -86,6 +89,11 @@ def fresh():
 def test_certificate_commands_run_without_numpy(fresh):
     assert fresh["codes"] == [code for _, code in COMMANDS]
     assert fresh["numpy_after_cli"] is False
+
+
+def test_certificate_commands_run_without_click(fresh):
+    assert fresh["codes"] == [code for _, code in COMMANDS]
+    assert fresh["click_after_cli"] is False
 
 
 def test_import_loads_every_traced_layer(fresh):
