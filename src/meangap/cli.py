@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from io import StringIO
 from json.encoder import encode_basestring_ascii as _quote
-from typing import List, Optional, Sequence
+from typing import List, NoReturn, Optional, Sequence
 
 from . import __version__
 from .constants import (
@@ -106,20 +106,21 @@ _FLAGS = ("--help", "--version")
 
 
 def _bind(args: Sequence[str]) -> List[str]:
-    """Each '--key value' pair of args as '--key=value'.
+    """args with each value that starts with one minus sign joined to the
+    option before it, as '--key=value'.
 
-    argparse reads a value that starts with a minus sign and is not a
-    plain number (-1/2, -1e-05, -inf) as an option of its own; bound to
-    its option it is a value.
+    argparse reads such a value (-1/2, -1e-05, -inf) as an option of its
+    own; joined to its option it is a value.  Other arguments stay as
+    they are, so a usage error quotes them as typed.
     """
-    bound = []
-    rest = iter(args)
-    for arg in rest:
-        if arg.startswith("--") and "=" not in arg and arg not in _FLAGS:
-            value = next(rest, None)
-            if value is not None:
-                arg = f"{arg}={value}"
-        bound.append(arg)
+    bound: List[str] = []
+    for arg in args:
+        key = bound[-1] if bound else ""
+        if (arg.startswith("-") and not arg.startswith("--")
+                and key.startswith("--") and "=" not in key and key not in _FLAGS):
+            bound[-1] = f"{key}={arg}"
+        else:
+            bound.append(arg)
     return bound
 
 
@@ -543,7 +544,7 @@ def _parser(prog: str) -> argparse.ArgumentParser:
     return parser
 
 
-def main(args: Optional[Sequence[str]] = None, prog_name: str = "meangap") -> None:
+def main(args: Optional[Sequence[str]] = None, prog_name: str = "meangap") -> NoReturn:
     """Extremal constants of (A - G)/(P_alpha - G) on positive tuples.
 
     Parses args (sys.argv[1:] by default), runs the subcommand they name

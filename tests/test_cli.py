@@ -1,5 +1,6 @@
 """Command line surface: envelopes, formats, exit codes, determinism."""
 
+import contextlib
 import csv
 import io
 import json
@@ -226,6 +227,7 @@ class TestParseSurface:
         (["constants", "--alpha", "2"], "--n"),  # a missing required option
         (["sweep", "--n-min", "3", "--alpha", "2"], "--n-max"),
         (["constants", "--n", "4", "--alpha", "2", "--bogus", "1"], "--bogus"),
+        (["constants", "--bogus", "--n", "4", "--alpha", "2"], "--bogus"),
         (["bogus"], "bogus"),
         (["constants", "--n", "4", "--alpha", "2", "--format", "xml"], "xml"),
     ])
@@ -251,6 +253,12 @@ class TestParseSurface:
         assert result.exit_code == code
         for name in OPTION_HELP:
             assert name in result.output
+
+    def test_prog_name_names_the_program(self):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out), pytest.raises(SystemExit):
+            main(["constants", "--help"], prog_name="mg")
+        assert out.getvalue().lower().startswith("usage: mg constants")
 
     @pytest.mark.parametrize("command", sorted(OPTION_HELP))
     def test_help_lists_every_option(self, runner, command):
