@@ -7,141 +7,6 @@ one-variable profile, and cross-checks them with independent grid and
 Monte Carlo oracles.
 """
 
-from .means import (
-    DegenerateZeroError,
-    ExponentPair,
-    SampleVector,
-    arithmetic_mean,
-    geometric_mean,
-    power_mean,
-    ratio_gap,
-)
-from .profile import (
-    CENTER_BAND,
-    ProfileParams,
-    U_func,
-    V_func,
-    W_func,
-    W_prime,
-    f_prime,
-    f_profile,
-    g_prime,
-    g_profile,
-    g_second,
-    p_prime,
-    p_profile,
-    p_second,
-)
-from .regimes import (
-    CriticalPoint,
-    FShape,
-    Regime,
-    RegimeTag,
-    classify,
-    locate_mu,
-)
-from .solver import (
-    Bracket,
-    BracketError,
-    MaxIterationsError,
-    SolveResult,
-    UncertifiedInstance,
-    find_root,
-)
-from .constants import (
-    ExtremumCertificate,
-    InterpolationConstants,
-    augment_with_gm,
-    best_constants,
-    interpolation_constants,
-    power_form_check,
-    ratio_from_f,
-    sweep_constants,
-    wen_reference,
-)
-from .reduction import (
-    ConstraintDegenerateError,
-    CurveParams,
-    CurvePoint,
-    curve_params,
-    curve_point,
-    h_power_sum,
-    h_prime,
-    lemma1_ratio,
-)
-from .oracle import (
-    BoundsCheck,
-    GridExtreme,
-    InstanceMismatchError,
-    OracleReport,
-    check_bounds,
-    grid_scan_two_value,
-    monte_carlo_extremes,
-    simplex_sample,
-    simplex_sample_block,
-)
+from . import constants, means, oracle, profile, reduction, regimes, solver  # noqa: F401
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "BoundsCheck",
-    "Bracket",
-    "BracketError",
-    "CENTER_BAND",
-    "ConstraintDegenerateError",
-    "CriticalPoint",
-    "CurveParams",
-    "CurvePoint",
-    "DegenerateZeroError",
-    "ExponentPair",
-    "ExtremumCertificate",
-    "FShape",
-    "GridExtreme",
-    "InstanceMismatchError",
-    "InterpolationConstants",
-    "MaxIterationsError",
-    "OracleReport",
-    "ProfileParams",
-    "Regime",
-    "RegimeTag",
-    "SampleVector",
-    "SolveResult",
-    "U_func",
-    "UncertifiedInstance",
-    "V_func",
-    "W_func",
-    "W_prime",
-    "__version__",
-    "arithmetic_mean",
-    "augment_with_gm",
-    "best_constants",
-    "check_bounds",
-    "classify",
-    "curve_params",
-    "curve_point",
-    "f_prime",
-    "f_profile",
-    "find_root",
-    "g_prime",
-    "g_profile",
-    "g_second",
-    "geometric_mean",
-    "grid_scan_two_value",
-    "h_power_sum",
-    "h_prime",
-    "interpolation_constants",
-    "lemma1_ratio",
-    "locate_mu",
-    "monte_carlo_extremes",
-    "p_prime",
-    "p_profile",
-    "p_second",
-    "power_form_check",
-    "power_mean",
-    "ratio_from_f",
-    "ratio_gap",
-    "simplex_sample",
-    "simplex_sample_block",
-    "sweep_constants",
-    "wen_reference",
-]

@@ -20,7 +20,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 import time
 from contextlib import contextmanager
@@ -69,7 +68,8 @@ def _parse_alpha(value: str) -> ExponentPair:
         if alpha in (0.0, 1.0) or not math.isfinite(alpha):
             raise ValueError
         return ExponentPair.from_alpha(alpha)
-    except (ValueError, ZeroDivisionError):
+    except (ValueError, ZeroDivisionError, OverflowError):
+        # OverflowError: a p/q or its reciprocal past the double range
         raise argparse.ArgumentTypeError(
             f"cannot use exponent {value!r}; need a finite decimal or p/q "
             "fraction different from 0 and 1"
@@ -91,16 +91,15 @@ def _int_range(lo: int, hi: Optional[int] = None):
 
 
 FORMATS = ("json", "csv")
-# options that several subcommands take; --format's default is
-# MEANGAP_FORMAT, read at each call, else json
+# options that several subcommands take
 N_OPTION = dict(type=int, required=True, help="tuple length, n >= 3")
 ALPHA_OPTION = dict(dest="e", metavar="ALPHA", type=_parse_alpha, required=True,
                     help="mean order, decimal or p/q fraction")
 TOL_OPTION = dict(type=float, default=1e-10,
                   help="bracket width of the interior extremum search, "
                        "in log(n t/(1 - n t)) (default: %(default)s)")
-FORMAT_OPTION = dict(dest="fmt", choices=FORMATS,
-                     help="output format (env: MEANGAP_FORMAT) (default: json)")
+FORMAT_OPTION = dict(dest="fmt", choices=FORMATS, default="json",
+                     help="output format (default: %(default)s)")
 # every option but these takes exactly one value
 _FLAGS = ("--help", "--version")
 
@@ -124,8 +123,8 @@ def _bind(args: Sequence[str]) -> List[str]:
     return bound
 
 
-# rows of a profile or reduce3 table: one takes up to about 2 KB a row
-# while it is built and written, so the largest takes about 0.2 GB
+# rows of a profile, reduce3 or sweep table: one takes up to about 2 KB a
+# row while it is built and written, so the largest takes about 0.2 GB
 MAX_ROWS = 10**5
 
 # profile leaves the f' cells with n a^2 min(1, |alpha (1 - alpha)|) at
@@ -375,6 +374,9 @@ def _overall(trends: Sequence[str]) -> str:
 def sweep_cmd(n_min: int, n_max: int, e: ExponentPair, tol: float, fmt: str) -> None:
     """Certificates for n in [n-min, n-max] with an omega trend verdict."""
     started = time.perf_counter()
+    if n_max - n_min + 1 > MAX_ROWS:
+        raise _UsageError(f"a sweep takes at most {MAX_ROWS} values of n; "
+                          f"got {n_min}..{n_max}")
     with _refusals():
         certs = sweep_constants(e, n_min, n_max, tol=tol)
     trends = _trends([cert.omega for cert in certs])
@@ -399,10 +401,11 @@ def profile_cmd(n: int, e: ExponentPair, points: int, which: str, fmt: str) -> N
     started = time.perf_counter()
     names = [tok.strip() for tok in which.split(",") if tok.strip()]
     unknown = [tok for tok in names if tok not in TABLE_COLUMNS]
-    if unknown or not names:
+    if unknown or not names or len(set(names)) < len(names):
+        # a repeated column would repeat its key in every JSON row
         raise _UsageError(
             f"--which must be a comma separated subset of "
-            f"{','.join(TABLE_COLUMNS)}; got {which!r}"
+            f"{','.join(TABLE_COLUMNS)}, each name once; got {which!r}"
         )
     with _refusals():
         params = ProfileParams(n=n, e=e)
@@ -554,11 +557,6 @@ def main(args: Optional[Sequence[str]] = None, prog_name: str = "meangap") -> No
     parser = _PARSER if prog_name == _PARSER.prog else _parser(prog_name)
     opts = vars(parser.parse_args(_bind(sys.argv[1:] if args is None else args)))
     run, sub = opts.pop("run"), opts.pop("parser")
-    if opts["fmt"] is None:
-        opts["fmt"] = os.environ.get("MEANGAP_FORMAT") or "json"
-        if opts["fmt"] not in FORMATS:
-            sub.error(f"MEANGAP_FORMAT: invalid choice: {opts['fmt']!r} "
-                      f"(choose from {', '.join(map(repr, FORMATS))})")
     try:
         code = run(**opts)
     except _UsageError as exc:

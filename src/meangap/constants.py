@@ -18,11 +18,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .means import (
     ExponentPair,
-    SampleVector,
     arithmetic_mean,
     geometric_mean,
     power_mean,
@@ -360,20 +359,20 @@ def interpolation_constants(
 
 
 def power_form_check(
-    xs: Union[Sequence[float], SampleVector],
+    xs: Sequence[float],
     e: ExponentPair,
     consts: Optional[InterpolationConstants] = None,
-    slack: float = 1e-9,
 ) -> bool:
     """Check delta*A^r + (1-delta)*G^r <= P_r^r <= eta*A^r + (1-eta)*G^r.
 
     This is the (delta, eta) sandwich applied to the tuple of r-th powers,
     where the power mean of order alpha of the transformed tuple is the
-    arithmetic mean of the original.  Valid for r > 0 only.
+    arithmetic mean of the original.  Valid for r > 0 only.  Each side
+    may be passed by 1e-9 times the largest of the three terms and 1.
     """
     if e.r <= 0:
         raise ValueError("the power-sum form needs r = 1/alpha > 0")
-    coords = tuple(xs.xs if isinstance(xs, SampleVector) else xs)
+    coords = tuple(xs)
     if consts is None:
         consts = interpolation_constants(len(coords), e)
     r = e.r
@@ -383,18 +382,16 @@ def power_form_check(
     lhs = consts.delta * a + (1.0 - consts.delta) * g
     rhs = consts.eta * a + (1.0 - consts.eta) * g
     scale = max(abs(lhs), abs(mid), abs(rhs), 1.0)
-    return (lhs <= mid + slack * scale) and (mid <= rhs + slack * scale)
+    return (lhs <= mid + 1e-9 * scale) and (mid <= rhs + 1e-9 * scale)
 
 
-def augment_with_gm(
-    xs: Union[Sequence[float], SampleVector], e: ExponentPair
-) -> float:
+def augment_with_gm(xs: Sequence[float], e: ExponentPair) -> float:
     """Gap ratio after appending the tuple's own geometric mean.
 
     Appending G leaves the geometric mean fixed while pulling A and
     P_alpha toward it; the ratio moves weakly up for alpha < 1 and weakly
     down for alpha > 1.
     """
-    coords = tuple(xs.xs if isinstance(xs, SampleVector) else xs)
+    coords = tuple(xs)
     g = geometric_mean(coords)
     return ratio_gap(coords + (g,), e)

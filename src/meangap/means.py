@@ -18,7 +18,6 @@ from typing import Sequence
 __all__ = [
     "DegenerateZeroError",
     "ExponentPair",
-    "SampleVector",
     "arithmetic_mean",
     "geometric_mean",
     "power_mean",
@@ -66,39 +65,13 @@ class ExponentPair:
         return cls(alpha=1.0 / r, r=r)
 
 
-@dataclass(frozen=True)
-class SampleVector:
-    """An ordered tuple of nonnegative reals, typically a simplex point."""
-
-    xs: tuple[float, ...]
-
-    def __post_init__(self) -> None:
-        if len(self.xs) < 1:
-            raise ValueError("empty sample")
-        if any((not math.isfinite(x)) or x < 0.0 for x in self.xs):
-            raise ValueError("coordinates must be finite and nonnegative")
-
-    @property
-    def n(self) -> int:
-        return len(self.xs)
-
-    def is_normalized(self, tol: float = 1e-12) -> bool:
-        return abs(math.fsum(self.xs) - 1.0) <= tol
-
-
-def _coords(xs: Sequence[float] | SampleVector) -> Sequence[float]:
-    return xs.xs if isinstance(xs, SampleVector) else xs
-
-
-def arithmetic_mean(xs: Sequence[float] | SampleVector) -> float:
-    xs = _coords(xs)
+def arithmetic_mean(xs: Sequence[float]) -> float:
     if not xs:
         raise ValueError("empty sample")
     return math.fsum(xs) / len(xs)
 
 
-def geometric_mean(xs: Sequence[float] | SampleVector) -> float:
-    xs = _coords(xs)
+def geometric_mean(xs: Sequence[float]) -> float:
     if not xs:
         raise ValueError("empty sample")
     if any(x == 0.0 for x in xs):
@@ -106,7 +79,7 @@ def geometric_mean(xs: Sequence[float] | SampleVector) -> float:
     return math.exp(math.fsum(math.log(x) for x in xs) / len(xs))
 
 
-def power_mean(xs: Sequence[float] | SampleVector, alpha: float) -> float:
+def power_mean(xs: Sequence[float], alpha: float) -> float:
     """Mean of order alpha; alpha = 0 means the geometric-mean limit.
 
     For alpha < 0 a zero coordinate gives 0, the limit value of the mean.
@@ -114,7 +87,6 @@ def power_mean(xs: Sequence[float] | SampleVector, alpha: float) -> float:
     by the smallest for alpha < 0, so that every normalized power is at
     most 1: the result is scale exact and safe for large |alpha|.
     """
-    xs = _coords(xs)
     if not xs:
         raise ValueError("empty sample")
     if alpha == 0.0:
@@ -141,7 +113,7 @@ def _is_constant(xs: Sequence[float]) -> bool:
     return hi - lo <= EQUAL_SPREAD_TOL * hi
 
 
-def ratio_gap(xs: Sequence[float] | SampleVector, e: ExponentPair) -> float:
+def ratio_gap(xs: Sequence[float], e: ExponentPair) -> float:
     """(A - G) / (P_alpha - G) for the tuple xs.
 
     Constant tuples take the continuity value r = 1/alpha.  For alpha > 0
@@ -149,7 +121,6 @@ def ratio_gap(xs: Sequence[float] | SampleVector, e: ExponentPair) -> float:
     for alpha < 0 it would send the ratio to -infinity, so the call raises
     DegenerateZeroError instead of returning an IEEE infinity.
     """
-    xs = _coords(xs)
     if len(xs) < 2:
         raise ValueError("need at least two coordinates")
     if all(x == 0.0 for x in xs):

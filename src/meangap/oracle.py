@@ -35,7 +35,7 @@ from .constants import (
     best_constants,
     format_float,
 )
-from .means import ExponentPair, SampleVector
+from .means import ExponentPair
 from .profile import CENTER_BAND, ProfileParams, Side
 
 if TYPE_CHECKING:
@@ -196,14 +196,14 @@ def simplex_sample_block(
     return rows
 
 
-def simplex_sample(n: int, seed: int, index: int = 0) -> SampleVector:
+def simplex_sample(n: int, seed: int, index: int = 0) -> Tuple[float, ...]:
     """The index-th uniform simplex sample of the (seed, n) stream.
 
     Normalized independent standard-exponential draws; a pure function
     of its arguments, identical across runs and machines.
     """
     row = simplex_sample_block(n, seed, count=1, start=index)[0]
-    return SampleVector(tuple(float(t) for t in row))
+    return tuple(float(t) for t in row)
 
 
 def _ratio_rows(rows: np.ndarray, e: ExponentPair, scratch=None) -> np.ndarray:
@@ -377,8 +377,8 @@ class OracleReport:
     upper_bound: float
     observed_min: float
     observed_max: float
-    arg_min: SampleVector
-    arg_max: SampleVector
+    arg_min: Tuple[float, ...]
+    arg_max: Tuple[float, ...]
     probe_min: float
     probe_max: float
     violations: int
@@ -396,8 +396,8 @@ class OracleReport:
             "upper_bound": format_float(self.upper_bound),
             "observed_min": format_float(self.observed_min),
             "observed_max": format_float(self.observed_max),
-            "arg_min": [format_float(t) for t in self.arg_min.xs],
-            "arg_max": [format_float(t) for t in self.arg_max.xs],
+            "arg_min": [format_float(t) for t in self.arg_min],
+            "arg_max": [format_float(t) for t in self.arg_max],
             "probe_min": format_float(self.probe_min),
             "probe_max": format_float(self.probe_max),
             "violations": self.violations,
@@ -519,7 +519,7 @@ def monte_carlo_extremes(
     bad_idx = np.nonzero(outside(values))[0]
     examples: List[Tuple[float, Tuple[float, ...]]] = []
     for idx in bad_idx[:5]:
-        examples.append((float(values[idx]), simplex_sample(n, seed, int(idx)).xs))
+        examples.append((float(values[idx]), simplex_sample(n, seed, int(idx))))
     violations = int(bad_idx.size)
 
     probes = _boundary_probes(n, e)

@@ -60,8 +60,6 @@ __all__ = [
     "ProfileParams",
     "Side",
     "TABLE_COLUMNS",
-    "U_func",
-    "V_func",
     "W_func",
     "W_prime",
     "f_profile",
@@ -258,11 +256,13 @@ def _f_prime(xp, n, alpha, a, X, Y, l1, l2):
 
 
 def _U(xp, n, alpha, a, X, Y, l1, l2):
+    # chord slope of t -> t^(1-1/r) between s(x) and 1, normalized to U(1/n) = 1
     sm1 = n * a / Y  # s - 1
     return xp.expm1((1.0 - alpha) * (l1 - l2)) / ((1.0 - alpha) * sm1)
 
 
 def _V(xp, n, alpha, a, X, Y, l1, l2):
+    # shifted power sum ((n-1) s^(1/r) + 1)/n; strictly increasing for r > 0
     return ((n - 1) * xp.exp(alpha * (l1 - l2)) + 1.0) / n
 
 
@@ -362,16 +362,6 @@ def f_prime(x, params: ProfileParams):
     band = "f_prime is not defined within 1e-9/n of x = 1/n"
     _check_factor(params, params.n * (params.n - 1), "n(n-1)")
     return _evaluate(x, params, [(_f_prime, band)])[0]
-
-
-def U_func(x, params: ProfileParams):
-    """Chord slope of t -> t^(1-1/r) between s(x) and 1, normalized to U(1/n) = 1."""
-    return profile_table(x, params, ["U"])[0]
-
-
-def V_func(x, params: ProfileParams):
-    """Shifted power sum V = ((n-1) s^(1/r) + 1)/n; strictly increasing for r > 0."""
-    return profile_table(x, params, ["V"])[0]
 
 
 def W_func(x, params: ProfileParams):

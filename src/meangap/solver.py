@@ -58,10 +58,6 @@ class Bracket:
         if not self.lo < self.hi:
             raise BracketError(f"empty bracket [{self.lo}, {self.hi}]")
 
-    @property
-    def width(self) -> float:
-        return self.hi - self.lo
-
 
 @dataclass(frozen=True)
 class SolveResult:

@@ -161,6 +161,15 @@ class TestAlphaParsing:
         assert result.exit_code == 2
         assert "finite decimal or p/q" in result.output
 
+    @pytest.mark.parametrize("bad", [
+        "1/1" + "0" * 400, "3/1" + "0" * 320, "1" + "0" * 320 + "/3",
+    ], ids=["tiny", "subnormal", "huge"])
+    def test_fraction_past_the_double_range_is_usage_error(self, runner, bad):
+        # float(p/q) or float(q/p) raised OverflowError: a traceback, exit 1
+        result = runner.invoke(main, ["constants", "--n", "4", "--alpha", bad])
+        assert result.exit_code == 2, result.output
+        assert "finite decimal or p/q" in result.output.splitlines()[-1]
+
     def test_negative_fraction(self, runner):
         env = run_json(runner, ["constants", "--n", "3", "--alpha", "-1/2"])
         assert env["metadata"]["instance"]["r"] == "-2"
@@ -186,7 +195,7 @@ OPTION_HELP = {
         "--alpha": ("mean order, decimal or p/q fraction", None),
         "--tol": ("bracket width of the interior extremum search, "
                   "in log(n t/(1 - n t))", "1e-10"),
-        "--format": ("output format (env: MEANGAP_FORMAT)", "json"),
+        "--format": ("output format", "json"),
     },
     "verify": {
         "--n": ("tuple length, n >= 3", None),
@@ -195,14 +204,14 @@ OPTION_HELP = {
         "--seed": (None, "0"),
         "--workers": ("the output does not depend on this", "1"),
         "--grid": ("grid points of the profile scan, at least 300000", "1000000"),
-        "--format": ("output format (env: MEANGAP_FORMAT)", "json"),
+        "--format": ("output format", "json"),
     },
     "sweep": {
         "--n-min": (None, "3"),
         "--n-max": (None, None),
         "--alpha": ("mean order, decimal or p/q fraction", None),
         "--tol": (None, "1e-10"),
-        "--format": ("output format (env: MEANGAP_FORMAT)", "json"),
+        "--format": ("output format", "json"),
     },
     "profile": {
         "--n": ("tuple length, n >= 3", None),
@@ -210,14 +219,14 @@ OPTION_HELP = {
         "--points": ("grid points, 2 to 1e5", "201"),
         "--which": ("comma separated columns from g,p,f,U,V,W,fprime",
                     "g,p,f,U,V,W"),
-        "--format": ("output format (env: MEANGAP_FORMAT)", "json"),
+        "--format": ("output format", "json"),
     },
     "reduce3": {
         "--sum": ("fixed coordinate sum", None),
         "--prod": ("fixed coordinate product", None),
         "--r": ("power sum exponent", None),
         "--grid": ("number of t samples, endpoints included, 2 to 1e5", "101"),
-        "--format": ("output format (env: MEANGAP_FORMAT)", "json"),
+        "--format": ("output format", "json"),
     },
 }
 
@@ -235,12 +244,6 @@ class TestParseSurface:
         result = runner.invoke(main, args)
         assert result.exit_code == 2
         assert named in result.output.splitlines()[-1]
-
-    def test_format_env_var_is_validated(self, runner):
-        result = runner.invoke(main, ["constants", "--n", "4", "--alpha", "2"],
-                               env={"MEANGAP_FORMAT": "xml"})
-        assert result.exit_code == 2
-        assert "xml" in result.output.splitlines()[-1]
 
     def test_version(self, runner):
         result = runner.invoke(main, ["--version"])
@@ -656,6 +659,13 @@ class TestProfileCommand:
         assert result.exit_code == 2
         assert "bogus" in result.output
 
+    def test_repeated_column_rejected(self, runner):
+        # each row would hold the key "g" twice, which no JSON dict writes
+        result = runner.invoke(main, ["profile", "--n", "4", "--alpha", "2",
+                                      "--which", "g,g", "--points", "2"])
+        assert result.exit_code == 2
+        assert "each name once; got 'g,g'" in result.output.splitlines()[-1]
+
 
 class TestReduce3Command:
     ARGS = ["reduce3", "--sum", "6", "--prod", "6", "--r", "2", "--grid", "9"]
@@ -774,6 +784,20 @@ class TestTableSize:
         assert result.exit_code == 2, result.output
         assert f"{count} is not in the range 2<=x<=100000" in result.output
 
+    @pytest.mark.parametrize("n_min,n_max", [("3", "100003"), ("5", "10000000000000")])
+    def test_sweep_past_the_row_cap_is_usage_error(self, runner, monkeypatch,
+                                                   n_min, n_max):
+        import meangap.cli as cli_mod
+
+        def no_sweep(*args, **kwargs):
+            raise AssertionError("certified before checking the range")
+
+        monkeypatch.setattr(cli_mod, "sweep_constants", no_sweep)
+        result = runner.invoke(main, ["sweep", "--n-min", n_min, "--n-max", n_max,
+                                      "--alpha", "2"])
+        assert result.exit_code == 2, result.output
+        assert f"at most 100000 values of n; got {n_min}..{n_max}" in result.output
+
 
 class TestCsvFormat:
     def test_row_payloads_become_tables(self, runner):
@@ -818,9 +842,3 @@ class TestCsvFormat:
         table = dict(list(csv.reader(io.StringIO(result.output)))[1:])
         assert table["ok"] == "true"
         assert not {"True", "False"} & set(table.values())
-
-    def test_format_env_var(self, runner):
-        result = runner.invoke(main, ["constants", "--n", "4", "--alpha", "2"],
-                               env={"MEANGAP_FORMAT": "csv"})
-        assert result.exit_code == 0
-        assert result.output.startswith("key,value")

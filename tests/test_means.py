@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from meangap.means import (
     DegenerateZeroError,
     ExponentPair,
-    SampleVector,
     arithmetic_mean,
     geometric_mean,
     power_mean,
@@ -53,16 +52,6 @@ class TestExponentPair:
         assert e.alpha * e.r == pytest.approx(1.0, abs=1e-12)
 
 
-class TestSampleVector:
-    def test_n_and_normalization(self):
-        v = SampleVector((0.25, 0.25, 0.5))
-        assert v.n == 3
-        assert v.is_normalized()
-
-    def test_not_normalized(self):
-        assert not SampleVector((0.3, 0.3, 0.3)).is_normalized()
-
-
 class TestKnownValues:
     # (1, 2, 4): A = 7/3, G = 2, H = 12/7, P_2 = sqrt(7)
     XS = (1.0, 2.0, 4.0)
@@ -88,11 +77,6 @@ class TestKnownValues:
             acc = sum(decimal.Decimal(x) ** -60 for x in xs) / 3
             want = float(acc ** (decimal.Decimal(-1) / 60))
         assert power_mean(xs, -60.0) == pytest.approx(want, rel=1e-14)
-
-    def test_accepts_sample_vector(self):
-        v = SampleVector(self.XS)
-        assert arithmetic_mean(v) == arithmetic_mean(self.XS)
-        assert power_mean(v, 2.0) == power_mean(self.XS, 2.0)
 
 
 class TestZeroHandling:

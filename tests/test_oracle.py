@@ -11,7 +11,7 @@ import pytest
 
 from meangap import oracle
 from meangap.constants import _endpoint_values, best_constants
-from meangap.means import ExponentPair, SampleVector, ratio_gap
+from meangap.means import ExponentPair, ratio_gap
 from meangap.oracle import (
     DEFAULT_GRID,
     MIN_GRID,
@@ -68,7 +68,7 @@ class TestSplitmix64:
 class TestSimplexSample:
     def test_frozen_first_sample(self):
         v = simplex_sample(3, seed=0, index=0)
-        assert v.xs == (
+        assert v == (
             0.7840771960151878,
             0.20614504910614975,
             0.009777754878662495,
@@ -76,15 +76,15 @@ class TestSimplexSample:
 
     def test_returns_normalized_vector(self):
         v = simplex_sample(5, seed=9, index=3)
-        assert isinstance(v, SampleVector)
-        assert v.is_normalized()
-        assert all(t > 0.0 for t in v.xs)
+        assert type(v) is tuple and all(type(t) is float for t in v)
+        assert math.fsum(v) == pytest.approx(1.0, abs=1e-12)
+        assert all(t > 0.0 for t in v)
 
     def test_block_rows_match_single_samples(self):
         rows = simplex_sample_block(4, seed=11, count=8, start=5)
         for i in range(8):
             v = simplex_sample(4, seed=11, index=5 + i)
-            assert tuple(rows[i]) == v.xs
+            assert tuple(rows[i]) == v
 
     def test_column_blocks_match_rows(self):
         # a block of one sample per column is summed in numpy's order for a
@@ -277,9 +277,9 @@ class TestMonteCarlo:
     def test_arg_extremes_regenerate(self):
         n, e = 4, ExponentPair.from_alpha(2.0)
         rep = monte_carlo_extremes(n, e, samples=10_000, seed=5, grid=MIN_GRID)
-        assert isinstance(rep.arg_min, SampleVector)
-        assert rep.arg_min.is_normalized()
-        assert rep.arg_max.is_normalized()
+        for arg in (rep.arg_min, rep.arg_max):
+            assert type(arg) is tuple and len(arg) == n
+            assert math.fsum(arg) == pytest.approx(1.0, abs=1e-12)
 
     def test_sample_floor_enforced(self):
         with pytest.raises(ValueError):
@@ -391,7 +391,7 @@ class TestMonteCarlo:
         else:
             assert (rep.observed_min, rep.observed_max) == (lo, hi)
         assert (rep.probe_min, rep.probe_max) == (probe_lo, probe_hi)
-        for arg, want in ((rep.arg_min.xs, arg_lo), (rep.arg_max.xs, arg_hi)):
+        for arg, want in ((rep.arg_min, arg_lo), (rep.arg_max, arg_hi)):
             if n > 5:
                 arg = hashlib.sha256(np.array(arg).tobytes()).hexdigest()
             assert arg == want

@@ -12,8 +12,6 @@ from meangap.profile import (
     TABLE_COLUMNS,
     ProfileParams,
     Side,
-    U_func,
-    V_func,
     W_func,
     W_prime,
     f_prime,
@@ -63,6 +61,14 @@ FROZEN = {
         W=0.98959523633865796, Wp=0.32461285136469117,
     ),
 }
+
+
+def column(name):
+    """The one-column table call of a column with no function of its own."""
+    return lambda x, params: profile_table(x, params, [name])[0]
+
+
+U_func, V_func = column("U"), column("V")
 
 FNS = dict(
     g=g_profile, gp=g_prime, gpp=g_second,

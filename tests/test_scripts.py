@@ -24,9 +24,3 @@ def test_regime_gallery_checks_every_regime():
     result = run_script("regime_gallery.py")
     assert result.returncode == 0, result.stdout + result.stderr
     assert result.stdout.count("check    ok") == 6
-
-
-def test_omega_sweep_reports_the_trend():
-    result = run_script("omega_sweep.py", "--alpha", "2", "--n-max", "10")
-    assert result.returncode == 0, result.stderr
-    assert result.stdout.rstrip().splitlines()[-1] == "omega trend: decreasing"

@@ -27,9 +27,6 @@ def counted(fn):
 
 
 class TestBracket:
-    def test_width(self):
-        assert Bracket(1.0, 3.5).width == 2.5
-
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
             Bracket(2.0, 2.0)
