@@ -64,11 +64,11 @@ GRID_TOL = 1e-6
 _STREAM = 1 << 16
 
 # points per block of the grid.  The ramp, a block's t and ratios and the
-# ratio's three scratch arrays, allocated once per scan, take 768 KiB at
-# 2^14 and stay in L2.  The eight default scans of the benchmark's seed-1
-# verify instances took 242 ms at 2^14 against 307 ms at 2^12, 261 ms at
-# 2^13 and 240 ms at 2^15, and 430 ms at 2^12 with a fresh array for
-# every step (medians of 7 rounds, 2-core VM)
+# ratio's two scratch arrays, allocated once per scan, take 640 KiB at
+# 2^14 and stay in L2.  With a third scratch array, the eight default
+# scans of the benchmark's seed-1 verify instances took 242 ms at 2^14
+# against 307 ms at 2^12, 261 ms at 2^13 and 240 ms at 2^15, and 430 ms at
+# 2^12 with a fresh array for every step (medians of 7 rounds, 2-core VM)
 _GRID_BLOCK = 1 << 14
 
 # samples per thread work unit of the Monte Carlo oracle
@@ -88,9 +88,9 @@ MIN_GRID = 300_000
 # fail peaked at 677 MB of RSS (CSV; 649 MB as JSON) and a passing one at
 # 166 MB, with 16 samples, each of which adds 8 bytes
 MAX_N = 300_000
-# the most worker threads verify starts.  A pool starts a thread for each
-# work unit it is handed, up to the count asked for, and 1e8 samples make
-# 12208 units of _CHUNK
+# the most worker threads verify starts.  The pool is handed one work unit
+# per worker, its share of the _CHUNK-sample chunks, and starts a thread
+# for each: as many as asked for, up to the chunks (1e8 samples make 12208)
 MAX_WORKERS = 64
 
 _GAMMA = 0x9E3779B97F4A7C15
@@ -170,10 +170,12 @@ def _sample_rows(seed: int, first: int, ramp: np.ndarray, z: np.ndarray,
     import numpy as np
 
     _splitmix(seed, first, ramp, z, rows.view(np.uint64))
-    # -u, u uniform on [0, 1), and -log(1 - u), a standard exponential
+    # -u, u uniform on [0, 1), and log(1 - u), minus a standard exponential:
+    # each sum of these is the negated sum of the exponentials to the bit,
+    # and each quotient is the exponentials' quotient
     np.multiply(np.right_shift(z, np.uint64(11), out=z), -(2.0**-53), out=rows)
-    np.negative(np.log1p(rows, out=rows), out=rows)
-    np.maximum(rows, 1e-300, out=rows)
+    np.log1p(rows, out=rows)
+    np.minimum(rows, -1e-300, out=rows)
     sums = rows.sum(axis=1) if rows.flags.c_contiguous else _pairwise_sums(rows.T)
     np.divide(rows, sums[:, None], out=rows)
 
@@ -337,7 +339,7 @@ def grid_scan_two_value(
     # ratio's scratch, reused by every block of the scan
     ramp = np.arange(_GRID_BLOCK, dtype=float)
     t_buf, vals_buf = np.empty(_GRID_BLOCK), np.empty(_GRID_BLOCK)
-    work = np.empty((3, _GRID_BLOCK))
+    work = np.empty((2, _GRID_BLOCK))
     found = []  # each block's first minimum and maximum, with their x
     for name, count in (("left", (grid + 1) // 2), ("right", grid // 2)):
         side = Side(params, name)
@@ -448,7 +450,8 @@ def monte_carlo_extremes(
     """Random-search oracle for the certified bounds.
 
     Draws `samples` uniform simplex tuples (counter-based, so the result
-    is identical for any `workers` value) in work units of _CHUNK, adds
+    is identical for any `workers` value) in chunks of _CHUNK, which
+    `workers` threads share, each through scratch of its own, adds
     deterministic boundary probes and a dense two-value grid scan, and
     counts values beyond a bound b by more than VIOLATION_SLACK *
     max(1, |b|); a NaN or infinite value counts as a violation too.
@@ -487,27 +490,31 @@ def monte_carlo_extremes(
     # same sample's in a larger block of columns
     cols = min(_STREAM // n, _CHUNK) > n
 
-    def run_chunk(start: int) -> None:
-        # blocks of at most _STREAM coordinates (one sample at least) reuse a
-        # ramp and two buffers, allocated once per chunk
-        stop = min(start + _CHUNK, samples)
-        per = max(1, min(_STREAM // n, stop - start))
+    # each worker runs its share of the chunks, starts[w::workers], through
+    # one ramp and two buffers sized for a full block; a short block takes
+    # their first entries
+    per = max(1, min(_STREAM // n, _CHUNK))
+    workers = min(workers, len(starts))
+
+    def run_share(w: int) -> None:
         ramp = _gamma_ramp(per, n, cols)
         z, buf = np.empty(per * n, dtype=np.uint64), np.empty(per * n)
-        for lo in range(start, stop, per):
-            count = min(per, stop - lo)
-            rows = _block(buf, count, n, cols)
-            _sample_rows(seed, lo * n, ramp[:count], _block(z, count, n, cols), rows)
-            values[lo:lo + count] = _ratio_rows(rows, e, rows)
+        for start in starts[w::workers]:
+            stop = min(start + _CHUNK, samples)
+            for lo in range(start, stop, per):
+                count = min(per, stop - lo)
+                rows = _block(buf, count, n, cols)
+                _sample_rows(seed, lo * n, ramp[:count],
+                             _block(z, count, n, cols), rows)
+                values[lo:lo + count] = _ratio_rows(rows, e, rows)
 
     if workers > 1:
         from concurrent.futures import ThreadPoolExecutor
 
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(run_chunk, starts))
+            list(pool.map(run_share, range(workers)))
     else:
-        for start in starts:
-            run_chunk(start)
+        run_share(0)
 
     def outside(vals: np.ndarray) -> np.ndarray:
         return (

@@ -43,7 +43,9 @@ which skips numpy's per-call dispatch, so it matches the array path to
 rounding (libm and numpy's exp and log can differ in the last bit), not
 bit for bit.  The verify grid's gap ratio over an array of t is
 `Side.ratio_into`, `_ratio`'s steps written in place into arrays that
-the grid reuses for every block.  numpy is imported only on the array
+the grid reuses for every block.  On each side the sign of alpha fixes
+which term of the power sum is the larger, so it forms only the other
+term's expm1: the larger one's is expm1(0) = 0 at every point.  numpy is imported only on the array
 paths, so the certificate searches, which probe floats, run without it.
 """
 
@@ -502,22 +504,30 @@ class Side:
         """The gap ratio (A - G)/(P_alpha - G) at an array of t, in a new array."""
         import numpy as np
 
-        return self.ratio_into(t, np.empty_like(t), np.empty((3,) + t.shape))
+        return self.ratio_into(t, np.empty_like(t), np.empty((2,) + t.shape))
 
     def ratio_into(self, t, out, work):
         """The gap ratio (A - G)/(P_alpha - G) at an array of t, written into out.
 
-        work is scratch: three arrays of t's shape, stacked.  t is kept.
+        work is scratch: two arrays of t's shape, stacked.  t is kept.
         The steps are `_coords`' and `_ratio`'s, each written into one of
         the arrays, so every value has `_ratio`'s bits at the coordinates
         `_coords` forms; Y on the left and X on the right, which the ratio
-        does not read, are not formed.  The verify grid reuses out and
-        work for every block of its scan.
+        does not read, are not formed.  Two steps are dropped, as they
+        leave every bit as it was.  The side and the sign of alpha fix
+        which term of the power sum is the larger: X < 1 < Y on the left
+        and Y < 1 < X on the right, so log Y^alpha > log X^alpha on the
+        left for alpha > 0 and on the right for alpha < 0, and the other
+        way round otherwise.  The larger term is m, its expm1(0) = 0
+        adds nothing to esum, and neither it nor the maximum is formed.
+        And -log G is formed as (l1 (-(n-1)) - l2)/n, the negation of
+        `_log_ng` to the bit.  The verify grid reuses out and work for
+        every block of its scan.
         """
         import numpy as np
 
         n, alpha = self.params.n, self.params.e.alpha
-        w1, w2, lg = work
+        w1, w2 = work
         with np.errstate(over="ignore"):  # a NaN still warns
             if self.side == "left":
                 np.multiply(t, n, out=w1)  # X
@@ -531,27 +541,29 @@ class Side:
                 w1 /= n - 1  # a, with X = 1 + a
                 np.log1p(w1, out=w1)
                 np.log(w2, out=w2)
-            # w1 and w2 hold l1 = log X and l2 = log Y; lg = log(n g)
-            np.multiply(w1, n - 1, out=lg)
-            lg += w2
-            lg /= n
-            # the power sum: m into out, log(n p) into w1
-            w1 *= alpha
-            w2 *= alpha
-            m = np.maximum(w1, w2, out=out)
-            w1 -= m
-            np.expm1(w1, out=w1)
-            w1 *= n - 1
-            w2 -= m
-            np.expm1(w2, out=w2)
-            w1 += w2
-            w1 /= n
-            np.log1p(w1, out=w1)
-            w1 += m
-            w1 /= alpha
+            # w1 and w2 hold l1 = log X and l2 = log Y; -log G into out
+            nlg = np.multiply(w1, -(n - 1), out=out)
+            nlg -= w2
+            nlg /= n
+            # the power sum: esum = k expm1(alpha (l - l_m)) of the smaller
+            # term, with k = n - 1 for X^alpha, 1 for Y^alpha, and m, the
+            # larger term's alpha l_m; log(n p) into the smaller's array
+            if (self.side == "left") == (alpha > 0):
+                m, lp, k = w2, w1, n - 1
+            else:
+                m, lp, k = w1, w2, 1
+            m *= alpha
+            lp *= alpha
+            lp -= m
+            np.expm1(lp, out=lp)
+            if k > 1:
+                lp *= k
+            lp /= n
+            np.log1p(lp, out=lp)
+            lp += m
+            lp /= alpha
             # expm1(-lg) / expm1(lp - lg)
-            w1 -= lg
-            np.expm1(w1, out=w1)
-            np.negative(lg, out=lg)
-            np.expm1(lg, out=lg)
-            return np.divide(lg, w1, out=out)
+            lp += nlg
+            np.expm1(lp, out=lp)
+            np.expm1(nlg, out=nlg)
+            return np.divide(nlg, lp, out=out)

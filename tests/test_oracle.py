@@ -25,7 +25,7 @@ from meangap.oracle import (
     simplex_sample,
     simplex_sample_block,
 )
-from meangap.profile import ProfileParams, Side, _ratio
+from meangap.profile import CENTER_BAND, ProfileParams, Side, _ratio
 
 
 def ref_splitmix(seed: int, counter: int) -> int:
@@ -256,6 +256,38 @@ class TestMonteCarlo:
         p1 = monte_carlo_extremes(n, e, workers=1, **kw).to_payload()
         p4 = monte_carlo_extremes(n, e, workers=4, **kw).to_payload()
         assert json.dumps(p1, sort_keys=True) == json.dumps(p4, sort_keys=True)
+
+    def test_scratch_is_allocated_per_worker(self, monkeypatch):
+        # each worker builds one ramp (with its two buffers) for all of its
+        # chunks, not one per chunk: 1e5 samples make 13 chunks.  The ramps
+        # of one sample regenerate arg_min and arg_max
+        ramp = oracle._gamma_ramp
+        calls = []
+
+        def counted(count, n, cols):
+            if count > 1:
+                calls.append(count)
+            return ramp(count, n, cols)
+
+        monkeypatch.setattr(oracle, "_gamma_ramp", counted)
+        n, e = 4, ExponentPair.from_alpha(2.0)
+        cert = best_constants(n, e)
+        for workers, most in ((1, 1), (3, 3)):
+            calls.clear()
+            monte_carlo_extremes(n, e, samples=100_000, seed=3, cert=cert,
+                                 workers=workers, grid=MIN_GRID)
+            assert 1 <= len(calls) <= most, workers
+
+    @pytest.mark.parametrize("n", [100, 300])
+    def test_workers_share_scratch_over_a_ragged_chunk(self, n):
+        # one sample per column at n = 100, rows at n = 300; 10001 samples
+        # leave a last chunk of 1809, whose last block is short
+        e = ExponentPair.from_alpha(0.25)
+        cert = best_constants(n, e)
+        kw = dict(samples=10_001, seed=2, cert=cert, grid=MIN_GRID)
+        p1 = monte_carlo_extremes(n, e, workers=1, **kw).to_payload()
+        p3 = monte_carlo_extremes(n, e, workers=3, **kw).to_payload()
+        assert json.dumps(p1, sort_keys=True) == json.dumps(p3, sort_keys=True)
 
     def test_chunking_does_not_change_payload(self, monkeypatch):
         n, e = 4, ExponentPair.from_alpha(2.0)
@@ -672,6 +704,25 @@ class TestStreaming:
             with np.errstate(all="ignore"):
                 want = _ratio(np, n, alpha, *side._coords(want_t, np))
             np.testing.assert_array_equal(vals, want)
+
+    @pytest.mark.parametrize("n,alpha", [
+        (3, 60.0), (3, -60.0), (3, 0.01), (100, 2.5), (1000, -1.0),
+        (64, 0.01), (oracle.MAX_N, 60.0), (oracle.MAX_N, -60.0),
+        (oracle.MAX_N, 0.2),
+    ])
+    def test_the_side_fixes_the_larger_power_term(self, n, alpha):
+        # Side.ratio_into takes the larger term of the power sum from the
+        # side and the sign of alpha alone: it relies on l1 < 0 < l2 on the
+        # left and l2 < 0 < l1 on the right at every grid point, from t_end
+        # to the edge of the center band
+        params = ProfileParams(n=n, e=ExponentPair.from_alpha(alpha))
+        for side, t in grid_points(params, MIN_GRID):
+            assert t.min() == pytest.approx(side.t_end, rel=1e-9)
+            band = (1 if side.side == "left" else n - 1) * CENTER_BAND
+            assert 1.0 - n * t.max() == pytest.approx(band, rel=1e-6)
+            _, _, _, l1, l2 = side._coords(t, np)
+            lo, hi = (l1, l2) if side.side == "left" else (l2, l1)
+            assert (lo < 0.0).all() and (hi > 0.0).all(), side.side
 
     def test_first_nan_of_the_grid_wins(self, monkeypatch):
         # NaNs in the middle of two later blocks of the left side: as with
