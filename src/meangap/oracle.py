@@ -65,10 +65,10 @@ _STREAM = 1 << 16
 
 # points per block of the grid.  The ramp, a block's t and ratios and the
 # ratio's two scratch arrays, allocated once per scan, take 640 KiB at
-# 2^14 and stay in L2.  With a third scratch array, the eight default
-# scans of the benchmark's seed-1 verify instances took 242 ms at 2^14
-# against 307 ms at 2^12, 261 ms at 2^13 and 240 ms at 2^15, and 430 ms at
-# 2^12 with a fresh array for every step (medians of 7 rounds, 2-core VM)
+# 2^14 and stay in L2.  The eight default scans of the benchmark's seed-1
+# verify instances took 237 ms at 2^14 against 309 ms at 2^12, 254 ms at
+# 2^13 and 274 ms at 2^15 (medians of 7 rounds in each of three
+# processes, 2-core VM); a fresh array for every step took 430 ms at 2^12
 _GRID_BLOCK = 1 << 14
 
 # samples per thread work unit of the Monte Carlo oracle

@@ -45,8 +45,9 @@ bit for bit.  The verify grid's gap ratio over an array of t is
 `Side.ratio_into`, `_ratio`'s steps written in place into arrays that
 the grid reuses for every block.  On each side the sign of alpha fixes
 which term of the power sum is the larger, so it forms only the other
-term's expm1: the larger one's is expm1(0) = 0 at every point.  numpy is imported only on the array
-paths, so the certificate searches, which probe floats, run without it.
+term's expm1: the larger one's is expm1(0) = 0 at every point.  numpy
+is imported only on the array paths, so the certificate searches, which
+probe floats, run without it.
 """
 
 from __future__ import annotations
@@ -513,16 +514,14 @@ class Side:
         The steps are `_coords`' and `_ratio`'s, each written into one of
         the arrays, so every value has `_ratio`'s bits at the coordinates
         `_coords` forms; Y on the left and X on the right, which the ratio
-        does not read, are not formed.  Two steps are dropped, as they
-        leave every bit as it was.  The side and the sign of alpha fix
-        which term of the power sum is the larger: X < 1 < Y on the left
-        and Y < 1 < X on the right, so log Y^alpha > log X^alpha on the
-        left for alpha > 0 and on the right for alpha < 0, and the other
-        way round otherwise.  The larger term is m, its expm1(0) = 0
-        adds nothing to esum, and neither it nor the maximum is formed.
-        And -log G is formed as (l1 (-(n-1)) - l2)/n, the negation of
-        `_log_ng` to the bit.  The verify grid reuses out and work for
-        every block of its scan.
+        does not read, are not formed.  The side and the sign of alpha
+        fix the larger term of the power sum, whose log is m: X < 1 < Y on
+        the left and Y < 1 < X on the right, so Y^alpha is the larger on
+        the left for alpha > 0 and on the right for alpha < 0, and
+        X^alpha otherwise.  The larger term's expm1(0) = 0 adds nothing to
+        esum, so neither it nor the maximum is formed; -log G is formed
+        as (l1 (-(n-1)) - l2)/n, the negation of `_log_ng` to the bit.
+        The verify grid reuses out and work for every block of its scan.
         """
         import numpy as np
 
@@ -545,9 +544,9 @@ class Side:
             nlg = np.multiply(w1, -(n - 1), out=out)
             nlg -= w2
             nlg /= n
-            # the power sum: esum = k expm1(alpha (l - l_m)) of the smaller
-            # term, with k = n - 1 for X^alpha, 1 for Y^alpha, and m, the
-            # larger term's alpha l_m; log(n p) into the smaller's array
+            # the power sum: m = alpha l of the larger term, and esum =
+            # k expm1(alpha l - m) of the smaller, whose k is n - 1 for
+            # X^alpha and 1 for Y^alpha; log(n p) into the smaller's array
             if (self.side == "left") == (alpha > 0):
                 m, lp, k = w2, w1, n - 1
             else:
