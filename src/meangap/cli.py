@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from io import StringIO
 from json.encoder import encode_basestring_ascii as _quote
-from typing import List, NoReturn, Optional, Sequence
+from typing import Dict, List, NoReturn, Optional, Sequence, Tuple
 
 from . import __version__
 from .constants import (
@@ -229,7 +229,9 @@ def _json(obj, pad: str = "") -> str:
         if not obj:
             return "{}"
         return ("{\n" + inner + sep.join(
-            _quote(k) + ": " + _json(obj[k], inner) for k in sorted(obj))
+            _quote(k) + ": "
+            + (_quote(obj[k]) if isinstance(obj[k], str) else _json(obj[k], inner))
+            for k in sorted(obj))
             + "\n" + pad + "}")
     if isinstance(obj, Table):
         items = _rows(obj, inner)
@@ -379,12 +381,17 @@ def sweep_cmd(n_min: int, n_max: int, e: ExponentPair, tol: float, fmt: str) -> 
                           f"got {n_min}..{n_max}")
     with _refusals():
         certs = sweep_constants(e, n_min, n_max, tol=tol)
-    trends = _trends([cert.omega for cert in certs])
-    payloads = [cert.to_payload() for cert in certs]
-    keys = ("n", "regime", "lower_bound", "upper_bound", "lower_kind",
-            "upper_kind", "omega", "x_star")
-    rows = Table((*keys, "omega_trend"),
-                 [[p[k] for p in payloads] for k in keys] + [trends])
+    # the cells of the certificates' payloads, formatted from their fields
+    n, regime, lower, upper, lower_kind, upper_kind, omegas, x_star = map(list, zip(*[
+        (cert.n, cert.regime.value, cert.lower_bound, cert.upper_bound,
+         cert.lower_kind, cert.upper_kind, cert.omega, cert.x_star) for cert in certs]))
+    trends = _trends(omegas)
+    opt = lambda vs: [None if v is None else format_float(v) for v in vs]
+    rows = Table(
+        ("n", "regime", "lower_bound", "upper_bound", "lower_kind",
+         "upper_kind", "omega", "x_star", "omega_trend"),
+        [n, regime, _floats(lower), _floats(upper), lower_kind, upper_kind,
+         opt(omegas), opt(x_star), trends])
     payload = {"rows": rows, "verdict": {"omega": _overall(trends)}}
     _emit(
         fmt,
@@ -476,9 +483,10 @@ def reduce3_cmd(sum_c: float, prod_c: float, r_: float, grid: int, fmt: str) -> 
     )
 
 
-def _parser(prog: str) -> argparse.ArgumentParser:
-    """The command line's parser.  A subcommand's namespace holds its
-    options, its function as `run` and its own parser as `parser`."""
+def _parser(prog: str) -> Tuple[argparse.ArgumentParser, Dict[str, argparse.ArgumentParser]]:
+    """The command line's group parser and each subcommand's own parser by
+    name.  A subcommand's namespace holds its options, its function as
+    `run` and its own parser as `parser`."""
     parser = argparse.ArgumentParser(
         prog=prog, description=main.__doc__.split("\n")[0], add_help=False,
         allow_abbrev=False)
@@ -544,7 +552,8 @@ def _parser(prog: str) -> argparse.ArgumentParser:
            help="number of t samples, endpoints included, 2 to 1e5 "
                 "(default: %(default)s)")
     option("--format", **FORMAT_OPTION)
-    return parser
+    # add_parser keeps each subcommand's parser in the choices of the action
+    return parser, commands.choices
 
 
 def main(args: Optional[Sequence[str]] = None, prog_name: str = "meangap") -> NoReturn:
@@ -552,10 +561,22 @@ def main(args: Optional[Sequence[str]] = None, prog_name: str = "meangap") -> No
 
     Parses args (sys.argv[1:] by default), runs the subcommand they name
     and ends with SystemExit: 0, 1 (a verification failed), 2 (invalid
-    input) or 3 (an instance the solvers cannot certify).
+    input) or 3 (an instance the solvers cannot certify).  When the first
+    argument names a subcommand, the rest is parsed by that subcommand's
+    own parser alone; any other input (none, --help, --version, an
+    unknown command) goes to the group parser.
     """
-    parser = _PARSER if prog_name == _PARSER.prog else _parser(prog_name)
-    opts = vars(parser.parse_args(_bind(sys.argv[1:] if args is None else args)))
+    parser, commands = _PARSER if prog_name == _PARSER[0].prog else _parser(prog_name)
+    bound = _bind(sys.argv[1:] if args is None else args)
+    sub = commands.get(bound[0]) if bound else None
+    if sub is None:
+        namespace = parser.parse_args(bound)
+    else:
+        namespace, extra = sub.parse_known_args(bound[1:])
+        if extra:
+            # as the group parser reports what its subcommand left over
+            parser.error(f"unrecognized arguments: {' '.join(extra)}")
+    opts = vars(namespace)
     run, sub = opts.pop("run"), opts.pop("parser")
     try:
         code = run(**opts)

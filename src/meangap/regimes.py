@@ -128,12 +128,19 @@ def locate_mu(side: Side, guess: Optional[Tuple[float, float]] = None) -> Critic
     then narrows the step by false position to a width of _MU_TOL in v
     (`solver.search_outward`).  A crossing within that width of t_min, or
     where W rounds to 1 out to t_min, is refused, as it leaves no room for
-    the extremum beyond it.  A guess (v, step), such as the crossing at a
-    neighbouring n, is probed first and the steps start from it
-    (`search_outward`); it changes where the search starts, not the
-    crossing it finds.
+    the extremum beyond it; so is a side whose t_min rounds to the center
+    1/n, as it does past |alpha| of about 3e18.  A guess (v, step), such
+    as the crossing at a neighbouring n, is probed first and the steps
+    start from it (`search_outward`); it changes where the search starts,
+    not the crossing it finds.
     """
     t_end = side.t_min
+    if side.params.n * t_end == 1.0:
+        # v of the center is log(1/0)
+        raise UncertifiedInstance(
+            f"the far edge t_min = {t_end!r} of the {side.side} side rounds "
+            f"to the center 1/n, leaving no room for the W = 1 crossing search"
+        )
     edge = side.v(t_end)
     start = max(math.log((1.0 - MU_OFFSET) / MU_OFFSET), edge)
     try:

@@ -13,7 +13,8 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from meangap.cli import Table, _cell, _floats, _json, _to_csv, main
+from meangap.cli import Table, _cell, _floats, _json, _parse_alpha, _to_csv, main
+from meangap.constants import sweep_constants
 
 
 def run_json(runner, args, **kwargs):
@@ -245,6 +246,33 @@ class TestParseSurface:
         assert result.exit_code == 2
         assert named in result.output.splitlines()[-1]
 
+    # argparse wraps its usage lines to the width COLUMNS names
+    WIDTH = {"COLUMNS": "80"}
+
+    @pytest.mark.parametrize("args,left", [
+        (["constants", "--n", "4", "--alpha", "2", "--bogus", "1"], "--bogus 1"),
+        (["constants", "--n", "4", "--alpha", "2", "extra"], "extra"),
+    ])
+    def test_leftover_arguments_are_the_groups_usage_error(self, runner, args, left):
+        # what the subcommand's parser leaves over is reported by the group
+        # parser, under its usage
+        result = runner.invoke(main, args, env=self.WIDTH)
+        assert result.exit_code == 2
+        assert result.stdout == ""
+        assert result.stderr == (
+            "usage: meangap [--help] [--version]\n"
+            "               {constants,verify,sweep,profile,reduce3} ...\n"
+            f"meangap: error: unrecognized arguments: {left}\n")
+
+    def test_missing_option_is_the_subcommands_usage_error(self, runner):
+        result = runner.invoke(main, ["constants", "--alpha", "2"], env=self.WIDTH)
+        assert result.exit_code == 2
+        assert result.stdout == ""
+        assert result.stderr == (
+            "usage: meangap constants [--help] --n N --alpha ALPHA [--tol TOL]\n"
+            "                         [--format {json,csv}]\n"
+            "meangap constants: error: the following arguments are required: --n\n")
+
     def test_version(self, runner):
         result = runner.invoke(main, ["--version"])
         assert result.exit_code == 0
@@ -368,6 +396,11 @@ class TestConstantsCommand:
         ["constants", "--n", "3768", "--alpha", "1000000"],
         # past n = 2^44 the power sum keeps too few digits of P - 1
         ["constants", "--n", "1125899906842624", "--alpha", "-1"],
+        # t_min rounds to the center 1/n, whose v is log(1/0)
+        ["constants", "--n", "3", "--alpha", "3e18"],
+        ["constants", "--n", "3", "--alpha", "-1e19"],
+        ["sweep", "--n-max", "5", "--alpha", "3e18"],
+        ["verify", "--n", "3", "--alpha", "1e20"],
     ])
     def test_uncertifiable_instance_exits_three(self, runner, args):
         # a valid instance the solvers cannot certify is not a usage error,
@@ -386,6 +419,12 @@ class TestConstantsCommand:
         ("sweep --n-min 3 --n-max 4 --alpha 3/4", "at n = 4: the W = 1 crossing"),
         ("sweep --n-min 3 --n-max 4 --alpha -1000000", "at n = 3: no W = 1 crossing"),
         ("constants --n 35184372088832 --alpha -1/2", "exceeds 2^44"),
+        ("constants --n 3 --alpha 3e18",
+         "the far edge t_min = 0.3333333333333333 of the left side rounds to the center"),
+        ("constants --n 3 --alpha -1e19", "t_min = 0.3333333333333333 of the right side"),
+        ("sweep --n-max 5 --alpha 3e18", "at n = 3: the far edge t_min"),
+        ("verify --n 3 --alpha 1e20", "the far edge t_min"),
+        ("constants --n 3 --alpha 1e18", "no W = 1 crossing"),
     ])
     def test_refusal_names_its_cause(self, runner, args, cause):
         result = runner.invoke(main, args.split())
@@ -586,6 +625,25 @@ class TestSweepCommand:
             assert row["omega"] is None
             assert row["omega_trend"] == "none"
         assert env["payload"]["verdict"]["omega"] == "constant"
+
+    @pytest.mark.parametrize("alpha,closed", [("1/3", True), ("-1", False)])
+    def test_rows_are_the_certificates_payload_cells(self, runner, alpha, closed):
+        # the rows are built from the certificates' fields; at 1/3 they are
+        # closed forms, with omega and x_star empty
+        keys = ("n", "regime", "lower_bound", "upper_bound", "lower_kind",
+                "upper_kind", "omega", "x_star")
+        expected = [{k: cert.to_payload()[k] for k in keys}
+                    for cert in sweep_constants(_parse_alpha(alpha), 3, 6)]
+        args = ["sweep", "--n-min", "3", "--n-max", "6", "--alpha", alpha]
+        rows = run_json(runner, args)["payload"]["rows"]
+        assert [{k: row[k] for k in keys} for row in rows] == expected
+        result = runner.invoke(main, args + ["--format", "csv"])
+        assert result.exit_code == 0
+        rows = list(csv.DictReader(io.StringIO(result.output)))
+        assert [{k: row[k] for k in keys} for row in rows] == [
+            {k: "" if v is None else str(v) for k, v in row.items()} for row in expected]
+        assert all((row["omega"] is None and row["x_star"] is None) == closed
+                   for row in expected)
 
     def test_bad_range(self, runner):
         result = runner.invoke(main, ["sweep", "--n-min", "6", "--n-max", "4",
