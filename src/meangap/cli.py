@@ -10,9 +10,12 @@ Subcommands:
 
 Output is a JSON envelope (or CSV rows with --format csv); every float
 is serialized as a 17-significant-digit decimal string, so payloads are
-byte identical across runs, platforms, and worker counts.  Exit code 0
-means success, 1 means a verification failed, 2 means invalid input,
-and 3 means a valid instance that the solvers cannot certify.
+byte identical across runs, platforms, and worker counts.  A
+subcommand's function only computes, and returns (payload, instance,
+tolerances); `main` maps errors to exit codes and writes the envelope.
+Exit code 0 means success, 1 means a verification failed, 2 means
+invalid input (a ValueError), and 3 means a valid instance that the
+solvers cannot certify (an UncertifiedInstance).
 """
 
 from __future__ import annotations
@@ -22,7 +25,6 @@ import json
 import math
 import sys
 import time
-from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
 from io import StringIO
@@ -44,6 +46,7 @@ from .oracle import (
     MIN_GRID,
     MIN_SAMPLES,
     VIOLATION_SLACK,
+    _check_request,
     check_bounds,
     monte_carlo_extremes,
 )
@@ -61,15 +64,11 @@ def _parse_alpha(value: str) -> ExponentPair:
     try:
         if "/" in value:
             frac = Fraction(value)
-            if frac == 0 or frac == 1:
-                raise ValueError
             return ExponentPair(alpha=float(frac), r=float(1 / frac))
-        alpha = float(value)
-        if alpha in (0.0, 1.0) or not math.isfinite(alpha):
-            raise ValueError
-        return ExponentPair.from_alpha(alpha)
+        return ExponentPair.from_alpha(float(value))
     except (ValueError, ZeroDivisionError, OverflowError):
-        # OverflowError: a p/q or its reciprocal past the double range
+        # ExponentPair refuses alpha 0, 1 and not finite; OverflowError: a
+        # p/q or its reciprocal past the double range
         raise argparse.ArgumentTypeError(
             f"cannot use exponent {value!r}; need a finite decimal or p/q "
             "fraction different from 0 and 1"
@@ -132,25 +131,6 @@ MAX_ROWS = 10**5
 # from -60 to 60, the f' printed outside is within 2.5e-9 relative of
 # the 50-digit value; with a limit of 1e-6 the worst reads 1.0e-8
 FPRIME_BLANK = 4e-6
-
-
-class _UsageError(Exception):
-    """Input the parser took that the command cannot use: exit 2."""
-
-
-class _Uncertified(Exception):
-    """A valid instance that the solvers cannot certify: exit 3."""
-
-
-@contextmanager
-def _refusals():
-    # bad input is a usage error (exit 2); an uncertifiable instance exits 3
-    try:
-        yield
-    except UncertifiedInstance as exc:
-        raise _Uncertified(f"cannot certify this instance: {exc}")
-    except ValueError as exc:
-        raise _UsageError(str(exc))
 
 
 def _fprime_blank(xs, params: ProfileParams):
@@ -310,29 +290,24 @@ def _instance(n: int, e: ExponentPair) -> dict:
     return {"n": n, "alpha": format_float(e.alpha), "r": format_float(e.r)}
 
 
-def constants_cmd(n: int, e: ExponentPair, tol: float, fmt: str) -> None:
+def constants_cmd(n: int, e: ExponentPair, tol: float) -> tuple:
     """Certificate of the extremal constants for one instance."""
-    started = time.perf_counter()
-    with _refusals():
-        cert = best_constants(n, e, tol=tol)
-    payload = cert.to_payload()
-    _emit(fmt, payload, instance=_instance(n, e),
-          tolerances=payload["tol"], started=started)
+    payload = best_constants(n, e, tol=tol).to_payload()
+    return payload, _instance(n, e), payload["tol"]
 
 
 def verify_cmd(
     n: int, e: ExponentPair, samples: int, seed: int, workers: int, grid: int,
-    fmt: str,
-) -> int:
+) -> tuple:
     """Run the independent oracles against the certificate; exit 1 on failure."""
-    started = time.perf_counter()
-    with _refusals():
-        cert = best_constants(n, e)
-        report = monte_carlo_extremes(
-            n, e, samples=samples, seed=seed, cert=cert, workers=workers,
-            grid=grid,
-        )
-        chk = check_bounds(report, cert)
+    # the instance's own checks and verify's limits come before the
+    # certificate, so a request past a limit is refused whatever alpha is
+    ProfileParams(n=n, e=e)
+    _check_request(n, samples, grid, workers)
+    cert = best_constants(n, e)
+    report = monte_carlo_extremes(
+        n, e, samples=samples, seed=seed, cert=cert, workers=workers, grid=grid)
+    chk = check_bounds(report, cert)
     payload = {
         "ok": chk.ok,
         "certificate": cert.to_payload(),
@@ -341,9 +316,7 @@ def verify_cmd(
     }
     tolerances = dict(payload["certificate"]["tol"])
     tolerances["violation_slack"] = format_float(VIOLATION_SLACK)
-    _emit(fmt, payload, instance=_instance(n, e),
-          tolerances=tolerances, started=started)
-    return 0 if chk.ok else 1
+    return payload, _instance(n, e), tolerances
 
 
 def _trends(omegas: Sequence[Optional[float]]) -> List[str]:
@@ -373,14 +346,12 @@ def _overall(trends: Sequence[str]) -> str:
     return "mixed"
 
 
-def sweep_cmd(n_min: int, n_max: int, e: ExponentPair, tol: float, fmt: str) -> None:
+def sweep_cmd(n_min: int, n_max: int, e: ExponentPair, tol: float) -> tuple:
     """Certificates for n in [n-min, n-max] with an omega trend verdict."""
-    started = time.perf_counter()
     if n_max - n_min + 1 > MAX_ROWS:
-        raise _UsageError(f"a sweep takes at most {MAX_ROWS} values of n; "
-                          f"got {n_min}..{n_max}")
-    with _refusals():
-        certs = sweep_constants(e, n_min, n_max, tol=tol)
+        raise ValueError(f"a sweep takes at most {MAX_ROWS} values of n; "
+                         f"got {n_min}..{n_max}")
+    certs = sweep_constants(e, n_min, n_max, tol=tol)
     # the cells of the certificates' payloads, formatted from their fields
     n, regime, lower, upper, lower_kind, upper_kind, omegas, x_star = map(list, zip(*[
         (cert.n, cert.regime.value, cert.lower_bound, cert.upper_bound,
@@ -393,61 +364,46 @@ def sweep_cmd(n_min: int, n_max: int, e: ExponentPair, tol: float, fmt: str) -> 
         [n, regime, _floats(lower), _floats(upper), lower_kind, upper_kind,
          opt(omegas), opt(x_star), trends])
     payload = {"rows": rows, "verdict": {"omega": _overall(trends)}}
-    _emit(
-        fmt,
-        payload,
-        instance={"n": f"{n_min}..{n_max}", "alpha": format_float(e.alpha),
-                  "r": format_float(e.r)},
-        tolerances={"nu_bracket_width": format_float(tol)},
-        started=started,
-    )
+    instance = {**_instance(n_min, e), "n": f"{n_min}..{n_max}"}
+    return payload, instance, {"nu_bracket_width": format_float(tol)}
 
 
-def profile_cmd(n: int, e: ExponentPair, points: int, which: str, fmt: str) -> None:
+def profile_cmd(n: int, e: ExponentPair, points: int, which: str) -> tuple:
     """Tabulate profile functions on (eps, 1/(n-1) - eps), eps = 1e-9/n."""
-    started = time.perf_counter()
     names = [tok.strip() for tok in which.split(",") if tok.strip()]
     unknown = [tok for tok in names if tok not in TABLE_COLUMNS]
     if unknown or not names or len(set(names)) < len(names):
         # a repeated column would repeat its key in every JSON row
-        raise _UsageError(
+        raise ValueError(
             f"--which must be a comma separated subset of "
             f"{','.join(TABLE_COLUMNS)}, each name once; got {which!r}"
         )
-    with _refusals():
-        params = ProfileParams(n=n, e=e)
+    params = ProfileParams(n=n, e=e)
     import numpy as np
 
     eps = EPS_HAT / n
     xs = np.linspace(eps, params.x_hi - eps, points)
-    with _refusals():
-        columns = [xs, *profile_table(xs, params, names)]
+    columns = [xs, *profile_table(xs, params, names)]
     cells = [_floats(col.tolist()) for col in columns]
     blank = np.flatnonzero(_fprime_blank(xs, params)).tolist()
     for name, col in zip(names, cells[1:]):
         if name == "fprime":
             for i in blank:
                 col[i] = None
-    payload = {"rows": Table(["x", *names], cells)}
-    _emit(fmt, payload, instance=_instance(n, e), tolerances={}, started=started)
+    return {"rows": Table(["x", *names], cells)}, _instance(n, e), {}
 
 
-def reduce3_cmd(sum_c: float, prod_c: float, r_: float, grid: int, fmt: str) -> None:
+def reduce3_cmd(sum_c: float, prod_c: float, r_: float, grid: int) -> tuple:
     """Walk the fixed sum-and-product triple curve and its power sum."""
-    started = time.perf_counter()
     if not math.isfinite(r_):
-        raise _UsageError(f"--r must be finite, got {r_}")
+        raise ValueError(f"--r must be finite, got {r_}")
     import numpy as np
 
-    try:
-        cp = curve_params(sum_c, prod_c)
-        ts = np.linspace(cp.t_lo, cp.t_hi, grid)
-        table = curve_table(ts, cp, r_)
-    except ValueError as exc:
-        # degenerate constraints, or finite ones past what doubles resolve:
-        # a power of a coordinate or their sum overflows, or two
-        # coordinates merge
-        raise _UsageError(str(exc))
+    # a ValueError: degenerate constraints, or finite ones past what doubles
+    # resolve (a power or the power sum overflows, or coordinates merge)
+    cp = curve_params(sum_c, prod_c)
+    ts = np.linspace(cp.t_lo, cp.t_hi, grid)
+    table = curve_table(ts, cp, r_)
     # y is t; h' is None at the ends, where the derivative formula's
     # distinct coordinates merge, and where it is not a finite double
     t, x, z, h = (_floats(col.tolist())
@@ -473,14 +429,9 @@ def reduce3_cmd(sum_c: float, prod_c: float, r_: float, grid: int, fmt: str) -> 
         "h_at_t_hi": format_float(h_vals[-1]),
         "monotone": verdict,
     }
-    _emit(
-        fmt,
-        payload,
-        instance={"sum": format_float(sum_c), "prod": format_float(prod_c),
-                  "r": format_float(r_)},
-        tolerances={},
-        started=started,
-    )
+    instance = {"sum": format_float(sum_c), "prod": format_float(prod_c),
+                "r": format_float(r_)}
+    return payload, instance, {}
 
 
 def _parser(prog: str) -> Tuple[argparse.ArgumentParser, Dict[str, argparse.ArgumentParser]]:
@@ -577,15 +528,19 @@ def main(args: Optional[Sequence[str]] = None, prog_name: str = "meangap") -> No
             # as the group parser reports what its subcommand left over
             parser.error(f"unrecognized arguments: {' '.join(extra)}")
     opts = vars(namespace)
-    run, sub = opts.pop("run"), opts.pop("parser")
+    run, sub, fmt = opts.pop("run"), opts.pop("parser"), opts.pop("fmt")
+    started = time.perf_counter()
     try:
-        code = run(**opts)
-    except _UsageError as exc:
+        payload, instance, tolerances = run(**opts)
+    # UncertifiedInstance first: solver.BracketError is one and a ValueError
+    except UncertifiedInstance as exc:
+        print(f"Error: cannot certify this instance: {exc}", file=sys.stderr)
+        raise SystemExit(3)
+    except ValueError as exc:
         sub.error(str(exc))
-    except _Uncertified as exc:
-        print(f"Error: {exc}", file=sys.stderr)
-        code = 3
-    raise SystemExit(code or 0)
+    _emit(fmt, payload, instance, tolerances, started)
+    # only verify's payload has "ok", its verdict
+    raise SystemExit(0 if payload.get("ok", True) else 1)
 
 
 _PARSER = _parser("meangap")

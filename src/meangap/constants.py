@@ -62,11 +62,6 @@ BRACKET_SLACK = 1e-9
 # and by 1.3e-5 to 0.22 at n = 2^45..2^50
 _MAX_EXTREMUM_N = 2**44
 
-_N2_MESSAGE = (
-    "n = 2 is governed by a different sharp description and is not covered "
-    "here; use n >= 3"
-)
-
 
 def format_float(x: float) -> str:
     """Serialize a float as a 17-significant-digit decimal string."""
@@ -83,13 +78,6 @@ def ratio_from_f(fval: float) -> float:
     if fval == 1.0:
         raise ValueError("f = 1 maps to an unbounded ratio")
     return fval / (fval - 1.0)
-
-
-def _validate_n(n: int) -> None:
-    if n == 2:
-        raise ValueError(_N2_MESSAGE)
-    if not isinstance(n, int) or n < 3:
-        raise ValueError(f"n must be an integer >= 3, got {n!r}")
 
 
 def _endpoint_values(n: int, r: float) -> Tuple[float, float]:
@@ -120,15 +108,16 @@ class ExtremumCertificate:
     upper_bound: float
     lower_kind: str  # "closed-form" | "certified-extremum" | "unbounded"
     upper_kind: str
-    mu: Optional[float]
-    mu_residual: Optional[float]
-    nu: Optional[float]
-    nu_kind: str  # "min" | "max" | "none"
-    x_star: Optional[float]
-    omega: Optional[float]
-    omega_bracket: Optional[Tuple[float, float]]
-    wen_observed: Optional[float]
     tol: Dict[str, float]
+    # the critical data of a turning regime; a monotone one has none
+    mu: Optional[float] = None
+    mu_residual: Optional[float] = None
+    nu: Optional[float] = None
+    nu_kind: str = "none"  # "min" | "max" | "none"
+    x_star: Optional[float] = None
+    omega: Optional[float] = None
+    omega_bracket: Optional[Tuple[float, float]] = None
+    wen_observed: Optional[float] = None
     # mu and x_star in v = log(n t/(1 - n t)) of their side's small
     # coordinate t, which keeps the digits that x loses next to 1/(n-1),
     # for a sweep to start the next n from; not part of the payload
@@ -189,34 +178,18 @@ def best_constants(
     moves only where the searches start and where they stop within tol.
     A turning instance with n above 2^44 is refused before the searches.
     """
-    _validate_n(n)
+    params = ProfileParams(n=n, e=e)
     _check_tol(tol)
     regime = classify(n, e)
     r = e.r
-    params = ProfileParams(n=n, e=e)
     tolerances = {"nu_bracket_width": tol, "omega_abs": max(tol * tol, 1e-12)}
+    at_zero, at_top = _endpoint_values(n, r)
 
     shape = regime.f_shape
     if shape.nu_side is None:
-        at_zero, at_top = _endpoint_values(n, r)
         return ExtremumCertificate(
-            n=n,
-            e=e,
-            regime=regime.tag,
-            lower_bound=at_top,
-            upper_bound=at_zero,
-            lower_kind="closed-form",
-            upper_kind="closed-form",
-            mu=None,
-            mu_residual=None,
-            nu=None,
-            nu_kind="none",
-            x_star=None,
-            omega=None,
-            omega_bracket=None,
-            wen_observed=None,
-            tol=tolerances,
-        )
+            n=n, e=e, regime=regime.tag, lower_bound=at_top, upper_bound=at_zero,
+            lower_kind="closed-form", upper_kind="closed-form", tol=tolerances)
 
     if n > _MAX_EXTREMUM_N:
         raise UncertifiedInstance(
@@ -247,49 +220,35 @@ def best_constants(
     omega = ratio_from_f(nu)
 
     tag = regime.tag
+    # wen is None for r >= 1, which the two small-n regimes have
     wen = wen_reference(n, r)
     if tag is RegimeTag.NEG_R:
         lord = -1.0 / (n - 1) if e.alpha == -1.0 else math.inf
-        bracket = (r, lord)
-        _check_bracket(omega, bracket, "omega_1")
+        bracket, label = (r, lord), "omega_1"
         lower, upper = -math.inf, omega
-        lower_kind, upper_kind = "unbounded", "certified-extremum"
     elif tag is RegimeTag.FRAC_R:
-        bracket = (wen, r)
-        _check_bracket(omega, bracket, "omega_2")
-        lower, upper = omega, _endpoint_values(n, r)[1]
-        lower_kind, upper_kind = "certified-extremum", "closed-form"
+        bracket, label = (wen, r), "omega_2"
+        lower, upper = omega, at_top
     elif tag is RegimeTag.LOW_R_SMALL_N:
-        bracket = (r, math.inf)
-        _check_bracket(omega, bracket, "omega_3")
-        lower, upper = _endpoint_values(n, r)[1], omega
-        lower_kind, upper_kind = "closed-form", "certified-extremum"
-        wen = None
+        bracket, label = (r, math.inf), "omega_3"
+        lower, upper = at_top, omega
     else:  # HIGH_R_SMALL_N
-        bracket = (-math.inf, r)
-        _check_bracket(omega, bracket, "omega_4")
-        lower, upper = omega, _endpoint_values(n, r)[0]
-        lower_kind, upper_kind = "certified-extremum", "closed-form"
-        wen = None
+        bracket, label = (-math.inf, r), "omega_4"
+        lower, upper = omega, at_zero
+    _check_bracket(omega, bracket, label)
+
+    def kind(bound: float) -> str:
+        # the bound that is omega itself is the certified one
+        if bound is omega:
+            return "certified-extremum"
+        return "closed-form" if math.isfinite(bound) else "unbounded"
 
     return ExtremumCertificate(
-        n=n,
-        e=e,
-        regime=tag,
-        lower_bound=lower,
-        upper_bound=upper,
-        lower_kind=lower_kind,
-        upper_kind=upper_kind,
-        mu=cp.mu,
-        mu_residual=cp.residual,
-        nu=nu,
-        nu_kind=shape.nu_kind,
-        x_star=side.x(t_star),
-        omega=omega,
-        omega_bracket=bracket,
-        wen_observed=wen,
-        tol=tolerances,
-        v=(start, side.v(t_star)),
+        n=n, e=e, regime=tag, lower_bound=lower, upper_bound=upper,
+        lower_kind=kind(lower), upper_kind=kind(upper), tol=tolerances,
+        mu=cp.mu, mu_residual=cp.residual, nu=nu, nu_kind=shape.nu_kind,
+        x_star=side.x(t_star), omega=omega, omega_bracket=bracket,
+        wen_observed=wen, v=(start, side.v(t_star)),
     )
 
 

@@ -271,21 +271,20 @@ def _check_grid(grid: int) -> None:
         raise ValueError(f"grid must have between {MIN_GRID} and 1e8 points")
 
 
-def _check_n(n: int) -> None:
+def _check_request(n: int, samples: int, grid: int, workers: int) -> None:
+    """Refuse what verify does not take, before any work: n before any
+    array of n coordinates, samples before the values array (8 bytes a
+    sample), the grid before the samples, which take seconds at large n,
+    and workers before the pool, which starts a thread a unit."""
     if n > MAX_N:
         raise ValueError(f"verify takes n up to {MAX_N}, got {n}")
-
-
-def _check_workers(workers: int) -> None:
-    if workers > MAX_WORKERS:
-        raise ValueError(f"verify takes at most {MAX_WORKERS} workers, got {workers}")
-
-
-def _check_samples(samples: int) -> None:
     # below the floor the scan is too thin to mean anything; the cap, the
     # grid's, holds the one double the oracle keeps per sample to 0.8 GB
     if not MIN_SAMPLES <= samples <= 10**8:
         raise ValueError(f"samples must number between {MIN_SAMPLES} and 1e8")
+    _check_grid(grid)
+    if workers > MAX_WORKERS:
+        raise ValueError(f"verify takes at most {MAX_WORKERS} workers, got {workers}")
 
 
 def _runs(side: Side, count: int) -> List[Tuple[float, float, int]]:
@@ -462,6 +461,7 @@ def monte_carlo_extremes(
     """
     import numpy as np
 
+    _check_request(n, samples, grid, workers)
     if cert is None:
         cert = best_constants(n, e)
     if cert.n != n or cert.e != e:
@@ -469,10 +469,6 @@ def monte_carlo_extremes(
             f"certificate is for (n={cert.n}, alpha={cert.e.alpha}), "
             f"requested (n={n}, alpha={e.alpha})"
         )
-    _check_n(n)  # before any array of n coordinates
-    _check_samples(samples)  # before the values array, 8 bytes a sample
-    _check_grid(grid)  # before the samples, which take seconds at large n
-    _check_workers(workers)  # before the pool, which starts a thread a unit
     lower, upper = cert.lower_bound, cert.upper_bound
 
     starts = list(range(0, samples, _CHUNK))

@@ -96,6 +96,10 @@ class ProfileParams:
     e: ExponentPair
 
     def __post_init__(self) -> None:
+        if self.n == 2:
+            raise ValueError(
+                "n = 2 is governed by a different sharp description and is "
+                "not covered here; use n >= 3")
         if not isinstance(self.n, int) or self.n < 3:
             raise ValueError(f"n must be an integer >= 3, got {self.n!r}")
         try:

@@ -273,6 +273,40 @@ class TestParseSurface:
             "                         [--format {json,csv}]\n"
             "meangap constants: error: the following arguments are required: --n\n")
 
+    @pytest.mark.parametrize("args,usage,cause", [
+        (["constants", "--n", "4", "--alpha", "2", "--tol", "0"],
+         "usage: meangap constants [--help] --n N --alpha ALPHA [--tol TOL]\n"
+         "                         [--format {json,csv}]\n",
+         "tol must be positive and finite, got 0.0"),
+        (["verify", "--n", "4", "--alpha", "2", "--samples", "10"],
+         "usage: meangap verify [--help] --n N --alpha ALPHA [--samples SAMPLES]\n"
+         "                      [--seed SEED] [--workers WORKERS] [--grid GRID]\n"
+         "                      [--format {json,csv}]\n",
+         "samples must number between 10000 and 1e8"),
+        (["sweep", "--n-max", "200000", "--alpha", "2"],
+         "usage: meangap sweep [--help] [--n-min N_MIN] --n-max N_MAX --alpha ALPHA\n"
+         "                     [--tol TOL] [--format {json,csv}]\n",
+         "a sweep takes at most 100000 values of n; got 3..200000"),
+        (["profile", "--n", "4", "--alpha", "2", "--which", "g,g"],
+         "usage: meangap profile [--help] --n N --alpha ALPHA [--points POINTS]\n"
+         "                       [--which WHICH] [--format {json,csv}]\n",
+         "--which must be a comma separated subset of g,p,f,U,V,W,fprime, "
+         "each name once; got 'g,g'"),
+        (["reduce3", "--sum", "3", "--prod", "1", "--r", "2"],
+         "usage: meangap reduce3 [--help] --sum SUM --prod PROD --r R [--grid GRID]\n"
+         "                       [--format {json,csv}]\n",
+         "need sum^3 > 27*product for a nondegenerate curve, "
+         "got sum^3=27.0, 27*product=27.0"),
+    ], ids=["constants", "verify", "sweep", "profile", "reduce3"])
+    def test_refusal_inside_a_command_is_its_usage_error(self, runner, args,
+                                                         usage, cause):
+        # a ValueError a command raises reaches main's one refusal path: the
+        # subcommand's usage and the cause, exit 2, nothing on stdout
+        result = runner.invoke(main, args, env=self.WIDTH)
+        assert result.exit_code == 2
+        assert result.stdout == ""
+        assert result.stderr == f"{usage}meangap {args[0]}: error: {cause}\n"
+
     def test_version(self, runner):
         result = runner.invoke(main, ["--version"])
         assert result.exit_code == 0
@@ -569,6 +603,22 @@ class TestVerifyCommand:
         assert result.exit_code == 2, result.output
         assert f"verify takes n up to 300000, got {n}" in result.output
 
+    def test_n_past_the_cap_is_refused_before_the_certificate(self, runner):
+        # n = 4e5 at alpha = 2 cannot be certified (exit 3), but verify's
+        # cap is checked first, so the exit code does not depend on alpha
+        from meangap.oracle import MAX_N
+
+        result = runner.invoke(main, ["verify", "--n", "400000", "--alpha", "2"])
+        assert result.exit_code == 2, result.output
+        assert f"verify takes n up to {MAX_N}, got 400000" in result.output
+
+    def test_samples_are_refused_before_the_certificate(self, runner):
+        # --n 4 --alpha 3/4 alone exits 3, cannot certify
+        result = runner.invoke(main, ["verify", "--n", "4", "--alpha", "3/4",
+                                      "--samples", "10"])
+        assert result.exit_code == 2, result.output
+        assert "samples must number between 10000 and 1e8" in result.output
+
     @pytest.mark.parametrize("workers", ["0", "-3"])
     def test_workers_below_one_are_usage_error(self, runner, no_sampling, workers):
         result = runner.invoke(main, self.ARGS + ["--workers", workers])
@@ -710,6 +760,12 @@ class TestProfileCommand:
         a = np.array([1e-8, -1e-8, -1e-7, -1e-6])
         assert _fprime_blank((1.0 + a) / 3, three).all()
         assert _fprime_blank(np.array([(1.0 - 1e-8) / 4]), four).all()
+
+    def test_n_two_names_its_own_description(self, runner):
+        # as constants and verify name it
+        result = runner.invoke(main, ["profile", "--n", "2", "--alpha", "2"])
+        assert result.exit_code == 2
+        assert "n = 2 is governed by a different sharp description" in result.output
 
     def test_unknown_column_rejected(self, runner):
         result = runner.invoke(main, ["profile", "--n", "3", "--alpha", "2",
