@@ -34,6 +34,7 @@ from typing import Dict, List, NoReturn, Optional, Sequence, Tuple
 from . import __version__
 from .constants import (
     EPS_HAT,
+    EXTREMUM_TOL,
     best_constants,
     format_float,
     sweep_constants,
@@ -94,9 +95,6 @@ FORMATS = ("json", "csv")
 N_OPTION = dict(type=int, required=True, help="tuple length, n >= 3")
 ALPHA_OPTION = dict(dest="e", metavar="ALPHA", type=_parse_alpha, required=True,
                     help="mean order, decimal or p/q fraction")
-TOL_OPTION = dict(type=float, default=1e-10,
-                  help="bracket width of the interior extremum search, "
-                       "in log(n t/(1 - n t)) (default: %(default)s)")
 FORMAT_OPTION = dict(dest="fmt", choices=FORMATS, default="json",
                      help="output format (default: %(default)s)")
 # every option but these takes exactly one value
@@ -290,9 +288,9 @@ def _instance(n: int, e: ExponentPair) -> dict:
     return {"n": n, "alpha": format_float(e.alpha), "r": format_float(e.r)}
 
 
-def constants_cmd(n: int, e: ExponentPair, tol: float) -> tuple:
+def constants_cmd(n: int, e: ExponentPair) -> tuple:
     """Certificate of the extremal constants for one instance."""
-    payload = best_constants(n, e, tol=tol).to_payload()
+    payload = best_constants(n, e).to_payload()
     return payload, _instance(n, e), payload["tol"]
 
 
@@ -346,12 +344,12 @@ def _overall(trends: Sequence[str]) -> str:
     return "mixed"
 
 
-def sweep_cmd(n_min: int, n_max: int, e: ExponentPair, tol: float) -> tuple:
+def sweep_cmd(n_min: int, n_max: int, e: ExponentPair) -> tuple:
     """Certificates for n in [n-min, n-max] with an omega trend verdict."""
     if n_max - n_min + 1 > MAX_ROWS:
         raise ValueError(f"a sweep takes at most {MAX_ROWS} values of n; "
                          f"got {n_min}..{n_max}")
-    certs = sweep_constants(e, n_min, n_max, tol=tol)
+    certs = sweep_constants(e, n_min, n_max)
     # the cells of the certificates' payloads, formatted from their fields
     n, regime, lower, upper, lower_kind, upper_kind, omegas, x_star = map(list, zip(*[
         (cert.n, cert.regime.value, cert.lower_bound, cert.upper_bound,
@@ -365,7 +363,7 @@ def sweep_cmd(n_min: int, n_max: int, e: ExponentPair, tol: float) -> tuple:
          opt(omegas), opt(x_star), trends])
     payload = {"rows": rows, "verdict": {"omega": _overall(trends)}}
     instance = {**_instance(n_min, e), "n": f"{n_min}..{n_max}"}
-    return payload, instance, {"nu_bracket_width": format_float(tol)}
+    return payload, instance, {"nu_bracket_width": format_float(EXTREMUM_TOL)}
 
 
 def profile_cmd(n: int, e: ExponentPair, points: int, which: str) -> tuple:
@@ -457,7 +455,6 @@ def _parser(prog: str) -> Tuple[argparse.ArgumentParser, Dict[str, argparse.Argu
     option = command("constants", constants_cmd)
     option("--n", **N_OPTION)
     option("--alpha", **ALPHA_OPTION)
-    option("--tol", **TOL_OPTION)
     option("--format", **FORMAT_OPTION)
 
     option = command("verify", verify_cmd)
@@ -479,7 +476,6 @@ def _parser(prog: str) -> Tuple[argparse.ArgumentParser, Dict[str, argparse.Argu
     option("--n-min", type=int, default=3, help="first n (default: %(default)s)")
     option("--n-max", type=int, required=True, help="last n")
     option("--alpha", **ALPHA_OPTION)
-    option("--tol", **TOL_OPTION)
     option("--format", **FORMAT_OPTION)
 
     option = command("profile", profile_cmd)

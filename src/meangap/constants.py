@@ -29,11 +29,12 @@ from .means import (
 )
 from .profile import ProfileParams, Side
 from .regimes import RegimeTag, classify, locate_mu
-from .solver import UncertifiedInstance, _check_tol, search_outward
+from .solver import UncertifiedInstance, search_outward
 
 __all__ = [
     "BRACKET_SLACK",
     "EPS_HAT",
+    "EXTREMUM_TOL",
     "ExtremumCertificate",
     "InterpolationConstants",
     "augment_with_gm",
@@ -50,8 +51,11 @@ __all__ = [
 # table stay 1e-9/n away from the domain ends
 EPS_HAT = 1e-9
 
-# width of the final bracket of the extremum search, in v = log(n t/(1 - n t))
-DEFAULT_EXTREMUM_TOL = 1e-10
+# width of the final bracket of the extremum search, in v = log(n t/(1 - n t)),
+# for every certificate: a narrower one moves no constant beyond rounding,
+# and wider ones move nearly every constant inward, past the sharp value
+# (README, numerical notes)
+EXTREMUM_TOL = 1e-10
 
 # slack for the a-priori bracket cross-checks on certified constants
 BRACKET_SLACK = 1e-9
@@ -160,7 +164,6 @@ def _check_bracket(omega: float, bracket: Tuple[float, float], label: str) -> No
 def best_constants(
     n: int,
     e: ExponentPair,
-    tol: float = DEFAULT_EXTREMUM_TOL,
     guess: Optional[Tuple[Tuple[float, float], Tuple[float, float]]] = None,
 ) -> ExtremumCertificate:
     """Compute the certified extremal constants for (n, alpha = 1/r).
@@ -171,18 +174,19 @@ def best_constants(
     certified constant omega = nu/(nu-1).  The extremum is the sign change
     of f' nearest mu on the way to the side's far edge: stepped out from mu
     and narrowed by false position in v = log(n t/(1 - n t)) (t the small
-    coordinate, `profile.Side`) to a bracket of width tol.  guess, if
-    given, holds a (v, step) start for the mu search and one for the x*
+    coordinate, `profile.Side`) to a bracket of width EXTREMUM_TOL.  guess,
+    if given, holds a (v, step) start for the mu search and one for the x*
     search (`solver.search_outward`), such as the solution at a
     neighbouring n; the regime has one crossing and one extremum, so it
-    moves only where the searches start and where they stop within tol.
+    moves only where the searches start and where they stop within their
+    widths.
     A turning instance with n above 2^44 is refused before the searches.
     """
     params = ProfileParams(n=n, e=e)
-    _check_tol(tol)
     regime = classify(n, e)
     r = e.r
-    tolerances = {"nu_bracket_width": tol, "omega_abs": max(tol * tol, 1e-12)}
+    tolerances = {"nu_bracket_width": EXTREMUM_TOL,
+                  "omega_abs": max(EXTREMUM_TOL * EXTREMUM_TOL, 1e-12)}
     at_zero, at_top = _endpoint_values(n, r)
 
     shape = regime.f_shape
@@ -212,7 +216,7 @@ def best_constants(
             f"t_min = {side.t_min!r} of the {shape.nu_side} side"
         )
     res = search_outward(
-        slope, start, edge, tol=tol, f_start=f_start,
+        slope, start, edge, tol=EXTREMUM_TOL, f_start=f_start,
         guess=None if guess is None else guess[1],
     )
     t_star = side.t(res.x_star)
@@ -266,26 +270,23 @@ def _guess(certs: List[ExtremumCertificate]):
     return tuple((2.0 * b - a, abs(b - a)) for a, b in zip(certs[-2].v, last))
 
 
-def sweep_constants(
-    e: ExponentPair,
-    n_min: int,
-    n_max: int,
-    tol: float = DEFAULT_EXTREMUM_TOL,
-) -> List[ExtremumCertificate]:
+def sweep_constants(e: ExponentPair, n_min: int, n_max: int) -> List[ExtremumCertificate]:
     """best_constants for every n in [n_min, n_max] at a fixed exponent.
 
     The returned series exposes the omega sequence for monotonicity and
     convergence checks; a single-n sweep (n_min == n_max) is allowed.  A
-    refusal names the n it stopped at.  Each n starts its searches from
-    its neighbours' solutions, so its bounds may differ from those of
-    `best_constants` alone within the search widths, about 1e-14 relative.
+    refusal names the n it stopped at.  Each n runs the searches of
+    `best_constants` at their fixed widths (EXTREMUM_TOL for the
+    extremum) but starts them from its neighbours' solutions, so its
+    bounds may differ from those of `best_constants` alone within those
+    widths, about 1e-14 relative.
     """
     if not 3 <= n_min <= n_max:
         raise ValueError(f"need 3 <= n_min <= n_max, got [{n_min}, {n_max}]")
     certs = []
     for n in range(n_min, n_max + 1):
         try:
-            certs.append(best_constants(n, e, tol=tol, guess=_guess(certs)))
+            certs.append(best_constants(n, e, guess=_guess(certs)))
         except UncertifiedInstance as exc:
             raise UncertifiedInstance(f"at n = {n}: {exc}") from exc
     return certs
@@ -299,12 +300,11 @@ class InterpolationConstants:
     eta: float
 
 
-def interpolation_constants(
-    n: int, e: ExponentPair, tol: float = DEFAULT_EXTREMUM_TOL
-) -> InterpolationConstants:
+def interpolation_constants(n: int, e: ExponentPair) -> InterpolationConstants:
     """Best sandwich weights (delta, eta) for alpha > 0.
 
-    delta and eta are the certified lower and upper ratio constants; for
+    delta and eta are the lower and upper ratio constants of
+    `best_constants`, its extremum searched to EXTREMUM_TOL; for
     alpha < 0 the ratio is unbounded below, only a one-sided comparison
     exists, and the request is rejected.
     """
@@ -313,7 +313,7 @@ def interpolation_constants(
             "interpolation weights need alpha > 0; for alpha < 0 the ratio "
             "is unbounded below and only a one-sided comparison exists"
         )
-    cert = best_constants(n, e, tol=tol)
+    cert = best_constants(n, e)
     return InterpolationConstants(delta=cert.lower_bound, eta=cert.upper_bound)
 
 

@@ -91,20 +91,13 @@ def power_mean(xs: Sequence[float], alpha: float) -> float:
         raise ValueError("empty sample")
     if alpha == 0.0:
         return geometric_mean(xs)
-    n = len(xs)
-    if any(x == 0.0 for x in xs):
-        if alpha < 0.0:
-            return 0.0
-        # zero terms contribute nothing for alpha > 0
-        pos = [x for x in xs if x > 0.0]
-        if not pos:
-            return 0.0
-        m = max(pos)
-        acc = math.fsum((x / m) ** alpha for x in pos)
-        return m * (acc / n) ** (1.0 / alpha)
     m = max(xs) if alpha > 0.0 else min(xs)
+    if m == 0.0:
+        # a zero coordinate at alpha < 0, or every coordinate zero
+        return 0.0
+    # for alpha > 0 a zero coordinate adds an exact 0 to the sum
     acc = math.fsum((x / m) ** alpha for x in xs)
-    return m * (acc / n) ** (1.0 / alpha)
+    return m * (acc / len(xs)) ** (1.0 / alpha)
 
 
 def _is_constant(xs: Sequence[float]) -> bool:

@@ -1,6 +1,6 @@
 import io
 import os
-from contextlib import redirect_stderr, redirect_stdout
+from contextlib import nullcontext, redirect_stderr, redirect_stdout
 from dataclasses import dataclass
 from typing import Optional
 from unittest.mock import patch
@@ -40,8 +40,10 @@ class Runner:
         call, `env` set in the environment."""
         out, err = io.StringIO(), io.StringIO()
         code, exception = 0, None
-        with patch.dict(os.environ, env or {}), redirect_stdout(out), \
-                redirect_stderr(err):
+        # patch.dict restores the whole environment on exit, which costs
+        # more than a certificate: it is entered only with an env to set
+        environ = patch.dict(os.environ, env) if env else nullcontext()
+        with environ, redirect_stdout(out), redirect_stderr(err):
             try:
                 main(args)
             except SystemExit as exc:

@@ -5,6 +5,7 @@ import csv
 import io
 import json
 import math
+import random
 import re
 import sys
 import warnings
@@ -194,8 +195,6 @@ OPTION_HELP = {
     "constants": {
         "--n": ("tuple length, n >= 3", None),
         "--alpha": ("mean order, decimal or p/q fraction", None),
-        "--tol": ("bracket width of the interior extremum search, "
-                  "in log(n t/(1 - n t))", "1e-10"),
         "--format": ("output format", "json"),
     },
     "verify": {
@@ -211,7 +210,6 @@ OPTION_HELP = {
         "--n-min": (None, "3"),
         "--n-max": (None, None),
         "--alpha": ("mean order, decimal or p/q fraction", None),
-        "--tol": (None, "1e-10"),
         "--format": ("output format", "json"),
     },
     "profile": {
@@ -269,15 +267,29 @@ class TestParseSurface:
         assert result.exit_code == 2
         assert result.stdout == ""
         assert result.stderr == (
-            "usage: meangap constants [--help] --n N --alpha ALPHA [--tol TOL]\n"
-            "                         [--format {json,csv}]\n"
+            "usage: meangap constants [--help] --n N --alpha ALPHA [--format {json,csv}]\n"
             "meangap constants: error: the following arguments are required: --n\n")
 
+    @pytest.mark.parametrize("args", [
+        ["constants", "--n", "4", "--alpha", "2"],
+        ["sweep", "--n-max", "5", "--alpha", "2"],
+    ], ids=["constants", "sweep"])
+    def test_search_width_is_not_an_option(self, runner, args):
+        # the extremum search has one width, constants.EXTREMUM_TOL: a wider
+        # one moved certified bounds past the sharp constant
+        result = runner.invoke(main, args + ["--tol", "1e-10"], env=self.WIDTH)
+        assert result.exit_code == 2
+        assert result.stdout == ""
+        assert result.stderr == (
+            "usage: meangap [--help] [--version]\n"
+            "               {constants,verify,sweep,profile,reduce3} ...\n"
+            "meangap: error: unrecognized arguments: --tol 1e-10\n")
+
     @pytest.mark.parametrize("args,usage,cause", [
-        (["constants", "--n", "4", "--alpha", "2", "--tol", "0"],
-         "usage: meangap constants [--help] --n N --alpha ALPHA [--tol TOL]\n"
-         "                         [--format {json,csv}]\n",
-         "tol must be positive and finite, got 0.0"),
+        (["constants", "--n", "2", "--alpha", "2"],
+         "usage: meangap constants [--help] --n N --alpha ALPHA [--format {json,csv}]\n",
+         "n = 2 is governed by a different sharp description and is not "
+         "covered here; use n >= 3"),
         (["verify", "--n", "4", "--alpha", "2", "--samples", "10"],
          "usage: meangap verify [--help] --n N --alpha ALPHA [--samples SAMPLES]\n"
          "                      [--seed SEED] [--workers WORKERS] [--grid GRID]\n"
@@ -285,7 +297,7 @@ class TestParseSurface:
          "samples must number between 10000 and 1e8"),
         (["sweep", "--n-max", "200000", "--alpha", "2"],
          "usage: meangap sweep [--help] [--n-min N_MIN] --n-max N_MAX --alpha ALPHA\n"
-         "                     [--tol TOL] [--format {json,csv}]\n",
+         "                     [--format {json,csv}]\n",
          "a sweep takes at most 100000 values of n; got 3..200000"),
         (["profile", "--n", "4", "--alpha", "2", "--which", "g,g"],
          "usage: meangap profile [--help] --n N --alpha ALPHA [--points POINTS]\n"
@@ -347,21 +359,6 @@ class TestConstantsCommand:
         assert payload["lower_bound"] == "1.25"
         assert payload["upper_bound"] == "5"
 
-    @pytest.mark.parametrize("cmd", [
-        ["constants", "--n", "4", "--alpha", "2"],
-        ["sweep", "--n-max", "5", "--alpha", "2"],
-        # monotone regimes, which call no solver
-        ["constants", "--n", "5", "--alpha", "1/2"],
-        ["sweep", "--n-max", "5", "--alpha", "1/2"],
-    ])
-    @pytest.mark.parametrize("tol", ["inf", "nan", "0"])
-    def test_non_finite_tol_is_usage_error(self, runner, cmd, tol):
-        # --tol inf printed a lower bound of 0.5 against the sharp 0.4385,
-        # and --tol nan a bracket width "nan" on a monotone instance
-        result = runner.invoke(main, cmd + ["--tol", tol])
-        assert result.exit_code == 2
-        assert "tol must be positive and finite" in result.output
-
     def test_usage_error_for_small_n(self, runner):
         result = runner.invoke(main, ["constants", "--n", "2", "--alpha", "2"])
         assert result.exit_code == 2
@@ -418,6 +415,53 @@ class TestConstantsCommand:
             assert isinstance(result.exception, (SystemExit, type(None))), k
             if k > 44 and result.exit_code == 3:
                 assert "exceeds 2^44" in result.output, k
+
+    # each cause of a refusal, its exit code and how many of the random
+    # map's draws it refuses; "certified" counts the exit-0 draws
+    REFUSAL_MAP = {
+        "certified": (0, 1623),
+        "exceeds 2^44": (3, 670),
+        "f' has the same sign": (3, 181),
+        "no W = 1 crossing found": (3, 259),
+        "crossing lies at the far edge": (3, 0),
+        "rounds to the center": (3, 0),
+        "overflows a double": (2, 250),
+        "cannot use exponent": (2, 17),
+    }
+
+    @staticmethod
+    def _draw(rng):
+        # n log-uniform on [3, 2^62]; alpha 45% +-e^U(ln 1e-4, ln 1e3),
+        # 30% p/q with |p| <= 40 and 1 <= q <= 40, 25% U(-3, 3)
+        n = round(math.exp(rng.uniform(math.log(3), math.log(2**62))))
+        u = rng.random()
+        if u < 0.45:
+            sign = rng.choice((-1.0, 1.0))
+            alpha = repr(sign * math.exp(rng.uniform(math.log(1e-4), math.log(1e3))))
+        elif u < 0.75:
+            alpha = f"{rng.randint(-40, 40)}/{rng.randint(1, 40)}"
+        else:
+            alpha = repr(rng.uniform(-3.0, 3.0))
+        return ["constants", "--n", str(n), "--alpha", alpha]
+
+    def test_random_map_refuses_for_known_causes(self, runner):
+        # 3000 seeded draws over the whole accepted input: each certifies
+        # or is refused, without a traceback, for exactly one known cause
+        # with that cause's exit code.  A change that certifies more (or
+        # fewer) instances moves the counts
+        rng = random.Random(5)
+        counts = dict.fromkeys(self.REFUSAL_MAP, 0)
+        for _ in range(3000):
+            args = self._draw(rng)
+            result = runner.invoke(main, args)
+            if result.exit_code == 0:
+                counts["certified"] += 1
+                continue
+            causes = [c for c in self.REFUSAL_MAP if c in result.stderr]
+            assert len(causes) == 1, (args, result.stderr)
+            assert result.exit_code == self.REFUSAL_MAP[causes[0]][0], (args, result.stderr)
+            counts[causes[0]] += 1
+        assert counts == {cause: count for cause, (_, count) in self.REFUSAL_MAP.items()}
 
     @pytest.mark.parametrize("args", [
         ["constants", "--n", "4", "--alpha", "3/4"],  # empty extremum bracket

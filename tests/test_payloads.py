@@ -1,4 +1,4 @@
-"""The benchmark's `tabulate`, `sweep` and `verify` operations print frozen bytes.
+"""The benchmark's operations print frozen bytes.
 
 FROZEN holds the sha256 of the stdout of every `tabulate` and `sweep`
 operation at the benchmark's seeds 1 and 2 (`bench/workloads.py`), in
@@ -9,6 +9,11 @@ its curve was evaluated as columns, that of `sweep` before tables were
 written as columns, the `verify` JSON before the grid ran in place), so
 a change to the writer, the row layout, a profile kernel, the curve or
 the grid scan that moves any byte shows here.
+
+CERTIFY_PASSES holds one sha256 per seed and format over a whole pass
+of the `certify` workload: each `constants` operation's masked stdout
+and exit code, in pass order.  They were taken while the extremum
+search width was still a `--tol` option, at its default.
 """
 
 import hashlib
@@ -117,14 +122,26 @@ FROZEN = {
         "57689d0eda35fdfb2d7292693b2a013ebd83a1d0584a6c4a5aee961af1c60a1c",
 }
 
+CERTIFY_PASSES = {
+    (1, "json"): "6f4aa5c430c13be4af126022f77815a97ee9ae2b74a4d2607f32ab5155d9d11d",
+    (1, "csv"): "c4f9c3150ca2d61d6f91a8b78fef35bb3c67d7e6f8777d1d18218dcc1dd0b3be",
+    (2, "json"): "9bf68e48bb80d6e32c1b496395378be9f19f51be5d0c044eadca9319a0dad8da",
+    (2, "csv"): "b74f4704b614bc17a3e6002a7c7f337d49178a8f4323dff4d5e27b88375cd842",
+}
+
 _ELAPSED = re.compile(r'"elapsed_s": "[^"]*"')
 
 
-def test_frozen_operations_are_the_benchmarks():
+def _workloads():
     spec = importlib.util.spec_from_file_location(
         "workloads", ROOT / "bench" / "workloads.py")
     workloads = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(workloads)
+    return workloads
+
+
+def test_frozen_operations_are_the_benchmarks():
+    workloads = _workloads()
     ops = set()
     for seed in (1, 2):
         for args in workloads.tabulate(seed) + workloads.sweep(seed):
@@ -133,6 +150,9 @@ def test_frozen_operations_are_the_benchmarks():
     for args in workloads.verify(1):
         ops.add(" ".join(args + ["--format", "json"]))
     assert ops == set(FROZEN)
+    # the certify passes at the same seeds, in both formats
+    assert set(CERTIFY_PASSES) == {(seed, fmt) for seed in (1, 2)
+                                   for fmt in ("json", "csv")}
 
 
 @pytest.mark.parametrize("op", sorted(FROZEN))
@@ -141,3 +161,13 @@ def test_operation_prints_frozen_bytes(runner, op):
     assert result.exit_code == 0, result.output
     masked = _ELAPSED.sub('"elapsed_s": "X"', result.output)
     assert hashlib.sha256(masked.encode()).hexdigest() == FROZEN[op]
+
+
+@pytest.mark.parametrize("seed,fmt", sorted(CERTIFY_PASSES))
+def test_certify_pass_prints_frozen_bytes(runner, seed, fmt):
+    digest = hashlib.sha256()
+    for args in _workloads().certify(seed):
+        result = runner.invoke(main, args + ["--format", fmt])
+        digest.update(_ELAPSED.sub('"elapsed_s": "X"', result.stdout).encode())
+        digest.update(f"exit {result.exit_code}\n".encode())
+    assert digest.hexdigest() == CERTIFY_PASSES[seed, fmt]
