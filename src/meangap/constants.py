@@ -173,7 +173,7 @@ def best_constants(
     interior extremum nu of the profile on the regime's side, and the
     certified constant omega = nu/(nu-1).  The extremum is the sign change
     of f' nearest mu on the way to the side's far edge: stepped out from mu
-    and narrowed by false position in v = log(n t/(1 - n t)) (t the small
+    and narrowed by Brent-Dekker steps in v = log(n t/(1 - n t)) (t the small
     coordinate, `profile.Side`) to a bracket of width EXTREMUM_TOL.  guess,
     if given, holds a (v, step) start for the mu search and one for the x*
     search (`solver.search_outward`), such as the solution at a

@@ -83,8 +83,8 @@ def _quarter_kappa(t: float, sum_c: float, prod_c: float) -> float:
 
 
 def _inner_end(res: SolveResult, inward: float) -> float:
-    # the end of the final bracket on the curve, where kappa >= 0: the last
-    # probe, or the bracket's other end, a width away toward the curve
+    # the end of the final bracket on the curve, where kappa >= 0: the end
+    # returned, or the bracket's other end, a width away toward the curve
     return res.x_star if res.value >= 0.0 else res.x_star + inward * res.residual_or_width
 
 
@@ -160,8 +160,12 @@ def _curve(t: np.ndarray, cp: CurveParams):
         disc[neg] = 0.0
     z = 0.5 * (d + np.sqrt(disc))
     # x*z = prod_c/t exactly on the curve; dividing avoids the subtractive
-    # cancellation near the x = z corner
-    return prod_c / (t * z), z
+    # cancellation near the x = z corner.  At the ends of the interval y = t
+    # merges with x (t_lo) or z (t_hi): the pair is t there and the third
+    # coordinate prod_c/t^2, which rounding keeps in the order x <= y <= z
+    x, end = prod_c / (t * z), prod_c / t / t
+    lo, hi = t == cp.t_lo, t == cp.t_hi
+    return np.where(lo, t, np.where(hi, end, x)), np.where(hi, t, np.where(lo, end, z))
 
 
 def _powers(t, x, z, r: float):

@@ -123,16 +123,18 @@ def locate_mu(side: Side, guess: Optional[Tuple[float, float]] = None) -> Critic
     """Locate the W = 1 crossing on the side of a turning regime's extremum.
 
     Searches in the coordinate v = log(n t/(1 - n t)) of the side's small
-    coordinate t: steps outward from t = (1 - 1e-6)/n toward the side's
-    far edge t_min, where W has a known limit, until W - 1 changes sign,
-    then narrows the step by false position to a width of _MU_TOL in v
-    (`solver.search_outward`).  A crossing within that width of t_min, or
-    where W rounds to 1 out to t_min, is refused, as it leaves no room for
-    the extremum beyond it; so is a side whose t_min rounds to the center
-    1/n, as it does past |alpha| of about 3e18.  A guess (v, step), such
-    as the crossing at a neighbouring n, is probed first and the steps
-    start from it (`search_outward`); it changes where the search starts,
-    not the crossing it finds.
+    coordinate t, from t = (1 - 1e-6)/n out to the side's far edge t_min,
+    where W has a known limit.  After the sign of W - 1 at that start, it
+    probes the middle of the side, n t = 1/2 (v = 0), first where that lies
+    inside, and steps on from there by 1, 2, 4, ... in v toward t_min, or
+    back toward the start where W - 1 has changed sign by then; it narrows
+    the last step to a width of _MU_TOL in v (`solver.search_outward`).  A guess (v, step), such as the
+    crossing at a neighbouring n, is probed and stepped from instead of the
+    middle; the start changes where the search goes, not the crossing it
+    finds.  A crossing within _MU_TOL of t_min, or where W rounds to 1 out
+    to t_min, is refused, as it leaves no room for the extremum beyond it;
+    so is a side whose t_min rounds to the center 1/n, as it does past
+    |alpha| of about 3e18.
     """
     t_end = side.t_min
     if side.params.n * t_end == 1.0:
@@ -145,7 +147,8 @@ def locate_mu(side: Side, guess: Optional[Tuple[float, float]] = None) -> Critic
     start = max(math.log((1.0 - MU_OFFSET) / MU_OFFSET), edge)
     try:
         result = search_outward(
-            lambda v: side.W(side.t(v)) - 1.0, start, edge, tol=_MU_TOL, guess=guess
+            lambda v: side.W(side.t(v)) - 1.0, start, edge, tol=_MU_TOL,
+            guess=(0.0, 1.0) if guess is None else guess,
         )
     except BracketError:
         raise BracketError(

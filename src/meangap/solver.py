@@ -1,14 +1,15 @@
-"""Deterministic scalar solver: safeguarded false position on a sign change.
+"""Deterministic scalar solver: Brent-Dekker narrowing of a sign change.
 
 The routines are derivative free and use only fixed arithmetic on the
 bracket, so repeated runs are bit identical.  `find_root` refines a
-bracket that already isolates the sign change by Illinois false position
-(Dowell & Jarratt, BIT 1971), which falls back to bisection wherever the
-secant step cannot be trusted; `search_outward` first finds such a
-bracket by stepping away from a start point.  Every 1-d search of the
-package runs through them: the W = 1 crossing mu and the extremum x* as
-the sign change of f', both stepped out from the center side, and the
-ends of the fixed sum-and-product curve.
+bracket that already isolates the sign change by Brent-Dekker narrowing
+(zeroin; R. P. Brent, Algorithms for Minimization without Derivatives,
+1973): inverse quadratic or secant steps, and bisection wherever those
+cannot be trusted; `search_outward` first finds such a bracket by
+stepping away from a start point.  Every 1-d search of the package runs
+through them: the W = 1 crossing mu and the extremum x* as the sign
+change of f', both stepped out on the extremum's side of the center, and
+the ends of the fixed sum-and-product curve.
 """
 
 from __future__ import annotations
@@ -29,10 +30,6 @@ __all__ = [
 
 DEFAULT_ROOT_TOL = 1e-11
 MAX_ITERATIONS = 200
-
-# false-position steps in a row that may leave the bracket more than half
-# as wide as before them; the next step bisects
-_SECANT_STEPS = 3
 
 
 class UncertifiedInstance(Exception):
@@ -78,13 +75,14 @@ def find_root(
     tol: float = DEFAULT_ROOT_TOL,
     max_iter: int = MAX_ITERATIONS,
 ) -> SolveResult:
-    """Root of objective on the bracket, by safeguarded Illinois false position.
+    """Root of objective on the bracket, by Brent-Dekker narrowing.
 
     Requires a sign change across the bracket; endpoint function values may
     be +-inf, only their sign is used.  Narrows the bracket until its width
     drops to tol, an exact zero is hit, or no double is left between the
-    bracket's ends, and returns the last probe, one end of the final
-    bracket, with its value.
+    bracket's ends, and returns the end of the final bracket with the
+    smaller |objective|, with its value and the bracket's width: the other
+    end is x_star plus or minus that width.
     """
     _check_tol(tol)
     lo, hi = bracket.lo, bracket.hi
@@ -156,46 +154,52 @@ def search_outward(
 
 
 def _refine(objective, lo, hi, flo, fhi, tol, max_iter, probes) -> SolveResult:
-    # Illinois false position on [lo, hi], flo and fhi of opposite signs and
-    # nonzero.  The secant runs on copies of the end values, of which the
-    # one kept twice in a row is halved.  A step within tol of an end moves
-    # to tol past it, so the bracket closes to a width <= tol; where such a
-    # step leaves it wider, the secant is off, and the next step bisects, as
-    # it does after a non-finite end value, a secant outside the bracket, or
-    # _SECANT_STEPS steps that did not halve the bracket.
-    neg_lo = flo < 0.0
-    slo, shi, kept = flo, fhi, 0
-    width, steps = hi - lo, 0
-    x, fx = (lo, flo) if abs(flo) < abs(fhi) else (hi, fhi)
-    for it in range(1, max_iter + 1):
-        if hi - lo <= tol:
-            return SolveResult(x, fx, hi - lo, probes + it - 1)
-        mid, moved = 0.5 * (lo + hi), False
-        if steps < _SECANT_STEPS and math.isfinite(slo) and math.isfinite(shi):
-            sec = hi - shi * ((hi - lo) / (shi - slo))
-            inner = min(max(sec, lo + tol), hi - tol)
-            if lo < inner < hi:
-                mid, moved = inner, inner != sec
-        if not lo < mid < hi:
-            return SolveResult(x, fx, hi - lo, probes + it - 1)
-        x, fx = mid, objective(mid)
-        if fx == 0.0:
-            return SolveResult(x, 0.0, hi - lo, probes + it)
-        steps = _SECANT_STEPS if moved else steps + 1
-        if (fx < 0.0) == neg_lo:
-            lo, slo = x, fx
-            if kept == 1:
-                shi *= 0.5
-            kept = 1
+    # Brent-Dekker narrowing (zeroin; Brent 1973) of [lo, hi], flo and fhi
+    # of opposite signs and nonzero.  b is the end with the smaller |f|, c
+    # the other end and a the b before.  The step is inverse quadratic
+    # through a, b and c, or the secant of b and c where a is c; it bisects
+    # where that step leaves the near three quarters of the bracket or is
+    # not half the step before last, and after a non-finite end value.  A
+    # step below tol/2 moves tol/2 toward c, or to the next double where
+    # that rounds onto b, so the bracket closes to a width <= tol or to
+    # adjacent doubles.
+    a, fa, b, fb = lo, flo, hi, fhi
+    c, fc, half = a, fa, 0.5 * tol
+    d = e = b - a
+    for it in range(max_iter + 1):
+        if abs(fc) < abs(fb):
+            a, b, c, fa, fb, fc = b, c, b, fb, fc, fb
+        width = abs(c - b)
+        if width <= tol or fb == 0.0:
+            return SolveResult(b, fb, width, probes + it)
+        if it == max_iter:
+            break
+        xm = 0.5 * (c - b)
+        if abs(e) >= half and abs(fa) > abs(fb) and math.isfinite(fa) and math.isfinite(fc):
+            s = fb / fa
+            if a == c:
+                p, q = 2.0 * xm * s, 1.0 - s
+            else:
+                q, r = fa / fc, fb / fc
+                p = s * (2.0 * xm * q * (q - r) - (b - a) * (r - 1.0))
+                q = (q - 1.0) * (r - 1.0) * (s - 1.0)
+            p, q = (p, -q) if p > 0.0 else (-p, q)
+            if 2.0 * p < min(3.0 * xm * q - abs(half * q), abs(e * q)):
+                e, d = d, p / q
+            else:
+                e = d = xm
         else:
-            hi, shi = x, fx
-            if kept == -1:
-                slo *= 0.5
-            kept = -1
-        if hi - lo <= 0.5 * width:
-            width, steps = hi - lo, 0
-    if hi - lo <= tol:
-        return SolveResult(x, fx, hi - lo, probes + max_iter)
+            e = d = xm
+        a, fa = b, fb
+        x = b + (d if abs(d) > half else math.copysign(half, xm))
+        if x == b or x == c:
+            x = math.nextafter(b, c)
+            if x == c:
+                return SolveResult(b, fb, width, probes + it)
+        b, fb = x, objective(x)
+        if (fb > 0.0) == (fc > 0.0):
+            c, fc = a, fa
+            d = e = b - a
     raise MaxIterationsError(
-        f"false position did not reach width {tol} in {max_iter} iterations"
+        f"Brent-Dekker narrowing did not reach width {tol} in {max_iter} iterations"
     )

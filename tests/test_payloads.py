@@ -12,8 +12,12 @@ the grid scan that moves any byte shows here.
 
 CERTIFY_PASSES holds one sha256 per seed and format over a whole pass
 of the `certify` workload: each `constants` operation's masked stdout
-and exit code, in pass order.  They were taken while the extremum
-search width was still a `--tol` option, at its default.
+and exit code, in pass order.
+
+The `reduce3`, `sweep` and `verify` hashes and both certify passes were
+taken again when the 1-d searches moved from Illinois false position to
+Brent-Dekker narrowing, which moves the last digits of every searched
+value, and the curve's ends were made to merge their two coordinates.
 """
 
 import hashlib
@@ -55,63 +59,63 @@ FROZEN = {
         "22ca9540d90e841597818c8e9e4be8ca813b73e84c5ce546e8f50a928321b573",
     # seed 1
     "reduce3 --sum 83.2966 --prod 1112.99 --r 2 --format json":
-        "dccc3d98b7e19fe5914bcab8f15dc990646cb0862be0241c1d1147e1261fa264",
+        "dec0ddb1431da7b4eef52288d3257aec2b2105708d9b3116ceef2bd0cf0cac04",
     "reduce3 --sum 32.5259 --prod 473.643 --r 0.5 --format json":
-        "b398e6337ee84f3b1750938af64f74581c4a83437baa2d53edda4bdf2831445c",
+        "548d02127017a5a8a6905214f5233a617b21c9f2b55cb70f1b85a229375a6e4e",
     "reduce3 --sum 1.0385 --prod 0.0258408 --r -1 --format json":
-        "d07566ef0234780e376a8026af78356cfe98397feb1b2f7e4d9b822ad16369ed",
+        "3d26f04269a5266d300897adcf7c1e09710eb6ff4c247383da6fd450a862305e",
     "reduce3 --sum 83.2966 --prod 1112.99 --r 2 --format csv":
-        "48aea52d20596c07d2062570caeee82bac7f7d52ff8399d689c0ddc39cb98c38",
+        "b7f4643c5ba4ac61b27cbd5efd5bd3a6bd8719dc0d3e6be8ac49ee65fc009ba0",
     "reduce3 --sum 32.5259 --prod 473.643 --r 0.5 --format csv":
-        "2814ceec0a0b7047f47943bd76d935352cb28e8d06ca610e7d6711603cf2a398",
+        "58a79815a7e942b6aea22293051754d10c8df900bcc43332f976cc50b9abc8a2",
     "reduce3 --sum 1.0385 --prod 0.0258408 --r -1 --format csv":
-        "7a5e9f653ad6c7cfbd2c385500cb35ddc4a7be4c5fae47d55120423375c68978",
+        "10bb6fe02dd951050839f65cf1b22a313da203b292704eb7bc98832ca720c48d",
     "sweep --n-max 40 --alpha 2 --format json":
-        "aad853b6c7561b7ff9ac8976684513ed62d0d403f0cebb22e44265b1de296f6c",
+        "ed1b7642e110502b17439dbe60d43554ad778f7f57bff4305b6bf5a515d62c8d",
     "sweep --n-max 40 --alpha -1 --format json":
-        "d4cc771a616b05a0fe517170a6130e8e4b5037ce1c1bbda90877702459f96385",
+        "0e8abd1071d95c3596bd3b2bda70322310b2e8c954ae147befa90afe2e648305",
     "sweep --n-max 40 --alpha 2.88201 --format json":
-        "abcfcb00def83a618142880d915ff236c5e92160379fd80252d63581122198c7",
+        "b467de9ff6ed0720713fbe2df6a66b1c5ce56111fe7a70707bf326e4cb4991c1",
     "sweep --n-max 40 --alpha -2.20435 --format json":
-        "c301921675e7b48f4027b22ef774da08683ff86e96ffcae67421b3527be5bd17",
+        "5f57fb37961a3e92ec5ec745c6762abbfe0845c0443e4d9f09e58b76b1682a2b",
     "sweep --n-max 40 --alpha 2 --format csv":
-        "c6691b57f97ce947afab63cd5af55cd2b91ecc8a389d8d7e14ee58d63dc2cb4d",
+        "6bbe6524a19b2223b5fed0b87311eda031d01c2daaaf548fb3773fdd9f299179",
     "sweep --n-max 40 --alpha -1 --format csv":
-        "7849ace33ee0ef881a3bde191a3f08022e7de162308f21c49358cc4e581e666c",
+        "1abc5980adbe9f59f278b8bf8e3b054e84e3052df20aaff560e3ee76889c6fcf",
     "sweep --n-max 40 --alpha 2.88201 --format csv":
-        "a652f59846387a3e59090ee9c820f10a57ab594180116caa8f0d6f31e3cf82b7",
+        "6d6adf318da9e8ec443d230ab48f841488cb801567aa1f0201c40a9de94b1349",
     "sweep --n-max 40 --alpha -2.20435 --format csv":
-        "1dbc1ed4180e6db9d0274a69d6085505e1c63d08ca1df4d568e348f2a699b963",
+        "8852327eecbebcb8e08e2468d6efe6ecbeeee21818253d64a03916b29f9d281b",
     # seed 2
     "reduce3 --sum 73.364 --prod 1195.85 --r 2 --format json":
-        "b97cb798daed0c77a3f1618b16f9a44c2a71b9f172c221a6a4df6411034e48ba",
+        "c6785476a93a33a3493644cf951a5df27dcced119c53ac392be95ba40d7010f4",
     "reduce3 --sum 9.13646 --prod 2.70958 --r 0.5 --format json":
-        "68b3d84cce830eb83a6ad9abac66ff18b361ce00afa56505058a2c7eee501617",
+        "8ea0637eda0ea6025983b81063d2d778424740fca05d33a4590a5be59dc5309a",
     "reduce3 --sum 82.0926 --prod 15368.8 --r -1 --format json":
-        "697932f2a5b78f787f80b950b9e09fb4d99f246b6054634854fd331d7dc10517",
+        "49be3470b16d8bb9552a9d730868e3780204d5050fbbaef69987cb0afcb60d2e",
     "reduce3 --sum 73.364 --prod 1195.85 --r 2 --format csv":
-        "9c9e26838c1c596e10807e9c66c833e6a1795e3fba0d2d65f0f84aada15a1658",
+        "440f0bfc6d69383db45096d2954e0de43b519442e668ee4311bd78e798c7bdb0",
     "reduce3 --sum 9.13646 --prod 2.70958 --r 0.5 --format csv":
-        "9c62872cc177c7df032e16c27c53d9582125078ebf9f6260f1c3858e1dcb594b",
+        "13fb89a8ffa37ff1cb692ef1afa752b3df8ba5dd4f764239189f1cdf184534b0",
     "reduce3 --sum 82.0926 --prod 15368.8 --r -1 --format csv":
-        "ead8874222ff0bd92d6b762e300b8abc1cafd698efaafe6820e68dcd8a7a3e0f",
+        "e3345981475de276585cef2bfcb819957e789f199397b91b498bf610b2d7dd0f",
     "sweep --n-max 40 --alpha 3.42431 --format json":
-        "4145aa0ab0b4ee71464359174b1bbbdccfef7d1ee19e623f2d27afd24e5d4fd6",
+        "41527db92e470d0bff932664e7c6f5b11ea76917a03a02e2e9cd4bebf04ecb5c",
     "sweep --n-max 40 --alpha -2.64118 --format json":
-        "75073388e55bd59dbf43291572c7936b4e04b47b6c2daa0a59b477f3b2c0b0f8",
+        "d57b46f941c179106c61d8c85ae6b83f7cdde71de76364ce5d73e64b5c7a5e43",
     "sweep --n-max 40 --alpha 3.42431 --format csv":
-        "70394dfafa6984199c076158f962a7e7e5d0ba3db64948cb183f485889733cf1",
+        "8394c8d8bb8b7f40834271a4baa28398b27d9795b3fca06d5842377220187fb4",
     "sweep --n-max 40 --alpha -2.64118 --format csv":
-        "f165b0a62c658e2994cce839635e43d452401b80599bbd0a24cd97dda5aa0f2d",
+        "e60aaf96f304175013e9c56174003c72f7375e6dd81937c4419bb0c5737f295c",
     # verify, seed 1
     "verify --n 5 --alpha -1.84313 --workers 1 --format json":
-        "964c775ab039fd6f755454e2b362b9abeb0bced3e646225ee823124ba03e63df",
+        "11d2754a26970f13662f6859e47347b5231851d094ec0e44947d423a4c9f4b88",
     "verify --n 10 --alpha 32/5 --workers 1 --format json":
-        "a995fea44bd5c4ef7b5d036e841f5bcd7d5b90f48172a449f63c6c440dd97c40",
+        "a02269701d43c73bd9b7d91a8697cfdd1fac77f5567c4edcc63fa0dc04ad297d",
     "verify --n 3 --alpha 0.890063 --workers 1 --format json":
-        "da5c192a028d0ba7ac58b768fa48d2760b5e25ce7ad5f20f5dfef4c6a4bb2011",
+        "dc41407b6ab7d19fd8df4a42aa7826d25bfef9c16da2ea44589c44ce9b7eeb6a",
     "verify --n 4 --alpha 1/10 --workers 1 --format json":
-        "8aa7bbc32b15f8720a6de9599ccfac3017028d2a89faa9d16883ec9dab8e5baa",
+        "915a44ac37ddbf63dfabe27985479910ce8710509882e02d0cb69db705eedccc",
     "verify --n 20 --alpha 4/5 --workers 1 --format json":
         "22b7668b165564712e242b6fdc8e8a1c179c056d7235591bf0956509136688d8",
     "verify --n 25 --alpha 0.24436 --workers 1 --format json":
@@ -123,10 +127,10 @@ FROZEN = {
 }
 
 CERTIFY_PASSES = {
-    (1, "json"): "6f4aa5c430c13be4af126022f77815a97ee9ae2b74a4d2607f32ab5155d9d11d",
-    (1, "csv"): "c4f9c3150ca2d61d6f91a8b78fef35bb3c67d7e6f8777d1d18218dcc1dd0b3be",
-    (2, "json"): "9bf68e48bb80d6e32c1b496395378be9f19f51be5d0c044eadca9319a0dad8da",
-    (2, "csv"): "b74f4704b614bc17a3e6002a7c7f337d49178a8f4323dff4d5e27b88375cd842",
+    (1, "json"): "5883cf4beb6874baccef6298a6228089aea84a091e4849b24e81dd4503cc4b53",
+    (1, "csv"): "7aa50e1a1ed48179ede081c40b80517854ef5d28a528f76dc7477cda64b1816d",
+    (2, "json"): "c58b786d54838c2a27f7b045ead865762ac27c95b2157c318d3ebc4acde74ef8",
+    (2, "csv"): "4532c0bcd64b171aafb689e74e3122eada0f676ede444cdc85e184f3e01e2561",
 }
 
 _ELAPSED = re.compile(r'"elapsed_s": "[^"]*"')

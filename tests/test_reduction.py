@@ -2,6 +2,7 @@
 quotient limits."""
 
 import math
+import random
 import re
 
 import numpy as np
@@ -113,6 +114,18 @@ class TestCurvePoint:
         for t in np.linspace(cp.t_lo, cp.t_hi, 23):
             pt = curve_point(float(t), cp)
             assert 0.0 < pt.x <= pt.y <= pt.z
+
+    def test_ends_are_ordered(self):
+        # at t_lo x merges with y = t and at t_hi z does: rounding of the
+        # curve's formulas put 370 of these 4000 ends out of order
+        rng = random.Random(11)
+        for _ in range(2000):
+            sum_c = math.exp(rng.uniform(math.log(1e-3), math.log(1e6)))
+            prod_c = sum_c**3 / 27.0 * rng.uniform(1e-6, 0.999)
+            cp = curve_params(sum_c, prod_c)
+            lo, hi = curve_point(cp.t_lo, cp), curve_point(cp.t_hi, cp)
+            assert 0.0 < lo.x == lo.y <= lo.z, (sum_c, prod_c)
+            assert 0.0 < hi.x <= hi.y == hi.z, (sum_c, prod_c)
 
     def test_endpoints_merge_coordinates(self):
         cp = curve_params(6.0, 6.0)
@@ -242,9 +255,10 @@ class TestCurveTable:
 
     def test_crossed_coordinates_merge(self):
         # x = z rounded equal here, which h_prime divided by as 0.0 and
-        # raised ZeroDivisionError
+        # raised ZeroDivisionError.  The points between the ends move with
+        # the root search: this is one where they still round equal
         cp = curve_params(2.9463098016715475e89, 9.472649486047106e266)
-        t = np.linspace(cp.t_lo, cp.t_hi, 57)[48].item()
+        t = np.linspace(cp.t_lo, cp.t_hi, 57)[29].item()
         pt = curve_point(t, cp)
         assert pt.x == pt.z != pt.y
         with pytest.raises(ValueError, match="coordinates merge"):

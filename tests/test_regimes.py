@@ -1,5 +1,7 @@
 """Regime classification and the W = 1 crossing locator."""
 
+import math
+
 import pytest
 
 from meangap.means import ExponentPair
@@ -143,6 +145,18 @@ class TestLocateMu:
         for shift, step in ((-3.0, 0.5), (3.0, 0.5), (1e-3, 1e-4), (-1e-3, 1e-4)):
             cp = locate_mu(side, guess=(v_mu + shift, step))
             assert cp.mu == pytest.approx(self.FROZEN[(n, r)], abs=1e-12)
+
+    @pytest.mark.parametrize("n,r", sorted(FROZEN))
+    def test_first_probe_past_the_start_is_mid_side(self, monkeypatch, n, r):
+        # with no guess the search probes n t = 1/2 after its start
+        side = turning_side(n, r)
+        probes = []
+        W = Side.W
+        monkeypatch.setattr(Side, "W", lambda self, t: probes.append(t) or W(self, t))
+        cp = locate_mu(side)
+        assert probes[0] == side.t(math.log((1.0 - MU_OFFSET) / MU_OFFSET))
+        assert probes[1] == 0.5 / n
+        assert cp.mu == pytest.approx(self.FROZEN[(n, r)], abs=1e-12)
 
     def test_mu_on_declared_side(self):
         for (n, r) in [(3, -1.0), (4, 0.5), (3, 1.4), (3, 5.0)]:

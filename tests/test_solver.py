@@ -54,6 +54,19 @@ class TestFindRoot:
         fn = lambda x: math.inf if x <= 0.25 else (x - 0.5)
         res = find_root(fn, Bracket(0.0, 0.4), tol=1e-12)
         assert res.x_star == pytest.approx(0.25, abs=1e-11)
+        # only the signs of -inf and +inf are known: the bracket halves
+        # with every probe, 20 of them from width 1 to 1e-6
+        fn = counted(lambda x: -math.inf if x < 0.3 else math.inf)
+        res = find_root(fn, Bracket(0.0, 1.0), tol=1e-6)
+        assert len(fn.probes) == 2 + 20
+        assert res.residual_or_width <= 1e-6
+        assert abs(res.x_star - 0.3) <= 1e-6
+        # a finite value at the other end: the probes bisect until both ends
+        # of the bracket are finite, then interpolate
+        fn = counted(lambda x: math.log(x) if x > 0.0 else -math.inf)
+        res = find_root(fn, Bracket(0.0, 3.0), tol=1e-13)
+        assert len(fn.probes) <= 12
+        assert res.x_star == pytest.approx(1.0, abs=1e-13)
 
     def test_no_sign_change_raises(self):
         with pytest.raises(BracketError):
@@ -77,12 +90,40 @@ class TestFindRoot:
         fn = counted(lambda x: math.expm1(50.0 * x) - 1.0)
         tol = 1e-12
         res = find_root(fn, Bracket(-20.0, 1.0), tol=tol)
-        assert len(fn.probes) <= 30
+        assert len(fn.probes) <= 17
         w = res.residual_or_width
         assert w <= tol
         # x_star is one end of the final bracket, and f is increasing
         assert fn(res.x_star - w) < 0.0 < fn(res.x_star + w)
         assert res.x_star == pytest.approx(math.log(2.0) / 50.0, abs=tol)
+
+    def test_tol_below_the_spacing_of_the_root_ends_at_adjacent_doubles(self):
+        # doubles near 40.4 are 7.1e-15 apart, and the root lies between
+        # two of them: a tol/2 step rounds onto the end it starts from, and
+        # the bracket closes to one spacing
+        fn = lambda x: (x - 40.4) + 3e-15
+        res = find_root(fn, Bracket(1.0, 100.0), tol=1e-15)
+        x, w = res.x_star, res.residual_or_width
+        other = x + w if res.value < 0.0 else x - w
+        assert math.nextafter(x, other) == other
+        assert (fn(other) > 0.0) != (res.value > 0.0)
+        assert {x, other} == {math.nextafter(40.4, 0.0), 40.4}
+
+    @pytest.mark.parametrize("fn,lo,hi", [
+        (math.cos, 1.0, 2.0),
+        (lambda x: x**3 - 2.0 * x - 5.0, 2.0, 3.0),
+        (lambda x: math.expm1(50.0 * x) - 1.0, -20.0, 1.0),
+        (lambda x: (x - 40.4) + 3e-15, 1.0, 100.0),
+    ])
+    def test_returns_the_end_with_the_smaller_value(self, fn, lo, hi):
+        res = find_root(fn, Bracket(lo, hi), tol=1e-12)
+        x, w = res.x_star, res.residual_or_width
+        assert res.value == fn(x) != 0.0
+        # the other end of the final bracket is a width away, across the
+        # sign change
+        other = [y for y in (x - w, x + w) if (fn(y) > 0.0) != (res.value > 0.0)]
+        assert len(other) == 1
+        assert abs(res.value) <= abs(fn(other[0]))
 
     def test_deterministic(self):
         fn = lambda x: math.expm1(x) - 1.0
