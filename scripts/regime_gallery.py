@@ -43,10 +43,8 @@ def main() -> None:
         regime = classify(n, e)
         cert = best_constants(n, e)
         report = monte_carlo_extremes(
-            n, e, samples=args.samples, seed=args.seed, cert=cert,
-            grid=args.grid,
-        )
-        chk = check_bounds(report, cert)
+            cert, samples=args.samples, seed=args.seed, grid=args.grid)
+        chk = check_bounds(report)
         all_ok = all_ok and chk.ok
         ge = report.grid_extreme
         print(f"n={n} r={r:g}  {regime.tag.value}")

@@ -304,8 +304,8 @@ def verify_cmd(
     _check_request(n, samples, grid, workers)
     cert = best_constants(n, e)
     report = monte_carlo_extremes(
-        n, e, samples=samples, seed=seed, cert=cert, workers=workers, grid=grid)
-    chk = check_bounds(report, cert)
+        cert, samples=samples, seed=seed, workers=workers, grid=grid)
+    chk = check_bounds(report)
     payload = {
         "ok": chk.ok,
         "certificate": cert.to_payload(),

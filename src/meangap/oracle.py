@@ -5,12 +5,13 @@ Two complementary oracles:
 * ``grid_scan_two_value`` sweeps the two-value ratio on a dense grid,
   log-spaced in the small coordinate of each side (plus the exact ends
   for r > 0), and reports the extreme ratios found, which
-  ``check_bounds`` compares against a certificate.
+  ``check_bounds(report)`` compares against the report's certificate.
 
-* ``monte_carlo_extremes`` throws uniformly distributed simplex tuples,
-  plus deliberate boundary probes, at the raw n-variable ratio and
-  counts bound violations.  Samples and probes alike go through one
-  normalized row kernel, ``_ratio_rows``.
+* ``monte_carlo_extremes(cert, samples, seed, workers, grid)`` throws
+  uniformly distributed simplex tuples, plus deliberate boundary probes,
+  at the raw n-variable ratio of the certificate's (n, alpha), counts
+  violations of its bounds, and embeds the grid scan.  Samples and
+  probes alike go through one normalized row kernel, ``_ratio_rows``.
 
 Randomness is counter based: sample i is a pure function of (seed, i)
 through a splitmix64 mix, so runs are bit reproducible and can be split
@@ -26,15 +27,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, List, Optional, Tuple
+from typing import TYPE_CHECKING, List, Tuple
 
-from .constants import (
-    EPS_HAT,
-    ExtremumCertificate,
-    _endpoint_values,
-    best_constants,
-    format_float,
-)
+from .constants import EPS_HAT, ExtremumCertificate, _endpoint_values, format_float
 from .means import ExponentPair
 from .profile import CENTER_BAND, ProfileParams, Side
 
@@ -44,7 +39,6 @@ if TYPE_CHECKING:
 __all__ = [
     "BoundsCheck",
     "GridExtreme",
-    "InstanceMismatchError",
     "OracleReport",
     "check_bounds",
     "grid_scan_two_value",
@@ -97,10 +91,6 @@ _GAMMA = 0x9E3779B97F4A7C15
 _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
 _MASK = (1 << 64) - 1
-
-
-class InstanceMismatchError(ValueError):
-    """Certificate and scan were produced for different (n, alpha)."""
 
 
 def _scale(bound: float) -> float:
@@ -370,12 +360,9 @@ def grid_scan_two_value(
 class OracleReport:
     """Monte-Carlo evidence for one certificate, with the grid scan embedded."""
 
-    n: int
-    e: ExponentPair
+    cert: ExtremumCertificate
     samples: int
     seed: int
-    lower_bound: float
-    upper_bound: float
     observed_min: float
     observed_max: float
     arg_min: Tuple[float, ...]
@@ -387,14 +374,15 @@ class OracleReport:
     grid_extreme: GridExtreme
 
     def to_payload(self) -> dict:
+        cert = self.cert
         return {
-            "n": self.n,
-            "alpha": format_float(self.e.alpha),
-            "r": format_float(self.e.r),
+            "n": cert.n,
+            "alpha": format_float(cert.e.alpha),
+            "r": format_float(cert.e.r),
             "samples": self.samples,
             "seed": self.seed,
-            "lower_bound": format_float(self.lower_bound),
-            "upper_bound": format_float(self.upper_bound),
+            "lower_bound": format_float(cert.lower_bound),
+            "upper_bound": format_float(cert.upper_bound),
             "observed_min": format_float(self.observed_min),
             "observed_max": format_float(self.observed_max),
             "arg_min": [format_float(t) for t in self.arg_min],
@@ -438,15 +426,13 @@ def _boundary_probes(n: int, e: ExponentPair) -> np.ndarray:
 
 
 def monte_carlo_extremes(
-    n: int,
-    e: ExponentPair,
+    cert: ExtremumCertificate,
     samples: int = DEFAULT_SAMPLES,
     seed: int = 0,
-    cert: Optional[ExtremumCertificate] = None,
     workers: int = 1,
     grid: int = DEFAULT_GRID,
 ) -> OracleReport:
-    """Random-search oracle for the certified bounds.
+    """Random-search oracle for the bounds of a certificate, at its (n, alpha).
 
     Draws `samples` uniform simplex tuples (counter-based, so the result
     is identical for any `workers` value) in chunks of _CHUNK, which
@@ -461,14 +447,8 @@ def monte_carlo_extremes(
     """
     import numpy as np
 
+    n, e = cert.n, cert.e
     _check_request(n, samples, grid, workers)
-    if cert is None:
-        cert = best_constants(n, e)
-    if cert.n != n or cert.e != e:
-        raise InstanceMismatchError(
-            f"certificate is for (n={cert.n}, alpha={cert.e.alpha}), "
-            f"requested (n={n}, alpha={e.alpha})"
-        )
     lower, upper = cert.lower_bound, cert.upper_bound
 
     starts = list(range(0, samples, _CHUNK))
@@ -540,12 +520,9 @@ def monte_carlo_extremes(
     imin = int(np.argmin(values))
     imax = int(np.argmax(values))
     return OracleReport(
-        n=n,
-        e=e,
+        cert=cert,
         samples=samples,
         seed=seed,
-        lower_bound=lower,
-        upper_bound=upper,
         observed_min=float(values[imin]),
         observed_max=float(values[imax]),
         arg_min=simplex_sample(n, seed, index=imin),
@@ -574,8 +551,8 @@ class BoundsCheck:
         }
 
 
-def check_bounds(report: OracleReport, cert: ExtremumCertificate) -> BoundsCheck:
-    """Validate a Monte-Carlo report against a certificate.
+def check_bounds(report: OracleReport) -> BoundsCheck:
+    """Validate a Monte-Carlo report against the certificate it carries.
 
     Fails when any sample or probe violated the bounds (the first
     offending tuples are named), when a grid value escapes a bound b by
@@ -584,12 +561,7 @@ def check_bounds(report: OracleReport, cert: ExtremumCertificate) -> BoundsCheck
     extreme on a certified-extremum side misses the constant b by more
     than GRID_TOL * max(1, |b|).
     """
-    if report.n != cert.n or report.e != cert.e:
-        raise InstanceMismatchError(
-            f"report is for (n={report.n}, alpha={report.e.alpha}), "
-            f"certificate for (n={cert.n}, alpha={cert.e.alpha})"
-        )
-    grid = report.grid_extreme
+    cert, grid = report.cert, report.grid_extreme
     failures: List[str] = []
     tol_min = GRID_TOL * _scale(cert.lower_bound)
     tol_max = GRID_TOL * _scale(cert.upper_bound)

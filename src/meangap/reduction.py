@@ -25,7 +25,7 @@ import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Sequence
 
-from .solver import Bracket, SolveResult, find_root
+from .solver import SolveResult, find_root
 
 if TYPE_CHECKING:
     import numpy as np
@@ -43,7 +43,11 @@ __all__ = [
 ]
 
 
-# width of the final bracket of each end of the curve, relative to the end
+# width of the final bracket of each end of the curve, relative to the end.
+# It bounds the bracket, not the end's error: near sum^3 = 27 prod kappa has
+# a near-double root, and its rounding spans a band of roots.  At
+# (2.9463098016715475e89, 9.472649486047106e266), where sum^3/(27 prod) is
+# 1 + 1.8e-16, t_lo lies 1.2e-9 relative from an 80-digit root of kappa
 _CURVE_RTOL = 1e-15
 
 
@@ -85,7 +89,7 @@ def _quarter_kappa(t: float, sum_c: float, prod_c: float) -> float:
 def _inner_end(res: SolveResult, inward: float) -> float:
     # the end of the final bracket on the curve, where kappa >= 0: the end
     # returned, or the bracket's other end, a width away toward the curve
-    return res.x_star if res.value >= 0.0 else res.x_star + inward * res.residual_or_width
+    return res.x_star if res.value >= 0.0 else res.x_star + inward * res.width
 
 
 def curve_params(sum_c: float, prod_c: float) -> CurveParams:
@@ -119,12 +123,9 @@ def curve_params(sum_c: float, prod_c: float) -> CurveParams:
     q = math.exp(0.5 * (math.log(prod_c) - math.log(sum_c)))
     top = sum_c / 3.0
     t_lo = _inner_end(find_root(
-        kappa, Bracket(q / math.e, min(q * math.e * math.sqrt(3.0), top)),
-        tol=_CURVE_RTOL * q,
+        kappa, q / math.e, min(q * math.e * math.sqrt(3.0), top), _CURVE_RTOL * q,
     ), 1.0)
-    t_hi = _inner_end(
-        find_root(kappa, Bracket(top, sum_c), tol=_CURVE_RTOL * sum_c), -1.0
-    )
+    t_hi = _inner_end(find_root(kappa, top, sum_c, _CURVE_RTOL * sum_c), -1.0)
     return CurveParams(sum_c=sum_c, prod_c=prod_c, t_lo=t_lo, t_hi=t_hi)
 
 

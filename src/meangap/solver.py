@@ -1,15 +1,16 @@
 """Deterministic scalar solver: Brent-Dekker narrowing of a sign change.
 
 The routines are derivative free and use only fixed arithmetic on the
-bracket, so repeated runs are bit identical.  `find_root` refines a
-bracket that already isolates the sign change by Brent-Dekker narrowing
-(zeroin; R. P. Brent, Algorithms for Minimization without Derivatives,
-1973): inverse quadratic or secant steps, and bisection wherever those
-cannot be trusted; `search_outward` first finds such a bracket by
-stepping away from a start point.  Every 1-d search of the package runs
-through them: the W = 1 crossing mu and the extremum x* as the sign
-change of f', both stepped out on the extremum's side of the center, and
-the ends of the fixed sum-and-product curve.
+bracket, so repeated runs are bit identical.  `find_root(objective, lo,
+hi, tol)` refines a bracket [lo, hi] that already isolates the sign
+change by Brent-Dekker narrowing (zeroin; R. P. Brent, Algorithms for
+Minimization without Derivatives, 1973): inverse quadratic or secant
+steps, and bisection wherever those cannot be trusted; `search_outward`
+first finds such a bracket by stepping away from a start point.  Every
+1-d search of the package runs through them: the W = 1 crossing mu and
+the extremum x* as the sign change of f', both stepped out on the
+extremum's side of the center, and the ends of the fixed
+sum-and-product curve.
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Tuple
 
 __all__ = [
-    "Bracket",
     "BracketError",
     "MaxIterationsError",
     "SolveResult",
@@ -28,7 +28,6 @@ __all__ = [
     "search_outward",
 ]
 
-DEFAULT_ROOT_TOL = 1e-11
 MAX_ITERATIONS = 200
 
 
@@ -45,22 +44,10 @@ class MaxIterationsError(UncertifiedInstance, RuntimeError):
 
 
 @dataclass(frozen=True)
-class Bracket:
-    """Interval known to contain a sign change of the objective."""
-
-    lo: float
-    hi: float
-
-    def __post_init__(self) -> None:
-        if not self.lo < self.hi:
-            raise BracketError(f"empty bracket [{self.lo}, {self.hi}]")
-
-
-@dataclass(frozen=True)
 class SolveResult:
     x_star: float
     value: float
-    residual_or_width: float   # width of the final bracket
+    width: float   # of the final bracket; 0.0 for a zero hit before one
     iterations: int
 
 
@@ -70,22 +57,21 @@ def _check_tol(tol: float) -> None:
 
 
 def find_root(
-    objective: Callable[[float], float],
-    bracket: Bracket,
-    tol: float = DEFAULT_ROOT_TOL,
-    max_iter: int = MAX_ITERATIONS,
+    objective: Callable[[float], float], lo: float, hi: float, tol: float
 ) -> SolveResult:
-    """Root of objective on the bracket, by Brent-Dekker narrowing.
+    """Root of objective on the bracket [lo, hi], by Brent-Dekker narrowing.
 
-    Requires a sign change across the bracket; endpoint function values may
-    be +-inf, only their sign is used.  Narrows the bracket until its width
-    drops to tol, an exact zero is hit, or no double is left between the
-    bracket's ends, and returns the end of the final bracket with the
-    smaller |objective|, with its value and the bracket's width: the other
-    end is x_star plus or minus that width.
+    Requires lo < hi, else raises BracketError, and a sign change across
+    the bracket; endpoint function values may be +-inf, only their sign is
+    used.  Narrows the bracket until its width drops to tol, an exact zero
+    is hit, or no double is left between the bracket's ends, and returns
+    the end of the final bracket with the smaller |objective|, with its
+    value and the bracket's width: the other end is x_star plus or minus
+    that width.
     """
     _check_tol(tol)
-    lo, hi = bracket.lo, bracket.hi
+    if not lo < hi:
+        raise BracketError(f"empty bracket [{lo}, {hi}]")
     flo = objective(lo)
     if flo == 0.0:
         return SolveResult(lo, 0.0, 0.0, 0)
@@ -96,14 +82,14 @@ def find_root(
         raise BracketError(
             f"no sign change on [{lo}, {hi}]: f(lo)={flo}, f(hi)={fhi}"
         )
-    return _refine(objective, lo, hi, flo, fhi, tol, max_iter, 0)
+    return _refine(objective, lo, hi, flo, fhi, tol, 0)
 
 
 def search_outward(
     objective: Callable[[float], float],
     start: float,
     edge: float,
-    tol: float = DEFAULT_ROOT_TOL,
+    tol: float,
     f_start: Optional[float] = None,
     guess: Optional[Tuple[float, float]] = None,
 ) -> SolveResult:
@@ -148,12 +134,12 @@ def search_outward(
             return SolveResult(x, 0.0, 0.0, probes)
         if (fx > 0.0) != (f_near > 0.0):
             ends = (x, near, fx, f_near) if x < near else (near, x, f_near, fx)
-            return _refine(objective, *ends, tol, MAX_ITERATIONS, probes)
+            return _refine(objective, *ends, tol, probes)
         step *= 2.0
     raise BracketError(f"no sign change from {start} out to {edge}: f(edge)={fx}")
 
 
-def _refine(objective, lo, hi, flo, fhi, tol, max_iter, probes) -> SolveResult:
+def _refine(objective, lo, hi, flo, fhi, tol, probes) -> SolveResult:
     # Brent-Dekker narrowing (zeroin; Brent 1973) of [lo, hi], flo and fhi
     # of opposite signs and nonzero.  b is the end with the smaller |f|, c
     # the other end and a the b before.  The step is inverse quadratic
@@ -166,13 +152,13 @@ def _refine(objective, lo, hi, flo, fhi, tol, max_iter, probes) -> SolveResult:
     a, fa, b, fb = lo, flo, hi, fhi
     c, fc, half = a, fa, 0.5 * tol
     d = e = b - a
-    for it in range(max_iter + 1):
+    for it in range(MAX_ITERATIONS + 1):
         if abs(fc) < abs(fb):
             a, b, c, fa, fb, fc = b, c, b, fb, fc, fb
         width = abs(c - b)
         if width <= tol or fb == 0.0:
             return SolveResult(b, fb, width, probes + it)
-        if it == max_iter:
+        if it == MAX_ITERATIONS:
             break
         xm = 0.5 * (c - b)
         if abs(e) >= half and abs(fa) > abs(fb) and math.isfinite(fa) and math.isfinite(fc):
@@ -201,5 +187,5 @@ def _refine(objective, lo, hi, flo, fhi, tol, max_iter, probes) -> SolveResult:
             c, fc = a, fa
             d = e = b - a
     raise MaxIterationsError(
-        f"Brent-Dekker narrowing did not reach width {tol} in {max_iter} iterations"
+        f"Brent-Dekker narrowing did not reach width {tol} in {MAX_ITERATIONS} iterations"
     )

@@ -56,7 +56,7 @@ def test_c01_endpoint_bounds_enclose_monte_carlo():
         lo = (n / (n - 1.0)) ** (e.r - 1.0)
         hi = n ** (e.r - 1.0)
         assert cert.lower_bound == lo and cert.upper_bound == hi
-        rep = monte_carlo_extremes(n, e, samples=100_000, seed=2026, cert=cert)
+        rep = monte_carlo_extremes(cert, samples=100_000, seed=2026)
         assert rep.violations == 0
         # vanishing-coordinate probes are part of the report
         assert rep.probe_max <= hi + 1e-9
@@ -87,8 +87,7 @@ CROSS_CHECK_INSTANCES = (
 def test_c03_grid_and_monte_carlo_confirm_certificates():
     for i, (n, e) in enumerate(CROSS_CHECK_INSTANCES):
         cert = best_constants(n, e)
-        rep = monte_carlo_extremes(n, e, samples=100_000, seed=40 + i,
-                                   cert=cert, grid=1_000_000)
+        rep = monte_carlo_extremes(cert, samples=100_000, seed=40 + i, grid=1_000_000)
         assert rep.violations == 0, (n, e.r)
         ge = rep.grid_extreme
         if cert.lower_kind == "certified-extremum":
@@ -99,7 +98,7 @@ def test_c03_grid_and_monte_carlo_confirm_certificates():
             assert abs(ge.max_value - cert.upper_bound) <= 1e-5, (n, e.r)
         elif cert.upper_kind == "closed-form":
             assert abs(ge.max_value - cert.upper_bound) <= 1e-9, (n, e.r)
-        assert check_bounds(rep, cert).ok, (n, e.r)
+        assert check_bounds(rep).ok, (n, e.r)
     _verdict("c03", "6 instances: 1e6-point grids match certificates, "
                     "6e5 samples inside bounds")
 
@@ -262,9 +261,8 @@ def test_c10_verification_is_deterministic_across_workers():
     cert = best_constants(n, e)
     payloads = []
     for workers in (1, 4, 1):
-        rep = monte_carlo_extremes(n, e, samples=100_000, seed=0, cert=cert,
-                                   workers=workers)
-        chk = check_bounds(rep, cert)
+        rep = monte_carlo_extremes(cert, samples=100_000, seed=0, workers=workers)
+        chk = check_bounds(rep)
         blob = json.dumps({"report": rep.to_payload(),
                            "check": chk.to_payload()}, sort_keys=True)
         payloads.append(blob.encode())

@@ -573,7 +573,7 @@ class TestVerifyCommand:
 
         monkeypatch.setattr(
             cli_mod, "check_bounds",
-            lambda report, cert: BoundsCheck(
+            lambda report: BoundsCheck(
                 ok=False, tol_min=1e-5, tol_max=1e-5,
                 failures=("forced failure for the exit code path",)),
         )

@@ -17,7 +17,6 @@ from meangap.oracle import (
     MIN_GRID,
     BoundsCheck,
     GridExtreme,
-    InstanceMismatchError,
     OracleReport,
     check_bounds,
     grid_scan_two_value,
@@ -143,7 +142,8 @@ class TestRatioRows:
     def test_large_negative_order_regression(self):
         # unnormalized powers of the smallest coordinate overflow here
         e = ExponentPair.from_alpha(-60.0)
-        rep = monte_carlo_extremes(3, e, samples=100_000, seed=0, grid=MIN_GRID)
+        rep = monte_carlo_extremes(best_constants(3, e), samples=100_000, seed=0,
+                                   grid=MIN_GRID)
         assert rep.observed_min == pytest.approx(
             ratio_gap(rep.arg_min, e), rel=1e-12, abs=0.0
         )
@@ -252,9 +252,9 @@ class TestMonteCarlo:
     def test_worker_count_does_not_change_payload(self):
         n, e = 3, ExponentPair.from_alpha(-1.0)
         cert = best_constants(n, e)
-        kw = dict(samples=20_000, seed=7, cert=cert, grid=MIN_GRID)
-        p1 = monte_carlo_extremes(n, e, workers=1, **kw).to_payload()
-        p4 = monte_carlo_extremes(n, e, workers=4, **kw).to_payload()
+        kw = dict(samples=20_000, seed=7, grid=MIN_GRID)
+        p1 = monte_carlo_extremes(cert, workers=1, **kw).to_payload()
+        p4 = monte_carlo_extremes(cert, workers=4, **kw).to_payload()
         assert json.dumps(p1, sort_keys=True) == json.dumps(p4, sort_keys=True)
 
     def test_scratch_is_allocated_per_worker(self, monkeypatch):
@@ -274,8 +274,8 @@ class TestMonteCarlo:
         cert = best_constants(n, e)
         for workers, most in ((1, 1), (3, 3)):
             calls.clear()
-            monte_carlo_extremes(n, e, samples=100_000, seed=3, cert=cert,
-                                 workers=workers, grid=MIN_GRID)
+            monte_carlo_extremes(cert, samples=100_000, seed=3, workers=workers,
+                                 grid=MIN_GRID)
             assert 1 <= len(calls) <= most, workers
 
     @pytest.mark.parametrize("n", [100, 300])
@@ -284,9 +284,9 @@ class TestMonteCarlo:
         # leave a last chunk of 1809, whose last block is short
         e = ExponentPair.from_alpha(0.25)
         cert = best_constants(n, e)
-        kw = dict(samples=10_001, seed=2, cert=cert, grid=MIN_GRID)
-        p1 = monte_carlo_extremes(n, e, workers=1, **kw).to_payload()
-        p3 = monte_carlo_extremes(n, e, workers=3, **kw).to_payload()
+        kw = dict(samples=10_001, seed=2, grid=MIN_GRID)
+        p1 = monte_carlo_extremes(cert, workers=1, **kw).to_payload()
+        p3 = monte_carlo_extremes(cert, workers=3, **kw).to_payload()
         assert json.dumps(p1, sort_keys=True) == json.dumps(p3, sort_keys=True)
 
     def test_chunking_does_not_change_payload(self, monkeypatch):
@@ -295,28 +295,30 @@ class TestMonteCarlo:
         payloads = []
         for chunk in (1000, 7001):
             monkeypatch.setattr(oracle, "_CHUNK", chunk)
-            payloads.append(monte_carlo_extremes(
-                n, e, samples=12_000, seed=1, cert=cert, grid=MIN_GRID
-            ).to_payload())
+            payloads.append(monte_carlo_extremes(cert, samples=12_000, seed=1,
+                                                 grid=MIN_GRID).to_payload())
         assert payloads[0] == payloads[1]
 
     def test_no_violations_on_correct_certificate(self):
         n, e = 4, ExponentPair.from_alpha(2.0)
-        rep = monte_carlo_extremes(n, e, samples=50_000, seed=0, grid=MIN_GRID)
+        rep = monte_carlo_extremes(best_constants(n, e), samples=50_000, seed=0,
+                                   grid=MIN_GRID)
         assert rep.violations == 0
-        assert rep.lower_bound <= rep.observed_min <= rep.observed_max <= rep.upper_bound
+        cert = rep.cert
+        assert cert.lower_bound <= rep.observed_min <= rep.observed_max <= cert.upper_bound
 
     def test_arg_extremes_regenerate(self):
         n, e = 4, ExponentPair.from_alpha(2.0)
-        rep = monte_carlo_extremes(n, e, samples=10_000, seed=5, grid=MIN_GRID)
+        rep = monte_carlo_extremes(best_constants(n, e), samples=10_000, seed=5,
+                                   grid=MIN_GRID)
         for arg in (rep.arg_min, rep.arg_max):
             assert type(arg) is tuple and len(arg) == n
             assert math.fsum(arg) == pytest.approx(1.0, abs=1e-12)
 
     def test_sample_floor_enforced(self):
         with pytest.raises(ValueError):
-            monte_carlo_extremes(3, ExponentPair.from_alpha(2.0), samples=9_999,
-                                 grid=MIN_GRID)
+            monte_carlo_extremes(best_constants(3, ExponentPair.from_alpha(2.0)),
+                                 samples=9_999, grid=MIN_GRID)
 
     def test_sample_cap_enforced_before_sampling(self, monkeypatch):
         def no_sampling(*args):
@@ -324,7 +326,7 @@ class TestMonteCarlo:
 
         monkeypatch.setattr(oracle, "_sample_rows", no_sampling)
         with pytest.raises(ValueError, match="between 10000 and 1e8"):
-            monte_carlo_extremes(4, ExponentPair.from_alpha(2.0),
+            monte_carlo_extremes(best_constants(4, ExponentPair.from_alpha(2.0)),
                                  samples=10**8 + 1, grid=MIN_GRID)
 
     def test_grid_floor_enforced_before_sampling(self, monkeypatch):
@@ -335,7 +337,7 @@ class TestMonteCarlo:
         # blocks of columns below n = 256, of rows from there on
         for n in (3, 7, 100, 255, 256, 300):
             with pytest.raises(ValueError, match=str(MIN_GRID)):
-                monte_carlo_extremes(n, ExponentPair.from_alpha(2.0),
+                monte_carlo_extremes(best_constants(n, ExponentPair.from_alpha(2.0)),
                                      samples=10_000, grid=MIN_GRID - 1)
 
     def test_n_cap_enforced_before_any_array(self, monkeypatch):
@@ -348,15 +350,11 @@ class TestMonteCarlo:
         e = ExponentPair.from_alpha(-1.0)
         for n in (oracle.MAX_N + 1, 10**9):
             with pytest.raises(ValueError, match=f"verify takes n up to {oracle.MAX_N},"):
-                monte_carlo_extremes(n, e, samples=10_000, grid=MIN_GRID)
+                monte_carlo_extremes(best_constants(n, e), samples=10_000,
+                                     grid=MIN_GRID)
         with pytest.raises(AssertionError, match="before checking n"):
-            monte_carlo_extremes(oracle.MAX_N, e, samples=10_000, grid=MIN_GRID)
-
-    def test_instance_mismatch(self):
-        cert = best_constants(3, ExponentPair.from_alpha(2.0))
-        with pytest.raises(InstanceMismatchError):
-            monte_carlo_extremes(4, ExponentPair.from_alpha(2.0), samples=10_000,
-                                 cert=cert, grid=MIN_GRID)
+            monte_carlo_extremes(best_constants(oracle.MAX_N, e), samples=10_000,
+                                 grid=MIN_GRID)
 
     def test_nan_value_is_a_violation(self, monkeypatch):
         # NaN fails every comparison, so it must be flagged explicitly
@@ -369,16 +367,16 @@ class TestMonteCarlo:
         monkeypatch.setattr(oracle, "_ratio_rows", with_nan)
         n, e = 4, ExponentPair.from_alpha(2.0)
         cert = best_constants(n, e)
-        rep = monte_carlo_extremes(n, e, samples=10_000, seed=0, cert=cert,
-                                   grid=MIN_GRID)
+        rep = monte_carlo_extremes(cert, samples=10_000, seed=0, grid=MIN_GRID)
         assert rep.violations >= 1
-        assert check_bounds(rep, cert).ok is False
+        assert check_bounds(rep).ok is False
 
     def test_negative_alpha_probes_are_observations(self):
         # boundary probes dive toward -inf for alpha < 0 but are recorded,
         # not counted against the one-sided bounds
         n, e = 3, ExponentPair.from_alpha(-1.0)
-        rep = monte_carlo_extremes(n, e, samples=10_000, seed=2, grid=MIN_GRID)
+        rep = monte_carlo_extremes(best_constants(n, e), samples=10_000, seed=2,
+                                   grid=MIN_GRID)
         assert rep.violations == 0
         assert rep.probe_min < -100.0
 
@@ -414,7 +412,7 @@ class TestMonteCarlo:
         # every sample is the same to the bit in either layout; from n = 8
         # on, a block of columns sums a sample's terms in another order, so
         # only the observed values there may move, by rounding
-        rep = monte_carlo_extremes(n, ExponentPair.from_alpha(alpha),
+        rep = monte_carlo_extremes(best_constants(n, ExponentPair.from_alpha(alpha)),
                                    samples=20_000, seed=3, grid=MIN_GRID)
         lo, hi, probe_lo, probe_hi, arg_lo, arg_hi = self.FROZEN[(n, alpha)]
         if 8 <= n < 256:
@@ -433,9 +431,8 @@ class TestCheckBounds:
     def test_passes_on_correct_certificate(self):
         n, e = 4, ExponentPair.from_alpha(2.0)
         cert = best_constants(n, e)
-        rep = monte_carlo_extremes(n, e, samples=20_000, seed=0, cert=cert,
-                                   grid=MIN_GRID)
-        chk = check_bounds(rep, cert)
+        rep = monte_carlo_extremes(cert, samples=20_000, seed=0, grid=MIN_GRID)
+        chk = check_bounds(rep)
         assert isinstance(chk, BoundsCheck)
         assert chk.ok
         assert chk.failures == ()
@@ -444,26 +441,23 @@ class TestCheckBounds:
         # one fixed tolerance relative to each bound, whatever the grid
         n, e = 5, ExponentPair.from_alpha(1 / 13)
         cert = best_constants(n, e)
-        rep = monte_carlo_extremes(n, e, samples=10_000, seed=0, cert=cert,
-                                   grid=MIN_GRID)
-        chk = check_bounds(rep, cert)
+        rep = monte_carlo_extremes(cert, samples=10_000, seed=0, grid=MIN_GRID)
+        chk = check_bounds(rep)
         assert chk.ok
         assert chk.tol_min == oracle.GRID_TOL * cert.lower_bound
         assert chk.tol_max == oracle.GRID_TOL * 5.0**12
         # an unbounded side has nothing to scale by
         e = ExponentPair.from_alpha(-1.0)
         cert = best_constants(3, e)
-        rep = monte_carlo_extremes(3, e, samples=10_000, seed=0, cert=cert,
-                                   grid=MIN_GRID)
-        assert check_bounds(rep, cert).tol_min == oracle.GRID_TOL
+        rep = monte_carlo_extremes(cert, samples=10_000, seed=0, grid=MIN_GRID)
+        assert check_bounds(rep).tol_min == oracle.GRID_TOL
 
     def test_tampered_bound_fails_with_named_sample(self):
         n, e = 4, ExponentPair.from_alpha(2.0)
         cert = best_constants(n, e)
         bad = dataclasses.replace(cert, upper_bound=cert.upper_bound - 0.1)
-        rep = monte_carlo_extremes(n, e, samples=10_000, seed=7, cert=bad,
-                                   grid=MIN_GRID)
-        chk = check_bounds(rep, bad)
+        rep = monte_carlo_extremes(bad, samples=10_000, seed=7, grid=MIN_GRID)
+        chk = check_bounds(rep)
         assert not chk.ok
         assert rep.violations > 0
         assert rep.violation_examples  # offending tuples are recorded
@@ -474,9 +468,8 @@ class TestCheckBounds:
         n, e = 4, ExponentPair.from_alpha(2.0)
         cert = best_constants(n, e)
         bad = dataclasses.replace(cert, lower_bound=cert.lower_bound - 5e-4)
-        rep = monte_carlo_extremes(n, e, samples=10_000, seed=7, cert=bad,
-                                   grid=MIN_GRID)
-        chk = check_bounds(rep, bad)
+        rep = monte_carlo_extremes(bad, samples=10_000, seed=7, grid=MIN_GRID)
+        chk = check_bounds(rep)
         assert not chk.ok
         assert any("certified lower bound" in f for f in chk.failures)
 
@@ -485,9 +478,8 @@ class TestCheckBounds:
         # in the small coordinate sits 1.8e-6 below the sharp constant
         n, e = 1000, ExponentPair.from_alpha(-1.0)
         old = dataclasses.replace(best_constants(n, e), upper_bound=-0.0090238158)
-        rep = monte_carlo_extremes(n, e, samples=10_000, seed=0, cert=old,
-                                   grid=DEFAULT_GRID)
-        chk = check_bounds(rep, old)
+        rep = monte_carlo_extremes(old, samples=10_000, seed=0, grid=DEFAULT_GRID)
+        chk = check_bounds(rep)
         assert not chk.ok
         assert any("exceeds upper bound" in f for f in chk.failures)
         assert any("certified upper bound" in f for f in chk.failures)
@@ -502,16 +494,16 @@ class TestCheckBounds:
         # outward by 1e-5 relative the grid cannot attain it; inward by
         # 1e-6 relative the grid escapes it
         cert = best_constants(n, e)
-        rep = monte_carlo_extremes(n, e, samples=10_000, seed=0, cert=cert,
-                                   grid=DEFAULT_GRID)
-        assert check_bounds(rep, cert).ok
+        rep = monte_carlo_extremes(cert, samples=10_000, seed=0, grid=DEFAULT_GRID)
+        assert check_bounds(rep).ok
         side = "lower" if cert.lower_kind == "certified-extremum" else "upper"
         b = getattr(cert, f"{side}_bound")
         outward = -1.0 if side == "lower" else 1.0
         escape = "undercuts" if side == "lower" else "exceeds"
         for shift, named in ((1e-5, f"certified {side} bound"), (-1e-6, escape)):
             moved = {f"{side}_bound": b + outward * shift * max(1.0, abs(b))}
-            chk = check_bounds(rep, dataclasses.replace(cert, **moved))
+            chk = check_bounds(
+                dataclasses.replace(rep, cert=dataclasses.replace(cert, **moved)))
             assert not chk.ok
             assert any(named in f for f in chk.failures), (shift, chk.failures)
 
@@ -524,10 +516,9 @@ class TestCheckBounds:
         assert cert.upper_bound > 1e16
         moved = dataclasses.replace(
             cert, lower_bound=cert.lower_bound * (1.0 + 1e-6))
-        rep = monte_carlo_extremes(n, e, samples=10_000, seed=0, cert=moved,
-                                   grid=MIN_GRID)
+        rep = monte_carlo_extremes(moved, samples=10_000, seed=0, grid=MIN_GRID)
         assert rep.violations > 0
-        chk = check_bounds(rep, moved)
+        chk = check_bounds(rep)
         assert any("undercuts lower bound" in f for f in chk.failures)
 
     @pytest.mark.parametrize("bad", [math.inf, math.nan])
@@ -536,27 +527,16 @@ class TestCheckBounds:
         # and a finite slack scale can reject an infinite grid max
         n, e = 4, ExponentPair.from_alpha(2.0)
         cert = best_constants(n, e)
-        rep = monte_carlo_extremes(n, e, samples=10_000, seed=0, cert=cert,
-                                   grid=MIN_GRID)
+        rep = monte_carlo_extremes(cert, samples=10_000, seed=0, grid=MIN_GRID)
         ge = dataclasses.replace(rep.grid_extreme, max_value=bad)
-        chk = check_bounds(dataclasses.replace(rep, grid_extreme=ge), cert)
+        chk = check_bounds(dataclasses.replace(rep, grid_extreme=ge))
         assert not chk.ok
         assert any("not finite" in f for f in chk.failures)
-
-    def test_report_certificate_mismatch(self):
-        e = ExponentPair.from_alpha(2.0)
-        cert3 = best_constants(3, e)
-        cert4 = best_constants(4, e)
-        rep = monte_carlo_extremes(3, e, samples=10_000, seed=0, cert=cert3,
-                                   grid=MIN_GRID)
-        with pytest.raises(InstanceMismatchError):
-            check_bounds(rep, cert4)
 
     def test_payload_structure(self):
         n, e = 3, ExponentPair.from_alpha(-1.0)
         cert = best_constants(n, e)
-        rep = monte_carlo_extremes(n, e, samples=10_000, seed=0, cert=cert,
-                                   grid=MIN_GRID)
+        rep = monte_carlo_extremes(cert, samples=10_000, seed=0, grid=MIN_GRID)
         payload = rep.to_payload()
         assert isinstance(rep, OracleReport)
         assert payload["samples"] == 10_000
@@ -626,7 +606,8 @@ class TestStreaming:
         monkeypatch.setattr(oracle, "_ratio_rows", spy)
         e = ExponentPair.from_alpha(-1.3 if n in (7, 255) else 2.5)
         samples = 10_000
-        rep = monte_carlo_extremes(n, e, samples=samples, seed=4, grid=MIN_GRID)
+        rep = monte_carlo_extremes(best_constants(n, e), samples=samples, seed=4,
+                                   grid=MIN_GRID)
         rows = simplex_sample_block(n, seed=4, count=samples)
         per = max(1, stream // n)
         assert max(len(b) for b in blocks) == per
@@ -743,12 +724,11 @@ class TestStreaming:
 
         monkeypatch.setattr(Side, "ratio_into", with_nan)
         cert = best_constants(n, e)
-        rep = monte_carlo_extremes(n, e, samples=10_000, seed=0, cert=cert,
-                                   grid=grid)
+        rep = monte_carlo_extremes(cert, samples=10_000, seed=0, grid=grid)
         ge = rep.grid_extreme
         assert math.isnan(ge.min_value) and math.isnan(ge.max_value)
         assert ge.arg_x_min == ge.arg_x_max == targets[0]
-        chk = check_bounds(rep, cert)
+        chk = check_bounds(rep)
         assert not chk.ok
         for name in ("min", "max"):
             named = f"grid {name} nan at x={targets[0]} is not finite"
@@ -762,7 +742,7 @@ class TestStreaming:
         cert = best_constants(1000, e)
         tracemalloc.start()
         try:
-            monte_carlo_extremes(1000, e, samples=10_000, cert=cert, grid=10**6)
+            monte_carlo_extremes(cert, samples=10_000, grid=10**6)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
