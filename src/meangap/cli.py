@@ -400,22 +400,21 @@ def reduce3_cmd(sum_c: float, prod_c: float, r_: float, grid: int) -> tuple:
     # a ValueError: degenerate constraints, or finite ones past what doubles
     # resolve (a power or the power sum overflows, or coordinates merge)
     cp = curve_params(sum_c, prod_c)
-    ts = np.linspace(cp.t_lo, cp.t_hi, grid)
+    ts = np.linspace(cp.t_lo, cp.t_hi, grid).tolist()
     table = curve_table(ts, cp, r_)
     # y is t; h' is None at the ends, where the derivative formula's
     # distinct coordinates merge, and where it is not a finite double
-    t, x, z, h = (_floats(col.tolist())
-                  for col in (ts, table["x"], table["z"], table["h"]))
+    t, x, z, h = (_floats(col) for col in (ts, table["x"], table["z"], table["h"]))
     h_prime = [None if v is None else format(v, ".17g") for v in table["h_prime"]]
     rows = Table(("t", "x", "y", "z", "h", "h_prime"), [t, x, t, z, h, h_prime])
     h_vals = table["h"]
-    diffs = np.diff(h_vals)
-    flat = 1e-12 * max(1.0, float(np.max(np.abs(h_vals))))
-    if np.all(np.abs(diffs) <= flat):
+    diffs = [b - a for a, b in zip(h_vals, h_vals[1:])]
+    flat = 1e-12 * max(1.0, max(map(abs, h_vals)))
+    if all(abs(v) <= flat for v in diffs):
         verdict = "constant"
-    elif np.all(diffs < -flat):
+    elif all(v < -flat for v in diffs):
         verdict = "strictly decreasing"
-    elif np.all(diffs > flat):
+    elif all(v > flat for v in diffs):
         verdict = "strictly increasing"
     else:
         verdict = "non-monotone"

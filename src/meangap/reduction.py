@@ -9,9 +9,11 @@ Two tools live here:
   the remaining quadratic closes up (x = y at the left root, y = z at
   the right).  The power sum x^r + y^r + z^r is strictly monotone in t,
   which is what forces extremal tuples to take at most two distinct
-  values.  `curve_table` evaluates it at an array of t in one pass, as
-  `meangap reduce3` prints it; `curve_point`, `h_power_sum` and `h_prime`
-  are one-point calls of the same code.
+  values.  One float row function, `_row`, evaluates it at a t:
+  `curve_table` walks it over a list of t, as `meangap reduce3` prints
+  it, and `curve_point`, `h_power_sum` and `h_prime` are one-row calls,
+  so a table row holds their bits and a table's refusal is its first
+  failing row's.
 
 * perturbation-limit ratios: for tuples base*(1 + eps*d) the difference
   of two power means of orders a and b behaves like
@@ -129,147 +131,81 @@ def curve_params(sum_c: float, prod_c: float) -> CurveParams:
     return CurveParams(sum_c=sum_c, prod_c=prod_c, t_lo=t_lo, t_hi=t_hi)
 
 
-def _curve(t: np.ndarray, cp: CurveParams):
-    """(x, z) of the curve at an array t, y = t; the first t off it raises.
+def _row(t: float, cp: CurveParams, r: float, slope: bool) -> tuple:
+    """(x, z, h, h') of the curve at t, y = t; h' only where slope is set.
 
     The discriminant (sum_c-t)^2 - 4*prod_c/t is clamped to zero where a
     rounding-level negative (within -1e-12) appears at the interval ends;
-    anything more negative means t is off the curve.
+    anything more negative means t is off the curve.  Each power goes
+    through float's ** (libm pow); where one leaves the double range, its
+    OverflowError or ZeroDivisionError (0.0 to a negative r) becomes a
+    ValueError, as does a power sum past it.  h' is None where slope is
+    not set or it is not a finite double, as at tiny coordinates and
+    negative r, where the chord slopes' difference is inf - inf.
     """
-    import numpy as np
-
     sum_c, prod_c = cp.sum_c, cp.prod_c
+    # the slack can exceed t_lo itself, so t > 0 is asked apart
     slack = 1e-12 * max(1.0, sum_c)
-    off = ~((cp.t_lo - slack <= t) & (t <= cp.t_hi + slack))
-    if off.any():
+    if not (cp.t_lo - slack <= t <= cp.t_hi + slack and t > 0.0):
         raise ValueError(
-            f"t={t[off.argmax()].item()} outside the curve interval "
-            f"[{cp.t_lo}, {cp.t_hi}]"
+            f"t={t} outside the curve interval [{cp.t_lo}, {cp.t_hi}]"
         )
     d = sum_c - t
-    # the square through float's ** (libm pow), which can differ from d*d
-    # in the last bit
-    disc = np.array([v**2 for v in d.tolist()]) - 4.0 * prod_c / t
-    neg = disc < 0.0
-    if neg.any():
-        deep = disc < -1e-12
-        if deep.any():
-            i = deep.argmax()
+    # the square through ** (libm pow), which can differ from d*d in the
+    # last bit
+    disc = d**2 - 4.0 * prod_c / t
+    if disc < 0.0:
+        if disc < -1e-12:
             raise ConstraintDegenerateError(
-                f"negative discriminant {disc[i].item()} at t={t[i].item()}"
+                f"negative discriminant {disc} at t={t}"
             )
-        disc[neg] = 0.0
-    z = 0.5 * (d + np.sqrt(disc))
+        disc = 0.0
     # x*z = prod_c/t exactly on the curve; dividing avoids the subtractive
     # cancellation near the x = z corner.  At the ends of the interval y = t
     # merges with x (t_lo) or z (t_hi): the pair is t there and the third
     # coordinate prod_c/t^2, which rounding keeps in the order x <= y <= z
-    x, end = prod_c / (t * z), prod_c / t / t
+    z, end = 0.5 * (d + math.sqrt(disc)), prod_c / t / t
     lo, hi = t == cp.t_lo, t == cp.t_hi
-    return np.where(lo, t, np.where(hi, end, x)), np.where(hi, t, np.where(lo, end, z))
-
-
-def _powers(t, x, z, r: float):
-    """(x^r, y^r, z^r) as arrays, each power through float's ** (libm pow).
-
-    np.power can differ from it in the last bit.  Where a power leaves the
-    double range, float's OverflowError or ZeroDivisionError (0.0 to a
-    negative r) becomes a ValueError that names the first such point.
-    """
-    import numpy as np
-
-    cols = x.tolist(), t.tolist(), z.tolist()
+    x = t if lo else end if hi else prod_c / (t * z)
+    z = t if hi else end if lo else z
     try:
-        return tuple(np.array([v**r for v in col]) for col in cols)
+        xr, yr, zr = x**r, t**r, z**r
     except (OverflowError, ZeroDivisionError):
-        for xi, yi, zi in zip(*cols):
-            try:
-                xi**r, yi**r, zi**r
-            except (OverflowError, ZeroDivisionError):
-                raise ValueError(
-                    f"a coordinate of ({xi}, {yi}, {zi}) at t={yi} to the "
-                    f"power r={r} is not a finite double"
-                ) from None
-        raise
-
-
-def _power_sum(t, powers, r: float):
-    """x^r + y^r + z^r as an array; a sum past the double range raises a
-    ValueError that names the first such t."""
-    import numpy as np
-
-    with np.errstate(over="ignore"):
-        h = powers[0] + powers[1] + powers[2]
-    inf = np.isinf(h)
-    if inf.any():
         raise ValueError(
-            f"the power sum at t={t[inf.argmax()].item()} to the power r={r} "
+            f"a coordinate of ({x}, {t}, {z}) at t={t} to the power r={r} "
             "is not a finite double"
+        ) from None
+    h = xr + yr + zr
+    if math.isinf(h):
+        raise ValueError(
+            f"the power sum at t={t} to the power r={r} is not a finite double"
         )
-    return h
-
-
-def _slopes(t, x, z, powers, r: float):
-    """d/dt of the power sum at an array t whose coordinates are distinct.
-
-    Not finite where the chord slopes leave the double range, as at tiny
-    coordinates and negative r, where their difference is inf - inf.
-    """
-    import numpy as np
-
-    xr, yr, zr = powers
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        chord_hi = (zr - yr) / (z - t)
-        chord_lo = (yr - xr) / (t - x)
-        return r * (t - x) * (z - t) / (t * (x - z)) * (chord_hi - chord_lo)
-
-
-def _check_inner(t, x, z, cp: CurveParams) -> None:
+    if not slope:
+        return x, z, h, None
     # h' needs t strictly inside the interval and three distinct coordinates;
     # x = z with y apart happens only where rounding breaks their order
-    inside = (cp.t_lo < t) & (t < cp.t_hi)
-    if not inside.all():
-        raise ValueError(
-            f"h_prime needs t strictly inside ({cp.t_lo}, {cp.t_hi}), "
-            f"got {t[(~inside).argmax()].item()}"
-        )
-    merged = (x == t) | (t == z) | (x == z)
-    if merged.any():
-        raise ValueError(
-            f"coordinates merge at t={t[merged.argmax()].item()}; "
-            "h_prime is 0/0 there"
-        )
-
-
-def curve_point(t: float, cp: CurveParams) -> CurvePoint:
-    """Point (x, y=t, z) on the curve, x <= y <= z; a t off it raises."""
-    import numpy as np
-
-    t = float(t)
-    x, z = _curve(np.array([t]), cp)
-    return CurvePoint(t=t, x=x.item(), y=t, z=z.item())
-
-
-def h_power_sum(t: float, cp: CurveParams, r: float) -> float:
-    """Power sum x^r + y^r + z^r along the curve."""
-    import numpy as np
-
-    ts = np.array([float(t)])
-    return _power_sum(ts, _powers(ts, *_curve(ts, cp), r), r).item()
-
-
-def _h_prime(t: float, cp: CurveParams, r: float) -> float:
-    # h' at one t strictly inside, not finite where its formula overflows
-    import numpy as np
-
     if not cp.t_lo < t < cp.t_hi:
         raise ValueError(
             f"h_prime needs t strictly inside ({cp.t_lo}, {cp.t_hi}), got {t}"
         )
-    ts = np.array([t])
-    x, z = _curve(ts, cp)
-    _check_inner(ts, x, z, cp)
-    return _slopes(ts, x, z, _powers(ts, x, z, r), r).item()
+    if x == t or t == z or x == z:
+        raise ValueError(f"coordinates merge at t={t}; h_prime is 0/0 there")
+    chords = (zr - yr) / (z - t) - (yr - xr) / (t - x)
+    value = r * (t - x) * (z - t) / (t * (x - z)) * chords
+    return x, z, h, value if math.isfinite(value) else None
+
+
+def curve_point(t: float, cp: CurveParams) -> CurvePoint:
+    """Point (x, y=t, z) on the curve, x <= y <= z; a t off it raises."""
+    t = float(t)
+    # at r = 0 every power is 1.0, so only a t off the curve refuses
+    x, z, _, _ = _row(t, cp, 0.0, False)
+    return CurvePoint(t=t, x=x, y=t, z=z)
+
+
+def h_power_sum(t: float, cp: CurveParams, r: float) -> float:
+    """Power sum x^r + y^r + z^r along the curve."""
+    return _row(float(t), cp, r, False)[2]
 
 
 def h_prime(t: float, cp: CurveParams, r: float) -> float:
@@ -283,40 +219,29 @@ def h_prime(t: float, cp: CurveParams, r: float) -> float:
     double.
     """
     t = float(t)
-    slope = _h_prime(t, cp, r)
-    if not math.isfinite(slope):
+    if not cp.t_lo < t < cp.t_hi:
+        raise ValueError(
+            f"h_prime needs t strictly inside ({cp.t_lo}, {cp.t_hi}), got {t}"
+        )
+    slope = _row(t, cp, r, True)[3]
+    if slope is None:
         raise ValueError(f"h_prime at t={t} is not a finite double")
     return slope
 
 
-def curve_table(t: np.ndarray, cp: CurveParams, r: float) -> dict:
-    """Columns x, z, h and h' of the curve at an array t, y being t.
+def curve_table(t: Sequence[float], cp: CurveParams, r: float) -> dict:
+    """Columns x, z, h and h' of the curve at the floats t, y being t.
 
-    One pass forms the coordinates and their powers at every t; h' is
-    taken at every t but the first and the last, the ends of a table,
-    where it is None, as it is where h' is not a finite double.  Each
-    value holds the bits of `curve_point`, `h_power_sum` and `h_prime` at
-    its t; the columns are arrays, h' a list.  Where a point fails, the
-    ValueError is the one that walking the rows in order with
-    `h_power_sum` and then `h_prime` raises first, an h' that is not a
-    finite double aside.
+    Each row holds the bits of `curve_point`, `h_power_sum` and `h_prime`
+    at its t; h' is taken at every t but the first and the last, the ends
+    of a table, where it is None, as it is where h' is not a finite
+    double.  The rows run in order, so a refusal names the first failing
+    row.
     """
-    try:
-        x, z = _curve(t, cp)
-        powers = _powers(t, x, z, r)
-        h = _power_sum(t, powers, r)
-        mid = slice(1, -1)
-        _check_inner(t[mid], x[mid], z[mid], cp)
-        slopes = _slopes(t[mid], x[mid], z[mid], [p[mid] for p in powers], r)
-    except ValueError:
-        for i, ti in enumerate(t.tolist()):
-            h_power_sum(ti, cp, r)
-            if 0 < i < t.size - 1:
-                _h_prime(ti, cp, r)
-        raise
-    inner = [v if math.isfinite(v) else None for v in slopes.tolist()]
-    ends = [None] * min(t.size, 2)
-    return {"x": x, "z": z, "h": h, "h_prime": ends[:1] + inner + ends[1:]}
+    last = len(t) - 1
+    rows = [_row(float(ti), cp, r, 0 < i < last) for i, ti in enumerate(t)]
+    return {key: [row[k] for row in rows]
+            for k, key in enumerate(("x", "z", "h", "h_prime"))}
 
 
 def _log_power_mean(order: float, eps: float, dirs: np.ndarray) -> float:

@@ -141,6 +141,14 @@ class TestCurvePoint:
         with pytest.raises(ValueError):
             curve_point(cp.t_hi + 1e-3, cp)
 
+    def test_nonpositive_t_rejected(self):
+        # t_lo is about 1e-175 here, far inside the 1e-12*sum slack below
+        # it, which let t <= 0 through to negative or nan coordinates
+        cp = curve_params(1e50, 1e-300)
+        for t in (0.0, -0.0, -1.0):
+            with pytest.raises(ValueError, match="outside the curve interval"):
+                curve_point(t, cp)
+
     def test_returns_curve_point(self):
         cp = curve_params(6.0, 6.0)
         pt = curve_point(2.0, cp)
@@ -186,6 +194,14 @@ class TestHPowerSum:
             with pytest.raises(ValueError):
                 h_prime(t, cp, 2.0)
 
+    def test_end_refused_before_the_powers(self):
+        # z^1000 overflows at both ends; an end t is refused for where it
+        # lies, not for its powers
+        cp = curve_params(6.0, 6.0)
+        for t in (cp.t_lo, cp.t_hi):
+            with pytest.raises(ValueError, match="h_prime needs t strictly inside"):
+                h_prime(t, cp, 1000.0)
+
     def test_trivial_orders_are_flat(self):
         cp = curve_params(6.0, 6.0)
         ts = np.linspace(cp.t_lo, cp.t_hi, 11)
@@ -200,19 +216,19 @@ class TestCurveTable:
     def test_rows_are_the_one_point_functions(self, sum_c, prod_c, r):
         # the same bits as curve_point, h_power_sum and h_prime at every t
         cp = curve_params(sum_c, prod_c)
-        ts = np.linspace(cp.t_lo, cp.t_hi, 41)
+        ts = np.linspace(cp.t_lo, cp.t_hi, 41).tolist()
         table = curve_table(ts, cp, r)
         assert table["h_prime"][0] is None and table["h_prime"][-1] is None
-        for i, t in enumerate(ts.tolist()):
+        for i, t in enumerate(ts):
             pt = curve_point(t, cp)
             assert (table["x"][i], table["z"][i]) == (pt.x, pt.z)
             assert table["h"][i] == h_power_sum(t, cp, r)
-            if 0 < i < ts.size - 1:
+            if 0 < i < len(ts) - 1:
                 assert table["h_prime"][i] == h_prime(t, cp, r)
 
     def test_two_rows_are_the_ends(self):
         cp = curve_params(6.0, 6.0)
-        table = curve_table(np.array([cp.t_lo, cp.t_hi]), cp, 2.0)
+        table = curve_table([cp.t_lo, cp.t_hi], cp, 2.0)
         assert table["h_prime"] == [None, None]
 
     @pytest.mark.parametrize("sum_c,prod_c,r", [
@@ -225,13 +241,13 @@ class TestCurveTable:
     ])
     def test_refusal_is_the_first_failing_row(self, sum_c, prod_c, r):
         cp = curve_params(sum_c, prod_c)
-        ts = np.linspace(cp.t_lo, cp.t_hi, 57)
+        ts = np.linspace(cp.t_lo, cp.t_hi, 57).tolist()
         with pytest.raises(ValueError) as table_error:
             curve_table(ts, cp, r)
         with pytest.raises(ValueError) as walk_error:
-            for i, t in enumerate(ts.tolist()):
+            for i, t in enumerate(ts):
                 h_power_sum(t, cp, r)
-                if 0 < i < ts.size - 1:
+                if 0 < i < len(ts) - 1:
                     h_prime(t, cp, r)
         assert str(table_error.value) == str(walk_error.value)
 
@@ -243,9 +259,9 @@ class TestCurveTable:
         # the chord slopes of u^r overflow at tiny coordinates and r < 0,
         # and h' was nan (inf - inf) or inf
         cp = curve_params(sum_c, prod_c)
-        ts = np.linspace(cp.t_lo, cp.t_hi, 5)
+        ts = np.linspace(cp.t_lo, cp.t_hi, 5).tolist()
         table = curve_table(ts, cp, r)
-        for t, slope in zip(ts.tolist()[1:-1], table["h_prime"][1:-1]):
+        for t, slope in zip(ts[1:-1], table["h_prime"][1:-1]):
             if slope is None:
                 with pytest.raises(ValueError, match=re.escape(f"t={t} is not")):
                     h_prime(t, cp, r)

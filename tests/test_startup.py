@@ -2,9 +2,10 @@
 
 numpy is imported by the functions that build arrays, so `constants`,
 `sweep`, their refusals, usage errors and `--help` start without paying
-for it, while `import meangap` still loads every layer module (the
-benchmark's tracer reads them from sys.modules).  The command line is
-parsed by the standard library: no subcommand loads click.
+for it, as does the triple curve of `reduction` on a list of floats,
+while `import meangap` still loads every layer module (the benchmark's
+tracer reads them from sys.modules).  The command line is parsed by the
+standard library: no subcommand loads click.
 """
 
 import importlib.util
@@ -53,13 +54,20 @@ for args in json.loads(sys.argv[1]):
 numpy_after_cli = "numpy" in sys.modules
 click_after_cli = "click" in sys.modules
 
+from meangap.reduction import curve_params, curve_table
+
+cp = curve_params(83.2966, 1112.99)
+curve_rows = len(curve_table([cp.t_lo, (cp.t_lo + cp.t_hi) / 2.0, cp.t_hi], cp, 2.0)["h"])
+numpy_after_curve = "numpy" in sys.modules
+
 from meangap.means import ExponentPair
 from meangap.profile import ProfileParams, Side
 
 values = [repr(getattr(Side(ProfileParams(n, ExponentPair.from_alpha(a)), "left"), f)(t))
           for n, a, f, t in json.loads(sys.argv[2])]
 print(json.dumps({"layers": layers, "codes": codes, "numpy_after_cli": numpy_after_cli,
-                  "click_after_cli": click_after_cli,
+                  "click_after_cli": click_after_cli, "curve_rows": curve_rows,
+                  "numpy_after_curve": numpy_after_curve,
                   "values": values, "numpy_after_fallback": "numpy" in sys.modules}))
 """
 
@@ -94,6 +102,11 @@ def test_certificate_commands_run_without_numpy(fresh):
 def test_certificate_commands_run_without_click(fresh):
     assert fresh["codes"] == [code for _, code in COMMANDS]
     assert fresh["click_after_cli"] is False
+
+
+def test_curve_runs_without_numpy(fresh):
+    assert fresh["curve_rows"] == 3
+    assert fresh["numpy_after_curve"] is False
 
 
 def test_import_loads_every_traced_layer(fresh):
