@@ -27,6 +27,7 @@ import sys
 import time
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from io import StringIO
 from json.encoder import encode_basestring_ascii as _quote
 from typing import Dict, List, NoReturn, Optional, Sequence, Tuple
@@ -166,28 +167,54 @@ def _emit(fmt: str, payload, instance: dict, tolerances: dict, started: float) -
 @dataclass(frozen=True)
 class Table:
     """Rows of a payload as columns: keys in CSV header order, one list of
-    cells per key, every list as long as the table."""
+    cells per key, every list as long as the table.  A column may stand
+    under two keys."""
 
     keys: Sequence[str]
     columns: Sequence[list]
 
 
-def _floats(values: list) -> list:
-    """format(v, ".17g") of each float of values, in one % call.
+class Floats(list):
+    """A float column of a `Table`: floats, and None for an empty cell.
 
-    %-formatting and format() reach the same C routine, so the texts
-    are the same, nan, the infinities and -0 included.
+    The writers print each float as format(v, ".17g") does, a string in
+    JSON, and each None as null in JSON and an empty cell in CSV.
     """
-    return ("%.17g\n" * len(values) % tuple(values)).split("\n")[:-1]
+
+    __slots__ = ()
+
+
+def _format(col: Floats, slot: str, none: str) -> list:
+    """slot % v for each float v of col, in one % call; none for a None.
+
+    %-formatting and format() reach the same C routine, so a "%.17g" slot
+    gives the text of format(v, ".17g"), nan, the infinities and -0
+    included.
+    """
+    vals = [v for v in col if v is not None]
+    texts = ((slot + "\n") * len(vals) % tuple(vals)).split("\n")
+    if len(vals) == len(col):
+        return texts[:-1]
+    texts = iter(texts)
+    return [none if v is None else next(texts) for v in col]
+
+
+@lru_cache(maxsize=256)
+def _dict_template(keys: tuple, pad: str) -> str:
+    # the JSON of a dict with these sorted keys at pad, a %s slot per value
+    inner = pad + "  "
+    return ("{\n" + inner + (",\n" + inner).join(
+        _quote(k).replace("%", "%%") + ": %s" for k in keys) + "\n" + pad + "}")
 
 
 def _json(obj, pad: str = "") -> str:
     """obj as json.dumps writes it with an indent of 2 and sorted keys, at pad.
 
     With any indent json.dumps runs its pure-Python encoder, not the C
-    one.  Here strings go through the C string quoter, and a `Table` as
-    the list of dicts it stands for, through one %-template built from
-    the sorted keys.  Keys must be str.
+    one.  Here strings go through the C string quoter, a dict fills a
+    template cached per key set, and a `Table` is written as the list of
+    dicts it stands for, with its `Floats` as format(v, ".17g") strings.
+    Keys must be str.
     """
     if isinstance(obj, str):
         return _quote(obj)
@@ -202,43 +229,68 @@ def _json(obj, pad: str = "") -> str:
     if isinstance(obj, float):
         return json.dumps(obj)
     inner = pad + "  "
-    sep = ",\n" + inner
     if isinstance(obj, dict):
         if not obj:
             return "{}"
-        return ("{\n" + inner + sep.join(
-            _quote(k) + ": "
-            + (_quote(obj[k]) if isinstance(obj[k], str) else _json(obj[k], inner))
-            for k in sorted(obj))
-            + "\n" + pad + "}")
+        keys = tuple(sorted(obj))
+        # a tuple of a list: one of a generator is resized from a guessed
+        # length, and freed it would join the free list of its new size,
+        # which keeps up to 2000 tuples a size
+        return _dict_template(keys, pad) % tuple([
+            _quote(v) if isinstance(v, str) else _json(v, inner)
+            for v in map(obj.__getitem__, keys)])
     if isinstance(obj, Table):
-        items = _rows(obj, inner)
-    elif isinstance(obj, (list, tuple)):
-        items = [_json(v, inner) for v in obj]
-    else:
+        return _table(obj, pad)
+    if not isinstance(obj, (list, tuple)):
         raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
-    if not items:
+    if not obj:
         return "[]"
-    return "[\n" + inner + sep.join(items) + "\n" + pad + "]"
+    sep = ",\n" + inner
+    return "[\n" + inner + sep.join([_json(v, inner) for v in obj]) + "\n" + pad + "]"
 
 
-def _rows(table: Table, pad: str) -> list:
-    # the JSON texts of a table's rows at pad: each column quoted in one
-    # pass, cell by cell where it holds other than str (None, an int),
-    # and every row filled into one template
+def _table(table: Table, pad: str) -> str:
+    """The JSON list of a table's rows at pad, in one % call over its cells
+    in row order.
+
+    A `Floats` column with no None fills a "%.17g" slot.  Any other column
+    is rendered once, whatever number of keys it stands under, into a %s
+    slot: a `Floats` one in one % call with null for None, a str one by
+    the C quoter, and other cells one by one.
+    """
     inner = pad + "  "
-    order = sorted(range(len(table.keys)), key=table.keys.__getitem__)
-    row = ("{\n" + inner + (",\n" + inner).join(
-        _quote(table.keys[i]).replace("%", "%%") + ": %s" for i in order)
-        + "\n" + pad + "}")
-    texts = []
-    for i in order:
+    cell_pad = inner + "  "
+    slots, cols, texts = [], [], {}
+    for i in sorted(range(len(table.keys)), key=table.keys.__getitem__):
         col = table.columns[i]
-        try:
-            texts.append(list(map(_quote, col)))
-        except TypeError:
-            texts.append([_json(v, inner) for v in col])
-    return list(map(row.__mod__, zip(*texts)))
+        if isinstance(col, Floats) and None not in col:
+            slot = '"%.17g"'
+        else:
+            slot = "%s"
+            if id(col) not in texts:
+                texts[id(col)] = _texts(col, cell_pad)
+            col = texts[id(col)]
+        slots.append(_quote(table.keys[i]).replace("%", "%%") + ": " + slot)
+        cols.append(col)
+    size = len(cols[0]) if cols else 0
+    if not size:
+        return "[]"
+    cells = [None] * (size * len(cols))
+    for j, col in enumerate(cols):
+        cells[j::len(cols)] = col
+    row = "{\n" + cell_pad + (",\n" + cell_pad).join(slots) + "\n" + inner + "}"
+    return ("[\n" + inner + (",\n" + inner).join([row] * size) + "\n" + pad + "]"
+            ) % tuple(cells)
+
+
+def _texts(col: list, pad: str) -> list:
+    # the JSON texts of a column's cells at pad
+    if isinstance(col, Floats):
+        return _format(col, '"%.17g"', "null")
+    try:
+        return list(map(_quote, col))
+    except TypeError:
+        return [_json(v, pad) for v in col]
 
 
 def _cell(value):
@@ -276,7 +328,9 @@ def _to_csv(payload) -> str:
     rows = payload.get("rows") if isinstance(payload, dict) else None
     if isinstance(rows, Table):
         writer.writerow(rows.keys)
-        writer.writerows(zip(*[map(_cell, col) for col in rows.columns]))
+        writer.writerows(zip(*[
+            _format(col, "%.17g", "") if isinstance(col, Floats) else map(_cell, col)
+            for col in rows.columns]))
     else:
         writer.writerow(["key", "value"])
         for key, value in _flatten(payload):
@@ -350,17 +404,16 @@ def sweep_cmd(n_min: int, n_max: int, e: ExponentPair) -> tuple:
         raise ValueError(f"a sweep takes at most {MAX_ROWS} values of n; "
                          f"got {n_min}..{n_max}")
     certs = sweep_constants(e, n_min, n_max)
-    # the cells of the certificates' payloads, formatted from their fields
+    # the cells of the certificates' payloads, from their fields
     n, regime, lower, upper, lower_kind, upper_kind, omegas, x_star = map(list, zip(*[
         (cert.n, cert.regime.value, cert.lower_bound, cert.upper_bound,
          cert.lower_kind, cert.upper_kind, cert.omega, cert.x_star) for cert in certs]))
     trends = _trends(omegas)
-    opt = lambda vs: [None if v is None else format_float(v) for v in vs]
     rows = Table(
         ("n", "regime", "lower_bound", "upper_bound", "lower_kind",
          "upper_kind", "omega", "x_star", "omega_trend"),
-        [n, regime, _floats(lower), _floats(upper), lower_kind, upper_kind,
-         opt(omegas), opt(x_star), trends])
+        [n, regime, Floats(lower), Floats(upper), lower_kind, upper_kind,
+         Floats(omegas), Floats(x_star), trends])
     payload = {"rows": rows, "verdict": {"omega": _overall(trends)}}
     instance = {**_instance(n_min, e), "n": f"{n_min}..{n_max}"}
     return payload, instance, {"nu_bracket_width": format_float(EXTREMUM_TOL)}
@@ -381,13 +434,11 @@ def profile_cmd(n: int, e: ExponentPair, points: int, which: str) -> tuple:
 
     eps = EPS_HAT / n
     xs = np.linspace(eps, params.x_hi - eps, points)
-    columns = [xs, *profile_table(xs, params, names)]
-    cells = [_floats(col.tolist()) for col in columns]
-    blank = np.flatnonzero(_fprime_blank(xs, params)).tolist()
-    for name, col in zip(names, cells[1:]):
-        if name == "fprime":
-            for i in blank:
-                col[i] = None
+    cells = [Floats(col.tolist()) for col in (xs, *profile_table(xs, params, names))]
+    if "fprime" in names:
+        col = cells[1 + names.index("fprime")]
+        for i in np.flatnonzero(_fprime_blank(xs, params)).tolist():
+            col[i] = None
     return {"rows": Table(["x", *names], cells)}, _instance(n, e), {}
 
 
@@ -404,8 +455,8 @@ def reduce3_cmd(sum_c: float, prod_c: float, r_: float, grid: int) -> tuple:
     table = curve_table(ts, cp, r_)
     # y is t; h' is None at the ends, where the derivative formula's
     # distinct coordinates merge, and where it is not a finite double
-    t, x, z, h = (_floats(col) for col in (ts, table["x"], table["z"], table["h"]))
-    h_prime = [None if v is None else format(v, ".17g") for v in table["h_prime"]]
+    t, x, z, h, h_prime = (Floats(col) for col in (
+        ts, table["x"], table["z"], table["h"], table["h_prime"]))
     rows = Table(("t", "x", "y", "z", "h", "h_prime"), [t, x, t, z, h, h_prime])
     h_vals = table["h"]
     diffs = [b - a for a, b in zip(h_vals, h_vals[1:])]

@@ -144,9 +144,9 @@ def _row(t: float, cp: CurveParams, r: float, slope: bool) -> tuple:
     negative r, where the chord slopes' difference is inf - inf.
     """
     sum_c, prod_c = cp.sum_c, cp.prod_c
-    # the slack can exceed t_lo itself, so t > 0 is asked apart
-    slack = 1e-12 * max(1.0, sum_c)
-    if not (cp.t_lo - slack <= t <= cp.t_hi + slack and t > 0.0):
+    # a slack relative to each end: an absolute one can exceed t_lo, as
+    # at (1e50, 1e-300), where t_lo is 1e-175
+    if not cp.t_lo - 1e-12 * cp.t_lo <= t <= cp.t_hi + 1e-12 * cp.t_hi:
         raise ValueError(
             f"t={t} outside the curve interval [{cp.t_lo}, {cp.t_hi}]"
         )

@@ -14,7 +14,8 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from meangap.cli import Table, _cell, _floats, _json, _parse_alpha, _to_csv, main
+from meangap.cli import (Floats, Table, _cell, _dict_template, _format, _json,
+                         _parse_alpha, _to_csv, main)
 from meangap.constants import sweep_constants
 
 
@@ -114,6 +115,38 @@ def _dict_rows_csv(rows, keys):
     return buf.getvalue()
 
 
+# the edges of the double range, as the float cells of a table may hold them
+_EDGES = [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, sys.float_info.max,
+          -sys.float_info.max]
+_FLOAT_CELLS = st.none() | st.floats() | st.sampled_from(_EDGES)
+
+
+@st.composite
+def _float_tables(draw):
+    # `Floats` columns, with and without None, mixed with columns of any
+    # scalars; keys with % among them, and a column under two keys
+    keys = draw(st.lists(_KEYS, unique=True, min_size=1, max_size=5))
+    size = draw(st.integers(0, 4))
+    cells = lambda strategy: draw(st.lists(strategy, min_size=size, max_size=size))
+    columns = [Floats(cells(_FLOAT_CELLS)) if draw(st.booleans()) else cells(_SCALARS)
+               for _ in keys]
+    if len(keys) > 1 and draw(st.booleans()):
+        i, j = draw(st.permutations(range(len(keys))))[:2]
+        columns[i] = columns[j]
+    return Table(keys, columns)
+
+
+def _list_of_dicts(table):
+    # the rows a table stands for, a `Floats` cell as format(v, ".17g")
+    cells = [[None if v is None else format(v, ".17g") for v in col]
+             if isinstance(col, Floats) else col for col in table.columns]
+    return [dict(zip(table.keys, row)) for row in zip(*cells)]
+
+
+_T = Floats(_EDGES)
+_H = Floats([None, *_EDGES, None])
+
+
 class TestTableWriter:
     @given(_tables())
     @example(Table(["a%", "%s", "n"], [["1", "2"], [None, "%s"], [3, True]]))
@@ -130,11 +163,58 @@ class TestTableWriter:
         rows = [dict(zip(table.keys, r)) for r in zip(*table.columns)]
         assert _to_csv({"rows": table}) == _dict_rows_csv(rows, table.keys)
 
+    # as reduce3 prints its rows: t under two keys, h' with None at the ends
+    @given(_float_tables())
+    @example(Table(["t", "y%", "%s", "h'", "n"],
+                   [_T, _T, Floats(_H[1:-1]), Floats(_H[:-2]),
+                    [None, 1, "x", True, 2.5, "%s", -0.0, 7]]))
+    @example(Table(["a%d", "%%(x)s", "b"], [_H, [0] * 10, _H]))
+    @example(Table(["x", "%"], [Floats(), []]))
+    def test_float_tables_are_the_list_of_dicts(self, table):
+        rows = _list_of_dicts(table)
+        assert _json(table) == json.dumps(rows, indent=2, sort_keys=True)
+        assert _json({"rows": table, "%s": {"n": 1}}) == json.dumps(
+            {"rows": rows, "%s": {"n": 1}}, indent=2, sort_keys=True)
+        assert _to_csv({"rows": table}) == _dict_rows_csv(rows, table.keys)
+
     @given(st.lists(st.floats(), max_size=8))
     @example([math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324,
               sys.float_info.max, -sys.float_info.max, 1 / 3, 1e16])
     def test_float_columns_are_format_17g(self, values):
-        assert _floats(values) == [format(v, ".17g") for v in values]
+        texts = [format(v, ".17g") for v in values]
+        table = Table(["x"], [Floats(values)])
+        assert _json(table) == json.dumps([{"x": v} for v in texts], indent=2)
+        assert _to_csv({"rows": table}) == "".join(f"{v}\n" for v in ["x", *texts])
+        assert _format(Floats([None, *values, None]), "%.17g", "") == ["", *texts, ""]
+
+
+class TestDictTemplates:
+    def test_one_key_set_in_two_orders_is_one_template(self):
+        _dict_template.cache_clear()
+        one, two = {"b": 1, "a": [2.5, None]}, {"a": [2.5, None], "b": 1}
+        want = json.dumps(one, indent=2, sort_keys=True)
+        assert _json(one) == _json(two) == want
+        info = _dict_template.cache_info()
+        assert (info.misses, info.hits) == (1, 1)
+
+    def test_keys_holding_percent(self):
+        obj = {"%s": "%d", "a%%": None, "%(x)s": {"%": [1, "%s"]}, "%": "%%"}
+        assert _json(obj) == json.dumps(obj, indent=2, sort_keys=True)
+
+    def test_dict_next_to_a_table(self):
+        table = Table(["t", "y", "h"], [_T, _T, Floats(_H[:-2])])
+        payload = {"rows": table, "verdict": {"omega": "up", "%s": None},
+                   "t_lo": "1e-175", "n": 3}
+        want = {**payload, "rows": _list_of_dicts(table)}
+        assert _json({"payload": payload}) == json.dumps(
+            {"payload": want}, indent=2, sort_keys=True)
+
+    def test_cache_is_bounded(self):
+        cap = _dict_template.cache_info().maxsize
+        assert cap is not None
+        for i in range(10**4):
+            assert _json({str(i): i}) == f'{{\n  "{i}": {i}\n}}'
+        assert _dict_template.cache_info().currsize <= cap
 
 
 class TestAlphaParsing:

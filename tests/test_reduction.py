@@ -142,12 +142,24 @@ class TestCurvePoint:
             curve_point(cp.t_hi + 1e-3, cp)
 
     def test_nonpositive_t_rejected(self):
-        # t_lo is about 1e-175 here, far inside the 1e-12*sum slack below
+        # t_lo is about 1e-175 here, far inside a 1e-12*sum slack below
         # it, which let t <= 0 through to negative or nan coordinates
         cp = curve_params(1e50, 1e-300)
         for t in (0.0, -0.0, -1.0):
             with pytest.raises(ValueError, match="outside the curve interval"):
                 curve_point(t, cp)
+
+    def test_slack_is_relative_to_each_end(self):
+        # under a 1e-12*sum slack, t = 1e-300 < t_lo came back as a point
+        # with x = 1e-50 > y = 1e-300
+        cp = curve_params(1e50, 1e-300)
+        for t in (1e-300, 1e-176, cp.t_lo * (1.0 - 1e-11), cp.t_hi * (1.0 + 1e-11)):
+            with pytest.raises(ValueError, match="outside the curve interval"):
+                curve_point(t, cp)
+        lo = curve_point(cp.t_lo * (1.0 - 1e-13), cp)
+        assert lo.x == pytest.approx(lo.y, rel=1e-12)
+        hi = curve_point(cp.t_hi * (1.0 + 1e-13), cp)
+        assert hi.y == pytest.approx(hi.z, rel=1e-12)
 
     def test_returns_curve_point(self):
         cp = curve_params(6.0, 6.0)
