@@ -8,11 +8,13 @@ Subcommands:
     profile     tabulated profile functions on the two-value segment
     reduce3     the fixed sum-and-product triple curve and its power sum
 
-Output is a JSON envelope (or CSV rows with --format csv); every float
-is serialized as a 17-significant-digit decimal string, so payloads are
-byte identical across runs, platforms, and worker counts.  A
+Output is a JSON envelope (or CSV rows with --format csv).  A
 subcommand's function only computes, and returns (payload, instance,
-tolerances); `main` maps errors to exit codes and writes the envelope.
+tolerances) holding Python floats, None for an empty cell; `main` maps
+errors to exit codes and writes the envelope.  The two writers alone
+turn a float into text, as a 17-significant-digit decimal string
+("%.17g"), so payloads are byte identical across runs, platforms, and
+worker counts.
 Exit code 0 means success, 1 means a verification failed, 2 means
 invalid input (a ValueError), and 3 means a valid instance that the
 solvers cannot certify (an UncertifiedInstance).
@@ -33,13 +35,7 @@ from json.encoder import encode_basestring_ascii as _quote
 from typing import Dict, List, NoReturn, Optional, Sequence, Tuple
 
 from . import __version__
-from .constants import (
-    EPS_HAT,
-    EXTREMUM_TOL,
-    best_constants,
-    format_float,
-    sweep_constants,
-)
+from .constants import EPS_HAT, EXTREMUM_TOL, best_constants, sweep_constants
 from .means import ExponentPair
 from .oracle import (
     DEFAULT_GRID,
@@ -158,7 +154,7 @@ def _emit(fmt: str, payload, instance: dict, tolerances: dict, started: float) -
             "version": __version__,
             "instance": instance,
             "tolerances": tolerances,
-            "timing": {"elapsed_s": format_float(time.perf_counter() - started)},
+            "timing": {"elapsed_s": time.perf_counter() - started},
         },
     }
     sys.stdout.write(_json(envelope) + "\n")
@@ -174,17 +170,11 @@ class Table:
     columns: Sequence[list]
 
 
-class Floats(list):
-    """A float column of a `Table`: floats, and None for an empty cell.
-
-    The writers print each float as format(v, ".17g") does, a string in
-    JSON, and each None as null in JSON and an empty cell in CSV.
-    """
-
-    __slots__ = ()
+# the cell types of a float column: floats, and None for an empty cell
+_FLOAT_CELLS = {float, type(None)}
 
 
-def _format(col: Floats, slot: str, none: str) -> list:
+def _format(col: list, slot: str, none: str) -> list:
     """slot % v for each float v of col, in one % call; none for a None.
 
     %-formatting and format() reach the same C routine, so a "%.17g" slot
@@ -213,7 +203,7 @@ def _json(obj, pad: str = "") -> str:
     With any indent json.dumps runs its pure-Python encoder, not the C
     one.  Here strings go through the C string quoter, a dict fills a
     template cached per key set, and a `Table` is written as the list of
-    dicts it stands for, with its `Floats` as format(v, ".17g") strings.
+    dicts it stands for.  A float is written as the string of "%.17g".
     Keys must be str.
     """
     if isinstance(obj, str):
@@ -227,7 +217,7 @@ def _json(obj, pad: str = "") -> str:
     if isinstance(obj, int):
         return int.__repr__(obj)
     if isinstance(obj, float):
-        return json.dumps(obj)
+        return '"%.17g"' % obj
     inner = pad + "  "
     if isinstance(obj, dict):
         if not obj:
@@ -237,7 +227,8 @@ def _json(obj, pad: str = "") -> str:
         # length, and freed it would join the free list of its new size,
         # which keeps up to 2000 tuples a size
         return _dict_template(keys, pad) % tuple([
-            _quote(v) if isinstance(v, str) else _json(v, inner)
+            _quote(v) if isinstance(v, str)
+            else '"%.17g"' % v if isinstance(v, float) else _json(v, inner)
             for v in map(obj.__getitem__, keys)])
     if isinstance(obj, Table):
         return _table(obj, pad)
@@ -253,22 +244,24 @@ def _table(table: Table, pad: str) -> str:
     """The JSON list of a table's rows at pad, in one % call over its cells
     in row order.
 
-    A `Floats` column with no None fills a "%.17g" slot.  Any other column
-    is rendered once, whatever number of keys it stands under, into a %s
-    slot: a `Floats` one in one % call with null for None, a str one by
-    the C quoter, and other cells one by one.
+    A column of floats alone fills a "%.17g" slot.  Any other column is
+    rendered once, whatever number of keys it stands under, into a %s
+    slot: one of floats and None in one % call with null for None, one of
+    str by the C quoter, and other cells one by one.  Cell types are told
+    by set(map(type, col)), which runs in C.
     """
     inner = pad + "  "
     cell_pad = inner + "  "
     slots, cols, texts = [], [], {}
     for i in sorted(range(len(table.keys)), key=table.keys.__getitem__):
         col = table.columns[i]
-        if isinstance(col, Floats) and None not in col:
+        types = set(map(type, col))
+        if types == {float}:
             slot = '"%.17g"'
         else:
             slot = "%s"
             if id(col) not in texts:
-                texts[id(col)] = _texts(col, cell_pad)
+                texts[id(col)] = _texts(col, types, cell_pad)
             col = texts[id(col)]
         slots.append(_quote(table.keys[i]).replace("%", "%%") + ": " + slot)
         cols.append(col)
@@ -283,23 +276,24 @@ def _table(table: Table, pad: str) -> str:
             ) % tuple(cells)
 
 
-def _texts(col: list, pad: str) -> list:
-    # the JSON texts of a column's cells at pad
-    if isinstance(col, Floats):
+def _texts(col: list, types: set, pad: str) -> list:
+    # the JSON texts at pad of a column's cells, of the given types
+    if types <= _FLOAT_CELLS:
         return _format(col, '"%.17g"', "null")
-    try:
+    if types == {str}:
         return list(map(_quote, col))
-    except TypeError:
-        return [_json(v, pad) for v in col]
+    return [_json(v, pad) for v in col]
 
 
 def _cell(value):
     # a CSV cell of a scalar as the JSON envelope writes it: None empty,
-    # booleans lower case
+    # booleans lower case, a float as "%.17g"
     if value is None:
         return ""
     if isinstance(value, bool):
         return "true" if value else "false"
+    if isinstance(value, float):
+        return "%.17g" % value
     return value
 
 
@@ -314,7 +308,8 @@ def _flatten(obj, prefix: str = "") -> list:
         if all(not isinstance(v, (dict, list, tuple)) for v in obj):
             items.append((key, ";".join(str(_cell(v)) for v in obj)))
         else:
-            items.append((key, json.dumps(obj, sort_keys=True)))
+            # the envelope's JSON of obj, its floats as text, on one line
+            items.append((key, json.dumps(json.loads(_json(obj)), sort_keys=True)))
         return items
     items.append((key, _cell(obj)))
     return items
@@ -329,7 +324,8 @@ def _to_csv(payload) -> str:
     if isinstance(rows, Table):
         writer.writerow(rows.keys)
         writer.writerows(zip(*[
-            _format(col, "%.17g", "") if isinstance(col, Floats) else map(_cell, col)
+            _format(col, "%.17g", "") if set(map(type, col)) <= _FLOAT_CELLS
+            else map(_cell, col)
             for col in rows.columns]))
     else:
         writer.writerow(["key", "value"])
@@ -339,7 +335,7 @@ def _to_csv(payload) -> str:
 
 
 def _instance(n: int, e: ExponentPair) -> dict:
-    return {"n": n, "alpha": format_float(e.alpha), "r": format_float(e.r)}
+    return {"n": n, "alpha": e.alpha, "r": e.r}
 
 
 def constants_cmd(n: int, e: ExponentPair) -> tuple:
@@ -367,7 +363,7 @@ def verify_cmd(
         "check": chk.to_payload(),
     }
     tolerances = dict(payload["certificate"]["tol"])
-    tolerances["violation_slack"] = format_float(VIOLATION_SLACK)
+    tolerances["violation_slack"] = VIOLATION_SLACK
     return payload, _instance(n, e), tolerances
 
 
@@ -412,11 +408,10 @@ def sweep_cmd(n_min: int, n_max: int, e: ExponentPair) -> tuple:
     rows = Table(
         ("n", "regime", "lower_bound", "upper_bound", "lower_kind",
          "upper_kind", "omega", "x_star", "omega_trend"),
-        [n, regime, Floats(lower), Floats(upper), lower_kind, upper_kind,
-         Floats(omegas), Floats(x_star), trends])
+        [n, regime, lower, upper, lower_kind, upper_kind, omegas, x_star, trends])
     payload = {"rows": rows, "verdict": {"omega": _overall(trends)}}
     instance = {**_instance(n_min, e), "n": f"{n_min}..{n_max}"}
-    return payload, instance, {"nu_bracket_width": format_float(EXTREMUM_TOL)}
+    return payload, instance, {"nu_bracket_width": EXTREMUM_TOL}
 
 
 def profile_cmd(n: int, e: ExponentPair, points: int, which: str) -> tuple:
@@ -434,7 +429,7 @@ def profile_cmd(n: int, e: ExponentPair, points: int, which: str) -> tuple:
 
     eps = EPS_HAT / n
     xs = np.linspace(eps, params.x_hi - eps, points)
-    cells = [Floats(col.tolist()) for col in (xs, *profile_table(xs, params, names))]
+    cells = [col.tolist() for col in (xs, *profile_table(xs, params, names))]
     if "fprime" in names:
         col = cells[1 + names.index("fprime")]
         for i in np.flatnonzero(_fprime_blank(xs, params)).tolist():
@@ -453,12 +448,11 @@ def reduce3_cmd(sum_c: float, prod_c: float, r_: float, grid: int) -> tuple:
     cp = curve_params(sum_c, prod_c)
     ts = np.linspace(cp.t_lo, cp.t_hi, grid).tolist()
     table = curve_table(ts, cp, r_)
+    h_vals = table["h"]
     # y is t; h' is None at the ends, where the derivative formula's
     # distinct coordinates merge, and where it is not a finite double
-    t, x, z, h, h_prime = (Floats(col) for col in (
-        ts, table["x"], table["z"], table["h"], table["h_prime"]))
-    rows = Table(("t", "x", "y", "z", "h", "h_prime"), [t, x, t, z, h, h_prime])
-    h_vals = table["h"]
+    rows = Table(("t", "x", "y", "z", "h", "h_prime"),
+                 [ts, table["x"], ts, table["z"], h_vals, table["h_prime"]])
     diffs = [b - a for a, b in zip(h_vals, h_vals[1:])]
     flat = 1e-12 * max(1.0, max(map(abs, h_vals)))
     if all(abs(v) <= flat for v in diffs):
@@ -471,14 +465,13 @@ def reduce3_cmd(sum_c: float, prod_c: float, r_: float, grid: int) -> tuple:
         verdict = "non-monotone"
     payload = {
         "rows": rows,
-        "t_lo": format_float(cp.t_lo),
-        "t_hi": format_float(cp.t_hi),
-        "h_at_t_lo": format_float(h_vals[0]),
-        "h_at_t_hi": format_float(h_vals[-1]),
+        "t_lo": cp.t_lo,
+        "t_hi": cp.t_hi,
+        "h_at_t_lo": h_vals[0],
+        "h_at_t_hi": h_vals[-1],
         "monotone": verdict,
     }
-    instance = {"sum": format_float(sum_c), "prod": format_float(prod_c),
-                "r": format_float(r_)}
+    instance = {"sum": sum_c, "prod": prod_c, "r": r_}
     return payload, instance, {}
 
 

@@ -39,7 +39,6 @@ __all__ = [
     "InterpolationConstants",
     "augment_with_gm",
     "best_constants",
-    "format_float",
     "interpolation_constants",
     "power_form_check",
     "ratio_from_f",
@@ -65,11 +64,6 @@ BRACKET_SLACK = 1e-9
 # missed the 80-digit sharp constant by up to 1.1e-5 relative at n <= 2^44
 # and by 1.3e-5 to 0.22 at n = 2^45..2^50
 _MAX_EXTREMUM_N = 2**44
-
-
-def format_float(x: float) -> str:
-    """Serialize a float as a 17-significant-digit decimal string."""
-    return format(float(x), ".17g")
 
 
 def ratio_from_f(fval: float) -> float:
@@ -128,27 +122,24 @@ class ExtremumCertificate:
     v: Optional[Tuple[float, float]] = None
 
     def to_payload(self) -> dict:
-        opt = lambda v: None if v is None else format_float(v)
         return {
             "n": self.n,
-            "alpha": format_float(self.e.alpha),
-            "r": format_float(self.e.r),
+            "alpha": self.e.alpha,
+            "r": self.e.r,
             "regime": self.regime.value,
-            "lower_bound": format_float(self.lower_bound),
-            "upper_bound": format_float(self.upper_bound),
+            "lower_bound": self.lower_bound,
+            "upper_bound": self.upper_bound,
             "lower_kind": self.lower_kind,
             "upper_kind": self.upper_kind,
-            "mu": opt(self.mu),
-            "mu_residual": opt(self.mu_residual),
-            "nu": opt(self.nu),
+            "mu": self.mu,
+            "mu_residual": self.mu_residual,
+            "nu": self.nu,
             "nu_kind": self.nu_kind,
-            "x_star": opt(self.x_star),
-            "omega": opt(self.omega),
-            "omega_bracket": None
-            if self.omega_bracket is None
-            else [format_float(self.omega_bracket[0]), format_float(self.omega_bracket[1])],
-            "wen_observed": opt(self.wen_observed),
-            "tol": {k: format_float(v) for k, v in sorted(self.tol.items())},
+            "x_star": self.x_star,
+            "omega": self.omega,
+            "omega_bracket": self.omega_bracket,
+            "wen_observed": self.wen_observed,
+            "tol": dict(sorted(self.tol.items())),
         }
 
 

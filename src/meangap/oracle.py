@@ -29,7 +29,7 @@ import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, List, Tuple
 
-from .constants import EPS_HAT, ExtremumCertificate, _endpoint_values, format_float
+from .constants import EPS_HAT, ExtremumCertificate, _endpoint_values
 from .means import ExponentPair
 from .profile import CENTER_BAND, ProfileParams, Side
 
@@ -245,14 +245,14 @@ class GridExtreme:
     def to_payload(self) -> dict:
         return {
             "n": self.n,
-            "alpha": format_float(self.e.alpha),
-            "r": format_float(self.e.r),
+            "alpha": self.e.alpha,
+            "r": self.e.r,
             "points": self.points,
             "includes_endpoints": self.includes_endpoints,
-            "min_value": format_float(self.min_value),
-            "arg_x_min": format_float(self.arg_x_min),
-            "max_value": format_float(self.max_value),
-            "arg_x_max": format_float(self.arg_x_max),
+            "min_value": self.min_value,
+            "arg_x_min": self.arg_x_min,
+            "max_value": self.max_value,
+            "arg_x_max": self.arg_x_max,
         }
 
 
@@ -377,25 +377,21 @@ class OracleReport:
         cert = self.cert
         return {
             "n": cert.n,
-            "alpha": format_float(cert.e.alpha),
-            "r": format_float(cert.e.r),
+            "alpha": cert.e.alpha,
+            "r": cert.e.r,
             "samples": self.samples,
             "seed": self.seed,
-            "lower_bound": format_float(cert.lower_bound),
-            "upper_bound": format_float(cert.upper_bound),
-            "observed_min": format_float(self.observed_min),
-            "observed_max": format_float(self.observed_max),
-            "arg_min": [format_float(t) for t in self.arg_min],
-            "arg_max": [format_float(t) for t in self.arg_max],
-            "probe_min": format_float(self.probe_min),
-            "probe_max": format_float(self.probe_max),
+            "lower_bound": cert.lower_bound,
+            "upper_bound": cert.upper_bound,
+            "observed_min": self.observed_min,
+            "observed_max": self.observed_max,
+            "arg_min": self.arg_min,
+            "arg_max": self.arg_max,
+            "probe_min": self.probe_min,
+            "probe_max": self.probe_max,
             "violations": self.violations,
             "violation_examples": [
-                {
-                    "value": format_float(v),
-                    "config": [format_float(c) for c in cfg],
-                }
-                for v, cfg in self.violation_examples
+                {"value": v, "config": cfg} for v, cfg in self.violation_examples
             ],
             "grid_extreme": self.grid_extreme.to_payload(),
         }
@@ -545,8 +541,8 @@ class BoundsCheck:
     def to_payload(self) -> dict:
         return {
             "ok": self.ok,
-            "tol_min": format_float(self.tol_min),
-            "tol_max": format_float(self.tol_max),
+            "tol_min": self.tol_min,
+            "tol_max": self.tol_max,
             "failures": list(self.failures),
         }
 
@@ -568,7 +564,7 @@ def check_bounds(report: OracleReport) -> BoundsCheck:
 
     if report.violations > 0:
         named = "; ".join(
-            f"ratio {v} at ({', '.join(format_float(c) for c in cfg)})"
+            f"ratio {v} at ({', '.join(format(c, '.17g') for c in cfg)})"
             for v, cfg in report.violation_examples
         )
         failures.append(

@@ -163,9 +163,11 @@ def _row(t: float, cp: CurveParams, r: float, slope: bool) -> tuple:
     # x*z = prod_c/t exactly on the curve; dividing avoids the subtractive
     # cancellation near the x = z corner.  At the ends of the interval y = t
     # merges with x (t_lo) or z (t_hi): the pair is t there and the third
-    # coordinate prod_c/t^2, which rounding keeps in the order x <= y <= z
+    # coordinate prod_c/t^2, which rounding keeps in the order x <= y <= z.
+    # A t in the slack past an end takes that end's rule, which keeps the
+    # order where the interior formulas break it
     z, end = 0.5 * (d + math.sqrt(disc)), prod_c / t / t
-    lo, hi = t == cp.t_lo, t == cp.t_hi
+    lo, hi = t <= cp.t_lo, t >= cp.t_hi
     x = t if lo else end if hi else prod_c / (t * z)
     z = t if hi else end if lo else z
     try:

@@ -14,8 +14,8 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from meangap.cli import (Floats, Table, _cell, _dict_template, _format, _json,
-                         _parse_alpha, _to_csv, main)
+from meangap.cli import (Table, _cell, _dict_template, _format, _json, _parse_alpha,
+                         _to_csv, main)
 from meangap.constants import sweep_constants
 
 
@@ -72,12 +72,35 @@ _JSON = st.recursive(
 )
 
 
+def _texted(obj):
+    # obj as the writers print it: each float as the string format(v, ".17g")
+    if isinstance(obj, float):
+        return format(obj, ".17g")
+    if isinstance(obj, dict):
+        return {k: _texted(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_texted(v) for v in obj]
+    return obj
+
+
 class TestJsonWriter:
     @given(_JSON)
     @example({"rows": [{"a%": "1", "b": None}, {"a%": "2", "b": "%s"},
                        {"a%": "3"}, {}, [], 1.5]})
     def test_matches_json_dumps(self, obj):
-        assert _json(obj) == json.dumps(obj, indent=2, sort_keys=True)
+        assert _json(obj) == json.dumps(_texted(obj), indent=2, sort_keys=True)
+
+    def test_float_scalars_are_17g(self):
+        # the one float rule of both writers: a JSON string, a CSV cell
+        for value, text in [
+            (1.0 / 3.0, "0.33333333333333331"), (math.inf, "inf"), (-0.0, "-0"),
+            (math.nan, "nan"), (1e16, "10000000000000000"),
+            (5e-324, "4.9406564584124654e-324"),
+        ]:
+            assert _json(value) == f'"{text}"'
+            assert _cell(value) == text
+            assert _to_csv({"v": [value, None], "w": {"x": value}}) == (
+                f"key,value\nv,{text};\nw.x,{text}\n")
 
     @pytest.mark.parametrize("args", [
         ["constants", "--n", "4", "--alpha", "2"],
@@ -123,12 +146,12 @@ _FLOAT_CELLS = st.none() | st.floats() | st.sampled_from(_EDGES)
 
 @st.composite
 def _float_tables(draw):
-    # `Floats` columns, with and without None, mixed with columns of any
+    # columns of floats, with and without None, mixed with columns of any
     # scalars; keys with % among them, and a column under two keys
     keys = draw(st.lists(_KEYS, unique=True, min_size=1, max_size=5))
     size = draw(st.integers(0, 4))
     cells = lambda strategy: draw(st.lists(strategy, min_size=size, max_size=size))
-    columns = [Floats(cells(_FLOAT_CELLS)) if draw(st.booleans()) else cells(_SCALARS)
+    columns = [cells(_FLOAT_CELLS) if draw(st.booleans()) else cells(_SCALARS)
                for _ in keys]
     if len(keys) > 1 and draw(st.booleans()):
         i, j = draw(st.permutations(range(len(keys))))[:2]
@@ -137,14 +160,12 @@ def _float_tables(draw):
 
 
 def _list_of_dicts(table):
-    # the rows a table stands for, a `Floats` cell as format(v, ".17g")
-    cells = [[None if v is None else format(v, ".17g") for v in col]
-             if isinstance(col, Floats) else col for col in table.columns]
-    return [dict(zip(table.keys, row)) for row in zip(*cells)]
+    # the rows a table stands for, a float cell as format(v, ".17g")
+    return [dict(zip(table.keys, map(_texted, row))) for row in zip(*table.columns)]
 
 
-_T = Floats(_EDGES)
-_H = Floats([None, *_EDGES, None])
+_T = list(_EDGES)
+_H = [None, *_EDGES, None]
 
 
 class TestTableWriter:
@@ -152,7 +173,7 @@ class TestTableWriter:
     @example(Table(["a%", "%s", "n"], [["1", "2"], [None, "%s"], [3, True]]))
     @example(Table(["x"], [[]]))
     def test_json_is_the_list_of_dicts(self, table):
-        rows = [dict(zip(table.keys, r)) for r in zip(*table.columns)]
+        rows = _list_of_dicts(table)
         assert _json(table) == json.dumps(rows, indent=2, sort_keys=True)
         assert _json({"rows": table}) == json.dumps({"rows": rows}, indent=2,
                                                     sort_keys=True)
@@ -160,16 +181,16 @@ class TestTableWriter:
     @given(_tables())
     @example(Table(["a", "b"], [[True, False], [None, "x,\"y\n"]]))
     def test_csv_is_the_list_of_dicts(self, table):
-        rows = [dict(zip(table.keys, r)) for r in zip(*table.columns)]
+        rows = _list_of_dicts(table)
         assert _to_csv({"rows": table}) == _dict_rows_csv(rows, table.keys)
 
     # as reduce3 prints its rows: t under two keys, h' with None at the ends
     @given(_float_tables())
     @example(Table(["t", "y%", "%s", "h'", "n"],
-                   [_T, _T, Floats(_H[1:-1]), Floats(_H[:-2]),
+                   [_T, _T, _H[1:-1], _H[:-2],
                     [None, 1, "x", True, 2.5, "%s", -0.0, 7]]))
     @example(Table(["a%d", "%%(x)s", "b"], [_H, [0] * 10, _H]))
-    @example(Table(["x", "%"], [Floats(), []]))
+    @example(Table(["x", "%"], [[], []]))
     def test_float_tables_are_the_list_of_dicts(self, table):
         rows = _list_of_dicts(table)
         assert _json(table) == json.dumps(rows, indent=2, sort_keys=True)
@@ -182,17 +203,17 @@ class TestTableWriter:
               sys.float_info.max, -sys.float_info.max, 1 / 3, 1e16])
     def test_float_columns_are_format_17g(self, values):
         texts = [format(v, ".17g") for v in values]
-        table = Table(["x"], [Floats(values)])
+        table = Table(["x"], [values])
         assert _json(table) == json.dumps([{"x": v} for v in texts], indent=2)
         assert _to_csv({"rows": table}) == "".join(f"{v}\n" for v in ["x", *texts])
-        assert _format(Floats([None, *values, None]), "%.17g", "") == ["", *texts, ""]
+        assert _format([None, *values, None], "%.17g", "") == ["", *texts, ""]
 
 
 class TestDictTemplates:
     def test_one_key_set_in_two_orders_is_one_template(self):
         _dict_template.cache_clear()
         one, two = {"b": 1, "a": [2.5, None]}, {"a": [2.5, None], "b": 1}
-        want = json.dumps(one, indent=2, sort_keys=True)
+        want = json.dumps(_texted(one), indent=2, sort_keys=True)
         assert _json(one) == _json(two) == want
         info = _dict_template.cache_info()
         assert (info.misses, info.hits) == (1, 1)
@@ -202,7 +223,7 @@ class TestDictTemplates:
         assert _json(obj) == json.dumps(obj, indent=2, sort_keys=True)
 
     def test_dict_next_to_a_table(self):
-        table = Table(["t", "y", "h"], [_T, _T, Floats(_H[:-2])])
+        table = Table(["t", "y", "h"], [_T, _T, _H[:-2]])
         payload = {"rows": table, "verdict": {"omega": "up", "%s": None},
                    "t_lo": "1e-175", "n": 3}
         want = {**payload, "rows": _list_of_dicts(table)}
@@ -806,7 +827,7 @@ class TestSweepCommand:
         # closed forms, with omega and x_star empty
         keys = ("n", "regime", "lower_bound", "upper_bound", "lower_kind",
                 "upper_kind", "omega", "x_star")
-        expected = [{k: cert.to_payload()[k] for k in keys}
+        expected = [{k: _texted(cert.to_payload()[k]) for k in keys}
                     for cert in sweep_constants(_parse_alpha(alpha), 3, 6)]
         args = ["sweep", "--n-min", "3", "--n-max", "6", "--alpha", alpha]
         rows = run_json(runner, args)["payload"]["rows"]

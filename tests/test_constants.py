@@ -12,7 +12,6 @@ from meangap.constants import (
     InterpolationConstants,
     augment_with_gm,
     best_constants,
-    format_float,
     interpolation_constants,
     power_form_check,
     ratio_from_f,
@@ -141,10 +140,6 @@ class TestCertificateStructure:
         assert p1 == p2
         assert "omega" in cert.to_payload()
         assert cert.to_payload()["regime"] == "NEG_R"
-
-    def test_format_float_17g(self):
-        assert format_float(1.0 / 3.0) == "0.33333333333333331"
-        assert format_float(math.inf) == "inf"
 
 
 class TestSweep:

@@ -544,6 +544,30 @@ class TestCheckBounds:
         assert payload["grid_extreme"]["n"] == 3
         assert len(payload["arg_min"]) == 3
 
+    def test_payloads_hold_floats_not_texts(self):
+        # the CLI's writers alone turn a float into text; the certificate's
+        # upper bound is moved inside the range so violations are listed
+        cert = best_constants(3, ExponentPair.from_alpha(-1.0))
+        cert = dataclasses.replace(cert, upper_bound=cert.upper_bound - 0.5)
+        rep = monte_carlo_extremes(cert, samples=10_000, seed=0, grid=MIN_GRID)
+        chk = check_bounds(rep)
+        assert not chk.ok and rep.violation_examples
+
+        def leaves(obj):
+            if isinstance(obj, dict):
+                obj = list(obj.values())
+            if not isinstance(obj, (list, tuple)):
+                return [obj]
+            return [leaf for v in obj for leaf in leaves(v)]
+
+        found = leaves([cert.to_payload(), rep.to_payload(), chk.to_payload()])
+        types = {type(v) for v in found}
+        assert float in types and types <= {float, int, bool, str, type(None)}
+        for text in (v for v in found if isinstance(v, str)):
+            with pytest.raises(ValueError):
+                float(text)
+        assert type(rep.to_payload()["violation_examples"][0]["value"]) is float
+
 
 def grid_points(params: ProfileParams, grid: int):
     # (side, t) for each side as one array: half of the grid each, in

@@ -2,13 +2,20 @@
 
 FROZEN holds the sha256 of the stdout of every `tabulate` and `sweep`
 operation at the benchmark's seeds 1 and 2 (`bench/workloads.py`), in
-JSON and in CSV, and of every `verify` operation at seed 1 in JSON, with
-the envelope's `elapsed_s` masked.  They were taken from the output
+JSON and in CSV, and of every `verify` operation at seed 1, also in both
+formats, with the envelope's `elapsed_s` masked.  They were taken from the output
 before the envelope got its own JSON writer (the CSV of `reduce3` before
 its curve was evaluated as columns, that of `sweep` before tables were
 written as columns, the `verify` JSON before the grid ran in place), so
 a change to the writer, the row layout, a profile kernel, the curve or
 the grid scan that moves any byte shows here.
+
+FAILING holds the bytes of a `verify` that fails: the real certificate of
+(5, 2) with its upper bound moved inside the range of the ratio, so that
+samples and the grid violate it.  Its exit code is 1, and it is the one
+frozen check of the failure text and of the CSV cell that holds
+`violation_examples` as JSON.  The `verify` CSV and FAILING hashes were
+taken before the payload builders handed the writers floats.
 
 CERTIFY_PASSES holds one sha256 per seed and format over a whole pass
 of the `certify` workload: each `constants` operation's masked stdout
@@ -20,6 +27,7 @@ Brent-Dekker narrowing, which moves the last digits of every searched
 value, and the curve's ends were made to merge their two coordinates.
 """
 
+import dataclasses
 import hashlib
 import importlib.util
 import re
@@ -27,6 +35,7 @@ from pathlib import Path
 
 import pytest
 
+from meangap import cli
 from meangap.cli import main
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -124,6 +133,28 @@ FROZEN = {
         "4165e0716181ec0de97df4f0f046217631f092582009f2fb0c4fefa262091224",
     "verify --n 100 --alpha 2/3 --workers 1 --format json":
         "57689d0eda35fdfb2d7292693b2a013ebd83a1d0584a6c4a5aee961af1c60a1c",
+    "verify --n 5 --alpha -1.84313 --workers 1 --format csv":
+        "3a04e81941c11224161416b6b74a9ea959cf52de16db3a84e6b080be61b0c913",
+    "verify --n 10 --alpha 32/5 --workers 1 --format csv":
+        "2727803dbb9a9df93d0bd0cde679a7f6d88ebce955a46099595e33c591ade88e",
+    "verify --n 3 --alpha 0.890063 --workers 1 --format csv":
+        "1611055a39e50ae7258733a39f104160ebfc22747f32282dd8172b09af5e29df",
+    "verify --n 4 --alpha 1/10 --workers 1 --format csv":
+        "6b5c42b6fd2f31d272f8cb37f166514f6b291cfef8f5e5adc9fbfe6973d8fd0c",
+    "verify --n 20 --alpha 4/5 --workers 1 --format csv":
+        "f45ade622c02cbb085b93d644f853dcb3fdc1052922d551e7ff0afc740d33c4d",
+    "verify --n 25 --alpha 0.24436 --workers 1 --format csv":
+        "6dca05e22b0d7d808683237b3e158ebb257d41286ead850a95f3c1de82a31c22",
+    "verify --n 100 --alpha 1/4 --workers 1 --format csv":
+        "6f3d3f2e5292bd2b5d3f2158eb52cc0ae5db56953546a623576d56ddc91ac78f",
+    "verify --n 100 --alpha 2/3 --workers 1 --format csv":
+        "4b61a5cd8dd8774c1ae84b7dcc3b82c6826c0893ed2ec17f8d6bad2968626380",
+}
+
+FAILING_ARGS = "verify --n 5 --alpha 2 --samples 10000 --grid 300000"
+FAILING = {
+    "json": "818fb56005526e9613d13fe96ed79b032c25c2482e99b4457eb2847df983d1f5",
+    "csv": "45b7b0569b0f2c9e3ddae82bdf5217df93b9720be29e1b83715a6fc9dcd613d0",
 }
 
 CERTIFY_PASSES = {
@@ -152,7 +183,8 @@ def test_frozen_operations_are_the_benchmarks():
             for fmt in ("json", "csv"):
                 ops.add(" ".join(args + ["--format", fmt]))
     for args in workloads.verify(1):
-        ops.add(" ".join(args + ["--format", "json"]))
+        for fmt in ("json", "csv"):
+            ops.add(" ".join(args + ["--format", fmt]))
     assert ops == set(FROZEN)
     # the certify passes at the same seeds, in both formats
     assert set(CERTIFY_PASSES) == {(seed, fmt) for seed in (1, 2)
@@ -165,6 +197,22 @@ def test_operation_prints_frozen_bytes(runner, op):
     assert result.exit_code == 0, result.output
     masked = _ELAPSED.sub('"elapsed_s": "X"', result.output)
     assert hashlib.sha256(masked.encode()).hexdigest() == FROZEN[op]
+
+
+@pytest.mark.parametrize("fmt", sorted(FAILING))
+def test_failing_verify_prints_frozen_bytes(runner, monkeypatch, fmt):
+    real = cli.best_constants
+
+    def moved(n, e):
+        cert = real(n, e)
+        return dataclasses.replace(cert, upper_bound=cert.lower_bound + 1e-3)
+
+    monkeypatch.setattr(cli, "best_constants", moved)
+    result = runner.invoke(main, FAILING_ARGS.split() + ["--format", fmt])
+    assert result.exit_code == 1, result.output
+    assert result.stderr == ""
+    masked = _ELAPSED.sub('"elapsed_s": "X"', result.stdout)
+    assert hashlib.sha256(masked.encode()).hexdigest() == FAILING[fmt]
 
 
 @pytest.mark.parametrize("seed,fmt", sorted(CERTIFY_PASSES))

@@ -161,6 +161,16 @@ class TestCurvePoint:
         hi = curve_point(cp.t_hi * (1.0 + 1e-13), cp)
         assert hi.y == pytest.approx(hi.z, rel=1e-12)
 
+    @pytest.mark.parametrize("sum_c,prod_c", [(6.0, 6.0), (10.0, 20.0), (1e50, 1e-300)])
+    @pytest.mark.parametrize("end,rel", [("t_lo", -1e-13), ("t_hi", 1e-13),
+                                         ("t_hi", 9e-13)])
+    def test_points_in_the_slack_are_ordered(self, sum_c, prod_c, end, rel):
+        # a t just past an end takes that end's merged coordinates; from
+        # the interior formulas x came out above y, or y above z
+        cp = curve_params(sum_c, prod_c)
+        pt = curve_point(getattr(cp, end) * (1.0 + rel), cp)
+        assert pt.x <= pt.y <= pt.z
+
     def test_returns_curve_point(self):
         cp = curve_params(6.0, 6.0)
         pt = curve_point(2.0, cp)
