@@ -176,15 +176,20 @@ def best_constants(
     params = ProfileParams(n=n, e=e)
     regime = classify(n, e)
     r = e.r
-    tolerances = {"nu_bracket_width": EXTREMUM_TOL,
-                  "omega_abs": max(EXTREMUM_TOL * EXTREMUM_TOL, 1e-12)}
-    at_zero, at_top = _endpoint_values(n, r)
+    tolerances = {"nu_bracket_width": EXTREMUM_TOL, "omega_abs": 1e-12}
+    # for r > 0 the ratio's limits at the two ends of the segment bound it;
+    # for r < 0 it is unbounded below, and its one turning regime bounds it
+    # above by omega
+    ends = _endpoint_values(n, r)
+    lower, upper = min(ends), max(ends)
+    lower_kind = upper_kind = "closed-form"
+    if r < 0.0:
+        lower, lower_kind = -math.inf, "unbounded"
 
-    shape = regime.f_shape
-    if shape.nu_side is None:
+    if regime.nu_side is None:
         return ExtremumCertificate(
-            n=n, e=e, regime=regime.tag, lower_bound=at_top, upper_bound=at_zero,
-            lower_kind="closed-form", upper_kind="closed-form", tol=tolerances)
+            n=n, e=e, regime=regime.tag, lower_bound=lower, upper_bound=upper,
+            lower_kind=lower_kind, upper_kind=upper_kind, tol=tolerances)
 
     if n > _MAX_EXTREMUM_N:
         raise UncertifiedInstance(
@@ -192,7 +197,7 @@ def best_constants(
             f"n eps = {n * math.ulp(1.0):.1e} relative, too coarse "
             f"to certify the extremum"
         )
-    side = Side(params, shape.nu_side)
+    side = Side(params, regime.nu_side)
     cp = locate_mu(side, None if guess is None else guess[0])
     tolerances["mu_residual"] = cp.residual
     slope = lambda v: side.f_prime(side.t(v))
@@ -204,7 +209,7 @@ def best_constants(
     if (f_start > 0.0) == (slope(edge) > 0.0):
         raise UncertifiedInstance(
             f"f' has the same sign at the W = 1 crossing as at the far edge "
-            f"t_min = {side.t_min!r} of the {shape.nu_side} side"
+            f"t_min = {side.t_min!r} of the {regime.nu_side} side"
         )
     res = search_outward(
         slope, start, edge, tol=EXTREMUM_TOL, f_start=f_start,
@@ -214,34 +219,23 @@ def best_constants(
     nu = side.f(t_star)
     omega = ratio_from_f(nu)
 
-    tag = regime.tag
-    # wen is None for r >= 1, which the two small-n regimes have
+    # the ratio is r at the center, and omega = nu/(nu - 1) falls as nu
+    # rises: a minimum of f is the ratio's maximum, past its upper end
+    # limit, and a maximum of f its minimum, past the lower one.  wen is
+    # None for r >= 1
     wen = wen_reference(n, r)
-    if tag is RegimeTag.NEG_R:
-        lord = -1.0 / (n - 1) if e.alpha == -1.0 else math.inf
-        bracket, label = (r, lord), "omega_1"
-        lower, upper = -math.inf, omega
-    elif tag is RegimeTag.FRAC_R:
-        bracket, label = (wen, r), "omega_2"
-        lower, upper = omega, at_top
-    elif tag is RegimeTag.LOW_R_SMALL_N:
-        bracket, label = (r, math.inf), "omega_3"
-        lower, upper = at_top, omega
-    else:  # HIGH_R_SMALL_N
-        bracket, label = (-math.inf, r), "omega_4"
-        lower, upper = omega, at_zero
-    _check_bracket(omega, bracket, label)
-
-    def kind(bound: float) -> str:
-        # the bound that is omega itself is the certified one
-        if bound is omega:
-            return "certified-extremum"
-        return "closed-form" if math.isfinite(bound) else "unbounded"
+    if regime.nu_kind == "min":
+        bracket = (r, -1.0 / (n - 1) if e.alpha == -1.0 else math.inf)
+        upper, upper_kind = omega, "certified-extremum"
+    else:
+        bracket = (-math.inf if wen is None else wen, r)
+        lower, lower_kind = omega, "certified-extremum"
+    _check_bracket(omega, bracket, regime.label)
 
     return ExtremumCertificate(
-        n=n, e=e, regime=tag, lower_bound=lower, upper_bound=upper,
-        lower_kind=kind(lower), upper_kind=kind(upper), tol=tolerances,
-        mu=cp.mu, mu_residual=cp.residual, nu=nu, nu_kind=shape.nu_kind,
+        n=n, e=e, regime=regime.tag, lower_bound=lower, upper_bound=upper,
+        lower_kind=lower_kind, upper_kind=upper_kind, tol=tolerances,
+        mu=cp.mu, mu_residual=cp.residual, nu=nu, nu_kind=regime.nu_kind,
         x_star=side.x(t_star), omega=omega, omega_bracket=bracket,
         wen_observed=wen, v=(start, side.v(t_star)),
     )

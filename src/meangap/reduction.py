@@ -98,7 +98,8 @@ def curve_params(sum_c: float, prod_c: float) -> CurveParams:
     """Locate the curve's parameter interval for the constraint pair.
 
     Requires sum_c, prod_c > 0 and sum_c^3 > 27*prod_c; equality collapses
-    the curve to the all-equal triple and is rejected as degenerate.
+    the curve to the all-equal triple and is rejected as degenerate, as is
+    a curve so close to it that its ends round to one double.
     """
     sum_c = float(sum_c)
     prod_c = float(prod_c)
@@ -128,20 +129,25 @@ def curve_params(sum_c: float, prod_c: float) -> CurveParams:
         kappa, q / math.e, min(q * math.e * math.sqrt(3.0), top), _CURVE_RTOL * q,
     ), 1.0)
     t_hi = _inner_end(find_root(kappa, top, sum_c, _CURVE_RTOL * sum_c), -1.0)
+    if not t_lo < t_hi:
+        raise ConstraintDegenerateError(
+            f"the curve's ends round to one double t={t_lo}, where its three "
+            "coordinates merge"
+        )
     return CurveParams(sum_c=sum_c, prod_c=prod_c, t_lo=t_lo, t_hi=t_hi)
 
 
 def _row(t: float, cp: CurveParams, r: float, slope: bool) -> tuple:
     """(x, z, h, h') of the curve at t, y = t; h' only where slope is set.
 
-    The discriminant (sum_c-t)^2 - 4*prod_c/t is clamped to zero where a
-    rounding-level negative (within -1e-12) appears at the interval ends;
-    anything more negative means t is off the curve.  Each power goes
-    through float's ** (libm pow); where one leaves the double range, its
-    OverflowError or ZeroDivisionError (0.0 to a negative r) becomes a
-    ValueError, as does a power sum past it.  h' is None where slope is
-    not set or it is not a finite double, as at tiny coordinates and
-    negative r, where the chord slopes' difference is inf - inf.
+    The discriminant (sum_c-t)^2 - 4*prod_c/t is used only strictly inside
+    the interval, where it is positive but for rounding, and is clamped at
+    zero; a t at or past an end takes the end's merged coordinates.  Each
+    power goes through float's ** (libm pow); where one leaves the double
+    range, its OverflowError or ZeroDivisionError (0.0 to a negative r)
+    becomes a ValueError, as does a power sum past it.  h' is None where
+    slope is not set or it is not a finite double, as at tiny coordinates
+    and negative r, where the chord slopes' difference is inf - inf.
     """
     sum_c, prod_c = cp.sum_c, cp.prod_c
     # a slack relative to each end: an absolute one can exceed t_lo, as
@@ -153,13 +159,7 @@ def _row(t: float, cp: CurveParams, r: float, slope: bool) -> tuple:
     d = sum_c - t
     # the square through ** (libm pow), which can differ from d*d in the
     # last bit
-    disc = d**2 - 4.0 * prod_c / t
-    if disc < 0.0:
-        if disc < -1e-12:
-            raise ConstraintDegenerateError(
-                f"negative discriminant {disc} at t={t}"
-            )
-        disc = 0.0
+    disc = max(d**2 - 4.0 * prod_c / t, 0.0)
     # x*z = prod_c/t exactly on the curve; dividing avoids the subtractive
     # cancellation near the x = z corner.  At the ends of the interval y = t
     # merges with x (t_lo) or z (t_hi): the pair is t there and the third

@@ -22,7 +22,6 @@ from .solver import BracketError, UncertifiedInstance, search_outward
 __all__ = [
     "MU_OFFSET",
     "CriticalPoint",
-    "FShape",
     "Regime",
     "RegimeTag",
     "classify",
@@ -47,27 +46,20 @@ class RegimeTag(enum.Enum):
 
 
 @dataclass(frozen=True)
-class FShape:
-    """Qualitative shape of the profile f in a regime.
+class Regime:
+    """Shape of the profile f in one regime, shared by all its instances.
 
-    nu_side says on which side of x = 1/n the interior extremum lives,
-    beyond the W = 1 crossing on the same side; it is None for the two
-    monotone regimes, where f is strictly increasing and the extremes sit
-    at the domain ends.
+    nu_kind says whether f has an interior minimum or maximum, and nu_side
+    on which side of x = 1/n it lives, beyond the W = 1 crossing on the
+    same side; label names its certified constant omega.  The two
+    monotone regimes have nu_kind "none" and no side or label: there f is
+    strictly increasing and the extremes sit at the domain ends.
     """
 
+    tag: RegimeTag
     nu_kind: str  # "min" | "max" | "none"
     nu_side: Optional[str]  # "left" | "right" | None
-
-
-@dataclass(frozen=True)
-class Regime:
-    """Resolved regime for one (n, r) instance."""
-
-    tag: RegimeTag
-    n: int
-    e: ExponentPair
-    f_shape: FShape
+    label: Optional[str]  # "omega_1" .. "omega_4" | None
 
 
 @dataclass(frozen=True)
@@ -81,18 +73,18 @@ class CriticalPoint:
     t: float
 
 
-_SHAPES = {
-    RegimeTag.NEG_R: FShape(nu_kind="min", nu_side="right"),
-    RegimeTag.FRAC_R: FShape(nu_kind="max", nu_side="left"),
-    RegimeTag.LOW_R_SMALL_N: FShape(nu_kind="min", nu_side="left"),
-    RegimeTag.LOW_R_LARGE_N: FShape(nu_kind="none", nu_side=None),
-    RegimeTag.HIGH_R_SMALL_N: FShape(nu_kind="max", nu_side="right"),
-    RegimeTag.HIGH_R_LARGE_N: FShape(nu_kind="none", nu_side=None),
-}
+_REGIMES = {reg.tag: reg for reg in (
+    Regime(RegimeTag.NEG_R, "min", "right", "omega_1"),
+    Regime(RegimeTag.FRAC_R, "max", "left", "omega_2"),
+    Regime(RegimeTag.LOW_R_SMALL_N, "min", "left", "omega_3"),
+    Regime(RegimeTag.LOW_R_LARGE_N, "none", None, None),
+    Regime(RegimeTag.HIGH_R_SMALL_N, "max", "right", "omega_4"),
+    Regime(RegimeTag.HIGH_R_LARGE_N, "none", None, None),
+)}
 
 
 def classify(n: int, e: ExponentPair) -> Regime:
-    """Assign an (n, exponent) instance to its monotonicity regime.
+    """The monotonicity regime of an (n, exponent) instance.
 
     Boundary conventions: r == 2 and, for r in (1, 2), n == r/(r-1) both
     fall into LOW_R_LARGE_N; for r > 2, n == r falls into
@@ -116,7 +108,7 @@ def classify(n: int, e: ExponentPair) -> Regime:
             if n < r / (r - 1.0)
             else RegimeTag.LOW_R_LARGE_N
         )
-    return Regime(tag=tag, n=n, e=e, f_shape=_SHAPES[tag])
+    return _REGIMES[tag]
 
 
 def locate_mu(side: Side, guess: Optional[Tuple[float, float]] = None) -> CriticalPoint:

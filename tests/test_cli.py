@@ -14,8 +14,8 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from meangap.cli import (Table, _cell, _dict_template, _format, _json, _parse_alpha,
-                         _to_csv, main)
+from meangap.cli import (Table, _cell, _dict_template, _format, _json, _overall,
+                         _parse_alpha, _to_csv, _trends, main)
 from meangap.constants import sweep_constants
 
 
@@ -460,10 +460,38 @@ class TestConstantsCommand:
         assert payload["lower_bound"] == "1.25"
         assert payload["upper_bound"] == "5"
 
-    def test_usage_error_for_small_n(self, runner):
-        result = runner.invoke(main, ["constants", "--n", "2", "--alpha", "2"])
+    @pytest.mark.parametrize("n", ["2", "1", "0", "-5"])
+    @pytest.mark.parametrize("command", ["constants", "verify", "profile"])
+    def test_usage_error_for_small_n(self, runner, command, n):
+        result = runner.invoke(main, [command, "--n", n, "--alpha", "2"])
         assert result.exit_code == 2
-        assert "n >= 3" in result.output
+        assert result.stdout == ""
+        cause = ("n = 2 is governed by a different sharp description and is "
+                 "not covered here; use n >= 3" if n == "2"
+                 else f"n must be an integer >= 3, got {n}")
+        assert result.stderr.endswith(f"meangap {command}: error: {cause}\n")
+
+    @pytest.mark.parametrize("args,r,label,bracket", [
+        ("--n 3 --alpha -1", -1.0, "omega_1", "[-1.0, -0.5]"),
+        ("--n 4 --alpha 2", 0.5, "omega_2", "[0.40249223594996214, 0.5]"),
+        ("--n 3 --alpha 5/7", 1.4, "omega_3", "[1.4, inf]"),
+        ("--n 3 --alpha 1/5", 5.0, "omega_4", "[-inf, 5.0]"),
+    ])
+    def test_constant_outside_its_bracket_exits_three(self, runner, monkeypatch,
+                                                      args, r, label, bracket):
+        # the ratio is r at the center, so an extremum that lies on the
+        # wrong side of r (a minimum of f below it, a maximum above it) is
+        # refused and named by its label
+        import meangap.constants as constants_mod
+
+        wrong = r - 1.0 if label in ("omega_1", "omega_3") else r + 1.0
+        monkeypatch.setattr(constants_mod, "ratio_from_f", lambda fval: wrong)
+        result = runner.invoke(main, ["constants", *args.split()])
+        assert result.exit_code == 3
+        assert result.stdout == ""
+        assert result.stderr == (
+            f"Error: cannot certify this instance: certified constant {label} = "
+            f"{wrong} violates its a-priori bracket {bracket}\n")
 
     @pytest.mark.parametrize("args", [
         ["constants", "--n", "3", "--alpha", "1/1000000"],
@@ -840,6 +868,16 @@ class TestSweepCommand:
         assert all((row["omega"] is None and row["x_star"] is None) == closed
                    for row in expected)
 
+    @pytest.mark.parametrize("omegas,verdict", [
+        ([None, 1.0, 1.0], "constant"),
+        ([2.0, None, 1.0], "decreasing"),
+        ([1.0, 2.0, 2.0], "increasing"),
+        ([1.0, 2.0, None, 1.5], "mixed"),
+    ])
+    def test_verdict_reads_the_moves_between_omegas(self, omegas, verdict):
+        # a None, a monotone row, is skipped: the step is from the omega before it
+        assert _overall(_trends(omegas)) == verdict
+
     def test_bad_range(self, runner):
         result = runner.invoke(main, ["sweep", "--n-min", "6", "--n-max", "4",
                                       "--alpha", "2"])
@@ -967,6 +1005,13 @@ class TestReduce3Command:
         # each power is a finite double, their sum is not
         (["--sum", "8.154845485377136", "--prod", "20.085534914633975",
           "--r", "708.7791414792284"], "power sum at t="),
+        # curves that only rounding keeps off the all-equal triple: the
+        # discriminant rounds below zero between the ends at the first,
+        # and the ends round to one double at the second
+        (["--sum", "11640800", "--prod", "5.842311634775229e19", "--r", "2"],
+         "coordinates merge at t="),
+        (["--sum", "2.03315e24", "--prod", "3.1127518386225467e71", "--r", "2"],
+         "the curve's ends round to one double"),
     ])
     def test_non_finite_input_is_usage_error(self, runner, args, named):
         result = runner.invoke(main, ["reduce3", *args])

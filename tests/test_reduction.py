@@ -94,6 +94,12 @@ class TestCurveParams:
         with pytest.raises(ConstraintDegenerateError):
             curve_params(-6.0, 6.0)
 
+    def test_ends_rounding_to_one_double_rejected(self):
+        # sum^3 passes 27 prod by rounding alone, and both root searches
+        # end on one double, so no t lies strictly between the ends
+        with pytest.raises(ConstraintDegenerateError, match="ends round to one double"):
+            curve_params(2.03315e24, 3.1127518386225467e71)
+
     def test_fields(self):
         cp = curve_params(6.0, 6.0)
         assert isinstance(cp, CurveParams)
@@ -301,6 +307,23 @@ class TestCurveTable:
         assert pt.x == pt.z != pt.y
         with pytest.raises(ValueError, match="coordinates merge"):
             h_prime(t, cp, 2.0)
+
+    def test_rounding_negative_discriminant_is_clamped(self):
+        # a curve 7 ulps wide, where the discriminant rounds to -0.0078125
+        # at t_lo and between the ends.  The end takes its merged
+        # coordinates; between the ends the discriminant is clamped to
+        # zero, so z is d/2, and x and z merge there, where h' refuses
+        sum_c, prod_c = 11640800.0, 5.842311634775229e19
+        cp = curve_params(sum_c, prod_c)
+        ts = np.linspace(cp.t_lo, cp.t_hi, 101).tolist()
+        for t in (ts[0], ts[22]):
+            assert (sum_c - t) ** 2 - 4.0 * prod_c / t < 0.0
+        pt = curve_point(ts[0], cp)
+        assert (pt.x, pt.z) == (ts[0], prod_c / ts[0] / ts[0])
+        pt = curve_point(ts[22], cp)
+        assert pt.x == pt.z == 0.5 * (sum_c - ts[22])
+        with pytest.raises(ValueError, match="coordinates merge"):
+            h_prime(ts[22], cp, 2.0)
 
 
 class TestLemma1Ratio:

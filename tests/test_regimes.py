@@ -19,7 +19,7 @@ from meangap.solver import BracketError
 def turning_side(n, r):
     # the side of the regime's extremum and W = 1 crossing
     e = ExponentPair.from_r(r)
-    return Side(ProfileParams(n=n, e=e), classify(n, e).f_shape.nu_side)
+    return Side(ProfileParams(n=n, e=e), classify(n, e).nu_side)
 
 
 CASES = [
@@ -72,16 +72,17 @@ class TestRegimeStructure:
         }
         for (n, r) in [(3, -1.0), (4, 0.5), (3, 1.4), (3, 5.0)]:
             reg = classify(n, ExponentPair.from_r(r))
-            assert reg.f_shape.nu_side == sides[reg.tag]
+            assert reg.nu_side == sides[reg.tag]
             # the search runs from the center out to a far edge inside the domain
-            t_min = Side(ProfileParams(n=n, e=reg.e), reg.f_shape.nu_side).t_min
+            t_min = Side(ProfileParams(n=n, e=ExponentPair.from_r(r)), reg.nu_side).t_min
             assert 0.0 < t_min < 1.0 / n
 
     def test_monotone_regimes_have_no_mu(self):
         for (n, r) in [(5, 2.0), (5, 5.0)]:
             reg = classify(n, ExponentPair.from_r(r))
-            assert reg.f_shape.nu_side is None
-            assert reg.f_shape.nu_kind == "none"
+            assert reg.nu_side is None
+            assert reg.nu_kind == "none"
+            assert reg.label is None
 
     def test_bracket_excludes_center_guard(self):
         # the trivial W = 1 root at x = 1/n stays outside the search band
@@ -90,17 +91,22 @@ class TestRegimeStructure:
 
     def test_shape_table(self):
         kinds = {
-            RegimeTag.NEG_R: ("min", "right"),
-            RegimeTag.FRAC_R: ("max", "left"),
-            RegimeTag.LOW_R_SMALL_N: ("min", "left"),
-            RegimeTag.HIGH_R_SMALL_N: ("max", "right"),
+            RegimeTag.NEG_R: ("min", "right", "omega_1"),
+            RegimeTag.FRAC_R: ("max", "left", "omega_2"),
+            RegimeTag.LOW_R_SMALL_N: ("min", "left", "omega_3"),
+            RegimeTag.HIGH_R_SMALL_N: ("max", "right", "omega_4"),
         }
         for (n, r) in [(3, -1.0), (4, 0.5), (3, 1.4), (3, 5.0)]:
             reg = classify(n, ExponentPair.from_r(r))
-            shape = reg.f_shape
-            kind, side = kinds[reg.tag]
-            assert shape.nu_kind == kind
-            assert shape.nu_side == side
+            assert (reg.nu_kind, reg.nu_side, reg.label) == kinds[reg.tag]
+
+    def test_one_record_per_regime(self):
+        # the instances of a regime share its one record
+        records = {}
+        for n, r, tag in CASES:
+            reg = classify(n, ExponentPair.from_r(r))
+            assert records.setdefault(tag, reg) is reg
+        assert len(records) == len(RegimeTag)
 
     def test_rejects_non_pair(self):
         with pytest.raises(TypeError):
@@ -171,6 +177,6 @@ class TestLocateMu:
         # the turning side of (5, 5.5) forged onto the monotone (5, 2) finds
         # no crossing and must say so instead of silently widening the search
         donor = classify(5, ExponentPair.from_r(5.5))
-        forged = Side(ProfileParams(n=5, e=ExponentPair.from_r(2.0)), donor.f_shape.nu_side)
+        forged = Side(ProfileParams(n=5, e=ExponentPair.from_r(2.0)), donor.nu_side)
         with pytest.raises(BracketError):
             locate_mu(forged)

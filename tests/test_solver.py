@@ -56,6 +56,10 @@ class TestFindRoot:
         res = find_root(lambda x: x - 1.0, 1.0, 2.0, tol=1e-11)
         assert res.x_star == 1.0
         assert res.iterations == 0
+        fn = counted(lambda x: x - 2.0)
+        res = find_root(fn, 1.0, 2.0, tol=1e-11)
+        assert (res.x_star, res.value, res.width, res.iterations) == (2.0, 0.0, 0.0, 0)
+        assert fn.probes == [1.0, 2.0]
 
     def test_infinite_endpoint_values_use_sign_only(self):
         fn = lambda x: math.inf if x <= 0.25 else (x - 0.5)
@@ -208,6 +212,20 @@ class TestSearchOutward:
         assert fn.probes[:3] == [5.0, 4.0, 2.0]
         assert 0.0 not in fn.probes
         assert res.x_star == pytest.approx(0.1, abs=1e-13)
+
+    def test_exact_zero_at_start_or_guess_is_returned(self):
+        # a zero at start or at the guess ends the search there, no bracket
+        fn = counted(lambda x: x - 3.0)
+        res = search_outward(fn, 3.0, 100.0, tol=1e-13)
+        assert (res.x_star, res.value, res.width, res.iterations) == (3.0, 0.0, 0.0, 0)
+        assert fn.probes == [3.0]
+        res = search_outward(fn, 3.0, 100.0, tol=1e-13, f_start=0.0, guess=(5.0, 1.0))
+        assert (res.x_star, res.iterations) == (3.0, 0)
+        assert fn.probes == [3.0]
+        fn = counted(lambda x: x - 5.0)
+        res = search_outward(fn, 0.0, 100.0, tol=1e-13, f_start=-5.0, guess=(5.0, 1.0))
+        assert (res.x_star, res.value, res.width, res.iterations) == (5.0, 0.0, 0.0, 1)
+        assert fn.probes == [5.0]
 
     def test_guess_outside_the_search_is_ignored(self):
         for point in (-1.0, 0.0, 30.0, 40.0):
