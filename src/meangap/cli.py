@@ -32,6 +32,7 @@ from fractions import Fraction
 from functools import lru_cache
 from io import StringIO
 from json.encoder import encode_basestring_ascii as _quote
+from operator import itemgetter
 from typing import Dict, List, NoReturn, Optional, Sequence, Tuple
 
 from . import __version__
@@ -190,20 +191,30 @@ def _format(col: list, slot: str, none: str) -> list:
 
 
 @lru_cache(maxsize=256)
-def _dict_template(keys: tuple, pad: str) -> str:
-    # the JSON of a dict with these sorted keys at pad, a %s slot per value
+def _dict_shape(keys: tuple, pad: str) -> tuple:
+    # for a dict with these keys, in insertion order: its JSON at pad with
+    # a %s slot per value in sorted key order, and the getter of the
+    # values in that order as a tuple
+    keys = sorted(keys)
     inner = pad + "  "
-    return ("{\n" + inner + (",\n" + inner).join(
+    template = ("{\n" + inner + (",\n" + inner).join(
         _quote(k).replace("%", "%%") + ": %s" for k in keys) + "\n" + pad + "}")
+    get = itemgetter(*keys)
+    if len(keys) == 1:
+        # itemgetter of one key returns the value itself
+        get = lambda obj, one=get: (one(obj),)
+    return template, get
 
 
 def _json(obj, pad: str = "") -> str:
     """obj as json.dumps writes it with an indent of 2 and sorted keys, at pad.
 
     With any indent json.dumps runs its pure-Python encoder, not the C
-    one.  Here strings go through the C string quoter, a dict fills a
-    template cached per key set, and a `Table` is written as the list of
-    dicts it stands for.  A float is written as the string of "%.17g".
+    one.  Here strings go through the C string quoter, a dict fills the
+    template of its keys in insertion order at pad, cached with the
+    getter of its values in sorted key order, and a `Table` is written as
+    the list of dicts it stands for.  A float is written as the string of
+    "%.17g".
     Keys must be str.
     """
     if isinstance(obj, str):
@@ -222,14 +233,14 @@ def _json(obj, pad: str = "") -> str:
     if isinstance(obj, dict):
         if not obj:
             return "{}"
-        keys = tuple(sorted(obj))
+        template, get = _dict_shape(tuple(obj), pad)
         # a tuple of a list: one of a generator is resized from a guessed
         # length, and freed it would join the free list of its new size,
         # which keeps up to 2000 tuples a size
-        return _dict_template(keys, pad) % tuple([
+        return template % tuple([
             _quote(v) if isinstance(v, str)
             else '"%.17g"' % v if isinstance(v, float) else _json(v, inner)
-            for v in map(obj.__getitem__, keys)])
+            for v in get(obj)])
     if isinstance(obj, Table):
         return _table(obj, pad)
     if not isinstance(obj, (list, tuple)):
@@ -444,7 +455,8 @@ def reduce3_cmd(sum_c: float, prod_c: float, r_: float, grid: int) -> tuple:
     import numpy as np
 
     # a ValueError: degenerate constraints, or finite ones past what doubles
-    # resolve (a power or the power sum overflows, or coordinates merge)
+    # resolve (a power or the power sum overflows, or coordinates merge or
+    # cross)
     cp = curve_params(sum_c, prod_c)
     ts = np.linspace(cp.t_lo, cp.t_hi, grid).tolist()
     table = curve_table(ts, cp, r_)

@@ -200,7 +200,7 @@ def best_constants(
     side = Side(params, regime.nu_side)
     cp = locate_mu(side, None if guess is None else guess[0])
     tolerances["mu_residual"] = cp.residual
-    slope = lambda v: side.f_prime(side.t(v))
+    slope = side.objective("f_prime")
     start, edge = side.v(cp.t), side.v(side.t_min)
     # the regime has exactly one extremum beyond mu, so f' has opposite
     # signs at mu and at the far edge unless the extremum lies past t_min;

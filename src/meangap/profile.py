@@ -495,6 +495,43 @@ class Side:
         j *= self.params.n
         return np.divide(1.0, j, out=j)
 
+    def objective(self, name: str):
+        """The search objective `name` as one function of a float v.
+
+        "f_prime" gives f' at t(v), the extremum search's objective, and
+        "W" gives W - 1 at t(v), the crossing search's.  Each value holds
+        the bits of `f_prime(t(v))` or `W(t(v)) - 1.0`: the function forms
+        t, the side's coordinates and the interior in one frame, with n,
+        alpha and the side bound once, and falls back to `_evaluate` only
+        where math raises.
+        """
+        interior, shift = {"f_prime": (_f_prime, 0.0), "W": (_W, 1.0)}[name]
+        n, alpha = self.params.n, self.params.e.alpha
+        m = n - 1
+        exp, log, log1p = math.exp, math.log, math.log1p
+        fallback = self._evaluate
+
+        if self.side == "left":
+            def objective(v: float) -> float:
+                t = 1.0 / (n * (1.0 + exp(-v)))
+                X = n * t
+                a = X - 1.0
+                c = -m * a
+                try:
+                    return interior(math, n, alpha, a, X, 1.0 + c, log(X), log1p(c)) - shift
+                except (OverflowError, ZeroDivisionError):
+                    return fallback(interior, t) - shift
+        else:
+            def objective(v: float) -> float:
+                t = 1.0 / (n * (1.0 + exp(-v)))
+                Y = n * t
+                a = (1.0 - Y) / m
+                try:
+                    return interior(math, n, alpha, a, 1.0 + a, Y, log1p(a), log(Y)) - shift
+                except (OverflowError, ZeroDivisionError):
+                    return fallback(interior, t) - shift
+        return objective
+
     def f(self, t: float) -> float:
         return self._evaluate(_f, t)
 

@@ -142,10 +142,12 @@ def _row(t: float, cp: CurveParams, r: float, slope: bool) -> tuple:
 
     The discriminant (sum_c-t)^2 - 4*prod_c/t is used only strictly inside
     the interval, where it is positive but for rounding, and is clamped at
-    zero; a t at or past an end takes the end's merged coordinates.  Each
-    power goes through float's ** (libm pow); where one leaves the double
-    range, its OverflowError or ZeroDivisionError (0.0 to a negative r)
-    becomes a ValueError, as does a power sum past it.  h' is None where
+    zero; a t at or past an end takes the end's merged coordinates.  A t
+    between the ends where rounding breaks x <= y <= z, but for x = z,
+    raises ConstraintDegenerateError.  Each power goes through float's **
+    (libm pow); where one leaves the double range, its OverflowError or
+    ZeroDivisionError (0.0 to a negative r) becomes a ValueError, as does
+    a power sum past it.  h' is None where
     slope is not set or it is not a finite double, as at tiny coordinates
     and negative r, where the chord slopes' difference is inf - inf.
     """
@@ -170,6 +172,14 @@ def _row(t: float, cp: CurveParams, r: float, slope: bool) -> tuple:
     lo, hi = t <= cp.t_lo, t >= cp.t_hi
     x = t if lo else end if hi else prod_c / (t * z)
     z = t if hi else end if lo else z
+    # between the ends of a curve close to the all-equal triple, rounding
+    # can cross the coordinates; x = z with y apart is left to h', which
+    # refuses it as a merge
+    if not (lo or hi or x <= t <= z or x == z):
+        raise ConstraintDegenerateError(
+            f"the coordinates ({x}, {t}, {z}) at t={t} are out of order: "
+            "doubles do not resolve the curve there"
+        )
     try:
         xr, yr, zr = x**r, t**r, z**r
     except (OverflowError, ZeroDivisionError):
@@ -198,7 +208,8 @@ def _row(t: float, cp: CurveParams, r: float, slope: bool) -> tuple:
 
 
 def curve_point(t: float, cp: CurveParams) -> CurvePoint:
-    """Point (x, y=t, z) on the curve, x <= y <= z; a t off it raises."""
+    """Point (x, y=t, z) on the curve, x <= y <= z; a t off it raises, as
+    does one where rounding breaks that order, but for x = z."""
     t = float(t)
     # at r = 0 every power is 1.0, so only a t off the curve refuses
     x, z, _, _ = _row(t, cp, 0.0, False)

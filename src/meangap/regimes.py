@@ -139,7 +139,7 @@ def locate_mu(side: Side, guess: Optional[Tuple[float, float]] = None) -> Critic
     start = max(math.log((1.0 - MU_OFFSET) / MU_OFFSET), edge)
     try:
         result = search_outward(
-            lambda v: side.W(side.t(v)) - 1.0, start, edge, tol=_MU_TOL,
+            side.objective("W"), start, edge, tol=_MU_TOL,
             guess=(0.0, 1.0) if guess is None else guess,
         )
     except BracketError:

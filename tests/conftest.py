@@ -55,3 +55,27 @@ class Runner:
 @pytest.fixture()
 def runner():
     return Runner()
+
+
+@pytest.fixture()
+def objective_probes(monkeypatch):
+    """(n, name, v) of every probe of a `Side.objective` made while the
+    test runs, in order: the W - 1 and f' probes of the certificate
+    searches."""
+    from meangap.profile import Side
+
+    probes = []
+    objective = Side.objective
+
+    def counted(self, name):
+        fn = objective(self, name)
+        n = self.params.n
+
+        def probe(v):
+            probes.append((n, name, v))
+            return fn(v)
+
+        return probe
+
+    monkeypatch.setattr(Side, "objective", counted)
+    return probes

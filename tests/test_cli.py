@@ -14,7 +14,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from meangap.cli import (Table, _cell, _dict_template, _format, _json, _overall,
+from meangap.cli import (Table, _cell, _dict_shape, _format, _json, _overall,
                          _parse_alpha, _to_csv, _trends, main)
 from meangap.constants import sweep_constants
 
@@ -87,6 +87,13 @@ class TestJsonWriter:
     @given(_JSON)
     @example({"rows": [{"a%": "1", "b": None}, {"a%": "2", "b": "%s"},
                        {"a%": "3"}, {}, [], 1.5]})
+    # the dict shapes: one key set in two insertion orders at one pad and
+    # at two pads, a one-key dict and keys holding %
+    @example([{"b": 1, "a": 2.5}, {"a": None, "b": "x"}, {"b": [], "a": -0.0}])
+    @example({"x": {"b": 1, "a": 2.5}, "y": [{"a": "%s", "b": {"b": True, "a": 3}}]})
+    @example({"k": 1.5})
+    @example([{"k": "v"}, {"k": {"k": None}}])
+    @example({"%s": {"a%d": 1, "%": "%%", "%(x)s": [1.0]}, "a%": {"%(x)s": 2, "%": 3}})
     def test_matches_json_dumps(self, obj):
         assert _json(obj) == json.dumps(_texted(obj), indent=2, sort_keys=True)
 
@@ -210,13 +217,15 @@ class TestTableWriter:
 
 
 class TestDictTemplates:
-    def test_one_key_set_in_two_orders_is_one_template(self):
-        _dict_template.cache_clear()
+    def test_each_key_order_is_one_shape(self):
+        # one key set in two insertion orders: two shapes, the same bytes;
+        # a dict of a known order and pad reuses its shape
+        _dict_shape.cache_clear()
         one, two = {"b": 1, "a": [2.5, None]}, {"a": [2.5, None], "b": 1}
         want = json.dumps(_texted(one), indent=2, sort_keys=True)
-        assert _json(one) == _json(two) == want
-        info = _dict_template.cache_info()
-        assert (info.misses, info.hits) == (1, 1)
+        assert _json(one) == _json(two) == _json(dict(one)) == want
+        info = _dict_shape.cache_info()
+        assert (info.misses, info.hits) == (2, 1)
 
     def test_keys_holding_percent(self):
         obj = {"%s": "%d", "a%%": None, "%(x)s": {"%": [1, "%s"]}, "%": "%%"}
@@ -231,11 +240,11 @@ class TestDictTemplates:
             {"payload": want}, indent=2, sort_keys=True)
 
     def test_cache_is_bounded(self):
-        cap = _dict_template.cache_info().maxsize
+        cap = _dict_shape.cache_info().maxsize
         assert cap is not None
         for i in range(10**4):
             assert _json({str(i): i}) == f'{{\n  "{i}": {i}\n}}'
-        assert _dict_template.cache_info().currsize <= cap
+        assert _dict_shape.cache_info().currsize <= cap
 
 
 class TestAlphaParsing:
@@ -1012,6 +1021,10 @@ class TestReduce3Command:
          "coordinates merge at t="),
         (["--sum", "2.03315e24", "--prod", "3.1127518386225467e71", "--r", "2"],
          "the curve's ends round to one double"),
+        # a curve 1.2e-8 wide: row 1 has x > z, both above y, where h' was
+        # rounding noise and the verdict read "constant" with exit 0
+        (["--sum", "6.955244184806369e+25", "--prod", "1.2461587787399646e+76",
+          "--r", "2", "--grid", "11"], "at t=2.318414718067769e+25 are out of order"),
     ])
     def test_non_finite_input_is_usage_error(self, runner, args, named):
         result = runner.invoke(main, ["reduce3", *args])
@@ -1020,14 +1033,16 @@ class TestReduce3Command:
         assert named in result.output.splitlines()[-1]
 
     def test_crossed_coordinates_are_usage_error(self, runner):
-        # rounding puts x = z with y apart on interior rows, where h' divided
-        # by y (x - z) = 0.0 and ended in a ZeroDivisionError traceback
+        # rounding puts x = z with y apart on interior rows 29 on, where h'
+        # divided by y (x - z) = 0.0 and ended in a ZeroDivisionError
+        # traceback; row 11 before them has y below x and z, and is
+        # refused first
         result = runner.invoke(main, ["reduce3", "--sum", "2.9463098016715475e+89",
                                       "--prod", "9.472649486047106e+266",
                                       "--r", "-300", "--grid", "57"])
         assert result.exit_code == 2
         assert isinstance(result.exception, SystemExit)
-        assert "coordinates merge" in result.output.splitlines()[-1]
+        assert "at t=9.82103263240148e+88 are out of order" in result.output.splitlines()[-1]
 
     def test_large_sum_gives_the_curve(self, runner):
         # the small end of the curve lies near sqrt(prod/sum), 154 decades

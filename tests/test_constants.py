@@ -19,7 +19,6 @@ from meangap.constants import (
     wen_reference,
 )
 from meangap.means import ExponentPair, ratio_gap
-from meangap.profile import Side
 from meangap.regimes import RegimeTag
 from meangap.solver import UncertifiedInstance
 
@@ -158,41 +157,35 @@ class TestSweep:
         with pytest.raises(ValueError):
             sweep_constants(ExponentPair.from_alpha(2.0), 2, 5)
 
-    @staticmethod
-    def _count_probes(monkeypatch):
-        calls = []
-        for name in ("W", "f_prime"):
-            method = getattr(Side, name)
-
-            def probe(self, t, method=method):
-                calls.append(t)
-                return method(self, t)
-
-            monkeypatch.setattr(Side, name, probe)
-        return calls
-
     # mean W and f' probes per certificate over n = 3..40, as measured
     # with Brent-Dekker narrowing and the crossing search from mid-side
     WARM_PROBES = {2.0: 15.3, -1.0: 16.4}
     COLD_PROBES = {2.0: 19.5, -1.0: 22.4}
 
-    @pytest.mark.parametrize("alpha", [2.0, -1.0])
-    def test_profile_evaluations_per_certificate(self, monkeypatch, alpha):
-        # each n starts both searches from its neighbours' solutions
-        calls = self._count_probes(monkeypatch)
-        certs = sweep_constants(ExponentPair.from_alpha(alpha), 3, 40)
-        assert all(c.x_star is not None for c in certs)
-        assert len(calls) / len(certs) <= self.WARM_PROBES[alpha]
+    @staticmethod
+    def _per_certificate(probes, ns):
+        # every certificate probes both of its searches' objectives
+        for n in ns:
+            assert {name for m, name, _ in probes if m == n} == {"W", "f_prime"}, n
+        return len(probes) / len(ns)
 
     @pytest.mark.parametrize("alpha", [2.0, -1.0])
-    def test_profile_evaluations_per_cold_certificate(self, monkeypatch, alpha):
+    def test_profile_evaluations_per_certificate(self, objective_probes, alpha):
+        # each n starts both searches from its neighbours' solutions
+        certs = sweep_constants(ExponentPair.from_alpha(alpha), 3, 40)
+        assert all(c.x_star is not None for c in certs)
+        ns = [c.n for c in certs]
+        assert self._per_certificate(objective_probes, ns) <= self.WARM_PROBES[alpha]
+
+    @pytest.mark.parametrize("alpha", [2.0, -1.0])
+    def test_profile_evaluations_per_cold_certificate(self, objective_probes, alpha):
         # one certificate with no neighbour: the crossing search starts
         # from the middle of the side
-        calls = self._count_probes(monkeypatch)
         e = ExponentPair.from_alpha(alpha)
-        for n in range(3, 41):
+        ns = range(3, 41)
+        for n in ns:
             assert best_constants(n, e).x_star is not None
-        assert len(calls) / 38 <= self.COLD_PROBES[alpha]
+        assert self._per_certificate(objective_probes, ns) <= self.COLD_PROBES[alpha]
 
     @pytest.mark.parametrize("alpha", [2.0, -1.0, -0.5, 1.5, 3.0])
     def test_sweep_rows_match_single_certificates(self, alpha):

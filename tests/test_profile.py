@@ -2,6 +2,8 @@
 the open domain, and the W = U * V identity."""
 
 import math
+import random
+import struct
 
 import numpy as np
 import pytest
@@ -412,6 +414,27 @@ class TestSide:
                                 want = numpy_side(s, interior, t)
                                 assert got == want or math.isnan(got) and math.isnan(want)
         assert raised == {OverflowError, ZeroDivisionError}
+
+    def test_objectives_hold_the_bits_of_the_methods(self):
+        # seeded instances and v from past t_min to next to the center,
+        # where math raises on either side; the last point is test_startup's
+        # FALLBACK point, where math overflows and numpy gives W = inf
+        rng = random.Random(33)
+        points = []
+        for _ in range(150):
+            n = int(10 ** rng.uniform(math.log10(3), 6))
+            alpha = rng.choice((-1.0, 1.0)) * 10 ** rng.uniform(-1, 2)
+            s = Side(params_for(n, alpha), rng.choice(("left", "right")))
+            lo, hi = s.v(s.t_min), s.v((1.0 - 1e-12) / n)
+            points += [(s, rng.uniform(lo - 5.0, hi + 5.0)) for _ in range(4)]
+        s = Side(params_for(3, 60.0), "left")
+        points.append((s, s.v(1e-10)))
+        bits = lambda value: struct.pack("<d", value)
+        for s, v in points:
+            t = s.t(v)
+            assert bits(s.objective("f_prime")(v)) == bits(s.f_prime(t)), (s, v)
+            assert bits(s.objective("W")(v)) == bits(s.W(t) - 1.0), (s, v)
+        assert s.objective("W")(v) == math.inf
 
     @pytest.mark.parametrize("n,alpha", [(5, -1.0), (5, 2.0), (3, 60.0), (3, -60.0)])
     @pytest.mark.parametrize("side", ["left", "right"])

@@ -262,8 +262,9 @@ class TestCurveTable:
     @pytest.mark.parametrize("sum_c,prod_c,r", [
         (6.0, 6.0, 1000.0),  # z^r overflows from the first row on
         (1e50, 1e-300, -1.0),  # x underflows to 0 at the small end
-        # rounding puts x = z with y apart on interior rows
+        # rounding puts y below x and z on interior rows, then x = z
         (2.9463098016715475e89, 9.472649486047106e266, -300.0),
+        (6.955244184806369e25, 1.2461587787399646e76, 2.0),
         # the power sum overflows where each power is finite
         (8.154845485377136, 20.085534914633975, 708.7791414792284),
     ])
@@ -296,6 +297,40 @@ class TestCurveTable:
             else:
                 assert slope == h_prime(t, cp, r)
         assert None in table["h_prime"][1:-1]
+
+    def test_crossed_coordinates_refused(self):
+        # a curve 1.2e-8 wide, where the second of 11 rows came out with
+        # x > z, both above y; its h' was rounding noise
+        cp = curve_params(6.955244184806369e25, 1.2461587787399646e76)
+        t = np.linspace(cp.t_lo, cp.t_hi, 11)[1].item()
+        for call in (lambda: curve_point(t, cp), lambda: h_power_sum(t, cp, 2.0),
+                     lambda: h_prime(t, cp, 2.0)):
+            with pytest.raises(ConstraintDegenerateError,
+                               match=re.escape(f"at t={t} are out of order")):
+                call()
+
+    def test_near_degenerate_tables_are_ordered_or_refused(self):
+        # curves with sum^3/(27 prod) - 1 from 1e-16 to 1e-12, a few ulps
+        # of t wide to 1e-6 wide, where rounding crosses the coordinates
+        # between the ends
+        rng = random.Random(86)
+        refused = 0
+        for _ in range(2000):
+            sum_c = math.exp(rng.uniform(math.log(1e-3), math.log(1e30)))
+            prod_c = sum_c**3 / 27.0 / (1.0 + 10.0 ** rng.uniform(-16.0, -12.0))
+            try:
+                cp = curve_params(sum_c, prod_c)
+            except ConstraintDegenerateError:
+                continue
+            ts = np.linspace(cp.t_lo, cp.t_hi, 11).tolist()
+            try:
+                table = curve_table(ts, cp, 2.0)
+            except ValueError:
+                refused += 1
+                continue
+            for x, t, z in zip(table["x"], ts, table["z"]):
+                assert x <= t <= z, (sum_c, prod_c, t)
+        assert refused > 0
 
     def test_crossed_coordinates_merge(self):
         # x = z rounded equal here, which h_prime divided by as 0.0 and

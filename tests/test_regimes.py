@@ -153,15 +153,12 @@ class TestLocateMu:
             assert cp.mu == pytest.approx(self.FROZEN[(n, r)], abs=1e-12)
 
     @pytest.mark.parametrize("n,r", sorted(FROZEN))
-    def test_first_probe_past_the_start_is_mid_side(self, monkeypatch, n, r):
-        # with no guess the search probes n t = 1/2 after its start
+    def test_first_probe_past_the_start_is_mid_side(self, objective_probes, n, r):
+        # with no guess the search probes n t = 1/2, v = 0, after its start
         side = turning_side(n, r)
-        probes = []
-        W = Side.W
-        monkeypatch.setattr(Side, "W", lambda self, t: probes.append(t) or W(self, t))
         cp = locate_mu(side)
-        assert probes[0] == side.t(math.log((1.0 - MU_OFFSET) / MU_OFFSET))
-        assert probes[1] == 0.5 / n
+        assert objective_probes[:2] == [
+            (n, "W", math.log((1.0 - MU_OFFSET) / MU_OFFSET)), (n, "W", 0.0)]
         assert cp.mu == pytest.approx(self.FROZEN[(n, r)], abs=1e-12)
 
     def test_mu_on_declared_side(self):
