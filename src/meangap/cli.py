@@ -243,7 +243,8 @@ def _json(obj, pad: str = "") -> str:
             for v in get(obj)])
     if isinstance(obj, Table):
         return _table(obj, pad)
-    if not isinstance(obj, (list, tuple)):
+    # a record such as a certificate is a named tuple, not a JSON list
+    if not isinstance(obj, (list, tuple)) or hasattr(obj, "_fields"):
         raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
     if not obj:
         return "[]"

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .means import (
     ExponentPair,
@@ -95,9 +95,13 @@ def wen_reference(n: int, r: float) -> Optional[float]:
     return (r / (n - 1)) * base ** (2.0 - r)
 
 
-@dataclass(frozen=True)
-class ExtremumCertificate:
-    """Certified extremal constants for one (n, alpha) instance."""
+class ExtremumCertificate(NamedTuple):
+    """Certified extremal constants for one (n, alpha) instance.
+
+    An immutable named tuple: `_replace` gives a copy with changes.  Its
+    payload is the dict of `to_payload`; the JSON writer refuses the
+    record itself, as it refuses any named tuple.
+    """
 
     n: int
     e: ExponentPair

@@ -294,6 +294,11 @@ def _W_prime(xp, n, alpha, a, X, Y, l1, l2):
 # the columns `profile_table` knows, in the order the CLI lists them
 TABLE_COLUMNS = ("g", "p", "f", "U", "V", "W", "fprime")
 
+# the largest n that `profile_table` tabulates: past 2^53 n and n - 1 are
+# not both exact doubles, and the power sum's n + esum cancels to 0 where
+# the Y term is the larger
+_MAX_TABLE_N = 2**53
+
 
 def profile_table(x, params: ProfileParams, names):
     """The profile columns `names`, drawn from TABLE_COLUMNS, at x.
@@ -301,6 +306,8 @@ def profile_table(x, params: ProfileParams, names):
     One `_evaluate` call forms the coordinates once for all of them; each
     column holds the bits of its one-column function.  The f' column
     ("fprime") is nan inside the center band, where `f_prime` refuses.
+    n past 2^53 is refused with a ValueError, after the f' factor's own
+    check.
     """
     n, r = params.n, params.e.r
     spec = {
@@ -314,6 +321,11 @@ def profile_table(x, params: ProfileParams, names):
     }
     if "fprime" in names:
         _check_factor(params, n * (n - 1), "n(n-1)")
+    if n > _MAX_TABLE_N:
+        raise ValueError(
+            f"n = {n} is past 2^53 = {_MAX_TABLE_N}: n and n - 1 are not both "
+            f"exact doubles, and the power sum's n + esum can cancel to 0"
+        )
     return _evaluate(x, params, [spec[name] for name in names])
 
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import NamedTuple, Optional, Tuple
 
 from .means import ExponentPair
 from .profile import Side
@@ -34,6 +34,9 @@ MU_OFFSET = 1e-6
 
 # width of the final bracket of the crossing search, in v = log(n t/(1 - n t))
 _MU_TOL = 1e-14
+
+# v of the search's start (1 - MU_OFFSET)/n
+_MU_START = math.log((1.0 - MU_OFFSET) / MU_OFFSET)
 
 
 class RegimeTag(enum.Enum):
@@ -62,8 +65,7 @@ class Regime:
     label: Optional[str]  # "omega_1" .. "omega_4" | None
 
 
-@dataclass(frozen=True)
-class CriticalPoint:
+class CriticalPoint(NamedTuple):
     """Located W = 1 crossing with its certificate."""
 
     mu: float
@@ -73,14 +75,13 @@ class CriticalPoint:
     t: float
 
 
-_REGIMES = {reg.tag: reg for reg in (
-    Regime(RegimeTag.NEG_R, "min", "right", "omega_1"),
-    Regime(RegimeTag.FRAC_R, "max", "left", "omega_2"),
-    Regime(RegimeTag.LOW_R_SMALL_N, "min", "left", "omega_3"),
-    Regime(RegimeTag.LOW_R_LARGE_N, "none", None, None),
-    Regime(RegimeTag.HIGH_R_SMALL_N, "max", "right", "omega_4"),
-    Regime(RegimeTag.HIGH_R_LARGE_N, "none", None, None),
-)}
+# the one record of each regime, which `classify` returns as it is
+_NEG_R = Regime(RegimeTag.NEG_R, "min", "right", "omega_1")
+_FRAC_R = Regime(RegimeTag.FRAC_R, "max", "left", "omega_2")
+_LOW_R_SMALL_N = Regime(RegimeTag.LOW_R_SMALL_N, "min", "left", "omega_3")
+_LOW_R_LARGE_N = Regime(RegimeTag.LOW_R_LARGE_N, "none", None, None)
+_HIGH_R_SMALL_N = Regime(RegimeTag.HIGH_R_SMALL_N, "max", "right", "omega_4")
+_HIGH_R_LARGE_N = Regime(RegimeTag.HIGH_R_LARGE_N, "none", None, None)
 
 
 def classify(n: int, e: ExponentPair) -> Regime:
@@ -96,19 +97,13 @@ def classify(n: int, e: ExponentPair) -> Regime:
         raise TypeError(f"e must be an ExponentPair, got {type(e).__name__}")
     r = e.r
     if r < 0.0:
-        tag = RegimeTag.NEG_R
-    elif r < 1.0:
-        tag = RegimeTag.FRAC_R
-    elif r > 2.0:
-        tag = RegimeTag.HIGH_R_LARGE_N if n >= r else RegimeTag.HIGH_R_SMALL_N
-    else:
-        # 1 < r <= 2
-        tag = (
-            RegimeTag.LOW_R_SMALL_N
-            if n < r / (r - 1.0)
-            else RegimeTag.LOW_R_LARGE_N
-        )
-    return _REGIMES[tag]
+        return _NEG_R
+    if r < 1.0:
+        return _FRAC_R
+    if r > 2.0:
+        return _HIGH_R_LARGE_N if n >= r else _HIGH_R_SMALL_N
+    # 1 < r <= 2
+    return _LOW_R_SMALL_N if n < r / (r - 1.0) else _LOW_R_LARGE_N
 
 
 def locate_mu(side: Side, guess: Optional[Tuple[float, float]] = None) -> CriticalPoint:
@@ -136,7 +131,7 @@ def locate_mu(side: Side, guess: Optional[Tuple[float, float]] = None) -> Critic
             f"to the center 1/n, leaving no room for the W = 1 crossing search"
         )
     edge = side.v(t_end)
-    start = max(math.log((1.0 - MU_OFFSET) / MU_OFFSET), edge)
+    start = max(_MU_START, edge)
     try:
         result = search_outward(
             side.objective("W"), start, edge, tol=_MU_TOL,

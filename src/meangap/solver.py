@@ -16,8 +16,7 @@ sum-and-product curve.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable, Optional, Tuple
+from typing import Callable, NamedTuple, Optional, Tuple
 
 __all__ = [
     "BracketError",
@@ -43,8 +42,7 @@ class MaxIterationsError(UncertifiedInstance, RuntimeError):
     pass
 
 
-@dataclass(frozen=True)
-class SolveResult:
+class SolveResult(NamedTuple):
     x_star: float
     value: float
     width: float   # of the final bracket; 0.0 for a zero hit before one
@@ -152,16 +150,19 @@ def _refine(objective, lo, hi, flo, fhi, tol, probes) -> SolveResult:
     a, fa, b, fb = lo, flo, hi, fhi
     c, fc, half = a, fa, 0.5 * tol
     d = e = b - a
+    inf = math.inf
     for it in range(MAX_ITERATIONS + 1):
         if abs(fc) < abs(fb):
-            a, b, c, fa, fb, fc = b, c, b, fb, fc, fb
+            a, fa = b, fb
+            b, fb = c, fc
+            c, fc = a, fa
         width = abs(c - b)
         if width <= tol or fb == 0.0:
             return SolveResult(b, fb, width, probes + it)
         if it == MAX_ITERATIONS:
             break
         xm = 0.5 * (c - b)
-        if abs(e) >= half and abs(fa) > abs(fb) and math.isfinite(fa) and math.isfinite(fc):
+        if abs(e) >= half and abs(fa) > abs(fb) and -inf < fa < inf and -inf < fc < inf:
             s = fb / fa
             if a == c:
                 p, q = 2.0 * xm * s, 1.0 - s
@@ -169,8 +170,14 @@ def _refine(objective, lo, hi, flo, fhi, tol, probes) -> SolveResult:
                 q, r = fa / fc, fb / fc
                 p = s * (2.0 * xm * q * (q - r) - (b - a) * (r - 1.0))
                 q = (q - 1.0) * (r - 1.0) * (s - 1.0)
-            p, q = (p, -q) if p > 0.0 else (-p, q)
-            if 2.0 * p < min(3.0 * xm * q - abs(half * q), abs(e * q)):
+            if p > 0.0:
+                q = -q
+            else:
+                p = -p
+            # the smaller of the two limits as min() takes it, a nan
+            # included: the first unless the second is below it
+            limit, eq = 3.0 * xm * q - abs(half * q), abs(e * q)
+            if 2.0 * p < (eq if eq < limit else limit):
                 e, d = d, p / q
             else:
                 e = d = xm

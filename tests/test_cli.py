@@ -16,7 +16,8 @@ from hypothesis import strategies as st
 
 from meangap.cli import (Table, _cell, _dict_shape, _format, _json, _overall,
                          _parse_alpha, _to_csv, _trends, main)
-from meangap.constants import sweep_constants
+from meangap.constants import best_constants, sweep_constants
+from meangap.means import ExponentPair
 
 
 def run_json(runner, args, **kwargs):
@@ -108,6 +109,15 @@ class TestJsonWriter:
             assert _cell(value) == text
             assert _to_csv({"v": [value, None], "w": {"x": value}}) == (
                 f"key,value\nv,{text};\nw.x,{text}\n")
+
+    def test_records_are_refused(self):
+        # a certificate is a named tuple: one that slipped into a payload
+        # must fail as json.dumps would, not be written as an unnamed list
+        cert = best_constants(3, ExponentPair.from_alpha(-1.0))
+        for obj in (cert, {"cert": cert}, [cert], (cert.n, cert)):
+            with pytest.raises(TypeError, match="ExtremumCertificate is not JSON"):
+                _json(obj)
+        assert _json((1, [2.0])) == json.dumps([1, ["2"]], indent=2)
 
     @pytest.mark.parametrize("args", [
         ["constants", "--n", "4", "--alpha", "2"],
@@ -539,6 +549,26 @@ class TestConstantsCommand:
         assert result.exit_code == 2
         assert isinstance(result.exception, SystemExit)
         assert "need n(n-1) <= DBL_MAX" in result.output
+
+    @pytest.mark.parametrize("alpha", ["2", "3", "0.99"])
+    def test_profile_past_2_53_is_usage_error(self, runner, alpha):
+        # n and n - 1 are not both exact doubles past 2^53, and the power sum
+        # cancelled: the table printed p as 0 and f' as nan, with numpy
+        # RuntimeWarnings, and exit 0.  2^53 itself tabulates
+        args = ["profile", "--alpha", alpha, "--which", "p,fprime", "--points", "5"]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            result = runner.invoke(main, [*args, "--n", str(2**53 + 1)])
+        assert result.exit_code == 2
+        assert result.stdout == ""
+        assert "n = 9007199254740993 is past 2^53" in result.stderr
+        assert "RuntimeWarning" not in result.stderr
+        assert not caught
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            result = runner.invoke(main, [*args, "--n", str(2**53)])
+        assert result.exit_code == 0, result.output
+        assert result.stderr == ""
 
     @pytest.mark.parametrize("alpha", [
         "-1", "-1/2", "2", "3/2", "2/3", "5/6", "9/10", "1/5", "1/10",

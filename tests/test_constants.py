@@ -19,8 +19,9 @@ from meangap.constants import (
     wen_reference,
 )
 from meangap.means import ExponentPair, ratio_gap
-from meangap.regimes import RegimeTag
-from meangap.solver import UncertifiedInstance
+from meangap.profile import ProfileParams, Side
+from meangap.regimes import RegimeTag, locate_mu
+from meangap.solver import UncertifiedInstance, find_root
 
 simplex3 = st.lists(
     st.floats(min_value=1e-4, max_value=1.0), min_size=3, max_size=3
@@ -139,6 +140,19 @@ class TestCertificateStructure:
         assert p1 == p2
         assert "omega" in cert.to_payload()
         assert cert.to_payload()["regime"] == "NEG_R"
+
+    def test_records_are_read_only(self):
+        # the solver's result, the crossing and the certificate are named
+        # tuples: none of their fields can be assigned
+        e = ExponentPair.from_alpha(-1.0)
+        cert = best_constants(3, e)
+        cp = locate_mu(Side(ProfileParams(n=3, e=e), "right"))
+        res = find_root(math.cos, 1.0, 2.0, tol=1e-10)
+        for record, field in ((res, "x_star"), (cp, "mu"), (cert, "upper_bound"),
+                              (cert, "v")):
+            with pytest.raises(AttributeError):
+                setattr(record, field, 0.0)
+            assert getattr(record, field) != 0.0
 
 
 class TestSweep:

@@ -455,7 +455,7 @@ class TestCheckBounds:
     def test_tampered_bound_fails_with_named_sample(self):
         n, e = 4, ExponentPair.from_alpha(2.0)
         cert = best_constants(n, e)
-        bad = dataclasses.replace(cert, upper_bound=cert.upper_bound - 0.1)
+        bad = cert._replace(upper_bound=cert.upper_bound - 0.1)
         rep = monte_carlo_extremes(bad, samples=10_000, seed=7, grid=MIN_GRID)
         chk = check_bounds(rep)
         assert not chk.ok
@@ -467,7 +467,7 @@ class TestCheckBounds:
         # certified-extremum side must be attained by the grid
         n, e = 4, ExponentPair.from_alpha(2.0)
         cert = best_constants(n, e)
-        bad = dataclasses.replace(cert, lower_bound=cert.lower_bound - 5e-4)
+        bad = cert._replace(lower_bound=cert.lower_bound - 5e-4)
         rep = monte_carlo_extremes(bad, samples=10_000, seed=7, grid=MIN_GRID)
         chk = check_bounds(rep)
         assert not chk.ok
@@ -477,7 +477,7 @@ class TestCheckBounds:
         # the upper bound certified at (1000, -1) before the solvers worked
         # in the small coordinate sits 1.8e-6 below the sharp constant
         n, e = 1000, ExponentPair.from_alpha(-1.0)
-        old = dataclasses.replace(best_constants(n, e), upper_bound=-0.0090238158)
+        old = best_constants(n, e)._replace(upper_bound=-0.0090238158)
         rep = monte_carlo_extremes(old, samples=10_000, seed=0, grid=DEFAULT_GRID)
         chk = check_bounds(rep)
         assert not chk.ok
@@ -503,7 +503,7 @@ class TestCheckBounds:
         for shift, named in ((1e-5, f"certified {side} bound"), (-1e-6, escape)):
             moved = {f"{side}_bound": b + outward * shift * max(1.0, abs(b))}
             chk = check_bounds(
-                dataclasses.replace(rep, cert=dataclasses.replace(cert, **moved)))
+                dataclasses.replace(rep, cert=cert._replace(**moved)))
             assert not chk.ok
             assert any(named in f for f in chk.failures), (shift, chk.failures)
 
@@ -514,8 +514,7 @@ class TestCheckBounds:
         n, e = 25, ExponentPair.from_r(13.0)
         cert = best_constants(n, e)
         assert cert.upper_bound > 1e16
-        moved = dataclasses.replace(
-            cert, lower_bound=cert.lower_bound * (1.0 + 1e-6))
+        moved = cert._replace(lower_bound=cert.lower_bound * (1.0 + 1e-6))
         rep = monte_carlo_extremes(moved, samples=10_000, seed=0, grid=MIN_GRID)
         assert rep.violations > 0
         chk = check_bounds(rep)
@@ -548,7 +547,7 @@ class TestCheckBounds:
         # the CLI's writers alone turn a float into text; the certificate's
         # upper bound is moved inside the range so violations are listed
         cert = best_constants(3, ExponentPair.from_alpha(-1.0))
-        cert = dataclasses.replace(cert, upper_bound=cert.upper_bound - 0.5)
+        cert = cert._replace(upper_bound=cert.upper_bound - 0.5)
         rep = monte_carlo_extremes(cert, samples=10_000, seed=0, grid=MIN_GRID)
         chk = check_bounds(rep)
         assert not chk.ok and rep.violation_examples

@@ -27,7 +27,6 @@ Brent-Dekker narrowing, which moves the last digits of every searched
 value, and the curve's ends were made to merge their two coordinates.
 """
 
-import dataclasses
 import hashlib
 import importlib.util
 import re
@@ -205,7 +204,7 @@ def test_failing_verify_prints_frozen_bytes(runner, monkeypatch, fmt):
 
     def moved(n, e):
         cert = real(n, e)
-        return dataclasses.replace(cert, upper_bound=cert.lower_bound + 1e-3)
+        return cert._replace(upper_bound=cert.lower_bound + 1e-3)
 
     monkeypatch.setattr(cli, "best_constants", moved)
     result = runner.invoke(main, FAILING_ARGS.split() + ["--format", fmt])

@@ -239,3 +239,79 @@ class TestSearchOutward:
         with pytest.raises(BracketError):
             search_outward(fn, 0.0, 30.0, tol=1e-11, guess=(10.0, 1.0))
         assert fn.probes == [0.0, 10.0, 11.0, 13.0, 17.0, 25.0, 30.0]
+
+
+# the three objectives whose probes are pinned: a smooth root, narrowed
+# to adjacent doubles by search_outward; a step from -1 to 2 whose values
+# at the ends of the bracket are -inf and +inf, which no step may
+# interpolate through; and one on a bracket so wide that the
+# inverse-quadratic step p/q overflows
+SMOOTH = lambda x: x**3 - 2.0 * x - 5.0
+STEP = lambda x: (-math.inf if x <= 0.0 else math.inf if x >= 1.0
+                  else -1.0 if x < 0.7 else 2.0)
+WIDE = lambda x: math.log(x) - 700.0
+
+
+class TestPinnedSteps:
+    """Every point find_root and search_outward probe, as float.hex, and
+    the result's fields: a change to the narrowing's bookkeeping that
+    moves one probe fails here."""
+
+    @pytest.mark.parametrize("objective,search,args,kwargs,probes,result", [
+        (SMOOTH, find_root, (2.0, 3.0), dict(tol=1e-13),
+         "0x1.0000000000000p+1 0x1.8000000000000p+1 0x1.0787878787878p+1 "
+         "0x1.0c3e8d48e17cfp+1 0x1.0c1985cff025bp+1 0x1.0c1a433245fb4p+1 "
+         "0x1.0c1a4350819e4p+1 0x1.0c1a435081973p+1",
+         ("0x1.0c1a4350819e4p+1", "0x1.0000000000000p-48", "0x1.c400000000000p-45", 6)),
+        (SMOOTH, search_outward, (0.0, 100.0), dict(tol=1e-16),
+         "0x0.0p+0 0x1.0000000000000p+0 0x1.8000000000000p+1 0x1.8ba2e8ba2e8bap+0 "
+         "0x1.22e8ba2e8ba2ep+1 0x1.03ef73cfe2781p+1 0x1.0b520c4ad3aedp+1 "
+         "0x1.0c1b6cc2ac391p+1 0x1.0c1a4249ee79ap+1 0x1.0c1a43508046bp+1 "
+         "0x1.0c1a4350819e3p+1 0x1.0c1a4350819e4p+1",
+         ("0x1.0c1a4350819e3p+1", "-0x1.0000000000000p-50", "0x1.0000000000000p-51", 11)),
+        (STEP, find_root, (0.0, 1.0), dict(tol=1e-6),
+         "0x0.0p+0 0x1.0000000000000p+0 0x1.0000000000000p-1 0x1.8000000000000p-1 "
+         "0x1.2aaaaaaaaaaabp-1 0x1.5555555555556p-1 0x1.6aaaaaaaaaaabp-1 "
+         "0x1.5c71c71c71c72p-1 0x1.638e38e38e38ep-1 0x1.671c71c71c71cp-1 "
+         "0x1.64bda12f684bdp-1 0x1.65ed097b425ecp-1 0x1.6684bda12f684p-1 "
+         "0x1.661f9add3c0c9p-1 0x1.66522c3f35ba6p-1 0x1.666b74f032915p-1 "
+         "0x1.665a99cf8a020p-1 0x1.6663075fde49ap-1 0x1.66673e28086d8p-1 "
+         "0x1.66646ef7ec559p-1 0x1.6665d68ffa618p-1 0x1.66668a5c01678p-1 "
+         "0x1.6666127ea7638p-1 0x1.66664e6d54658p-1 0x1.66666c64aae68p-1",
+         ("0x1.66664e6d54658p-1", "-0x1.0000000000000p+0", "0x1.df75681000000p-21", 23)),
+        (STEP, search_outward, (-2.0, 5.0), dict(tol=1e-6),
+         "-0x1.0000000000000p+1 -0x1.0000000000000p+0 0x1.0000000000000p+0 "
+         "0x0.0p+0 0x1.0000000000000p-1 0x1.8000000000000p-1 0x1.2aaaaaaaaaaabp-1 "
+         "0x1.5555555555556p-1 0x1.6aaaaaaaaaaabp-1 0x1.5c71c71c71c72p-1 "
+         "0x1.638e38e38e38ep-1 0x1.671c71c71c71cp-1 0x1.64bda12f684bdp-1 "
+         "0x1.65ed097b425ecp-1 0x1.6684bda12f684p-1 0x1.661f9add3c0c9p-1 "
+         "0x1.66522c3f35ba6p-1 0x1.666b74f032915p-1 0x1.665a99cf8a020p-1 "
+         "0x1.6663075fde49ap-1 0x1.66673e28086d8p-1 0x1.66646ef7ec559p-1 "
+         "0x1.6665d68ffa618p-1 0x1.66668a5c01678p-1 0x1.6666127ea7638p-1 "
+         "0x1.66664e6d54658p-1 0x1.66666c64aae68p-1",
+         ("0x1.66664e6d54658p-1", "-0x1.0000000000000p+0", "0x1.df75681000000p-21", 26)),
+        (WIDE, find_root, (1.0, 1.7e308), dict(tol=1e290),
+         "0x1.0000000000000p+0 0x1.e42d130773b76p+1023 0x1.dd8a58d02073ap+1023 "
+         "0x1.dd8a58d02073ap+1022 0x1.dd8a58d02073ap+1021 0x1.dd8a58d02073ap+1020 "
+         "0x1.dd8a58d02073ap+1019 0x1.dd8a58d02073ap+1018 0x1.dd8a58d02073ap+1017 "
+         "0x1.dd8a58d02073ap+1016 0x1.dd8a58d02073ap+1015 0x1.dd8a58d02073ap+1014 "
+         "0x1.dd8a58d02073ap+1013 0x1.dd8a58d02073ap+1012 0x1.dd8a58d02073ap+1011 "
+         "0x1.dd8a58d02073ap+1010 0x1.dd8a58d02073ap+1009 0x1.d75cbd4d86e89p+1009 "
+         "0x1.d94813639da3cp+1009 0x1.d945e0733e819p+1009 0x1.d945df4f8ec1bp+1009",
+         ("0x1.d945df4f8ec1bp+1009", "0x0.0p+0", "0x1.23afbfe000000p+985", 19)),
+        (WIDE, search_outward, (1.0, 1.7e308), dict(tol=1e290, guess=(2.0, 1.6e308)),
+         "0x1.0000000000000p+0 0x1.0000000000000p+1 0x1.c7b1f3cac7433p+1023 "
+         "0x1.c17b6cfa75510p+1023 0x1.c17b6cfa75510p+1022 0x1.c17b6cfa75510p+1021 "
+         "0x1.c17b6cfa75510p+1020 0x1.c17b6cfa75510p+1019 0x1.c17b6cfa75510p+1018 "
+         "0x1.c17b6cfa75510p+1017 0x1.c17b6cfa75510p+1016 0x1.c17b6cfa75510p+1015 "
+         "0x1.c17b6cfa75510p+1014 0x1.c17b6cfa75510p+1013 0x1.c17b6cfa75510p+1012 "
+         "0x1.c17b6cfa75510p+1011 0x1.c17b6cfa75510p+1010 0x1.c17b6cfa75510p+1009 "
+         "0x1.e2ed708386ec6p+1009 0x1.d9845183d5b95p+1009 0x1.d945dc8ebc882p+1009 "
+         "0x1.d945df4fbd2bdp+1009 0x1.d945df4f8eb8dp+1009",
+         ("0x1.d945df4f8eb8dp+1009", "0x0.0p+0", "0x1.7398000000000p+974", 22)),
+    ])
+    def test_probes_are_pinned(self, objective, search, args, kwargs, probes, result):
+        fn = counted(objective)
+        res = search(fn, *args, **kwargs)
+        assert [x.hex() for x in fn.probes] == probes.split()
+        assert (res.x_star.hex(), res.value.hex(), res.width.hex(), res.iterations) == result
